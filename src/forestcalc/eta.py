@@ -19,7 +19,6 @@ from .errors import (
 )
 from .forest import IntersectionForest, make_forest
 from .freelie import (
-    BracketKernel,
     TensorElement,
     bracket_kernel,
     bracket_map,
@@ -29,7 +28,7 @@ from .freelie import (
     standard_bracketing,
 )
 from .groups import FLAVOR_TWISTED, build_group
-from .intlinalg import left_kernel, smith_normal_form, solve_left
+from .intlinalg import hermite_factor, left_kernel, smith_normal_form, solve_left
 from .trees import (
     FRAMED,
     TWISTED,
@@ -109,10 +108,6 @@ def milnor_from_forest(forest: IntersectionForest, n: int, k=None) -> TensorElem
     return image
 
 
-def _tensor_coords(kern: BracketKernel, x: TensorElement):
-    return kern.coordinates(x)
-
-
 @lru_cache(maxsize=None)
 def eta_matrix(m: int, n: int):
     """Integer matrix of eta over (generators of T_n^inf) x (basis of D_n)."""
@@ -121,7 +116,7 @@ def eta_matrix(m: int, n: int):
     rows = []
     for g in group.generators:
         image = eta_tree(m, n, g)
-        rows.append(_tensor_coords(kern, image) if kern.rank else [])
+        rows.append(kern.coordinates(image) if kern.rank else [])
     return group, kern, rows
 
 
@@ -157,9 +152,9 @@ def eta_kernel(m: int, n: int):
         return [], []
     # express each relation row in lattice coordinates (relations map to 0
     # under eta, hence lie in the kernel lattice)
-    rel_coords = []
-    for rel in group.relations:
-        rel_coords.append(solve_left([list(r) for r in lattice], list(rel)))
+    basis = hermite_factor(lattice)
+    rel_coords = [solve_left(basis, rel) for rel in group.relations]
+    del basis  # memory peaks in the Smith form below; free the factor first
     if rel_coords:
         diag, _, v = smith_normal_form(rel_coords, want_v=True)
     else:
@@ -191,6 +186,8 @@ def arf_classes(m: int, j: int, k: int):
     In the k-repeating setting only words of multiplicity <= k//4 survive;
     k < 4 leaves nothing.
     """
+    if j < 1:
+        raise ParameterError(f"arf classes require order >= 1, got {j}")
     if k < 4:
         raise ParameterError("arf classes require k >= 4")
     bound = k // 4

@@ -10,7 +10,8 @@ Grammar (whitespace-insensitive):
     rooted  := label | "(" rooted "," rooted ")"
     label   := decimal integer >= 1
 
-Printing emits canonical forms with terms sorted by tree.
+Printing emits canonical forms with terms sorted by tree.  A rooted tree may
+nest at most MAX_NESTING parentheses deep.
 """
 
 from __future__ import annotations
@@ -24,6 +25,11 @@ from .errors import (
     ParseError,
 )
 from .trees import ROOTED, DecoratedTree, framed_tree, twisted_tree
+
+# Deepest parenthesis nesting the parser accepts.  The parser and the shape
+# walks in `trees` recurse once per level, and re-rooting a framed tree can
+# double its depth; this keeps them well inside Python's recursion limit.
+MAX_NESTING = 100
 
 
 @dataclass(frozen=True)
@@ -78,6 +84,7 @@ class _Parser:
         self.text = text
         self.m = m
         self.pos = 0
+        self.depth = 0
         self._twist_allowed = True
 
     def error(self, message, cls=ParseError):
@@ -123,11 +130,15 @@ class _Parser:
 
     def parse_rooted(self):
         if self.peek() == "(":
+            if self.depth == MAX_NESTING:
+                self.error(f"trees may nest at most {MAX_NESTING} levels deep")
             self.pos += 1
+            self.depth += 1
             left = self.parse_rooted()
             self.expect(",")
             right = self.parse_rooted()
             self.expect(")")
+            self.depth -= 1
             shape = (left, right)
         else:
             shape = self.parse_label()

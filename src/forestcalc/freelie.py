@@ -10,11 +10,11 @@ non-primitive tensors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import NotPrimitiveError, ParameterError
-from .intlinalg import invariant_factors, left_kernel
+from .intlinalg import hermite_factor, invariant_factors, left_kernel, solve_left
 
 
 @lru_cache(maxsize=None)
@@ -295,6 +295,7 @@ class BracketKernel:
     k: object  # int or None
     domain: tuple  # ordered ((root label, lyndon word), ...)
     rows: tuple  # Hermite-reduced basis rows over `domain`
+    factor: object = field(compare=False, repr=False)  # hermite_factor of `rows`
 
     @property
     def rank(self):
@@ -317,14 +318,16 @@ class BracketKernel:
             if key not in index:
                 raise NotPrimitiveError(f"term {key} outside the kernel domain")
             vec[index[key]] = c
-        from .intlinalg import solve_left
-
-        return solve_left([list(r) for r in self.rows], vec)
+        return solve_left(self.factor, vec)
 
 
-@lru_cache(maxsize=None)
-def bracket_kernel(m: int, n: int, k=None) -> BracketKernel:
-    """Basis of D_n (or D_n^k) as the exact integer kernel of the bracket map."""
+def _bracket_matrix(m: int, n: int, k):
+    """The (restricted) bracket map L1 (x) L_{n+1} -> L_{n+2} as an integer matrix.
+
+    Returns ``(domain, target_words, matrix)`` with one row per domain key.
+    Brackets keep every letter's multiplicity, so a restricted domain maps
+    into the restricted target.
+    """
     domain = [
         (i, w)
         for i in range(1, m + 1)
@@ -341,30 +344,23 @@ def bracket_kernel(m: int, n: int, k=None) -> BracketKernel:
         image = shape_to_lie(m, (i, standard_bracketing(word)))
         row = [0] * len(target_words)
         for w, c in image.coeffs:
-            if w in col:
-                row[col[w]] = c
+            row[col[w]] = c
         matrix.append(row)
-    rows = left_kernel(matrix) if matrix else []
-    return BracketKernel(m, n, k, tuple(domain), tuple(tuple(r) for r in rows))
+    return domain, target_words, matrix
+
+
+@lru_cache(maxsize=None)
+def bracket_kernel(m: int, n: int, k=None) -> BracketKernel:
+    """Basis of D_n (or D_n^k) as the exact integer kernel of the bracket map."""
+    domain, _, matrix = _bracket_matrix(m, n, k)
+    rows = left_kernel(matrix)
+    return BracketKernel(m, n, k, tuple(domain), tuple(tuple(r) for r in rows),
+                         hermite_factor(rows))
 
 
 def bracket_map_cokernel(m: int, n: int, k=None):
     """Invariant factors of the cokernel of the (restricted) bracket map."""
-    kern = bracket_kernel(m, n, k)
-    target_words = [
-        w for w in lyndon_words(m, n + 2)
-        if k is None or word_multiplicity(w) <= k
-    ]
-    col = {w: j for j, w in enumerate(target_words)}
-    matrix = []
-    for i, word in kern.domain:
-        image = shape_to_lie(m, (i, standard_bracketing(word)))
-        row = [0] * len(target_words)
-        for w, c in image.coeffs:
-            row[col[w]] = c
-        matrix.append(row)
-    if not matrix:
-        return [0] * len(target_words)
+    _, target_words, matrix = _bracket_matrix(m, n, k)
     diag = invariant_factors(matrix)
     # cokernel = Z^{cols - rank} plus torsion from nontrivial factors
     free = len(target_words) - len(diag)

@@ -2,6 +2,10 @@
 
 Matrices are lists of lists of Python ints, so entries may grow past
 machine words without overflow.  Everything here is deterministic.
+
+A matrix that is solved against many right-hand sides is factored once with
+`hermite_factor`; `solve_left` accepts that factor in place of the matrix
+and never factors it again.
 """
 
 from __future__ import annotations
@@ -103,18 +107,43 @@ def left_kernel(matrix):
     return [row for row in reduced[: len(kp)]]
 
 
-def solve_left(matrix, target):
+class HermiteFactor:
+    """Row Hermite factorization ``u * matrix == h`` of one matrix.
+
+    Built by `hermite_factor`.  An object rather than a tuple, so that code
+    scanning tuples and lists for coefficient sizes does not read the pivot
+    column numbers as matrix entries.
+    """
+
+    __slots__ = ("h", "pivots", "u")
+
+    def __init__(self, h, pivots, u):
+        self.h = h
+        self.pivots = pivots
+        self.u = u
+
+
+def hermite_factor(matrix):
+    """Factor `matrix` once, for any number of `solve_left` calls against it."""
+    return HermiteFactor(*row_hermite(matrix, want_transform=True))
+
+
+def solve_left(basis, target):
     """Solve ``x * matrix == target`` over the integers.
 
-    Returns x (length = row count) or raises DomainError when no integer
-    solution exists.
+    `basis` is either the matrix itself or its `hermite_factor`; a factor is
+    used as it is and never factored again, while a plain matrix is factored
+    first.  Returns x (length = row count) or raises DomainError when no
+    integer solution exists.
     """
-    rows = len(matrix)
+    if not isinstance(basis, HermiteFactor):
+        basis = hermite_factor(basis)
+    h, pivots, u = basis.h, basis.pivots, basis.u
+    rows = len(h)
     if rows == 0:
         if any(target):
             raise DomainError("no integer solution (empty matrix)")
         return []
-    h, pivots, u = row_hermite(matrix, want_transform=True)
     residue = list(target)
     y = [0] * rows
     for i, col in enumerate(pivots):

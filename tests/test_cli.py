@@ -3,6 +3,7 @@ import json
 import pytest
 
 from forestcalc.cli import main
+from forestcalc.forest import MAX_NESTING
 from forestcalc.trees import set_orientation_convention
 
 
@@ -74,9 +75,26 @@ def test_lie(capsys):
 def test_arf(capsys):
     code, out, _ = run(capsys, "arf", "--m", "1", "--order", "1", "--k", "4")
     assert code == 0
-    lines = out.splitlines()
-    assert lines[0] == "classes: (1,1)^inf"
-    assert lines[1] == "kernel: 2"
+    assert out == (
+        "classes: (1,1)^inf\n"
+        "kernel: 2\n"
+        "lift: +1*(1,1)^inf + +2*<((1,1),1),1>\n"
+    )
+    code, out, _ = run(capsys, "arf", "--m", "2", "--order", "1", "--k", "4")
+    assert code == 0
+    assert out == (
+        "classes: (1,1)^inf (2,2)^inf\n"
+        "kernel: 2 2\n"
+        "lift: +1*(2,2)^inf + +2*<((2,2),2),2>\n"
+        "lift: +1*(1,1)^inf + +2*<((1,1),1),1>\n"
+    )
+
+
+def test_arf_order_zero(capsys):
+    code, out, err = run(capsys, "arf", "--m", "2", "--order", "0", "--k", "4")
+    assert code == 1
+    assert out == ""
+    assert err == "error[bad-parameter]: arf classes require order >= 1, got 0\n"
 
 
 def test_collapse(capsys):
@@ -105,6 +123,26 @@ def test_parse_error_exit_2(capsys):
     code, out, err = run(capsys, "normalize", "--m", "2", "+1*<1,4>")
     assert code == 2
     assert err.startswith("error[label-out-of-range]")
+
+
+def _nested(depth):
+    shape = "1"
+    for _ in range(depth):
+        shape = f"({shape},1)"
+    return shape
+
+
+def test_nesting_limit(capsys):
+    for depth in (MAX_NESTING + 1, 2000):
+        code, out, err = run(capsys, "normalize", "--m", "1", f"+1*<{_nested(depth)},1>")
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error[syntax-error]: trees may nest at most")
+    code, out, err = run(capsys, "normalize", "--m", "1", f"+1*<{_nested(MAX_NESTING)},1>")
+    assert code == 0
+    assert err == ""
+    assert out.startswith("+1*<((")
 
 
 def test_domain_error_exit_1(capsys):

@@ -7,12 +7,14 @@ from forestcalc.eta import (
     eta_cokernel_invariants,
     eta_k,
     eta_kernel,
+    eta_matrix,
     eta_tree,
     milnor_from_forest,
 )
 from forestcalc.forest import make_forest, parse_forest
 from forestcalc.freelie import bracket_kernel, bracket_map, k_project_tensor
 from forestcalc.groups import build_group
+from forestcalc.intlinalg import hermite_factor, left_kernel, mat_mul, solve_left
 from forestcalc.trees import multiplicity, twisted_tree
 
 
@@ -60,6 +62,21 @@ def test_relation_rows_map_to_zero():
             for rel in g.relations:
                 terms = [(c, g.generators[i]) for i, c in enumerate(rel) if c]
                 assert eta(make_forest(m, terms), n).is_zero
+
+
+def test_relation_coords_against_unfactored_lattice():
+    # eta_kernel factors its kernel lattice once; every relation row must
+    # solve to the coordinates that a fresh solve against the plain lattice
+    # gives, and they must reproduce the row
+    for m, n in [(2, 2), (3, 2), (2, 4), (3, 3)]:
+        group, kern, rows = eta_matrix(m, n)
+        assert kern.rank and group.relations
+        lattice = left_kernel([list(r) for r in rows])
+        basis = hermite_factor(lattice)
+        for rel in group.relations:
+            x = solve_left(basis, rel)
+            assert x == solve_left([list(r) for r in lattice], list(rel))
+            assert mat_mul([x], lattice)[0] == list(rel)
 
 
 def test_eta_k_drops_high_multiplicity():

@@ -5,6 +5,7 @@ from sympy import Matrix
 
 from forestcalc.errors import DomainError
 from forestcalc.intlinalg import (
+    hermite_factor,
     identity,
     invariant_factors,
     left_kernel,
@@ -52,12 +53,38 @@ def test_left_kernel_saturated():
     assert solve_left(kern, [3, -3]) is not None
 
 
+def _solve_or_none(basis, target):
+    try:
+        return solve_left(basis, target)
+    except DomainError:
+        return None
+
+
 def test_solve_left():
     a = [[2, 0], [0, 3]]
     x = solve_left(a, [4, 9])
     assert mat_mul([x], a)[0] == [4, 9]
     with pytest.raises(DomainError):
         solve_left(a, [1, 0])
+    with pytest.raises(DomainError):
+        solve_left(hermite_factor(a), [1, 0])
+    # a factored basis solves exactly as the plain matrix, which is factored
+    # afresh on every call, and fails on the same targets
+    rng = random.Random(17)
+    for _ in range(40):
+        a = _random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
+        basis = hermite_factor(a)
+        coeffs = _random_matrix(rng, 1, len(a), bound=3)
+        targets = [mat_mul(coeffs, a)[0]] + _random_matrix(rng, 3, len(a[0]))
+        for target in targets:
+            x = _solve_or_none(a, target)
+            assert _solve_or_none(basis, target) == x
+            if x is not None:
+                assert mat_mul([x], a)[0] == target
+        assert _solve_or_none(a, targets[0]) is not None
+    assert solve_left(hermite_factor([]), []) == []
+    with pytest.raises(DomainError):
+        solve_left(hermite_factor([]), [1])
 
 
 def test_smith_against_sympy():
