@@ -10,8 +10,9 @@ Grammar (whitespace-insensitive):
     rooted  := label | "(" rooted "," rooted ")"
     label   := decimal integer >= 1
 
-Printing emits canonical forms with terms sorted by tree.  A rooted tree may
-nest at most MAX_NESTING parentheses deep.
+Printing emits canonical forms with terms sorted by tree.  A tree may have
+at most MAX_NESTING trivalent vertices (parenthesis pairs), and so nest at
+most that deep in any presentation; printed forests always parse back.
 """
 
 from __future__ import annotations
@@ -26,9 +27,10 @@ from .errors import (
 )
 from .trees import ROOTED, DecoratedTree, framed_tree, twisted_tree
 
-# Deepest parenthesis nesting the parser accepts.  The parser and the shape
-# walks in `trees` recurse once per level, and re-rooting a framed tree can
-# double its depth; this keeps them well inside Python's recursion limit.
+# Most trivalent vertices, and so deepest nesting, the parser accepts in one
+# tree.  The parser and the shape walks in `trees` recurse once per level;
+# canonicalization re-roots a framed tree, but no presentation of a tree of
+# order n nests deeper than n, so its printed form parses back.
 MAX_NESTING = 100
 
 
@@ -85,6 +87,7 @@ class _Parser:
         self.m = m
         self.pos = 0
         self.depth = 0
+        self.vertices = 0  # trivalent vertices of the tree being parsed
         self._twist_allowed = True
 
     def error(self, message, cls=ParseError):
@@ -132,8 +135,11 @@ class _Parser:
         if self.peek() == "(":
             if self.depth == MAX_NESTING:
                 self.error(f"trees may nest at most {MAX_NESTING} levels deep")
+            if self.vertices == MAX_NESTING:
+                self.error(f"trees may have at most {MAX_NESTING} trivalent vertices")
             self.pos += 1
             self.depth += 1
+            self.vertices += 1
             left = self.parse_rooted()
             self.expect(",")
             right = self.parse_rooted()
@@ -148,6 +154,7 @@ class _Parser:
         return shape
 
     def parse_tree(self):
+        self.vertices = 0
         if self.peek() == "<":
             self.pos += 1
             self._twist_allowed = False

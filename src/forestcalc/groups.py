@@ -19,12 +19,12 @@ from .trees import (
     FRAMED,
     TWISTED,
     DecoratedTree,
+    canonical_shapes,
     framed_generators,
     framed_tree,
     internal_splits,
     leaf_rootings,
     multiplicity,
-    rooted_shapes,
     twisted_generators,
     twisted_tree,
 )
@@ -91,10 +91,11 @@ def _framed_rows(gens, index):
 
 
 def _boundary_twist_rows(m, j, index):
-    # i-<(J,J) = 0 for every label i and every rooted J of order j-1
+    # i-<(J,J) = 0 for every label i and every rooted J of order j-1; J runs
+    # over canonical shapes only, since the AS sign of J cancels in (J,J)
     rows = []
     for i in range(1, m + 1):
-        for shape in rooted_shapes(m, j - 1):
+        for shape, _ in canonical_shapes(m, j - 1):
             tree, _ = framed_tree(i, (shape, shape))
             if tree not in index:
                 continue  # filtered out by multiplicity in a k-group

@@ -15,6 +15,11 @@ A twisted tree is a rooted shape whose root carries the twist mark.  Its
 sign is discarded at canonicalization: reversing the orientation of a
 twisted tree does not change it (the symmetry relation), so twisted trees
 are pure shapes.
+
+Canonicalization builds each vertex's sort key once, from the keys its two
+branches returned, and generators are enumerated from AS-canonical rooted
+halves only: every labeled shape is AS-equivalent to exactly one of them,
+so no raw shape is enumerated.
 """
 
 from __future__ import annotations
@@ -61,10 +66,6 @@ def oriented_shape(shape):
 # rooted shapes
 
 
-def is_label(shape) -> bool:
-    return isinstance(shape, int)
-
-
 def shape_key(shape):
     """Total order on rooted shapes (pairs before labels, then recursive)."""
     if isinstance(shape, int):
@@ -99,6 +100,24 @@ def validate_shape(shape, m=None):
     validate_shape(shape[1], m)
 
 
+def _canon(shape):
+    """AS-canonicalize a rooted shape, building each vertex key once.
+
+    Returns ``(canonical_shape, key, sign, ambiguous)`` where key is
+    ``shape_key(canonical_shape)``, assembled from the branch keys.
+    """
+    if isinstance(shape, int):
+        return shape, (1, shape), 1, False
+    a, ka, sa, amb_a = _canon(shape[0])
+    b, kb, sb, amb_b = _canon(shape[1])
+    sign = sa * sb
+    amb = amb_a or amb_b or ka == kb
+    if kb < ka:
+        a, b, ka, kb = b, a, kb, ka
+        sign = -sign
+    return (a, b), (0, ka, kb), sign, amb
+
+
 def canonical_rooted(shape):
     """AS-canonicalize a rooted shape.
 
@@ -106,16 +125,8 @@ def canonical_rooted(shape):
     trivalent vertex has equal canonical branches, so the canonical form is
     reachable with either sign.
     """
-    if isinstance(shape, int):
-        return shape, 1, False
-    a, sa, amb_a = canonical_rooted(shape[0])
-    b, sb, amb_b = canonical_rooted(shape[1])
-    sign = sa * sb
-    amb = amb_a or amb_b or a == b
-    if shape_key(b) < shape_key(a):
-        a, b = b, a
-        sign = -sign
-    return (a, b), sign, amb
+    canon, _, sign, amb = _canon(shape)
+    return canon, sign, amb
 
 
 # ---------------------------------------------------------------------------
@@ -160,11 +171,11 @@ def canonical_framed(half_a, half_b):
     best_pair = None
     signs = set()
     for p, q in presentations(half_a, half_b):
-        cp, sp, amb_p = canonical_rooted(p)
-        cq, sq, amb_q = canonical_rooted(q)
-        if shape_key(cq) < shape_key(cp):
-            cp, cq = cq, cp
-        key = (shape_key(cp), shape_key(cq))
+        cp, kp, sp, amb_p = _canon(p)
+        cq, kq, sq, amb_q = _canon(q)
+        if kq < kp:
+            cp, cq, kp, kq = cq, cp, kq, kp
+        key = (kp, kq)
         pres_signs = {sp * sq, -sp * sq} if (amb_p or amb_q) else {sp * sq}
         if best_key is None or key < best_key:
             best_key = key
@@ -344,35 +355,45 @@ def inner_product(i_tree: DecoratedTree, j_tree: DecoratedTree):
 
 
 @lru_cache(maxsize=None)
-def rooted_shapes(m: int, order: int) -> tuple:
-    """All labeled rooted shapes of the given order (raw, not canonical)."""
+def canonical_shapes(m: int, order: int) -> tuple:
+    """AS-canonical rooted shapes of the given order as (shape, key) pairs.
+
+    A pair is canonical exactly when both branches are and the left key is
+    not above the right one, so each shape is built once from smaller
+    canonical shapes.  Sorted by key.
+    """
     if order == 0:
-        return tuple(range(1, m + 1))
+        return tuple((label, (1, label)) for label in range(1, m + 1))
     out = []
     for left_order in range(order):
-        for left in rooted_shapes(m, left_order):
-            for right in rooted_shapes(m, order - 1 - left_order):
-                out.append((left, right))
-    return tuple(out)
+        for a, ka in canonical_shapes(m, left_order):
+            for b, kb in canonical_shapes(m, order - 1 - left_order):
+                if ka <= kb:
+                    out.append(((a, b), (0, ka, kb)))
+    return tuple(sorted(out, key=lambda sk: sk[1]))
 
 
 @lru_cache(maxsize=None)
 def framed_generators(m: int, order: int) -> tuple:
-    """All canonical framed trees of the given order, sorted."""
+    """All canonical framed trees of the given order, sorted.
+
+    Every framed tree is <A,B> up to sign for AS-canonical halves A, B with
+    order(A) <= order(B), so only those pairs are canonicalized.
+    """
     seen = {}
     for left_order in range(order // 2 + 1):
-        for left in rooted_shapes(m, left_order):
-            for right in rooted_shapes(m, order - left_order):
-                tree, _ = framed_tree(left, right)
-                seen[tree.data] = tree
+        for left, _ in canonical_shapes(m, left_order):
+            for right, _ in canonical_shapes(m, order - left_order):
+                pair, _, torsion = canonical_framed(left, right)
+                seen[pair] = DecoratedTree(FRAMED, pair, torsion)
     return tuple(sorted(seen.values(), key=DecoratedTree.sort_key))
 
 
 @lru_cache(maxsize=None)
 def twisted_generators(m: int, order: int) -> tuple:
-    """All canonical twisted trees of the given order, sorted."""
-    seen = {}
-    for shape in rooted_shapes(m, order):
-        tree = twisted_tree(shape)
-        seen[tree.data] = tree
-    return tuple(sorted(seen.values(), key=DecoratedTree.sort_key))
+    """All canonical twisted trees of the given order, sorted.
+
+    Twisted trees are unsigned canonical shapes, so these are exactly the
+    canonical shapes of that order in key order.
+    """
+    return tuple(DecoratedTree(TWISTED, shape) for shape, _ in canonical_shapes(m, order))

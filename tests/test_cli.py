@@ -3,7 +3,7 @@ import json
 import pytest
 
 from forestcalc.cli import main
-from forestcalc.forest import MAX_NESTING
+from forestcalc.forest import MAX_NESTING, parse_forest
 from forestcalc.trees import set_orientation_convention
 
 
@@ -143,6 +143,24 @@ def test_nesting_limit(capsys):
     assert code == 0
     assert err == ""
     assert out.startswith("+1*<((")
+
+
+def test_vertex_limit(capsys):
+    # order 105 although no half nests deeper than 100: its canonical form
+    # is re-rooted and would print 105 levels deep
+    text = f"+1*<{_nested(MAX_NESTING)},{_nested(5)}>"
+    code, out, err = run(capsys, "normalize", "--m", "1", text)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error[syntax-error]: trees may have at most")
+
+
+def test_normalize_output_parses_back():
+    # order exactly MAX_NESTING, re-rooted by canonicalization
+    text = f"+1*<{_nested(MAX_NESTING - 5)},{_nested(5)}>"
+    once = str(parse_forest(text, 1))
+    assert str(parse_forest(once, 1)) == once
 
 
 def test_domain_error_exit_1(capsys):

@@ -1,9 +1,11 @@
 import random
+from functools import lru_cache
 
 import pytest
 
 from forestcalc.errors import DomainError, ParameterError
 from forestcalc.trees import (
+    DecoratedTree,
     canonical_rooted,
     canonicalize_tree,
     framed_generators,
@@ -11,7 +13,6 @@ from forestcalc.trees import (
     inner_product,
     multiplicity,
     rooted_product,
-    rooted_shapes,
     rooted_tree,
     tree_stats,
     twisted_generators,
@@ -170,11 +171,125 @@ def test_multiplicity_filter_values():
     assert [str(t) for t in gens] == ["<1,2>"]
 
 
+# ---------------------------------------------------------------------------
+# oracle: the raw enumeration and recursive-key canonicalization that the
+# library used before it enumerated canonical halves
+
+
+@lru_cache(maxsize=None)
+def rooted_shapes(m, order):
+    """All labeled rooted shapes of the given order (raw, not canonical)."""
+    if order == 0:
+        return tuple(range(1, m + 1))
+    out = []
+    for left_order in range(order):
+        for left in rooted_shapes(m, left_order):
+            for right in rooted_shapes(m, order - 1 - left_order):
+                out.append((left, right))
+    return tuple(out)
+
+
+def _old_shape_key(shape):
+    if isinstance(shape, int):
+        return (1, shape)
+    return (0, _old_shape_key(shape[0]), _old_shape_key(shape[1]))
+
+
+def _old_canonical_rooted(shape):
+    if isinstance(shape, int):
+        return shape, 1, False
+    a, sa, amb_a = _old_canonical_rooted(shape[0])
+    b, sb, amb_b = _old_canonical_rooted(shape[1])
+    sign = sa * sb
+    amb = amb_a or amb_b or a == b
+    if _old_shape_key(b) < _old_shape_key(a):
+        a, b = b, a
+        sign = -sign
+    return (a, b), sign, amb
+
+
+def _old_presentations(half_a, half_b):
+    seen = set()
+    stack = [(half_a, half_b)]
+    while stack:
+        pres = stack.pop()
+        if pres in seen:
+            continue
+        seen.add(pres)
+        a, b = pres
+        if isinstance(a, tuple):
+            stack.append((a[0], (a[1], b)))
+            stack.append((a[1], (b, a[0])))
+        if isinstance(b, tuple):
+            stack.append((b[0], (b[1], a)))
+            stack.append((b[1], (a, b[0])))
+    return seen
+
+
+def _old_canonical_framed(half_a, half_b):
+    """(pair, sign, torsion): minimum over every edge presentation."""
+    best_key = None
+    signs = set()
+    for p, q in _old_presentations(half_a, half_b):
+        cp, sp, amb_p = _old_canonical_rooted(p)
+        cq, sq, amb_q = _old_canonical_rooted(q)
+        if _old_shape_key(cq) < _old_shape_key(cp):
+            cp, cq = cq, cp
+        key = (_old_shape_key(cp), _old_shape_key(cq))
+        pres_signs = {sp * sq, -sp * sq} if (amb_p or amb_q) else {sp * sq}
+        if best_key is None or key < best_key:
+            best_key, best_pair, signs = key, (cp, cq), set(pres_signs)
+        elif key == best_key:
+            signs |= pres_signs
+    torsion = len(signs) == 2
+    return best_pair, 1 if torsion else signs.pop(), torsion
+
+
+def _old_generators(m, order):
+    """Sorted (kind, data, torsion) of the framed and twisted generators."""
+    framed = {}
+    for left_order in range(order // 2 + 1):
+        for left in rooted_shapes(m, left_order):
+            for right in rooted_shapes(m, order - left_order):
+                pair, _, torsion = _old_canonical_framed(left, right)
+                framed[pair] = torsion
+    twisted = {_old_canonical_rooted(shape)[0] for shape in rooted_shapes(m, order)}
+    framed_out = [
+        ("framed", pair, framed[pair])
+        for pair in sorted(framed, key=lambda p: (_old_shape_key(p[0]), _old_shape_key(p[1])))
+    ]
+    twisted_out = [("twisted", shape, False) for shape in sorted(twisted, key=_old_shape_key)]
+    return framed_out, twisted_out
+
+
 def test_rooted_shape_counts():
     # Catalan(order) * m^(order+1) raw shapes
     assert len(rooted_shapes(2, 0)) == 2
     assert len(rooted_shapes(2, 1)) == 4
     assert len(rooted_shapes(2, 2)) == 16
+
+
+def _tuples(trees):
+    return [(t.kind, t.data, t.torsion) for t in trees]
+
+
+@pytest.mark.parametrize(
+    "m,order",
+    [(m, n) for m in (1, 2, 3) for n in range(5)] + [(2, 5), (1, 6), (1, 7), (1, 8)],
+)
+def test_generators_match_raw_enumeration(m, order):
+    framed, twisted = _old_generators(m, order)
+    assert _tuples(framed_generators(m, order)) == framed
+    assert _tuples(twisted_generators(m, order)) == twisted
+
+
+@pytest.mark.parametrize("m,order", [(2, 4), (3, 3), (1, 6)])
+def test_framed_tree_matches_old_canonical_framed(m, order):
+    for left_order in range(order + 1):
+        for a in rooted_shapes(m, left_order):
+            for b in rooted_shapes(m, order - left_order):
+                pair, sign, torsion = _old_canonical_framed(a, b)
+                assert framed_tree(a, b) == (DecoratedTree("framed", pair, torsion), sign)
 
 
 def test_validate_rejects_bad_labels():
