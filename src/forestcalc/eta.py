@@ -125,8 +125,7 @@ def eta_cokernel_invariants(m: int, n: int):
     group, kern, rows = eta_matrix(m, n)
     if kern.rank == 0:
         return [], 0
-    matrix = rows if rows else [[0] * kern.rank]
-    diag = smith_normal_form([list(r) for r in matrix])[0] if rows else []
+    diag = smith_normal_form([list(r) for r in rows] or [[0] * kern.rank])[0]
     free = kern.rank - len(diag)
     return sorted(d for d in diag if d > 1), free
 
@@ -155,12 +154,7 @@ def eta_kernel(m: int, n: int):
     basis = hermite_factor(lattice)
     rel_coords = [solve_left(basis, rel) for rel in group.relations]
     del basis  # memory peaks in the Smith form below; free the factor first
-    if rel_coords:
-        diag, _, v = smith_normal_form(rel_coords, want_v=True)
-    else:
-        diag, v = [], [
-            [1 if i == j else 0 for j in range(len(lattice))] for i in range(len(lattice))
-        ]
+    diag, _, v = smith_normal_form(rel_coords or [[0] * len(lattice)], want_v=True)
     torsion = sorted(d for d in diag if d > 1)
     free = len(lattice) - len(diag)
     # generator lifts: columns of v past the torsion block give the surviving

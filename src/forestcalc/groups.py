@@ -192,15 +192,10 @@ class TreeGroup:
     def snf(self):
         """(diag, v) with U*R*V = diag over the generator basis."""
         if self._snf is None:
-            cols = len(self.generators)
-            if self.relations:
-                diag, _, v = smith_normal_form(
-                    [list(r) for r in self.relations], want_v=True
-                )
-            else:
-                diag, v = [], [
-                    [1 if i == j else 0 for j in range(cols)] for i in range(cols)
-                ]
+            rows = [list(r) for r in self.relations]
+            diag, _, v = smith_normal_form(
+                rows or [[0] * len(self.generators)], want_v=True
+            )
             self._snf = (diag, v)
         return self._snf
 

@@ -6,6 +6,11 @@ machine words without overflow.  Everything here is deterministic.
 A matrix that is solved against many right-hand sides is factored once with
 `hermite_factor`; `solve_left` accepts that factor in place of the matrix
 and never factors it again.
+
+The Smith form skips work that cannot change a value: a unit pivot ends the
+pivot search and needs no divisibility scan, and row and column additions
+pass over zero source entries.  Its sequence of row and column operations is
+that of full scans, so it returns the same diag, u and v.
 """
 
 from __future__ import annotations
@@ -168,12 +173,41 @@ def solve_left(basis, target):
     return x
 
 
+def _pivot(a, t):
+    """Position of the first entry of least absolute value in a[t:][t:].
+
+    Entries are scanned in row-major order and only a strictly smaller one
+    replaces the candidate; nothing is smaller than a unit, so the first unit
+    found ends the search at the same position a full scan would return.
+    """
+    best, least = None, 0
+    for i in range(t, len(a)):
+        row = a[i]
+        for j in range(t, len(row)):
+            x = row[j]
+            if x:
+                x = abs(x)
+                if best is None or x < least:
+                    if x == 1:
+                        return i, j
+                    best, least = (i, j), x
+    return best
+
+
 def smith_normal_form(matrix, want_u=False, want_v=False):
     """Smith normal form ``u * matrix * v == d``.
 
     Returns ``(diag, u, v)`` where diag is the list of positive invariant
     factors d1 | d2 | ... and u/v are unimodular (or None when not
-    requested).
+    requested).  An all-zero matrix gives ``diag == []`` and ``v`` the
+    identity, so a caller without rows passes ``rows or [[0] * cols]``.
+
+    Each step pivots on the first entry of least absolute value in the
+    remaining block, clears its row and column by repeated division, and adds
+    a row that the pivot does not divide into the pivot row.  A unit pivot
+    ends the search and skips the divisibility scan, and additions skip zero
+    source entries; the operations, and so diag, u and v, are those of full
+    scans.
     """
     a = [list(row) for row in matrix]
     rows = len(a)
@@ -187,6 +221,8 @@ def smith_normal_form(matrix, want_u=False, want_v=False):
             u[i], u[j] = u[j], u[i]
 
     def swap_cols(i, j):
+        if i == j:
+            return
         for row in a:
             row[i], row[j] = row[j], row[i]
         if v is not None:
@@ -194,18 +230,18 @@ def smith_normal_form(matrix, want_u=False, want_v=False):
                 row[i], row[j] = row[j], row[i]
 
     def add_row(src, dst, factor):
-        for j in range(cols):
-            a[dst][j] += factor * a[src][j]
-        if u is not None:
-            for j in range(rows):
-                u[dst][j] += factor * u[src][j]
+        for mat in (a, u) if u is not None else (a,):
+            target = mat[dst]
+            for j, x in enumerate(mat[src]):
+                if x:
+                    target[j] += factor * x
 
     def add_col(src, dst, factor):
-        for row in a:
-            row[dst] += factor * row[src]
-        if v is not None:
-            for row in v:
-                row[dst] += factor * row[src]
+        for mat in (a, v) if v is not None else (a,):
+            for row in mat:
+                x = row[src]
+                if x:
+                    row[dst] += factor * x
 
     def negate_row(i):
         a[i] = [-x for x in a[i]]
@@ -215,13 +251,7 @@ def smith_normal_form(matrix, want_u=False, want_v=False):
     t = 0
     limit = min(rows, cols)
     while t < limit:
-        # locate the smallest nonzero entry in the remaining block
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                x = a[i][j]
-                if x and (best is None or abs(x) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
+        best = _pivot(a, t)
         if best is None:
             break
         swap_rows(t, best[0])
@@ -245,16 +275,18 @@ def smith_normal_form(matrix, want_u=False, want_v=False):
                         dirty = True
         if a[t][t] < 0:
             negate_row(t)
-        # enforce divisibility of the remaining block by the pivot
+        # enforce divisibility of the remaining block by the pivot; a unit
+        # divides everything
         pivot = a[t][t]
         offender = None
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if a[i][j] % pivot:
-                    offender = i
+        if pivot != 1:
+            for i in range(t + 1, rows):
+                for j in range(t + 1, cols):
+                    if a[i][j] % pivot:
+                        offender = i
+                        break
+                if offender is not None:
                     break
-            if offender is not None:
-                break
         if offender is not None:
             add_row(offender, t, 1)
             continue

@@ -1,9 +1,13 @@
 import random
 
 import pytest
-from sympy import Matrix
+from sympy import ZZ, Matrix
+from sympy.polys.matrices import DomainMatrix
+from sympy.polys.matrices.normalforms import smith_normal_form as sympy_domain_snf
 
 from forestcalc.errors import DomainError
+from forestcalc.eta import eta_matrix
+from forestcalc.groups import build_group
 from forestcalc.intlinalg import (
     hermite_factor,
     identity,
@@ -116,3 +120,158 @@ def test_smith_transforms():
 
 def test_identity():
     assert identity(3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
+# the (m, n, flavor) cells of the benchmark's tree-groups workload
+TREE_GROUP_CELLS = (
+    (2, 5, "framed"), (1, 8, "twisted"), (4, 3, "framed"), (2, 4, "twisted"),
+    (5, 2, "twisted"),
+)
+
+
+def _old_smith_normal_form(matrix, want_u=False, want_v=False):
+    """The Smith form with full scans: every pivot search reads the whole
+    remaining block, every pivot is followed by a divisibility scan, and row
+    and column additions touch zero entries too.  The fast form must repeat
+    its operation sequence exactly."""
+    a = [list(row) for row in matrix]
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    u = identity(rows) if want_u else None
+    v = identity(cols) if want_v else None
+
+    def swap_rows(i, j):
+        a[i], a[j] = a[j], a[i]
+        if u is not None:
+            u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for row in a:
+            row[i], row[j] = row[j], row[i]
+        if v is not None:
+            for row in v:
+                row[i], row[j] = row[j], row[i]
+
+    def add_row(src, dst, factor):
+        for j in range(cols):
+            a[dst][j] += factor * a[src][j]
+        if u is not None:
+            for j in range(rows):
+                u[dst][j] += factor * u[src][j]
+
+    def add_col(src, dst, factor):
+        for row in a:
+            row[dst] += factor * row[src]
+        if v is not None:
+            for row in v:
+                row[dst] += factor * row[src]
+
+    def negate_row(i):
+        a[i] = [-x for x in a[i]]
+        if u is not None:
+            u[i] = [-x for x in u[i]]
+
+    t = 0
+    limit = min(rows, cols)
+    while t < limit:
+        best = None
+        for i in range(t, rows):
+            for j in range(t, cols):
+                x = a[i][j]
+                if x and (best is None or abs(x) < abs(a[best[0]][best[1]])):
+                    best = (i, j)
+        if best is None:
+            break
+        swap_rows(t, best[0])
+        swap_cols(t, best[1])
+        dirty = True
+        while dirty:
+            dirty = False
+            for i in range(t + 1, rows):
+                if a[i][t]:
+                    q = a[i][t] // a[t][t]
+                    add_row(t, i, -q)
+                    if a[i][t]:
+                        swap_rows(t, i)
+                        dirty = True
+            for j in range(t + 1, cols):
+                if a[t][j]:
+                    q = a[t][j] // a[t][t]
+                    add_col(t, j, -q)
+                    if a[t][j]:
+                        swap_cols(t, j)
+                        dirty = True
+        if a[t][t] < 0:
+            negate_row(t)
+        pivot = a[t][t]
+        offender = None
+        for i in range(t + 1, rows):
+            for j in range(t + 1, cols):
+                if a[i][j] % pivot:
+                    offender = i
+                    break
+            if offender is not None:
+                break
+        if offender is not None:
+            add_row(offender, t, 1)
+            continue
+        t += 1
+    diag = [a[i][i] for i in range(limit) if a[i][i]]
+    return diag, u, v
+
+
+def _relation_matrix(m, n, flavor):
+    return [list(r) for r in build_group(m, n, flavor).relations]
+
+
+def _eta_relation_coords(m, n):
+    # the matrix eta_kernel passes to the Smith form
+    group, _, rows = eta_matrix(m, n)
+    basis = hermite_factor(left_kernel([list(r) for r in rows]))
+    return [solve_left(basis, rel) for rel in group.relations]
+
+
+def _sparse_relation_like(rng, rows, cols):
+    # at most 4 nonzeros per row, like a relation row, but with entries up to
+    # 3 so that blocks without a unit pivot occur
+    out = []
+    for _ in range(rows):
+        row = [0] * cols
+        for j in rng.sample(range(cols), rng.randint(1, min(4, cols))):
+            row[j] = rng.choice((-3, -2, -1, 1, 2, 3))
+        out.append(row)
+    return out
+
+
+def test_smith_repeats_old_operation_sequence():
+    # identical (diag, u, v), hence identical lifts and witnesses read off v
+    matrices = [_relation_matrix(*cell) for cell in TREE_GROUP_CELLS]
+    matrices += [_eta_relation_coords(m, n) for m, n in ((4, 3), (5, 2), (3, 3))]
+    # random draws stay at 12 x 12: from about 16 x 16 up, draws of this
+    # kind can hit the coefficient growth that both forms share
+    rng = random.Random(23)
+    matrices += [
+        _sparse_relation_like(rng, rng.randint(1, 12), rng.randint(1, 12))
+        for _ in range(60)
+    ]
+    for a in matrices:
+        new = smith_normal_form(a, want_u=True, want_v=True)
+        assert new == _old_smith_normal_form(a, want_u=True, want_v=True)
+
+
+def test_smith_of_zero_row_is_identity():
+    # the callers' "no relations" case: rows or [[0] * cols]
+    for cols in (0, 1, 4):
+        assert smith_normal_form([[0] * cols], want_v=True) == ([], None, identity(cols))
+
+
+def test_tree_group_invariants_against_sympy():
+    for m, n, flavor in TREE_GROUP_CELLS:
+        group = build_group(m, n, flavor)
+        rows = _relation_matrix(m, n, flavor)
+        shape = (len(rows), len(group.generators))
+        snf = sympy_domain_snf(DomainMatrix([[ZZ(x) for x in r] for r in rows], shape, ZZ))
+        snf = snf.to_Matrix()
+        diag = [abs(int(snf[i, i])) for i in range(min(shape)) if snf[i, i]]
+        free = len(group.generators) - len(diag)
+        assert group.invariants() == (free, sorted(d for d in diag if d > 1))
