@@ -157,14 +157,16 @@ def eta_kernel(m: int, n: int):
     diag, _, v = smith_normal_form(rel_coords or [[0] * len(lattice)], want_v=True)
     torsion = sorted(d for d in diag if d > 1)
     free = len(lattice) - len(diag)
-    # generator lifts: columns of v past the torsion block give the surviving
-    # classes; map lattice coordinates back to forests
+    # generator lifts: lattice coordinates x have Smith coordinates x * v, so
+    # the class of the j-th torsion or free summand is row j of v^-1 (v is
+    # unimodular: its Hermite form is the identity and u is the inverse);
+    # map lattice coordinates back to forests
     import_forests = []
-    vt = [[v[i][j] for i in range(len(lattice))] for j in range(len(lattice))]
     picked = [i for i, d in enumerate(diag) if d > 1]
     picked += list(range(len(diag), len(lattice)))
+    v_inv = hermite_factor(v).u if picked else []
     for j in picked:
-        coeffs = vt[j]
+        coeffs = v_inv[j]
         vec = [0] * len(gens)
         for ci, row in zip(coeffs, lattice):
             for t, x in enumerate(row):

@@ -78,15 +78,15 @@ def test_arf(capsys):
     assert out == (
         "classes: (1,1)^inf\n"
         "kernel: 2\n"
-        "lift: +1*(1,1)^inf + +2*<((1,1),1),1>\n"
+        "lift: +1*(1,1)^inf\n"
     )
     code, out, _ = run(capsys, "arf", "--m", "2", "--order", "1", "--k", "4")
     assert code == 0
     assert out == (
         "classes: (1,1)^inf (2,2)^inf\n"
         "kernel: 2 2\n"
-        "lift: +1*(2,2)^inf + +2*<((2,2),2),2>\n"
-        "lift: +1*(1,1)^inf + +2*<((1,1),1),1>\n"
+        "lift: +1*(2,2)^inf\n"
+        "lift: +1*(1,1)^inf\n"
     )
 
 

@@ -135,3 +135,17 @@ def test_arf_classes():
     assert [w for w, _ in classes] == [(1, 2)]
     with pytest.raises(ParameterError):
         arf_classes(2, 1, 3)
+
+
+def test_eta_kernel_order_six():
+    # Ker(eta_6) = Z/2 (x) L_2 for m = 2 (Conant-Schneiderman-Teichner), and
+    # L_2 has rank 1: one class of order 2, lifted to a forest that eta sends
+    # to 0 and that is nonzero in T_6^inf, the class of (J,J)^inf, J = [1,2]
+    invfac, lifts = eta_kernel(2, 6)
+    assert invfac == [2]
+    (lift,) = lifts
+    assert eta(lift, 6).is_zero
+    group = build_group(2, 6, "twisted")
+    assert not group.is_zero(lift)
+    ((_, tree),) = arf_classes(2, 2, 8)
+    assert group.reduce_forest(lift) == group.reduce_forest(make_forest(2, [(1, tree)]))
