@@ -15,9 +15,7 @@ from .forest import IntersectionForest, forest_add, forest_scale, make_forest, p
 from .trees import (
     DecoratedTree,
     framed_tree,
-    orientation_convention,
     rooted_tree,
-    set_orientation_convention,
     twisted_tree,
 )
 
@@ -37,9 +35,7 @@ __all__ = [
     "forest_scale",
     "framed_tree",
     "make_forest",
-    "orientation_convention",
     "parse_forest",
     "rooted_tree",
-    "set_orientation_convention",
     "twisted_tree",
 ]

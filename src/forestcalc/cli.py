@@ -168,24 +168,32 @@ def cmd_monoize(args):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors become parse errors, reported as one tagged line (exit 2)."""
+
+    def error(self, message):
+        raise ParseError(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="forestcalc",
         description="Exact calculus of decorated trees and free Lie algebras.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, forest=False, need_order=False):
+    def common(p, forest=False, need_order=False, k=True):
         p.add_argument("--m", type=int, required=True, help="number of indices")
         if need_order:
             p.add_argument("--order", type=int, required=True)
-        p.add_argument("--k", type=int, default=None)
+        if k:
+            p.add_argument("--k", type=int, default=None)
         p.add_argument("--json", action="store_true")
         if forest:
             p.add_argument("forest", help="forest in the bracket grammar")
 
     p = sub.add_parser("normalize", help="parse and canonically print a forest")
-    common(p, forest=True)
+    common(p, forest=True, k=False)
     p.set_defaults(func=cmd_normalize)
 
     p = sub.add_parser("group", help="invariants of a tree group")
@@ -213,7 +221,7 @@ def build_parser():
     p.set_defaults(func=cmd_milnor)
 
     p = sub.add_parser("lie", help="Lyndon bracket basis of a graded piece")
-    common(p, need_order=True)
+    common(p, need_order=True, k=False)
     p.set_defaults(func=cmd_lie)
 
     p = sub.add_parser("arf", help="twist classes and the order-2j kernel")
@@ -221,7 +229,7 @@ def build_parser():
     p.set_defaults(func=cmd_arf)
 
     p = sub.add_parser("collapse", help="one edge collapse on a single term")
-    common(p)
+    common(p, k=False)
     p.add_argument("--strict-collapse", action="store_true")
     p.add_argument("term", help="single signed term")
     p.add_argument("label", type=int)
@@ -236,9 +244,8 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ParseError as exc:
         print(f"error[{exc.tag}]: {exc}", file=sys.stderr)

@@ -4,6 +4,13 @@ eta sends a framed tree of order n to the sum over its univalent vertices v
 of X_{label(v)} (x) B_v, where B_v is the Lie bracket read off the tree
 re-rooted at v.  A twisted tree J^inf maps to half of eta(<J,J>); those
 coefficients are always even, so the result stays integral.
+
+Brackets are read off the plane as written: the left branch of each
+trivalent vertex comes first.  That is the only orientation choice, and it
+is a sign.  Reading the mirror image instead (every pair reversed) applies
+one antisymmetry per trivalent vertex of the re-rooted tree, so the mirror
+reading of eta_n is (-1)^n times this one, on framed and twisted trees
+alike.  Ranks, invariant factors and zero tests do not see that sign.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from .freelie import (
     TensorElement,
     bracket_kernel,
     bracket_map,
+    k_project_lie,
     k_project_tensor,
     lyndon_words,
     shape_to_lie,
@@ -35,7 +43,7 @@ from .trees import (
     DecoratedTree,
     canonical_framed,
     leaf_rootings,
-    oriented_shape,
+    multiplicity,
     twisted_tree,
 )
 
@@ -44,7 +52,7 @@ def _eta_framed_raw(m: int, pair) -> dict:
     """Raw tensor coefficients of eta on a framed pair, no basis reduction."""
     acc = {}
     for label, shape in leaf_rootings(*pair):
-        lie = shape_to_lie(m, oriented_shape(shape))
+        lie = shape_to_lie(m, shape)
         for w, c in lie.coeffs:
             key = (label, w)
             acc[key] = acc.get(key, 0) + c
@@ -86,8 +94,6 @@ def eta(forest: IntersectionForest, n: int) -> TensorElement:
 
 def eta_k(forest: IntersectionForest, n: int, k: int) -> TensorElement:
     """k-repeating eta: drop trees of multiplicity > k, project the image."""
-    from .trees import multiplicity
-
     filtered = make_forest(
         forest.m,
         [(c, t) for c, t in forest.terms if multiplicity(t) <= k],
@@ -100,8 +106,6 @@ def milnor_from_forest(forest: IntersectionForest, n: int, k=None) -> TensorElem
     image = eta(forest, n) if k is None else eta_k(forest, n, k)
     check = bracket_map(image)
     if k is not None:
-        from .freelie import k_project_lie
-
         check = k_project_lie(check, k)
     if not check.is_zero:
         raise BracketNonzeroError("eta image escapes the bracket kernel")

@@ -15,6 +15,7 @@ from functools import lru_cache
 
 from .errors import NotPrimitiveError, ParameterError
 from .intlinalg import hermite_factor, invariant_factors, left_kernel, solve_left
+from .trees import shape_leaves
 
 
 @lru_cache(maxsize=None)
@@ -55,49 +56,45 @@ def _is_lyndon(word) -> bool:
     return all(word < word[i:] for i in range(1, len(word)))
 
 
-@lru_cache(maxsize=None)
-def shape_tensor(shape) -> tuple:
-    """Tensor-algebra expansion of a rooted shape, as sorted (word, coeff) pairs."""
-    if isinstance(shape, int):
-        return (((shape,), 1),)
-    left = shape_tensor(shape[0])
-    right = shape_tensor(shape[1])
+def _commutator(left, right) -> dict:
+    """ab - ba in the tensor algebra, for (word, coeff) pairs a and b."""
     acc = {}
     for wa, ca in left:
         for wb, cb in right:
             acc[wa + wb] = acc.get(wa + wb, 0) + ca * cb
             acc[wb + wa] = acc.get(wb + wa, 0) - ca * cb
+    return acc
+
+
+@lru_cache(maxsize=None)
+def shape_tensor(shape) -> tuple:
+    """Tensor-algebra expansion of a rooted shape, as sorted (word, coeff) pairs."""
+    if isinstance(shape, int):
+        return (((shape,), 1),)
+    acc = _commutator(shape_tensor(shape[0]), shape_tensor(shape[1]))
     return tuple(sorted((w, c) for w, c in acc.items() if c))
 
 
-def _dict(pairs):
-    return {w: c for w, c in pairs}
-
-
 @dataclass(frozen=True)
-class LieElement:
-    """Homogeneous integer element of the free Lie algebra on X1..Xm."""
+class SparseVector:
+    """Sparse integer vector of a graded piece: sorted (key, coeff) pairs.
+
+    ``coeffs`` holds no zeros.  Arithmetic keeps the operand's class, ``m``
+    and ``degree``; equality compares the class too, so a Lie element never
+    equals a tensor with the same pairs.
+    """
 
     m: int
     degree: int
-    coeffs: tuple  # sorted ((lyndon word, coeff), ...), no zeros
+    coeffs: tuple  # sorted ((key, coeff), ...), no zeros
 
-    @staticmethod
-    def make(m, degree, mapping):
-        items = tuple(sorted((w, c) for w, c in mapping.items() if c))
-        return LieElement(m, degree, items)
+    @classmethod
+    def make(cls, m, degree, mapping):
+        return cls(m, degree, tuple(sorted((k, c) for k, c in mapping.items() if c)))
 
-    @staticmethod
-    def zero(m, degree):
-        return LieElement(m, degree, ())
-
-    @staticmethod
-    def generator(m, i):
-        return LieElement(m, 1, (((i,), 1),))
-
-    @staticmethod
-    def basis(m, word):
-        return LieElement(m, len(word), ((tuple(word), 1),))
+    @classmethod
+    def zero(cls, m, degree):
+        return cls(m, degree, ())
 
     @property
     def is_zero(self):
@@ -106,20 +103,27 @@ class LieElement:
     def items(self):
         return self.coeffs
 
+    def _combine(self, other, sign):
+        acc = dict(self.coeffs)
+        for key, c in other.coeffs:
+            acc[key] = acc.get(key, 0) + sign * c
+        return self.make(self.m, self.degree, acc)
+
     def __add__(self, other):
-        acc = _dict(self.coeffs)
-        for w, c in other.coeffs:
-            acc[w] = acc.get(w, 0) + c
-        return LieElement.make(self.m, self.degree, acc)
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        acc = _dict(self.coeffs)
-        for w, c in other.coeffs:
-            acc[w] = acc.get(w, 0) - c
-        return LieElement.make(self.m, self.degree, acc)
+        return self._combine(other, -1)
 
     def scale(self, c):
-        return LieElement.make(self.m, self.degree, {w: c * x for w, x in self.coeffs})
+        return self.make(self.m, self.degree, {k: c * x for k, x in self.coeffs})
+
+
+class LieElement(SparseVector):
+    """Homogeneous integer element of the free Lie algebra on X1..Xm.
+
+    Keys are Lyndon words (basis brackets); ``degree`` is their length.
+    """
 
     def tensor(self) -> dict:
         """Expansion in the tensor algebra (word -> coefficient)."""
@@ -167,31 +171,14 @@ def tensor_to_lie(m: int, degree: int, tensor: dict) -> LieElement:
 
 def lie_bracket(a: LieElement, b: LieElement) -> LieElement:
     """[a, b], basis-reduced through the tensor algebra."""
-    ta, tb = a.tensor(), b.tensor()
-    acc = {}
-    for wa, ca in ta.items():
-        for wb, cb in tb.items():
-            acc[wa + wb] = acc.get(wa + wb, 0) + ca * cb
-            acc[wb + wa] = acc.get(wb + wa, 0) - ca * cb
+    acc = _commutator(a.tensor().items(), b.tensor().items())
     return tensor_to_lie(a.m, a.degree + b.degree, acc)
 
 
 @lru_cache(maxsize=None)
 def shape_to_lie(m: int, shape) -> LieElement:
     """Basis reduction of the bracket determined by a rooted shape."""
-    degree = 1 if isinstance(shape, int) else len(_shape_word(shape))
-    return tensor_to_lie(m, degree, _dict(shape_tensor(shape)))
-
-
-def _shape_word(shape):
-    if isinstance(shape, int):
-        return (shape,)
-    return _shape_word(shape[0]) + _shape_word(shape[1])
-
-
-def lyndon_basis(m: int, n: int):
-    """Ordered basis of degree-n brackets: standard bracketings of Lyndon words."""
-    return [LieElement.basis(m, w) for w in lyndon_words(m, n)]
+    return tensor_to_lie(m, len(shape_leaves(shape)), dict(shape_tensor(shape)))
 
 
 def word_multiplicity(word) -> int:
@@ -209,44 +196,12 @@ def k_project_lie(x: LieElement, k: int) -> LieElement:
 # tensor space L1 (x) L_{n+1}
 
 
-@dataclass(frozen=True)
-class TensorElement:
-    """Integer element of L1 (x) L_{degree}: root-labeled trees, basis-reduced."""
+class TensorElement(SparseVector):
+    """Integer element of L1 (x) L_{degree}: root-labeled trees, basis-reduced.
 
-    m: int
-    degree: int  # degree of the right-hand Lie factor (= n + 1)
-    coeffs: tuple  # sorted (((root label, lyndon word), coeff), ...)
-
-    @staticmethod
-    def make(m, degree, mapping):
-        items = tuple(sorted((key, c) for key, c in mapping.items() if c))
-        return TensorElement(m, degree, items)
-
-    @staticmethod
-    def zero(m, degree):
-        return TensorElement(m, degree, ())
-
-    @property
-    def is_zero(self):
-        return not self.coeffs
-
-    def items(self):
-        return self.coeffs
-
-    def __add__(self, other):
-        acc = _dict(self.coeffs)
-        for key, c in other.coeffs:
-            acc[key] = acc.get(key, 0) + c
-        return TensorElement.make(self.m, self.degree, acc)
-
-    def __sub__(self, other):
-        acc = _dict(self.coeffs)
-        for key, c in other.coeffs:
-            acc[key] = acc.get(key, 0) - c
-        return TensorElement.make(self.m, self.degree, acc)
-
-    def scale(self, c):
-        return TensorElement.make(self.m, self.degree, {k: c * x for k, x in self.coeffs})
+    Keys are (root label, Lyndon word) pairs; ``degree`` is the degree of
+    the right-hand Lie factor (= n + 1).
+    """
 
     def __str__(self):
         if not self.coeffs:

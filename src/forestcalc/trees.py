@@ -33,34 +33,6 @@ FRAMED = "framed"
 ROOTED = "rooted"
 TWISTED = "twisted"
 
-# Plane-orientation convention used when rooted shapes are read off as
-# brackets (see eta).  "plane" reads pairs as written; "mirror" reverses
-# every pair, i.e. reflects the plane.  Canonical forms never depend on it.
-_CONVENTION = "plane"
-
-
-def set_orientation_convention(name: str) -> None:
-    if name not in ("plane", "mirror"):
-        raise ParameterError(f"unknown orientation convention {name!r}")
-    global _CONVENTION
-    _CONVENTION = name
-
-
-def orientation_convention() -> str:
-    return _CONVENTION
-
-
-def mirror_shape(shape):
-    """Reverse every pair of a rooted shape (plane reflection)."""
-    if isinstance(shape, int):
-        return shape
-    return (mirror_shape(shape[1]), mirror_shape(shape[0]))
-
-
-def oriented_shape(shape):
-    """Apply the active orientation convention to a rooted shape."""
-    return shape if _CONVENTION == "plane" else mirror_shape(shape)
-
 
 # ---------------------------------------------------------------------------
 # rooted shapes

@@ -218,27 +218,30 @@ def _run_cli(argv):
     return proc.returncode, proc.stdout
 
 
-def test_criterion_9_determinism(capsys):
+def test_criterion_9_determinism(capsys, monkeypatch):
     ok = True
     baseline = []
     for argv in GOLDEN_COMMANDS:
         runs = {_run_cli(argv) for _ in range(3)}
         ok = ok and len(runs) == 1
         baseline.append(runs.pop())
-    # all golden outputs are sign-robust: invariant under the mirror convention
-    from forestcalc.trees import set_orientation_convention
-    from forestcalc.eta import eta_matrix
+    # all golden outputs are sign-robust: the mirror reading of eta is
+    # (-1)^n times the plane one, and every golden is unchanged under it
+    import forestcalc.eta
 
+    plane_eta_tree = forestcalc.eta.eta_tree
+    monkeypatch.setattr(
+        forestcalc.eta, "eta_tree",
+        lambda m, n, tree, coeff=1: plane_eta_tree(m, n, tree, coeff).scale((-1) ** n),
+    )
+    forestcalc.eta.eta_matrix.cache_clear()
     try:
-        set_orientation_convention("mirror")
-        eta_matrix.cache_clear()
         for idx in range(len(GOLDEN_COMMANDS)):
             code, out = cli_main_capture(GOLDEN_COMMANDS[idx], capsys)
             if (code, out) != baseline[idx]:
                 ok = False
     finally:
-        set_orientation_convention("plane")
-        eta_matrix.cache_clear()
+        forestcalc.eta.eta_matrix.cache_clear()
     _verdict(9, "CLI goldens byte-identical across runs and conventions", ok)
 
 

@@ -2,16 +2,9 @@ import json
 
 import pytest
 
+from forestcalc import eta as eta_module
 from forestcalc.cli import main
 from forestcalc.forest import MAX_NESTING, parse_forest
-from forestcalc.trees import set_orientation_convention
-
-
-@pytest.fixture(autouse=True)
-def _plane_convention():
-    set_orientation_convention("plane")
-    yield
-    set_orientation_convention("plane")
 
 
 def run(capsys, *argv):
@@ -185,21 +178,48 @@ def test_determinism_three_runs(capsys):
     assert len(outs) == 1
 
 
-def test_sign_robust_across_conventions(capsys):
-    results = []
-    for convention in ("plane", "mirror"):
-        set_orientation_convention(convention)
-        from forestcalc.eta import eta_matrix
+def test_sign_robust_across_conventions(capsys, monkeypatch):
+    """The mirror reading of eta is (-1)^n times the plane one; outputs ignore it."""
+    plane = _sign_robust_outputs(capsys)
+    plane_eta_tree = eta_module.eta_tree
+    monkeypatch.setattr(
+        eta_module, "eta_tree",
+        lambda m, n, tree, coeff=1: plane_eta_tree(m, n, tree, coeff).scale((-1) ** n),
+    )
+    eta_module.eta_matrix.cache_clear()
+    try:
+        mirror = _sign_robust_outputs(capsys)
+    finally:
+        eta_module.eta_matrix.cache_clear()
+    assert plane == mirror
 
-        eta_matrix.cache_clear()
-        _, out_group, _ = run(
-            capsys, "group", "--m", "2", "--order", "1", "--flavor", "twisted"
-        )
-        _, out_arf, _ = run(capsys, "arf", "--m", "2", "--order", "1", "--k", "4")
-        _, out_obstruct, _ = run(
-            capsys,
-            "obstruct", "--m", "1", "--order", "1", "--flavor", "framed",
-            "+2*<(1,1),1>",
-        )
-        results.append((out_group, out_arf.splitlines()[:2], out_obstruct))
-    assert results[0] == results[1]
+
+def _sign_robust_outputs(capsys):
+    _, out_group, _ = run(
+        capsys, "group", "--m", "2", "--order", "1", "--flavor", "twisted"
+    )
+    _, out_arf, _ = run(capsys, "arf", "--m", "2", "--order", "1", "--k", "4")
+    _, out_obstruct, _ = run(
+        capsys,
+        "obstruct", "--m", "1", "--order", "1", "--flavor", "framed",
+        "+2*<(1,1),1>",
+    )
+    return out_group, out_arf.splitlines()[:2], out_obstruct
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["group", "--m", "x"],
+        ["group", "--m", "2", "--order", "1", "--flavor", "bogus"],
+        [],
+        ["normalize", "--k", "1"],
+    ],
+)
+def test_usage_error_is_one_tagged_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error[syntax-error]:")

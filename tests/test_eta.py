@@ -12,10 +12,22 @@ from forestcalc.eta import (
     milnor_from_forest,
 )
 from forestcalc.forest import make_forest, parse_forest
-from forestcalc.freelie import bracket_kernel, bracket_map, k_project_tensor
+from forestcalc.freelie import (
+    TensorElement,
+    bracket_kernel,
+    bracket_map,
+    k_project_tensor,
+    shape_to_lie,
+)
 from forestcalc.groups import build_group
 from forestcalc.intlinalg import hermite_factor, left_kernel, mat_mul, solve_left
-from forestcalc.trees import multiplicity, twisted_tree
+from forestcalc.trees import (
+    FRAMED,
+    canonical_framed,
+    leaf_rootings,
+    multiplicity,
+    twisted_tree,
+)
 
 
 def test_eta_order_zero():
@@ -149,3 +161,36 @@ def test_eta_kernel_order_six():
     assert not group.is_zero(lift)
     ((_, tree),) = arf_classes(2, 2, 8)
     assert group.reduce_forest(lift) == group.reduce_forest(make_forest(2, [(1, tree)]))
+
+
+def _mirror(shape):
+    """Plane reflection of a rooted shape: every pair reversed."""
+    if isinstance(shape, int):
+        return shape
+    return (_mirror(shape[1]), _mirror(shape[0]))
+
+
+def _mirror_eta(m, n, tree):
+    """eta read off the mirror image of each re-rooted tree, without eta itself."""
+    if tree.kind == FRAMED:
+        pair, sign, half = tree.data, 1, 1
+    else:  # J^inf maps to half of <J,J>
+        pair, sign, _ = canonical_framed(tree.data, tree.data)
+        half = 2
+    acc = {}
+    for label, shape in leaf_rootings(*pair):
+        for w, c in shape_to_lie(m, _mirror(shape)).coeffs:
+            acc[(label, w)] = acc.get((label, w), 0) + sign * c
+    assert all(c % half == 0 for c in acc.values())
+    return TensorElement.make(m, n + 1, {key: c // half for key, c in acc.items()})
+
+
+def test_mirror_reading_is_sign_of_order():
+    """The sign law of the eta module docstring, on every generator of T_n^inf."""
+    checked = 0
+    for m in (1, 2, 3):
+        for n in range(5):
+            for gen in build_group(m, n, "twisted").generators:
+                assert _mirror_eta(m, n, gen) == eta_tree(m, n, gen).scale((-1) ** n)
+                checked += 1
+    assert checked == 430

@@ -6,6 +6,7 @@ from sympy import divisors, mobius
 from forestcalc.errors import NotPrimitiveError
 from forestcalc.freelie import (
     LieElement,
+    TensorElement,
     bracket_kernel,
     bracket_map,
     bracket_map_cokernel,
@@ -46,8 +47,8 @@ def test_standard_bracketing():
 
 
 def test_bracket_antisymmetry_and_jacobi():
-    x1 = LieElement.generator(2, 1)
-    x2 = LieElement.generator(2, 2)
+    x1 = shape_to_lie(2, 1)
+    x2 = shape_to_lie(2, 2)
     assert lie_bracket(x1, x1).is_zero
     assert (lie_bracket(x1, x2) + lie_bracket(x2, x1)).is_zero
     a, b, c = x1, x2, lie_bracket(x1, x2)
@@ -57,6 +58,17 @@ def test_bracket_antisymmetry_and_jacobi():
         + lie_bracket(c, lie_bracket(a, b))
     )
     assert jac.is_zero
+
+
+def test_arithmetic_keeps_class_and_equality_is_type_strict():
+    lie = LieElement.make(2, 1, {(1,): 2, (2,): -1})
+    tensor = TensorElement.make(2, 1, {(1,): 2, (2,): -1})
+    assert lie != tensor
+    for x in (lie, tensor):
+        assert type(x + x) is type(x) and type(x - x) is type(x)
+        assert (x - x) == type(x).zero(2, 1) and (x - x).is_zero
+        assert x + x == x.scale(2)
+    assert str(lie.scale(-1)) == "-2*x1 + +1*x2"
 
 
 def test_tensor_to_lie_roundtrip():
@@ -74,14 +86,14 @@ def test_tensor_to_lie_rejects_non_primitive():
 
 
 def test_shape_to_lie_matches_nested_brackets():
-    x1 = LieElement.generator(2, 1)
-    x2 = LieElement.generator(2, 2)
+    x1 = shape_to_lie(2, 1)
+    x2 = shape_to_lie(2, 2)
     nested = lie_bracket(lie_bracket(x1, x2), x2)
     assert shape_to_lie(2, ((1, 2), 2)) == nested
 
 
 def test_bracket_map():
-    x = tensor_of(1, LieElement.basis(2, (2,)))
+    x = tensor_of(1, LieElement.make(2, 1, {(2,): 1}))
     image = bracket_map(x)
     assert str(image) == "+1*[x1,x2]"
 
@@ -111,7 +123,7 @@ def test_kernel_coordinates_roundtrip():
 
 
 def test_k_projection_counts_root():
-    x = tensor_of(1, LieElement.basis(2, (1, 2)))  # word (1,2), root 1: r_1 = 2
+    x = tensor_of(1, LieElement.make(2, 2, {(1, 2): 1}))  # word (1,2), root 1: r_1 = 2
     assert k_project_tensor(x, 1).is_zero
     assert k_project_tensor(x, 2) == x
     assert word_multiplicity((1, 2, 1)) == 2
