@@ -1,9 +1,10 @@
 """Magnus expansion of link longitudes and the resulting invariants.
 
-Longitude words in the free group on x1..xm are expanded as truncated
-noncommutative power series (x_i -> 1 + X_i).  The least degree with a
-nonzero homogeneous part yields the first nonvanishing invariant, assembled
-as mu = sum_i X_i (x) l_i with l_i the Lie reduction of that part.
+Longitude words in the free group on x1..xm are expanded in noncommutative
+power series (x_i -> 1 + X_i), one homogeneous degree at a time.  The least
+degree with a nonzero homogeneous part yields the first nonvanishing
+invariant, assembled as mu = sum_i X_i (x) l_i with l_i the Lie reduction
+of that part.
 """
 
 from __future__ import annotations
@@ -28,48 +29,6 @@ from .freelie import (
 )
 
 
-class MagnusSeries:
-    """Noncommutative power series over Z, truncated beyond a fixed degree."""
-
-    __slots__ = ("m", "trunc", "coeffs")
-
-    def __init__(self, m, trunc, coeffs=None):
-        self.m = m
-        self.trunc = trunc
-        self.coeffs = coeffs if coeffs is not None else {}
-
-    @staticmethod
-    def one(m, trunc):
-        return MagnusSeries(m, trunc, {(): 1})
-
-    @staticmethod
-    def generator(m, trunc, i, inverse=False):
-        """Image of x_i (or x_i^-1) under the expansion."""
-        if inverse:
-            # (1 + X)^-1 = 1 - X + X^2 - ...
-            coeffs = {
-                tuple([i] * d): (-1) ** d for d in range(trunc + 1)
-            }
-            return MagnusSeries(m, trunc, coeffs)
-        return MagnusSeries(m, trunc, {(): 1, (i,): 1})
-
-    def __mul__(self, other):
-        acc = {}
-        for wa, ca in self.coeffs.items():
-            for wb, cb in other.coeffs.items():
-                if len(wa) + len(wb) > self.trunc:
-                    continue
-                w = wa + wb
-                acc[w] = acc.get(w, 0) + ca * cb
-        return MagnusSeries(self.m, self.trunc, {w: c for w, c in acc.items() if c})
-
-    def homogeneous(self, degree) -> dict:
-        return {w: c for w, c in self.coeffs.items() if len(w) == degree and c}
-
-    def coefficient(self, word) -> int:
-        return self.coeffs.get(tuple(word), 0)
-
-
 def parse_word(text: str, m: int):
     """A free-group word: space-separated letters x3 (generator) / X3 (inverse)."""
     letters = []
@@ -83,11 +42,39 @@ def parse_word(text: str, m: int):
     return letters
 
 
-def magnus_expand(word, m: int, trunc: int) -> MagnusSeries:
-    out = MagnusSeries.one(m, trunc)
+def _free_reduce(word) -> tuple:
+    """The freely reduced word: adjacent x_i X_i and X_i x_i cancel."""
+    out = []
+    for letter in word:
+        if out and out[-1] == (letter[0], not letter[1]):
+            out.pop()
+        else:
+            out.append(letter)
+    return tuple(out)
+
+
+def _degree_part(word, degree: int) -> dict:
+    """Degree-`degree` part of the Magnus expansion of a word, zeros dropped.
+
+    The parts P_0..P_degree of the prefix read so far are updated in place,
+    one letter at a time.  x_i multiplies by 1 + X_i: P_d += P_{d-1} X_i, for
+    d from the top down so that the old P_{d-1} is read.  x_i^-1 multiplies
+    by (1 + X_i)^-1, and the product Q solves Q_d + Q_{d-1} X_i = P_d: d runs
+    upwards and reads the already updated Q_{d-1}.
+    """
+    parts = [{(): 1}] + [{} for _ in range(degree)]
     for i, inverse in word:
-        out = out * MagnusSeries.generator(m, trunc, i, inverse)
-    return out
+        sign = -1 if inverse else 1
+        for d in range(1, degree + 1) if inverse else range(degree, 0, -1):
+            target = parts[d]
+            for w, c in parts[d - 1].items():
+                w += (i,)
+                c = target.get(w, 0) + sign * c
+                if c:
+                    target[w] = c
+                else:
+                    del target[w]
+    return parts[degree]
 
 
 @dataclass(frozen=True)
@@ -148,21 +135,21 @@ class MilnorResult:
 def milnor_from_longitudes(data: LongitudeData, cap: int = 8, k=None) -> MilnorResult:
     """First nonvanishing invariant of the longitudes, scanning orders 0..cap.
 
-    At order n the degree-(n+1) parts of the expansions are reduced to Lie
-    elements (non-primitivity signals inconsistent input).  With k set, parts
-    are multiplicity-filtered before the vanishing test.
+    Each longitude is freely reduced once.  At order n only the degree-(n+1)
+    parts of the expansions are computed, and they are reduced to Lie elements
+    (non-primitivity signals inconsistent input).  With k set, parts are
+    multiplicity-filtered before the vanishing test.
     """
     if cap < 0:
         raise ParameterError("cap must be >= 0")
     m = data.m
+    words = [_free_reduce(w) for w in data.words]
     for n in range(cap + 1):
-        trunc = n + 2
-        series = [magnus_expand(w, m, trunc) for w in data.words]
         degree = n + 1
         parts = []
         found = False
-        for i, s in enumerate(series, start=1):
-            part = s.homogeneous(degree)
+        for i, word in enumerate(words, start=1):
+            part = _degree_part(word, degree)
             if k is not None:
                 part = {
                     w: c for w, c in part.items()

@@ -207,6 +207,8 @@ GOLDEN_COMMANDS = [
     ["normalize", "--m", "3", "+1*<(2,1),3> + +2*((2,1),3)^inf"],
     ["monoize", "--m", "2", "--k", "1", "+1*<(1,2),2>"],
 ]
+# eta at odd n: the mirror reading negates the printed value
+ODD_ORDER_MILNOR = ["milnor", "--m", "3", "--order", "1", "+1*<(1,2),3>"]
 
 
 def _run_cli(argv):
@@ -225,8 +227,12 @@ def test_criterion_9_determinism(capsys, monkeypatch):
         runs = {_run_cli(argv) for _ in range(3)}
         ok = ok and len(runs) == 1
         baseline.append(runs.pop())
-    # all golden outputs are sign-robust: the mirror reading of eta is
-    # (-1)^n times the plane one, and every golden is unchanged under it
+    borromean = milnor_from_longitudes(parse_longitudes(BORROMEAN)).value
+    ok = ok and {_run_cli(ODD_ORDER_MILNOR) for _ in range(3)} == {
+        (0, f"order 1; value: {borromean}\n")
+    }
+    # the mirror reading of eta is (-1)^n times the plane one: every golden
+    # is unchanged under it, and the odd-order milnor value is negated
     import forestcalc.eta
 
     plane_eta_tree = forestcalc.eta.eta_tree
@@ -240,6 +246,8 @@ def test_criterion_9_determinism(capsys, monkeypatch):
             code, out = cli_main_capture(GOLDEN_COMMANDS[idx], capsys)
             if (code, out) != baseline[idx]:
                 ok = False
+        code, out = cli_main_capture(ODD_ORDER_MILNOR, capsys)
+        ok = ok and (code, out) == (0, f"order 1; value: {borromean.scale(-1)}\n")
     finally:
         forestcalc.eta.eta_matrix.cache_clear()
     _verdict(9, "CLI goldens byte-identical across runs and conventions", ok)

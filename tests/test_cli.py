@@ -1,10 +1,12 @@
 import json
+import time
 
 import pytest
 
 from forestcalc import eta as eta_module
 from forestcalc.cli import main
 from forestcalc.forest import MAX_NESTING, parse_forest
+from forestcalc.magnus import milnor_from_longitudes, parse_longitudes
 
 
 def run(capsys, *argv):
@@ -45,12 +47,66 @@ def test_normalize(capsys):
     assert out == "-1*<(1,2),3>\n"
 
 
+HOPF = "m = 2\nl1: x2\nl2: x1\n"
+BORROMEAN = "m = 3\nl1: x2 x3 X2 X3\nl2: x3 x1 X3 X1\nl3: x1 x2 X1 X2\n"
+WHITEHEAD = (
+    "m = 2\n"
+    "l1: x2 x1 x2 X1 X2 X2 x2 x1 X2 X1\n"
+    "l2: x1 x2 X1 X2 x1 x2 x1 X2 X1 X1\n"
+)
+
+# full stdout of `milnor --longitudes`, plain and --json
+MILNOR_GOLDENS = [
+    (HOPF, [], "order 0; mu(12)=1 mu(21)=1\nvalue: +1*x1 (x) x2 + +1*x2 (x) x1\n"),
+    (HOPF, ["--json"],
+     '{"mu": [{"coeff": 1, "longitude": 2, "word": [1]}, '
+     '{"coeff": 1, "longitude": 1, "word": [2]}], "order": 0, '
+     '"value": "+1*x1 (x) x2 + +1*x2 (x) x1"}\n'),
+    (BORROMEAN, [],
+     "order 1; mu(123)=1 mu(132)=-1 mu(213)=-1 mu(231)=1 mu(312)=1 mu(321)=-1\n"
+     "value: +1*x1 (x) [x2,x3] + -1*x2 (x) [x1,x3] + +1*x3 (x) [x1,x2]\n"),
+    (BORROMEAN, ["--json"],
+     '{"mu": [{"coeff": 1, "longitude": 3, "word": [1, 2]}, '
+     '{"coeff": -1, "longitude": 2, "word": [1, 3]}, '
+     '{"coeff": -1, "longitude": 3, "word": [2, 1]}, '
+     '{"coeff": 1, "longitude": 1, "word": [2, 3]}, '
+     '{"coeff": 1, "longitude": 2, "word": [3, 1]}, '
+     '{"coeff": -1, "longitude": 1, "word": [3, 2]}], "order": 1, '
+     '"value": "+1*x1 (x) [x2,x3] + -1*x2 (x) [x1,x3] + +1*x3 (x) [x1,x2]"}\n'),
+    (WHITEHEAD, [],
+     "order 2; mu(1122)=-1 mu(1212)=2 mu(1221)=-1 mu(2112)=-1 mu(2121)=2 mu(2211)=-1\n"
+     "value: -1*x1 (x) [[x1,x2],x2] + -1*x2 (x) [x1,[x1,x2]]\n"),
+    (WHITEHEAD, ["--json"],
+     '{"mu": [{"coeff": -1, "longitude": 2, "word": [1, 1, 2]}, '
+     '{"coeff": 2, "longitude": 2, "word": [1, 2, 1]}, '
+     '{"coeff": -1, "longitude": 1, "word": [1, 2, 2]}, '
+     '{"coeff": -1, "longitude": 2, "word": [2, 1, 1]}, '
+     '{"coeff": 2, "longitude": 1, "word": [2, 1, 2]}, '
+     '{"coeff": -1, "longitude": 1, "word": [2, 2, 1]}], "order": 2, '
+     '"value": "-1*x1 (x) [[x1,x2],x2] + -1*x2 (x) [x1,[x1,x2]]"}\n'),
+    ("m = 1\nl1: x1\n", ["--k", "1", "--cap", "4"],
+     "all invariants vanish through order 4\n"),
+]
+
+
 def test_milnor_longitudes(capsys, tmp_path):
-    path = tmp_path / "hopf.lnk"
-    path.write_text("m = 2\nl1: x2\nl2: x1\n")
-    code, out, _ = run(capsys, "milnor", "--longitudes", str(path))
-    assert code == 0
-    assert out.splitlines()[0] == "order 0; mu(12)=1 mu(21)=1"
+    path = tmp_path / "link.lnk"
+    for text, options, expected in MILNOR_GOLDENS:
+        path.write_text(text)
+        code, out, err = run(capsys, "milnor", "--longitudes", str(path), *options)
+        assert (code, out, err) == (0, expected, "")
+
+
+def test_milnor_freely_trivial_longitude(capsys, tmp_path):
+    # w w^-1 with 40 letters in w: free reduction leaves the empty word
+    w = " ".join(["x1 x2 x3 x4 X1 X2 X3 X4"] * 5)
+    w_inverse = " ".join(t.swapcase() for t in reversed(w.split()))
+    path = tmp_path / "trivial.lnk"
+    path.write_text(f"m = 4\nl1: {w} {w_inverse}\n")
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "milnor", "--longitudes", str(path), "--cap", "12")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (0, "all invariants vanish through order 12\n")
 
 
 def test_milnor_forest(capsys):
@@ -179,8 +235,14 @@ def test_determinism_three_runs(capsys):
 
 
 def test_sign_robust_across_conventions(capsys, monkeypatch):
-    """The mirror reading of eta is (-1)^n times the plane one; outputs ignore it."""
+    """The mirror reading of eta is (-1)^n times the plane one.
+
+    Groups, kernels and verdicts ignore it; the order-1 milnor value, the
+    only output here with eta at odd n, is negated.
+    """
+    borromean = milnor_from_longitudes(parse_longitudes(BORROMEAN)).value
     plane = _sign_robust_outputs(capsys)
+    assert plane[-1] == f"order 1; value: {borromean}\n"
     plane_eta_tree = eta_module.eta_tree
     monkeypatch.setattr(
         eta_module, "eta_tree",
@@ -191,7 +253,8 @@ def test_sign_robust_across_conventions(capsys, monkeypatch):
         mirror = _sign_robust_outputs(capsys)
     finally:
         eta_module.eta_matrix.cache_clear()
-    assert plane == mirror
+    assert plane[:-1] == mirror[:-1]
+    assert mirror[-1] == f"order 1; value: {borromean.scale(-1)}\n"
 
 
 def _sign_robust_outputs(capsys):
@@ -204,7 +267,8 @@ def _sign_robust_outputs(capsys):
         "obstruct", "--m", "1", "--order", "1", "--flavor", "framed",
         "+2*<(1,1),1>",
     )
-    return out_group, out_arf.splitlines()[:2], out_obstruct
+    _, out_milnor, _ = run(capsys, "milnor", "--m", "3", "--order", "1", "+1*<(1,2),3>")
+    return out_group, out_arf.splitlines()[:2], out_obstruct, out_milnor
 
 
 @pytest.mark.parametrize(

@@ -1,16 +1,138 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from forestcalc.errors import ParseError
+from forestcalc.errors import (
+    BracketNonzeroError,
+    DomainError,
+    NotPrimitiveError,
+    ParameterError,
+    ParseError,
+)
 from forestcalc.eta import milnor_from_forest
 from forestcalc.forest import parse_forest
+from forestcalc.freelie import (
+    TensorElement,
+    bracket_map,
+    k_project_lie,
+    k_project_tensor,
+    tensor_of,
+    tensor_to_lie,
+    word_multiplicity,
+)
 from forestcalc.magnus import (
     AllVanishing,
-    MagnusSeries,
-    magnus_expand,
+    LongitudeData,
+    MilnorResult,
+    _degree_part,
+    _free_reduce,
     milnor_from_longitudes,
     parse_longitudes,
     parse_word,
 )
+
+
+# -- the old expansion, kept as the oracle ------------------------------------
+
+
+class MagnusSeries:
+    """Noncommutative power series over Z, truncated beyond a fixed degree."""
+
+    __slots__ = ("m", "trunc", "coeffs")
+
+    def __init__(self, m, trunc, coeffs=None):
+        self.m = m
+        self.trunc = trunc
+        self.coeffs = coeffs if coeffs is not None else {}
+
+    @staticmethod
+    def one(m, trunc):
+        return MagnusSeries(m, trunc, {(): 1})
+
+    @staticmethod
+    def generator(m, trunc, i, inverse=False):
+        """Image of x_i (or x_i^-1) under the expansion."""
+        if inverse:
+            # (1 + X)^-1 = 1 - X + X^2 - ...
+            coeffs = {
+                tuple([i] * d): (-1) ** d for d in range(trunc + 1)
+            }
+            return MagnusSeries(m, trunc, coeffs)
+        return MagnusSeries(m, trunc, {(): 1, (i,): 1})
+
+    def __mul__(self, other):
+        acc = {}
+        for wa, ca in self.coeffs.items():
+            for wb, cb in other.coeffs.items():
+                if len(wa) + len(wb) > self.trunc:
+                    continue
+                w = wa + wb
+                acc[w] = acc.get(w, 0) + ca * cb
+        return MagnusSeries(self.m, self.trunc, {w: c for w, c in acc.items() if c})
+
+    def homogeneous(self, degree) -> dict:
+        return {w: c for w, c in self.coeffs.items() if len(w) == degree and c}
+
+    def coefficient(self, word) -> int:
+        return self.coeffs.get(tuple(word), 0)
+
+
+def _old_magnus_expand(word, m: int, trunc: int) -> MagnusSeries:
+    out = MagnusSeries.one(m, trunc)
+    for i, inverse in word:
+        out = out * MagnusSeries.generator(m, trunc, i, inverse)
+    return out
+
+
+def _old_milnor_from_longitudes(data: LongitudeData, cap: int = 8, k=None) -> MilnorResult:
+    """The scan as it was: every longitude expanded again, unreduced, at each order."""
+    if cap < 0:
+        raise ParameterError("cap must be >= 0")
+    m = data.m
+    for n in range(cap + 1):
+        trunc = n + 2
+        series = [_old_magnus_expand(w, m, trunc) for w in data.words]
+        degree = n + 1
+        parts = []
+        found = False
+        for i, s in enumerate(series, start=1):
+            part = s.homogeneous(degree)
+            if k is not None:
+                part = {
+                    w: c for w, c in part.items()
+                    if word_multiplicity(w + (i,)) <= k
+                }
+            parts.append(part)
+            if part:
+                found = True
+        if not found:
+            continue
+        value = TensorElement.zero(m, degree)
+        table = []
+        for i, part in enumerate(parts, start=1):
+            if not part:
+                continue
+            try:
+                lie = tensor_to_lie(m, degree, part)
+            except NotPrimitiveError:
+                raise DomainError(
+                    f"longitude l{i} is not primitive at degree {degree}"
+                ) from None
+            value = value + tensor_of(i, lie)
+            for w in sorted(part):
+                table.append((w, i, part[w]))
+        check = bracket_map(value)
+        if k is not None:
+            check = k_project_lie(check, k)
+        if not check.is_zero:
+            raise BracketNonzeroError(
+                "longitude invariant escapes the bracket kernel"
+            )
+        if k is not None:
+            value = k_project_tensor(value, k)
+        return MilnorResult(n, value, tuple(table))
+    raise AllVanishing(cap)
+
 
 HOPF = "m = 2\nl1: x2\nl2: x1\n"
 BORROMEAN = (
@@ -18,6 +140,13 @@ BORROMEAN = (
     "l1: x2 x3 X2 X3\n"
     "l2: x3 x1 X3 X1\n"
     "l3: x1 x2 X1 X2\n"
+)
+# l1 = [x2,[x1,x2]], l2 = [[x1,x2],x1]: the cycle condition
+# [x1,l1] + [x2,l2] = 0 holds by Jacobi, first contribution at degree 3
+WHITEHEAD = (
+    "m = 2\n"
+    "l1: x2 x1 x2 X1 X2 X2 x2 x1 X2 X1\n"
+    "l2: x1 x2 X1 X2 x1 x2 x1 X2 X1 X1\n"
 )
 
 
@@ -40,14 +169,17 @@ def test_longitude_file_parsing():
 
 
 def test_inverse_cancellation():
-    s = magnus_expand(parse_word("x1 X1", 2), 2, 4)
+    word = parse_word("x1 X1", 2)
+    s = _old_magnus_expand(word, 2, 4)
     assert s.coeffs == {(): 1}
+    assert all(_degree_part(word, d) == {} for d in range(1, 5))
 
 
 def test_truncation():
-    s = magnus_expand(parse_word("x1 x1 x1", 1), 1, 2)
+    s = _old_magnus_expand(parse_word("x1 x1 x1", 1), 1, 2)
     assert max(len(w) for w in s.coeffs) <= 2
     assert s.coefficient((1, 1)) == 3
+    assert _degree_part(parse_word("x1 x1 x1", 1), 2) == {(1, 1): 3}
 
 
 def test_geometric_series_inverse():
@@ -56,6 +188,8 @@ def test_geometric_series_inverse():
     assert s.coefficient((1,)) == -1
     assert s.coefficient((1, 1)) == 1
     assert s.coefficient((1, 1, 1)) == -1
+    for d in range(4):
+        assert _degree_part([(1, True)], d) == {(1,) * d: (-1) ** d}
 
 
 def test_hopf_matches_forest():
@@ -87,14 +221,100 @@ def test_k_filtered_longitudes():
 
 
 def test_whitehead_style_longitudes():
-    # l1 = [x2,[x1,x2]], l2 = [[x1,x2],x1]: the cycle condition
-    # [x1,l1] + [x2,l2] = 0 holds by Jacobi, first contribution at degree 3
-    data = parse_longitudes(
-        "m = 2\n"
-        "l1: x2 x1 x2 X1 X2 X2 x2 x1 X2 X1\n"
-        "l2: x1 x2 X1 X2 x1 x2 x1 X2 X1 X1\n"
-    )
+    data = parse_longitudes(WHITEHEAD)
     result = milnor_from_longitudes(data)
     assert result.order == 2
     coeffs = dict(((w, i), c) for w, i, c in result.table)
     assert coeffs.get(((1, 1, 2), 2), 0) != 0 or coeffs.get(((1, 2, 2), 1), 0) != 0
+
+
+# -- the degree-by-degree expansion against the old one -----------------------
+
+
+def _inverse(word):
+    return tuple((i, not inverse) for i, inverse in reversed(word))
+
+
+def _short(m):
+    return st.lists(st.tuples(st.integers(1, m), st.booleans()), max_size=4).map(tuple)
+
+
+@st.composite
+def _words(draw, m, max_len=40):
+    """Words built from letters, commutators [a,b] and conjugates a b a^-1.
+
+    Commutators and conjugates make the low-degree parts cancel, so the scan
+    reaches higher orders; the pieces meet unreduced, so free cancellation
+    occurs too.
+    """
+    short = _short(m)
+    pieces = draw(st.lists(
+        st.one_of(
+            short,
+            st.tuples(short, short).map(lambda ab: ab[0] + ab[1] + _inverse(ab[0]) + _inverse(ab[1])),
+            st.tuples(short, short).map(lambda ab: ab[0] + ab[1] + _inverse(ab[0])),
+        ),
+        max_size=8,
+    ))
+    return sum(pieces, ())[:max_len]
+
+
+@st.composite
+def _random_longitudes(draw):
+    m = draw(st.integers(1, 4))
+    return LongitudeData(m, tuple(draw(_words(m)) for _ in range(m)))
+
+
+@st.composite
+def _padded_links(draw):
+    """Hopf, Borromean or Whitehead longitudes with pieces u u^-1 inserted.
+
+    These are consistent, so the scan ends at order 0, 1 or 2 with a value,
+    unless k filters it away.
+    """
+    data = parse_longitudes(draw(st.sampled_from([HOPF, BORROMEAN, WHITEHEAD])))
+    words = []
+    for word in data.words:
+        word = list(word)
+        for _ in range(draw(st.integers(0, 3))):
+            u = draw(_short(data.m))
+            pos = draw(st.integers(0, len(word)))
+            word[pos:pos] = u + _inverse(u)
+        words.append(tuple(word))
+    return LongitudeData(data.m, tuple(words))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda m: st.tuples(st.just(m), _words(m))),
+       st.integers(0, 6))
+def test_degree_part_matches_old_expansion(mw, degree):
+    m, word = mw
+    assert _degree_part(word, degree) == _old_magnus_expand(word, m, degree).homogeneous(degree)
+
+
+def _outcome(scan, data, cap, k):
+    try:
+        result = scan(data, cap=cap, k=k)
+    except (AllVanishing, BracketNonzeroError, DomainError) as exc:
+        return type(exc), str(exc)
+    return result.order, result.value, result.table
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.one_of(_random_longitudes(), _padded_links()),
+    st.sampled_from([None, 1, 2, 3]),
+    st.integers(0, 3),
+)
+def test_milnor_matches_old_scan(data, k, cap):
+    assert _outcome(milnor_from_longitudes, data, cap, k) == _outcome(
+        _old_milnor_from_longitudes, data, cap, k
+    )
+
+
+def test_free_reduction():
+    assert _free_reduce(parse_word("x1 x2 X2 X1 x3", 3)) == ((3, False),)
+    assert _free_reduce(parse_word("X1 x2 X2 x1 x1", 2)) == ((1, False),)
+    assert _free_reduce(parse_word("x1 x1 X2 x1", 2)) == tuple(parse_word("x1 x1 X2 x1", 2))
+    w = tuple(parse_word(" ".join(["x1 x2 x3 x4 X1 X2 X3 X4"] * 5), 4))
+    assert _free_reduce(w + _inverse(w)) == ()
