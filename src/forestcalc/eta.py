@@ -34,9 +34,10 @@ from .freelie import (
     lyndon_words,
     shape_to_lie,
     standard_bracketing,
+    word_multiplicity,
 )
 from .groups import FLAVOR_TWISTED, build_group
-from .intlinalg import hermite_factor, left_kernel, smith_normal_form, solve_left
+from .intlinalg import hermite_factor, left_kernel, mat_mul, smith_normal_form, solve_left
 from .trees import (
     FRAMED,
     TWISTED,
@@ -126,12 +127,9 @@ def eta_matrix(m: int, n: int):
 
 def eta_cokernel_invariants(m: int, n: int):
     """Invariant factors of coker(eta_n) plus its free rank, as (torsion, free)."""
-    group, kern, rows = eta_matrix(m, n)
-    if kern.rank == 0:
-        return [], 0
-    diag = smith_normal_form([list(r) for r in rows] or [[0] * kern.rank])[0]
-    free = kern.rank - len(diag)
-    return sorted(d for d in diag if d > 1), free
+    _, kern, rows = eta_matrix(m, n)
+    diag = smith_normal_form(rows)[0]
+    return sorted(d for d in diag if d > 1), kern.rank - len(diag)
 
 
 def eta_kernel(m: int, n: int):
@@ -141,18 +139,8 @@ def eta_kernel(m: int, n: int):
     lattice of the generator-level matrix is divided by the relation rows of
     the group presentation.
     """
-    group, kern, rows = eta_matrix(m, n)
-    gens = group.generators
-    if not gens:
-        return [], []
-    cols = kern.rank
-    matrix = [list(r) if r else [0] * cols for r in rows]
-    if cols == 0:
-        lattice = [[1 if i == j else 0 for j in range(len(gens))] for i in range(len(gens))]
-    else:
-        lattice = left_kernel(matrix)
-    if not lattice:
-        return [], []
+    group, _, rows = eta_matrix(m, n)
+    lattice = left_kernel(rows)
     # express each relation row in lattice coordinates (relations map to 0
     # under eta, hence lie in the kernel lattice)
     basis = hermite_factor(lattice)
@@ -165,19 +153,15 @@ def eta_kernel(m: int, n: int):
     # the class of the j-th torsion or free summand is row j of v^-1 (v is
     # unimodular: its Hermite form is the identity and u is the inverse);
     # map lattice coordinates back to forests
-    import_forests = []
     picked = [i for i, d in enumerate(diag) if d > 1]
     picked += list(range(len(diag), len(lattice)))
     v_inv = hermite_factor(v).u if picked else []
-    for j in picked:
-        coeffs = v_inv[j]
-        vec = [0] * len(gens)
-        for ci, row in zip(coeffs, lattice):
-            for t, x in enumerate(row):
-                vec[t] += ci * x
-        terms = [(c, gens[t]) for t, c in enumerate(vec) if c]
-        import_forests.append(make_forest(m, terms))
-    return torsion + [0] * free, import_forests
+    lifts = mat_mul([v_inv[j] for j in picked], lattice)
+    forests = [
+        make_forest(m, [(c, g) for c, g in zip(vec, group.generators) if c])
+        for vec in lifts
+    ]
+    return torsion + [0] * free, forests
 
 
 def arf_classes(m: int, j: int, k: int):
@@ -193,7 +177,7 @@ def arf_classes(m: int, j: int, k: int):
     bound = k // 4
     out = []
     for w in lyndon_words(m, j):
-        if max(w.count(i) for i in set(w)) > bound:
+        if word_multiplicity(w) > bound:
             continue
         shape = standard_bracketing(w)
         out.append((w, twisted_tree((shape, shape))))

@@ -2,15 +2,19 @@
 
 A group is presented by an ordered generator list (canonical trees) and an
 integer relation matrix.  Framed groups impose 2t = 0 on symmetric trees and
-Jacobi rows; twisted groups add boundary-twist rows in odd order and
-interior-twist plus twisted-Jacobi rows in even order.  Normal forms and
-invariants come from the Smith decomposition of the relation matrix.
+Jacobi relations; twisted groups add boundary-twist relations in odd order and
+interior-twist plus twisted-Jacobi relations in even order.  Each family
+yields its relations as lists of (coeff, tree) terms; `TreeGroup` alone turns
+them into dense rows, with one rule for a tree missing from the generators.
+Normal forms and invariants come from the Smith decomposition of the relation
+matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 
 from .errors import DomainError, GeneratorNotFoundError, ParameterError
 from .forest import IntersectionForest
@@ -62,61 +66,36 @@ def _ihx_triples(presentation):
     ]
 
 
-def _accumulate(row, index, tree, coeff):
-    try:
-        row[index[tree]] += coeff
-    except KeyError:
-        raise GeneratorNotFoundError(
-            f"relation tree {tree} missing from generators"
-        ) from None
+def _framed(coeff, half_a, half_b):
+    """The term coeff * <half_a, half_b> over its canonical tree."""
+    tree, sign = framed_tree(half_a, half_b)
+    return coeff * sign, tree
 
 
-def _framed_rows(gens, index):
-    rows = []
+def _framed_relations(gens):
+    # 2t = 0 for a symmetric t, and I - H + X = 0 at each internal edge
     for g in gens:
         if g.kind != FRAMED:
             continue
         if g.torsion:
-            row = [0] * len(index)
-            row[index[g]] = 2
-            rows.append(row)
+            yield [(2, g)]
         for split in internal_splits(*g.data):
-            row = [0] * len(index)
-            for c, (p, q) in _ihx_triples(split):
-                tree, sign = framed_tree(p, q)
-                _accumulate(row, index, tree, c * sign)
-            if any(row):
-                rows.append(row)
-    return rows
+            yield [_framed(c, p, q) for c, (p, q) in _ihx_triples(split)]
 
 
-def _boundary_twist_rows(m, j, index):
+def _boundary_twist_relations(m, j):
     # i-<(J,J) = 0 for every label i and every rooted J of order j-1; J runs
     # over canonical shapes only, since the AS sign of J cancels in (J,J)
-    rows = []
     for i in range(1, m + 1):
         for shape, _ in canonical_shapes(m, j - 1):
-            tree, _ = framed_tree(i, (shape, shape))
-            if tree not in index:
-                continue  # filtered out by multiplicity in a k-group
-            row = [0] * len(index)
-            row[index[tree]] = 1
-            rows.append(row)
-    return rows
+            yield [_framed(1, i, (shape, shape))]
 
 
-def _interior_twist_rows(gens, index):
+def _interior_twist_relations(gens):
     # 2*J^inf = <J,J>
-    rows = []
     for g in gens:
-        if g.kind != TWISTED:
-            continue
-        row = [0] * len(index)
-        row[index[g]] = 2
-        tree, sign = framed_tree(g.data, g.data)
-        _accumulate(row, index, tree, -sign)
-        rows.append(row)
-    return rows
+        if g.kind == TWISTED:
+            yield [(2, g), _framed(-1, g.data, g.data)]
 
 
 def _reroot_at_zero(half_a, half_b):
@@ -126,29 +105,24 @@ def _reroot_at_zero(half_a, half_b):
     raise DomainError("no 0-labeled leaf to re-root at")
 
 
-def _twisted_ihx_rows(gens, index):
+def _twisted_ihx_relations(gens):
     """I^inf - H^inf - X^inf + <H,X> = 0 at each internal edge.
 
     The root of the twisted tree is carried along as a reserved leaf 0; the
     Jacobi partners are re-rooted there, and the framed correction term pairs
     the two partner shapes.
     """
-    rows = []
     for g in gens:
         if g.kind != TWISTED:
             continue
         for split in internal_splits(g.data, 0):
-            terms = _ihx_triples(split)
-            shapes = [_reroot_at_zero(p, q) for _, (p, q) in terms]
-            row = [0] * len(index)
-            _accumulate(row, index, twisted_tree(shapes[0]), 1)
-            _accumulate(row, index, twisted_tree(shapes[1]), -1)
-            _accumulate(row, index, twisted_tree(shapes[2]), -1)
-            tree, sign = framed_tree(shapes[1], shapes[2])
-            _accumulate(row, index, tree, sign)
-            if any(row):
-                rows.append(row)
-    return rows
+            i, h, x = (_reroot_at_zero(p, q) for _, (p, q) in _ihx_triples(split))
+            yield [
+                (1, twisted_tree(i)),
+                (-1, twisted_tree(h)),
+                (-1, twisted_tree(x)),
+                _framed(1, h, x),
+            ]
 
 
 @dataclass(frozen=True)
@@ -159,9 +133,6 @@ class GroupElement:
     @property
     def is_zero(self):
         return all(c == 0 for c in self.coords)
-
-    def __eq__(self, other):
-        return self.group is other.group and self.coords == other.coords
 
 
 class TreeGroup:
@@ -178,23 +149,39 @@ class TreeGroup:
         self._snf = None
 
     def _build_relations(self):
+        """Dense rows of every relation, deduplicated and sorted.
+
+        A term whose tree is not a generator is dropped when the k bound
+        removed that tree (it is zero in the multiplicity quotient); any other
+        missing tree is an error.
+        """
         gens, index = self.generators, self.index
-        rows = _framed_rows(gens, index)
+        families = [_framed_relations(gens)]
         if self.flavor == FLAVOR_TWISTED:
             if self.n % 2 == 1:
-                rows += _boundary_twist_rows(self.m, (self.n + 1) // 2, index)
+                families.append(_boundary_twist_relations(self.m, (self.n + 1) // 2))
             else:
-                rows += _interior_twist_rows(gens, index)
-                rows += _twisted_ihx_rows(gens, index)
-        return sorted(set(tuple(r) for r in rows))
+                families += [_interior_twist_relations(gens), _twisted_ihx_relations(gens)]
+        rows = set()
+        for terms in chain.from_iterable(families):
+            row = [0] * len(gens)
+            for coeff, tree in terms:
+                if tree in index:
+                    row[index[tree]] += coeff
+                elif self.k is None or multiplicity(tree) <= self.k:
+                    raise GeneratorNotFoundError(
+                        f"relation tree {tree} missing from generators"
+                    )
+            if any(row):
+                rows.add(tuple(row))
+        return sorted(rows)
 
     @property
     def snf(self):
         """(diag, v) with U*R*V = diag over the generator basis."""
         if self._snf is None:
-            rows = [list(r) for r in self.relations]
             diag, _, v = smith_normal_form(
-                rows or [[0] * len(self.generators)], want_v=True
+                self.relations or [[0] * len(self.generators)], want_v=True
             )
             self._snf = (diag, v)
         return self._snf
@@ -203,14 +190,8 @@ class TreeGroup:
         diag, v = self.snf
         if len(coords) != len(self.generators):
             raise DomainError("coordinate length mismatch")
-        w = mat_mul([list(coords)], v)[0] if self.generators else []
-        out = []
-        for i, x in enumerate(w):
-            if i < len(diag) and diag[i]:
-                out.append(x % diag[i])
-            else:
-                out.append(x)
-        return GroupElement(self, tuple(out))
+        w = mat_mul([coords], v)[0]
+        return GroupElement(self, tuple([x % d for x, d in zip(w, diag)] + w[len(diag):]))
 
     def reduce_forest(self, forest: IntersectionForest) -> GroupElement:
         """Normal form of the order-n (and matching kind) part of a forest."""

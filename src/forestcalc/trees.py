@@ -195,7 +195,7 @@ def internal_splits(half_a, half_b):
 # decorated trees
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class DecoratedTree:
     """A canonical framed, rooted, or twisted tree.
 

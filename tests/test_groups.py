@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from forestcalc.errors import ParameterError
@@ -109,3 +111,36 @@ def test_bad_parameters():
         build_group(0, 1, "framed")
     with pytest.raises(ParameterError):
         enumerate_generators(2, 1, "fancy")
+
+
+@pytest.mark.parametrize(
+    "m, n, flavor, k, count, digest",
+    [
+        (2, 5, "framed", None, 219, "4bb4bc719a89fa1f"),
+        (4, 3, "framed", None, 450, "c0603355ef5d2413"),
+        (1, 8, "twisted", None, 40, "5be8cc76a174c935"),
+        (2, 4, "twisted", None, 82, "9283769ff02bc018"),
+        (3, 3, "twisted", None, 143, "0a96f9afa5b412be"),
+        (5, 2, "twisted", None, 185, "3f276305ad406cfd"),
+        (3, 4, "twisted", 2, 57, "4c6039e4d989de02"),
+        (2, 5, "twisted", None, 223, "8b1fab048aef1461"),
+    ],
+)
+def test_relation_rows_pinned(m, n, flavor, k, count, digest):
+    # the row set and its order decide v, hence the obstruct witnesses and
+    # the arf lifts; every relation family is exercised at these cells
+    rows = build_group(m, n, flavor, k).relations
+    assert len(rows) == count
+    assert hashlib.sha256(repr(rows).encode()).hexdigest()[:16] == digest
+
+
+def test_element_equality():
+    g = build_group(2, 1, "framed")
+    f = parse_forest("+1*<(1,2),2>", 2)
+    e = g.reduce_forest(f)
+    assert e == e
+    assert e == g.reduce_forest(f)
+    assert e != g.reduce_forest(parse_forest("+1*<(1,1),2>", 2))
+    assert e != None  # noqa: E711
+    assert e != 0
+    assert e in [0, None, e]
