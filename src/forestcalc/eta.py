@@ -95,6 +95,8 @@ def eta(forest: IntersectionForest, n: int) -> TensorElement:
 
 def eta_k(forest: IntersectionForest, n: int, k: int) -> TensorElement:
     """k-repeating eta: drop trees of multiplicity > k, project the image."""
+    if k < 1:
+        raise ParameterError(f"k must be >= 1, got {k}")
     filtered = make_forest(
         forest.m,
         [(c, t) for c, t in forest.terms if multiplicity(t) <= k],
@@ -170,6 +172,8 @@ def arf_classes(m: int, j: int, k: int):
     In the k-repeating setting only words of multiplicity <= k//4 survive;
     k < 4 leaves nothing.
     """
+    if m < 1:
+        raise ParameterError(f"arf classes require m >= 1, got {m}")
     if j < 1:
         raise ParameterError(f"arf classes require order >= 1, got {j}")
     if k < 4:

@@ -23,6 +23,7 @@ from .errors import (
     DomainError,
     LabelOutOfRangeError,
     MalformedTwistedError,
+    ParameterError,
     ParseError,
 )
 from .trees import ROOTED, DecoratedTree, framed_tree, twisted_tree
@@ -198,6 +199,8 @@ class _Parser:
 
 def parse_forest(text: str, m: int) -> IntersectionForest:
     """Parse forest-grammar text into a canonical forest."""
+    if m < 1:
+        raise ParameterError(f"index count m must be >= 1, got {m}")
     return _Parser(text, m).parse_forest()
 
 

@@ -25,9 +25,9 @@ from .trees import (
     DecoratedTree,
     canonical_shapes,
     framed_generators,
-    framed_tree,
     internal_splits,
     leaf_rootings,
+    lookup_framed,
     multiplicity,
     twisted_generators,
     twisted_tree,
@@ -46,7 +46,7 @@ def enumerate_generators(m: int, n: int, flavor: str, k=None):
         gens += list(twisted_generators(m, n // 2))
     if k is not None:
         if k < 1:
-            raise ParameterError("k must be >= 1")
+            raise ParameterError(f"k must be >= 1, got {k}")
         gens = [t for t in gens if multiplicity(t) <= k]
     return gens
 
@@ -66,13 +66,13 @@ def _ihx_triples(presentation):
     ]
 
 
-def _framed(coeff, half_a, half_b):
-    """The term coeff * <half_a, half_b> over its canonical tree."""
-    tree, sign = framed_tree(half_a, half_b)
+def _framed(m, n, coeff, half_a, half_b):
+    """The term coeff * <half_a, half_b> of order n over its canonical tree."""
+    tree, sign = lookup_framed(m, n, half_a, half_b)
     return coeff * sign, tree
 
 
-def _framed_relations(gens):
+def _framed_relations(m, n, gens):
     # 2t = 0 for a symmetric t, and I - H + X = 0 at each internal edge
     for g in gens:
         if g.kind != FRAMED:
@@ -80,22 +80,22 @@ def _framed_relations(gens):
         if g.torsion:
             yield [(2, g)]
         for split in internal_splits(*g.data):
-            yield [_framed(c, p, q) for c, (p, q) in _ihx_triples(split)]
+            yield [_framed(m, n, c, p, q) for c, (p, q) in _ihx_triples(split)]
 
 
-def _boundary_twist_relations(m, j):
-    # i-<(J,J) = 0 for every label i and every rooted J of order j-1; J runs
-    # over canonical shapes only, since the AS sign of J cancels in (J,J)
+def _boundary_twist_relations(m, n):
+    # i-<(J,J) = 0 for every label i and every rooted J of order (n-1)/2; J
+    # runs over canonical shapes only, since the AS sign of J cancels in (J,J)
     for i in range(1, m + 1):
-        for shape, _ in canonical_shapes(m, j - 1):
-            yield [_framed(1, i, (shape, shape))]
+        for shape, _ in canonical_shapes(m, (n - 1) // 2):
+            yield [_framed(m, n, 1, i, (shape, shape))]
 
 
-def _interior_twist_relations(gens):
+def _interior_twist_relations(m, n, gens):
     # 2*J^inf = <J,J>
     for g in gens:
         if g.kind == TWISTED:
-            yield [(2, g), _framed(-1, g.data, g.data)]
+            yield [(2, g), _framed(m, n, -1, g.data, g.data)]
 
 
 def _reroot_at_zero(half_a, half_b):
@@ -105,7 +105,7 @@ def _reroot_at_zero(half_a, half_b):
     raise DomainError("no 0-labeled leaf to re-root at")
 
 
-def _twisted_ihx_relations(gens):
+def _twisted_ihx_relations(m, n, gens):
     """I^inf - H^inf - X^inf + <H,X> = 0 at each internal edge.
 
     The root of the twisted tree is carried along as a reserved leaf 0; the
@@ -121,7 +121,7 @@ def _twisted_ihx_relations(gens):
                 (1, twisted_tree(i)),
                 (-1, twisted_tree(h)),
                 (-1, twisted_tree(x)),
-                _framed(1, h, x),
+                _framed(m, n, 1, h, x),
             ]
 
 
@@ -155,13 +155,16 @@ class TreeGroup:
         removed that tree (it is zero in the multiplicity quotient); any other
         missing tree is an error.
         """
-        gens, index = self.generators, self.index
-        families = [_framed_relations(gens)]
+        m, n, gens, index = self.m, self.n, self.generators, self.index
+        families = [_framed_relations(m, n, gens)]
         if self.flavor == FLAVOR_TWISTED:
-            if self.n % 2 == 1:
-                families.append(_boundary_twist_relations(self.m, (self.n + 1) // 2))
+            if n % 2 == 1:
+                families.append(_boundary_twist_relations(m, n))
             else:
-                families += [_interior_twist_relations(gens), _twisted_ihx_relations(gens)]
+                families += [
+                    _interior_twist_relations(m, n, gens),
+                    _twisted_ihx_relations(m, n, gens),
+                ]
         rows = set()
         for terms in chain.from_iterable(families):
             row = [0] * len(gens)

@@ -142,6 +142,8 @@ def milnor_from_longitudes(data: LongitudeData, cap: int = 8, k=None) -> MilnorR
     """
     if cap < 0:
         raise ParameterError("cap must be >= 0")
+    if k is not None and k < 1:
+        raise ParameterError(f"k must be >= 1, got {k}")
     m = data.m
     words = [_free_reduce(w) for w in data.words]
     for n in range(cap + 1):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainError, HypothesisViolationError
+from .errors import DomainError, HypothesisViolationError, ParameterError
 from .forest import IntersectionForest, make_forest
 from .trees import (
     FRAMED,
@@ -140,6 +140,8 @@ def monoize_forest(forest: IntersectionForest, k: int, strict=False):
     k+1 (otherwise the reduction is not meaningful for k-repeating data).
     Returns (result forest, [CollapseStep, ...]).
     """
+    if k < 1:
+        raise ParameterError(f"k must be >= 1, got {k}")
     if forest.is_zero:
         return forest, []
     label = _target_label(forest, k)

@@ -20,12 +20,19 @@ Canonicalization builds each vertex's sort key once, from the keys its two
 branches returned, and generators are enumerated from AS-canonical rooted
 halves only: every labeled shape is AS-equivalent to exactly one of them,
 so no raw shape is enumerated.
+
+`framed_table(m, order)` canonicalizes each framed tree of an order once
+and records all of its presentations by their canonical halves, so the
+framed generators are read off it and a framed term of a relation costs two
+rooted canonicalizations and a lookup (`lookup_framed`) instead of a pass
+over every presentation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 
 from .errors import DomainError, ParameterError
 
@@ -130,24 +137,26 @@ def presentations(half_a, half_b):
     return out
 
 
-def canonical_framed(half_a, half_b):
-    """Canonicalize a framed tree.
+def _framed_pass(half_a, half_b):
+    """Canonicalize <half_a, half_b> with one `_canon` per presentation half.
 
-    Returns ``(pair, sign, torsion)`` where pair is the lexicographically
-    minimal presentation (halves AS-canonicalized and ordered without sign).
-    torsion is set when the minimal presentation is reachable with both
-    signs, in which case the reported sign is +1 and the tree satisfies
-    2t = 0 at group level.
+    Returns ``(pair, sign, torsion, reads)``: pair, sign and torsion as
+    `canonical_framed` gives them, and reads the ``(halves, sign)`` of every
+    presentation, where halves are its two canonical halves ordered by key
+    and sign is the product of their AS signs, so that
+    <halves> = sign * <half_a, half_b>.
     """
     best_key = None
     best_pair = None
     signs = set()
+    reads = []
     for p, q in presentations(half_a, half_b):
         cp, kp, sp, amb_p = _canon(p)
         cq, kq, sq, amb_q = _canon(q)
         if kq < kp:
             cp, cq, kp, kq = cq, cp, kq, kp
         key = (kp, kq)
+        reads.append(((cp, cq), sp * sq))
         pres_signs = {sp * sq, -sp * sq} if (amb_p or amb_q) else {sp * sq}
         if best_key is None or key < best_key:
             best_key = key
@@ -157,7 +166,20 @@ def canonical_framed(half_a, half_b):
             signs |= pres_signs
     torsion = len(signs) == 2
     sign = 1 if torsion else signs.pop()
-    return best_pair, sign, torsion
+    return best_pair, sign, torsion, reads
+
+
+def canonical_framed(half_a, half_b):
+    """Canonicalize a framed tree.
+
+    Returns ``(pair, sign, torsion)`` where pair is the lexicographically
+    minimal presentation (halves AS-canonicalized and ordered without sign).
+    torsion is set when the minimal presentation is reachable with both
+    signs, in which case the reported sign is +1 and the tree satisfies
+    2t = 0 at group level.
+    """
+    pair, sign, torsion, _ = _framed_pass(half_a, half_b)
+    return pair, sign, torsion
 
 
 def leaf_rootings(half_a, half_b):
@@ -346,19 +368,58 @@ def canonical_shapes(m: int, order: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
+def framed_table(m: int, order: int) -> MappingProxyType:
+    """Every presentation of every framed tree of the given order.
+
+    A read-only mapping, shared by every caller, from the two canonical
+    halves of a presentation, ordered by key, to ``(tree, sign)`` with
+    <halves> = sign * tree; a torsion tree stores +1. Pairs of canonical
+    halves A, B with order(A) <= order(B) reach every framed tree, and a
+    pair already read as a presentation of an earlier tree is skipped, so
+    each tree is canonicalized once.
+    """
+    # keys hold the shape objects of `canonical_shapes`, which share their
+    # subtrees, rather than the fresh copies `_canon` builds
+    shared = {
+        shape: shape for k in range(order + 1) for shape, _ in canonical_shapes(m, k)
+    }
+    table = {}
+    for left_order in range(order // 2 + 1):
+        for left, kl in canonical_shapes(m, left_order):
+            for right, kr in canonical_shapes(m, order - left_order):
+                if ((left, right) if kl <= kr else (right, left)) in table:
+                    continue
+                pair, sign, torsion, reads = _framed_pass(left, right)
+                tree = DecoratedTree(FRAMED, pair, torsion)
+                for (a, b), read_sign in reads:
+                    entry = (tree, 1 if torsion else read_sign * sign)
+                    table[shared[a], shared[b]] = entry
+    return MappingProxyType(table)
+
+
+def lookup_framed(m: int, order: int, half_a, half_b):
+    """`framed_tree(half_a, half_b)` for labels <= m, read from `framed_table`.
+
+    A pair the table lacks (labels above m, or another order) is
+    canonicalized directly.
+    """
+    ca, ka, sa, _ = _canon(half_a)
+    cb, kb, sb, _ = _canon(half_b)
+    entry = framed_table(m, order).get((ca, cb) if ka <= kb else (cb, ca))
+    if entry is None:
+        return framed_tree(half_a, half_b)
+    tree, sign = entry
+    return tree, 1 if tree.torsion else sign * sa * sb
+
+
+@lru_cache(maxsize=None)
 def framed_generators(m: int, order: int) -> tuple:
     """All canonical framed trees of the given order, sorted.
 
-    Every framed tree is <A,B> up to sign for AS-canonical halves A, B with
-    order(A) <= order(B), so only those pairs are canonicalized.
+    These are the distinct trees of `framed_table(m, order)`.
     """
-    seen = {}
-    for left_order in range(order // 2 + 1):
-        for left, _ in canonical_shapes(m, left_order):
-            for right, _ in canonical_shapes(m, order - left_order):
-                pair, _, torsion = canonical_framed(left, right)
-                seen[pair] = DecoratedTree(FRAMED, pair, torsion)
-    return tuple(sorted(seen.values(), key=DecoratedTree.sort_key))
+    trees = {tree for tree, _ in framed_table(m, order).values()}
+    return tuple(sorted(trees, key=DecoratedTree.sort_key))
 
 
 @lru_cache(maxsize=None)

@@ -146,6 +146,26 @@ def test_arf_order_zero(capsys):
     assert err == "error[bad-parameter]: arf classes require order >= 1, got 0\n"
 
 
+@pytest.mark.parametrize(
+    "argv,err",
+    [
+        (["milnor", "--longitudes", "HOPF", "--k", "0"], "k must be >= 1, got 0"),
+        (["milnor", "--longitudes", "HOPF", "--k", "-2"], "k must be >= 1, got -2"),
+        (["eta", "--m", "2", "--order", "0", "--k", "0", "+1*<1,2>"], "k must be >= 1, got 0"),
+        (["milnor", "--m", "2", "--order", "0", "--k", "0", "+1*<1,2>"], "k must be >= 1, got 0"),
+        (["monoize", "--m", "2", "--k", "0", "+1*<(1,2),2>"], "k must be >= 1, got 0"),
+        (["arf", "--m", "0", "--order", "1", "--k", "4"], "arf classes require m >= 1, got 0"),
+        (["normalize", "--m", "0", "+1*<1,1>"], "index count m must be >= 1, got 0"),
+        (["normalize", "--m", "-3", "+1*<1,1>"], "index count m must be >= 1, got -3"),
+    ],
+)
+def test_bad_k_or_m_is_bad_parameter(capsys, tmp_path, argv, err):
+    hopf = tmp_path / "hopf.lnk"
+    hopf.write_text(HOPF)
+    argv = [str(hopf) if a == "HOPF" else a for a in argv]
+    assert run(capsys, *argv) == (1, "", f"error[bad-parameter]: {err}\n")
+
+
 def test_collapse(capsys):
     code, out, _ = run(capsys, "collapse", "--m", "3", "+1*<(1,2),3>", "3")
     assert code == 0

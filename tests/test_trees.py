@@ -5,12 +5,16 @@ import pytest
 
 from forestcalc.errors import DomainError, ParameterError
 from forestcalc.trees import (
+    FRAMED,
     DecoratedTree,
+    canonical_framed,
     canonical_rooted,
+    canonical_shapes,
     canonicalize_tree,
     framed_generators,
     framed_tree,
     inner_product,
+    lookup_framed,
     multiplicity,
     rooted_product,
     rooted_tree,
@@ -285,11 +289,34 @@ def test_generators_match_raw_enumeration(m, order):
 
 @pytest.mark.parametrize("m,order", [(2, 4), (3, 3), (1, 6)])
 def test_framed_tree_matches_old_canonical_framed(m, order):
+    torsion_seen = False
     for left_order in range(order + 1):
         for a in rooted_shapes(m, left_order):
             for b in rooted_shapes(m, order - left_order):
                 pair, sign, torsion = _old_canonical_framed(a, b)
-                assert framed_tree(a, b) == (DecoratedTree("framed", pair, torsion), sign)
+                expected = (DecoratedTree("framed", pair, torsion), sign)
+                assert framed_tree(a, b) == expected
+                assert lookup_framed(m, order, a, b) == expected
+                torsion_seen |= torsion
+    assert torsion_seen
+
+
+def _pair_loop_generators(m, order):
+    """The framed generators as enumerated before the presentation table:
+    canonicalize every pair of canonical halves A, B with
+    order(A) <= order(B)."""
+    seen = {}
+    for left_order in range(order // 2 + 1):
+        for left, _ in canonical_shapes(m, left_order):
+            for right, _ in canonical_shapes(m, order - left_order):
+                pair, _, torsion = canonical_framed(left, right)
+                seen[pair] = DecoratedTree(FRAMED, pair, torsion)
+    return tuple(sorted(seen.values(), key=DecoratedTree.sort_key))
+
+
+@pytest.mark.parametrize("m,order", [(3, 4), (2, 6), (4, 3), (1, 8)])
+def test_framed_generators_match_pair_loop(m, order):
+    assert framed_generators(m, order) == _pair_loop_generators(m, order)
 
 
 def test_validate_rejects_bad_labels():
