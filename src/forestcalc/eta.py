@@ -37,7 +37,14 @@ from .freelie import (
     word_multiplicity,
 )
 from .groups import FLAVOR_TWISTED, build_group
-from .intlinalg import hermite_factor, left_kernel, mat_mul, smith_normal_form, solve_left
+from .intlinalg import (
+    hermite_factor,
+    invariant_factors,
+    left_kernel,
+    mat_mul,
+    smith_normal_form,
+    solve_left,
+)
 from .trees import (
     FRAMED,
     TWISTED,
@@ -130,7 +137,7 @@ def eta_matrix(m: int, n: int):
 def eta_cokernel_invariants(m: int, n: int):
     """Invariant factors of coker(eta_n) plus its free rank, as (torsion, free)."""
     _, kern, rows = eta_matrix(m, n)
-    diag = smith_normal_form(rows)[0]
+    diag = invariant_factors([{j: x for j, x in enumerate(row) if x} for row in rows])
     return sorted(d for d in diag if d > 1), kern.rank - len(diag)
 
 

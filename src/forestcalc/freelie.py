@@ -276,12 +276,12 @@ class BracketKernel:
         return solve_left(self.factor, vec)
 
 
-def _bracket_matrix(m: int, n: int, k):
-    """The (restricted) bracket map L1 (x) L_{n+1} -> L_{n+2} as an integer matrix.
+def _bracket_rows(m: int, n: int, k):
+    """The (restricted) bracket map L1 (x) L_{n+1} -> L_{n+2} as sparse rows.
 
-    Returns ``(domain, target_words, matrix)`` with one row per domain key.
-    Brackets keep every letter's multiplicity, so a restricted domain maps
-    into the restricted target.
+    Returns ``(domain, target_words, rows)`` with one row
+    {target word index: coeff} per domain key.  Brackets keep every letter's
+    multiplicity, so a restricted domain maps into the restricted target.
     """
     domain = [
         (i, w)
@@ -294,29 +294,26 @@ def _bracket_matrix(m: int, n: int, k):
         if k is None or word_multiplicity(w) <= k
     ]
     col = {w: j for j, w in enumerate(target_words)}
-    matrix = []
+    rows = []
     for i, word in domain:
         image = shape_to_lie(m, (i, standard_bracketing(word)))
-        row = [0] * len(target_words)
-        for w, c in image.coeffs:
-            row[col[w]] = c
-        matrix.append(row)
-    return domain, target_words, matrix
+        rows.append({col[w]: c for w, c in image.coeffs})
+    return domain, target_words, rows
 
 
 @lru_cache(maxsize=None)
 def bracket_kernel(m: int, n: int, k=None) -> BracketKernel:
     """Basis of D_n (or D_n^k) as the exact integer kernel of the bracket map."""
-    domain, _, matrix = _bracket_matrix(m, n, k)
-    rows = left_kernel(matrix)
+    domain, target_words, images = _bracket_rows(m, n, k)
+    rows = left_kernel([[row.get(j, 0) for j in range(len(target_words))] for row in images])
     return BracketKernel(m, n, k, tuple(domain), tuple(tuple(r) for r in rows),
                          hermite_factor(rows))
 
 
 def bracket_map_cokernel(m: int, n: int, k=None):
     """Invariant factors of the cokernel of the (restricted) bracket map."""
-    _, target_words, matrix = _bracket_matrix(m, n, k)
-    diag = invariant_factors(matrix)
+    _, target_words, rows = _bracket_rows(m, n, k)
+    diag = invariant_factors(rows)
     # cokernel = Z^{cols - rank} plus torsion from nontrivial factors
     free = len(target_words) - len(diag)
     return sorted(d for d in diag if d != 1) + [0] * free

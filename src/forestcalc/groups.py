@@ -5,20 +5,21 @@ integer relation matrix.  Framed groups impose 2t = 0 on symmetric trees and
 Jacobi relations; twisted groups add boundary-twist relations in odd order and
 interior-twist plus twisted-Jacobi relations in even order.  Each family
 yields its relations as lists of (coeff, tree) terms; `TreeGroup` alone turns
-them into dense rows, with one rule for a tree missing from the generators.
-Normal forms and invariants come from the Smith decomposition of the relation
-matrix.
+them into sparse rows, with one rule for a tree missing from the generators.
+The invariants come from `invariant_factors` on those sparse rows.  Normal
+forms need the Smith transform v, so they use the dense relation matrix,
+built only when first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain
 
 from .errors import DomainError, GeneratorNotFoundError, ParameterError
 from .forest import IntersectionForest
-from .intlinalg import mat_mul, smith_normal_form
+from .intlinalg import invariant_factors, mat_mul, smith_normal_form
 from .trees import (
     FRAMED,
     TWISTED,
@@ -125,6 +126,18 @@ def _twisted_ihx_relations(m, n, gens):
             ]
 
 
+def _dense_order(row):
+    """Sort key of a sparse row ((column, coeff), ...) giving its dense tuple's order.
+
+    Dense tuples first differ where one row's entry is smaller, an absent
+    entry counting as 0: a negative entry sorts before any later column's
+    entry and before the row's end, a positive one after both.  So a
+    negative (j, x) maps to (0, j, x), a positive one to (2, -j, x), and the
+    end of the row to (1,).
+    """
+    return tuple((0, j, x) if x < 0 else (2, -j, x) for j, x in row) + ((1,),)
+
+
 @dataclass(frozen=True)
 class GroupElement:
     group: "TreeGroup"
@@ -136,7 +149,7 @@ class GroupElement:
 
 
 class TreeGroup:
-    """A graded tree group with cached Smith normal-form data."""
+    """A graded tree group with its relations and cached Smith normal-form data."""
 
     def __init__(self, m, n, flavor, k=None):
         self.m = m
@@ -145,11 +158,11 @@ class TreeGroup:
         self.k = k
         self.generators = enumerate_generators(m, n, flavor, k)
         self.index = {g: i for i, g in enumerate(self.generators)}
-        self.relations = self._build_relations()
-        self._snf = None
+        # ((generator index, coeff), ...) by index, in the order of `relations`
+        self.sparse_relations = self._build_relations()
 
     def _build_relations(self):
-        """Dense rows of every relation, deduplicated and sorted.
+        """Sparse rows of every relation, deduplicated and in dense-tuple order.
 
         A term whose tree is not a generator is dropped when the k bound
         removed that tree (it is zero in the multiplicity quotient); any other
@@ -167,27 +180,38 @@ class TreeGroup:
                 ]
         rows = set()
         for terms in chain.from_iterable(families):
-            row = [0] * len(gens)
+            row = {}
             for coeff, tree in terms:
                 if tree in index:
-                    row[index[tree]] += coeff
+                    j = index[tree]
+                    row[j] = row.get(j, 0) + coeff
                 elif self.k is None or multiplicity(tree) <= self.k:
                     raise GeneratorNotFoundError(
                         f"relation tree {tree} missing from generators"
                     )
-            if any(row):
-                rows.add(tuple(row))
-        return sorted(rows)
+            row = tuple(sorted((j, x) for j, x in row.items() if x))
+            if row:
+                rows.add(row)
+        return sorted(rows, key=_dense_order)
 
-    @property
+    @cached_property
+    def relations(self):
+        """The relation rows as dense tuples over the generators, sorted."""
+        dense = []
+        for row in self.sparse_relations:
+            vec = [0] * len(self.generators)
+            for j, x in row:
+                vec[j] = x
+            dense.append(tuple(vec))
+        return dense
+
+    @cached_property
     def snf(self):
         """(diag, v) with U*R*V = diag over the generator basis."""
-        if self._snf is None:
-            diag, _, v = smith_normal_form(
-                self.relations or [[0] * len(self.generators)], want_v=True
-            )
-            self._snf = (diag, v)
-        return self._snf
+        diag, _, v = smith_normal_form(
+            self.relations or [[0] * len(self.generators)], want_v=True
+        )
+        return diag, v
 
     def element_from_coords(self, coords) -> GroupElement:
         diag, v = self.snf
@@ -225,11 +249,14 @@ class TreeGroup:
     def is_zero(self, forest: IntersectionForest) -> bool:
         return self.reduce_forest(forest).is_zero
 
+    @cached_property
+    def _factors(self):
+        return invariant_factors([dict(row) for row in self.sparse_relations])
+
     def invariants(self):
         """(free_rank, [torsion orders]) of the presented group."""
-        diag, _ = self.snf
-        free = len(self.generators) - len(diag)
-        return free, sorted(d for d in diag if d > 1)
+        free = len(self.generators) - len(self._factors)
+        return free, [d for d in self._factors if d > 1]
 
     def invariants_str(self) -> str:
         free, torsion = self.invariants()

@@ -7,13 +7,23 @@ A matrix that is solved against many right-hand sides is factored once with
 `hermite_factor`; `solve_left` accepts that factor in place of the matrix
 and never factors it again.
 
-The Smith form skips work that cannot change a value: a unit pivot ends the
-pivot search and needs no divisibility scan, and row and column additions
-pass over zero source entries.  Its sequence of row and column operations is
-that of full scans, so it returns the same diag, u and v.
+Invariant factors alone come from `invariant_factors`, which takes sparse
+rows (mappings {column: coeff}), splits off unit pivots by sparse row
+operations, and works on the block left without one modulo the determinant
+of a full-rank minor, so that block's coefficients stay bounded.
+
+`smith_normal_form` is for callers that read the transforms u or v.  It
+skips work that cannot change a value: a unit pivot ends the pivot search
+and needs no divisibility scan, and row and column additions pass over zero
+source entries.  Its sequence of row and column operations is that of full
+scans, so it returns the same diag, u and v.  Its coefficients are not
+bounded.
 """
 
 from __future__ import annotations
+
+import heapq
+from math import gcd
 
 from .errors import DomainError
 
@@ -295,6 +305,157 @@ def smith_normal_form(matrix, want_u=False, want_v=False):
     return diag, u, v
 
 
-def invariant_factors(matrix):
-    diag, _, _ = smith_normal_form(matrix)
-    return diag
+def invariant_factors(rows):
+    """Invariant factors d1 | d2 | ... of the matrix with the given sparse rows.
+
+    Each row is a mapping {column: nonzero coefficient}; the rows are not
+    modified, and columns no row names are zero.  Unit pivots are eliminated
+    first: each round takes the column with the fewest entries that holds a
+    unit, ties going to the lower column index, and within it the shortest
+    row with a unit there, ties going to the lower row index.  The pivot's
+    column is cleared with row operations, after which its row and column
+    split off as a factor 1.  The rows left without a unit pivot form a small
+    dense block over the columns they name, whose factors `_residual_factors`
+    finds with its entries kept below a determinant.
+    """
+    rows = [dict(row) for row in rows]
+    where = {}  # column -> indices of the rows with an entry there
+    for i, row in enumerate(rows):
+        for j in row:
+            where.setdefault(j, set()).add(i)
+    version = dict.fromkeys(where, 0)
+    heap = [(len(at), j, 0) for j, at in where.items()]
+    heapq.heapify(heap)
+
+    def touched(j):
+        version[j] += 1
+        if where[j]:
+            heapq.heappush(heap, (len(where[j]), j, version[j]))
+
+    units = 0
+    while heap:
+        _, col, stamp = heapq.heappop(heap)
+        if stamp != version[col]:
+            continue
+        candidates = [i for i in where[col] if abs(rows[i][col]) == 1]
+        if not candidates:
+            continue  # no unit here until an elimination changes the column
+        pivot = min(candidates, key=lambda i: (len(rows[i]), i))
+        prow = rows[pivot]
+        sign = prow[col]
+        for i in where[col] - {pivot}:
+            row = rows[i]
+            factor = row[col] * sign
+            for j, x in prow.items():
+                y = row.get(j, 0) - factor * x
+                if y:
+                    if j not in row:
+                        where[j].add(i)
+                    row[j] = y
+                else:
+                    del row[j]
+                    where[j].discard(i)
+        for j in prow:
+            where[j].discard(pivot)
+        rows[pivot] = {}
+        units += 1
+        for j in sorted(prow):
+            touched(j)
+    rest = [row for row in rows if row]
+    cols = sorted({j for row in rest for j in row})
+    return [1] * units + _residual_factors([[row.get(j, 0) for j in cols] for row in rest])
+
+
+def _minor_rank(a):
+    """(rank r, |det| of a nonsingular r x r minor) of a dense matrix.
+
+    Fraction-free (Bareiss) elimination: every entry it holds is a minor of
+    `a`, so coefficients stay within the Hadamard bound.
+    """
+    a = [list(row) for row in a]
+    rank, last = 0, 1
+    for col in range(len(a[0]) if a else 0):
+        pivot = next((i for i in range(rank, len(a)) if a[i][col]), None)
+        if pivot is None:
+            continue
+        a[rank], a[pivot] = a[pivot], a[rank]
+        top = a[rank]
+        for row in a[rank + 1:]:
+            x = row[col]
+            for j in range(col + 1, len(row)):
+                row[j] = (top[col] * row[j] - x * top[j]) // last
+            row[col] = 0
+        last = top[col]
+        rank += 1
+    return rank, abs(last)
+
+
+def _gcdex(a, b):
+    """(x, y, g) with x*a + y*b == g == gcd(a, b), for a, b >= 0."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return x0, y0, a
+
+
+def _combine(p, q, a, b, d):
+    """Replace the vectors p, q by x*p + y*q and (b*p - a*q) / g, modulo d.
+
+    a and b are the entries of p and q in the column being cleared; the
+    2 x 2 transform has determinant -1, and the second vector's entry there
+    becomes 0.  When a divides b, p is kept as it is: the pivot then changes
+    only by shrinking, which is what ends the clearing loop.
+    """
+    if b % a == 0:
+        f = b // a
+        return p, [(f * u - v) % d for u, v in zip(p, q)]
+    x, y, g = _gcdex(a, b)
+    a, b = a // g, b // g
+    return ([(x * u + y * v) % d for u, v in zip(p, q)],
+            [(b * u - a * v) % d for u, v in zip(p, q)])
+
+
+def _residual_factors(a):
+    """Invariant factors of a dense block, with every entry kept below D.
+
+    D is the determinant of a nonsingular minor of full rank r, so every
+    invariant factor divides D and the row lattice may be enlarged by D*Z^n
+    (Cohen, A Course in Computational Algebraic Number Theory, 2.4.14): the
+    block is reduced modulo D, each pivot, the least entry left, clears its
+    row and column with 2 x 2 gcd transforms, and contributes gcd(pivot, D).
+    Those gcds, made into a divisibility chain and followed by D for every
+    column without a pivot, are the invariant factors of the enlarged
+    lattice; the first r are those of the block.
+    """
+    rank, d = _minor_rank(a)
+    width = len(a[0]) if a else 0
+    a = [[x % d for x in row] for row in a]
+    found = []
+    while True:
+        entries = [(x, i, j) for i, row in enumerate(a) for j, x in enumerate(row) if x]
+        if not entries:
+            break
+        _, p, q = min(entries)
+        while True:
+            for i, row in enumerate(a):
+                if i != p and row[q]:
+                    a[p], a[i] = _combine(a[p], row, a[p][q], row[q], d)
+            cols = [list(col) for col in zip(*a)]
+            for j, col in enumerate(cols):
+                if j != q and col[p]:
+                    cols[q], cols[j] = _combine(cols[q], col, cols[q][p], col[p], d)
+            a = [list(row) for row in zip(*cols)]
+            if not any(row[q] for i, row in enumerate(a) if i != p):
+                break
+        found.append(gcd(a[p][q], d))
+        del a[p]
+        for row in a:
+            del row[q]
+    for i in range(len(found)):
+        for j in range(i + 1, len(found)):
+            g = gcd(found[i], found[j])
+            found[i], found[j] = g, found[i] * found[j] // g
+    return (found + [d] * (width - len(found)))[:rank]

@@ -2,9 +2,11 @@ import hashlib
 
 import pytest
 
+from test_freelie import witt
+
 from forestcalc.errors import ParameterError
 from forestcalc.forest import make_forest, parse_forest
-from forestcalc.groups import build_group, enumerate_generators
+from forestcalc.groups import TreeGroup, build_group, enumerate_generators
 
 
 def test_order_zero_framed_free():
@@ -144,3 +146,21 @@ def test_element_equality():
     assert e != None  # noqa: E711
     assert e != 0
     assert e in [0, None, e]
+
+
+def test_invariants_need_neither_snf_nor_dense_relations():
+    g = TreeGroup(2, 4, "twisted")
+    free, torsion = g.invariants()
+    assert "snf" not in vars(g) and "relations" not in vars(g)
+    # the Smith form, built on demand, agrees
+    diag, _ = g.snf
+    assert (free, torsion) == (len(g.generators) - len(diag), [d for d in diag if d > 1])
+
+
+@pytest.mark.parametrize("m, n", [(2, 7), (3, 5), (4, 4)])
+def test_large_framed_invariants(m, n):
+    # T_n tensor Q has the rank of D_n, m W(m, n+1) - W(m, n+2), and the
+    # torsion at these orders is all 2-torsion
+    free, torsion = TreeGroup(m, n, "framed").invariants()
+    assert free == m * witt(m, n + 1) - witt(m, n + 2)
+    assert set(torsion) <= {2}

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from sympy import ZZ, Matrix
@@ -22,6 +23,10 @@ from forestcalc.intlinalg import (
 
 def _random_matrix(rng, rows, cols, bound=6):
     return [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
+
+
+def _sparse(matrix):
+    return [{j: x for j, x in enumerate(row) if x} for row in matrix]
 
 
 def test_hermite_transform_identity():
@@ -95,7 +100,7 @@ def test_smith_against_sympy():
     rng = random.Random(9)
     for _ in range(30):
         a = _random_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))
-        ours = invariant_factors(a)
+        ours = invariant_factors(_sparse(a))
         from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
         snf = sympy_snf(Matrix(a))
@@ -275,3 +280,57 @@ def test_tree_group_invariants_against_sympy():
         diag = [abs(int(snf[i, i])) for i in range(min(shape)) if snf[i, i]]
         free = len(group.generators) - len(diag)
         assert group.invariants() == (free, sorted(d for d in diag if d > 1))
+
+
+def _sympy_invariants(matrix):
+    if not matrix or not matrix[0]:
+        return []
+    shape = (len(matrix), len(matrix[0]))
+    snf = sympy_domain_snf(DomainMatrix([[ZZ(x) for x in r] for r in matrix], shape, ZZ))
+    snf = snf.to_Matrix()
+    return sorted(abs(int(snf[i, i])) for i in range(min(shape)) if snf[i, i])
+
+
+def test_invariants_bound_coefficient_growth():
+    # the dense Smith form does not finish on this matrix within a minute
+    a = [
+        [0, -1, 6, -1, 0, 6, 2, 6], [1, -4, 6, -4, -1, 3, 0, -4],
+        [-2, 2, -4, 1, -1, 0, 1, 0], [0, -4, 9, -1, 3, 0, 0, 9],
+        [0, 0, 0, 0, 6, 9, -2, 6], [-1, 6, 1, 1, 9, -4, -2, -4],
+        [-1, 3, 3, 9, 9, 2, 0, 2], [-4, 0, 3, -4, 9, 2, 1, 1],
+    ]
+    start = time.perf_counter()
+    assert invariant_factors(_sparse(a)) == [1] * 7 + [2692221]
+    assert time.perf_counter() - start < 1.0
+    assert _sympy_invariants(a) == [1] * 7 + [2692221]
+
+
+def test_invariants_against_sympy():
+    rng = random.Random(23)
+    # relation-like draws up to 30 x 30; at seed 23 the dense Smith form does
+    # not finish on some of them
+    matrices = [
+        _sparse_relation_like(rng, rng.randint(1, 30), rng.randint(1, 30))
+        for _ in range(60)
+    ]
+    # rank-deficient products, whose residual has more columns than rank;
+    # in this one the residual's gcds give a factor D that is not among the
+    # block's own factors
+    matrices.append([
+        [3, 2, 5, 0, -3, -1], [3, -6, -3, 8, 1, 11], [3, 2, 5, 0, -3, -1],
+        [-9, 2, -7, -8, 5, -9], [-3, 0, -3, -2, 2, -2], [-6, -6, -12, 2, 7, 5],
+    ])
+    for _ in range(200):
+        rows, inner, cols = rng.randint(1, 10), rng.randint(1, 4), rng.randint(1, 10)
+        x, y = _random_matrix(rng, rows, inner, 3), _random_matrix(rng, inner, cols, 3)
+        matrices.append(mat_mul(x, y))
+    # no unit entry anywhere
+    for _ in range(20):
+        rows, cols = rng.randint(1, 12), rng.randint(1, 12)
+        matrices.append(
+            [[rng.choice((0, 2, -2, 3, -3, 4, 6)) for _ in range(cols)] for _ in range(rows)]
+        )
+    for a in matrices:
+        rows = _sparse(a)
+        assert invariant_factors(rows) == _sympy_invariants(a)
+        assert rows == _sparse(a)  # the input rows are left as they were
