@@ -4,8 +4,11 @@ A group is presented by an ordered generator list (canonical trees) and an
 integer relation matrix.  Framed groups impose 2t = 0 on symmetric trees and
 Jacobi relations; twisted groups add boundary-twist relations in odd order and
 interior-twist plus twisted-Jacobi relations in even order.  Each family
-yields its relations as lists of (coeff, tree) terms; `TreeGroup` alone turns
-them into sparse rows, with one rule for a tree missing from the generators.
+walks the trees over the shape ids of `trees` and yields its relations as
+lists of (coeff, tree number) terms, a tree number being a position in the
+generator list before the k bound: a framed term is resolved by
+`FramedTable.term`, a twisted one by its shape id.  `TreeGroup` alone turns
+them into sparse rows, dropping the terms whose tree the k bound removed.
 The invariants come from `invariant_factors` on those sparse rows.  Normal
 forms need the Smith transform v, so they use the dense relation matrix,
 built only when first read.
@@ -24,32 +27,50 @@ from .trees import (
     FRAMED,
     TWISTED,
     DecoratedTree,
-    canonical_shapes,
     framed_generators,
-    internal_splits,
-    leaf_rootings,
-    lookup_framed,
+    framed_table,
     multiplicity,
     twisted_generators,
-    twisted_tree,
 )
 
 FLAVOR_FRAMED = "framed"
 FLAVOR_TWISTED = "twisted"
 
 
-def enumerate_generators(m: int, n: int, flavor: str, k=None):
-    """Ordered canonical generators of the order-n tree group."""
+def _trees(m: int, n: int, flavor: str) -> list:
+    """Every canonical generator before the k bound, framed then twisted.
+
+    Relation terms name a tree by its position here.
+    """
     if flavor not in (FLAVOR_FRAMED, FLAVOR_TWISTED):
         raise ParameterError(f"unknown flavor {flavor!r}")
-    gens = list(framed_generators(m, n))
+    trees = list(framed_generators(m, n))
     if flavor == FLAVOR_TWISTED and n % 2 == 0:
-        gens += list(twisted_generators(m, n // 2))
-    if k is not None:
-        if k < 1:
-            raise ParameterError(f"k must be >= 1, got {k}")
-        gens = [t for t in gens if multiplicity(t) <= k]
-    return gens
+        trees += twisted_generators(m, n // 2)
+    return trees
+
+
+def _columns(trees, k) -> list:
+    """Each tree's index among those the k bound keeps, None where it drops one."""
+    if k is None:
+        return list(range(len(trees)))
+    if k < 1:
+        raise ParameterError(f"k must be >= 1, got {k}")
+    columns = []
+    kept = 0
+    for tree in trees:
+        if multiplicity(tree) <= k:
+            columns.append(kept)
+            kept += 1
+        else:
+            columns.append(None)
+    return columns
+
+
+def enumerate_generators(m: int, n: int, flavor: str, k=None):
+    """Ordered canonical generators of the order-n tree group."""
+    trees = _trees(m, n, flavor)
+    return [t for t, c in zip(trees, _columns(trees, k)) if c is not None]
 
 
 def _ihx_triples(presentation):
@@ -67,63 +88,76 @@ def _ihx_triples(presentation):
     ]
 
 
-def _framed(m, n, coeff, half_a, half_b):
-    """The term coeff * <half_a, half_b> of order n over its canonical tree."""
-    tree, sign = lookup_framed(m, n, half_a, half_b)
-    return coeff * sign, tree
+def _framed(table, coeff, a, b):
+    """The term coeff * <a, b> for halves a, b given as (id, sign)."""
+    index, sign = table.term(*a, *b)
+    return coeff * sign, index
 
 
-def _framed_relations(m, n, gens):
-    # 2t = 0 for a symmetric t, and I - H + X = 0 at each internal edge
-    for g in gens:
-        if g.kind != FRAMED:
-            continue
-        if g.torsion:
-            yield [(2, g)]
-        for split in internal_splits(*g.data):
-            yield [_framed(m, n, c, p, q) for c, (p, q) in _ihx_triples(split)]
+def _framed_relations(table, indices):
+    # 2t = 0 for a symmetric t, and I - H + X = 0 at each internal edge,
+    # whose four quarters are (id, sign) pairs
+    join, kids = table.ids.join, table.ids.kids
+    for i in indices:
+        if table.torsion[i]:
+            yield [(2, i)]
+        for x, _, branches in table.ids.edges(*table.halves[i]):
+            if kids[x] and branches:
+                split = (((kids[x][0], 1), (kids[x][1], 1)), branches)
+                yield [
+                    _framed(table, c, join(*h), join(*k)) for c, (h, k) in _ihx_triples(split)
+                ]
 
 
-def _boundary_twist_relations(m, n):
+def _boundary_twist_relations(table, m, n):
     # i-<(J,J) = 0 for every label i and every rooted J of order (n-1)/2; J
     # runs over canonical shapes only, since the AS sign of J cancels in (J,J)
+    ids = table.ids
     for i in range(1, m + 1):
-        for shape, _ in canonical_shapes(m, (n - 1) // 2):
-            yield [_framed(m, n, 1, i, (shape, shape))]
+        for j in ids.by_order[(n - 1) // 2]:
+            yield [_framed(table, 1, (ids.labels[i], 1), ids.join((j, 1), (j, 1)))]
 
 
-def _interior_twist_relations(m, n, gens):
+def _interior_twist_relations(table, twisted):
     # 2*J^inf = <J,J>
-    for g in gens:
-        if g.kind == TWISTED:
-            yield [(2, g), _framed(m, n, -1, g.data, g.data)]
+    for j, u in twisted:
+        yield [(2, u), _framed(table, -1, (j, 1), (j, 1))]
 
 
-def _reroot_at_zero(half_a, half_b):
-    for label, shape in leaf_rootings(half_a, half_b):
-        if label == 0:
-            return shape
-    raise DomainError("no 0-labeled leaf to re-root at")
-
-
-def _twisted_ihx_relations(m, n, gens):
+def _twisted_ihx_relations(table, twisted, number):
     """I^inf - H^inf - X^inf + <H,X> = 0 at each internal edge.
 
-    The root of the twisted tree is carried along as a reserved leaf 0; the
-    Jacobi partners are re-rooted there, and the framed correction term pairs
-    the two partner shapes.
+    The root of the twisted tree J^inf is carried along as a reserved leaf 0,
+    and the Jacobi partners are re-rooted there.  The internal edges of
+    <J, 0> join each non-root vertex v = (A, B) of J to its parent u, whose
+    other branch is w.  Re-rooted at 0, the partners other than J are J with
+    the branch at u replaced by ((A, w), B) and by ((B, w), A); the framed
+    correction term pairs the two.  `number` maps the shape id of a twisted
+    tree to its tree number.
     """
-    for g in gens:
-        if g.kind != TWISTED:
-            continue
-        for split in internal_splits(g.data, 0):
-            i, h, x = (_reroot_at_zero(p, q) for _, (p, q) in _ihx_triples(split))
-            yield [
-                (1, twisted_tree(i)),
-                (-1, twisted_tree(h)),
-                (-1, twisted_tree(x)),
-                _framed(m, n, 1, h, x),
-            ]
+    join, kids = table.ids.join, table.ids.kids
+    for j, u in twisted:
+        # a vertex of J, and the (other branch, is-left) steps from it to the root
+        stack = [(j, ())] if kids[j] else []
+        while stack:
+            vertex, up = stack.pop()
+            a, b = kids[vertex]
+            for v, w, left in ((a, b, True), (b, a, False)):
+                if kids[v] is None:
+                    continue
+                x, y = kids[v]
+                h = _partner(join, x, w, y, up)
+                k = _partner(join, y, w, x, up)
+                yield [(1, u), (-1, number[h[0]]), (-1, number[k[0]]), _framed(table, 1, h, k)]
+                stack.append((v, ((w, left),) + up))
+
+
+def _partner(join, a, w, b, up):
+    """(id, sign) of J with ((a, w), b) grafted at the vertex `up` leads up from."""
+    node = join(join((a, 1), (w, 1)), (b, 1))
+    for other, left in up:
+        node = join(node, (other, 1)) if left else join((other, 1), node)
+    return node
 
 
 def _dense_order(row):
@@ -156,39 +190,46 @@ class TreeGroup:
         self.n = n
         self.flavor = flavor
         self.k = k
-        self.generators = enumerate_generators(m, n, flavor, k)
-        self.index = {g: i for i, g in enumerate(self.generators)}
+        trees = _trees(m, n, flavor)
+        columns = _columns(trees, k)
+        self.generators = [t for t, c in zip(trees, columns) if c is not None]
         # ((generator index, coeff), ...) by index, in the order of `relations`
-        self.sparse_relations = self._build_relations()
+        self.sparse_relations = self._build_relations(columns)
 
-    def _build_relations(self):
+    @cached_property
+    def index(self):
+        """Generator -> its index."""
+        return {g: i for i, g in enumerate(self.generators)}
+
+    def _build_relations(self, columns):
         """Sparse rows of every relation, deduplicated and in dense-tuple order.
 
-        A term whose tree is not a generator is dropped when the k bound
-        removed that tree (it is zero in the multiplicity quotient); any other
-        missing tree is an error.
+        columns maps each tree number of the terms to its generator index; a
+        term whose tree the k bound removed is dropped (it is zero in the
+        multiplicity quotient).
         """
-        m, n, gens, index = self.m, self.n, self.generators, self.index
-        families = [_framed_relations(m, n, gens)]
+        m, n = self.m, self.n
+        table = framed_table(m, n)
+        framed = [i for i in range(len(table.trees)) if columns[i] is not None]
+        families = [_framed_relations(table, framed)]
         if self.flavor == FLAVOR_TWISTED:
             if n % 2 == 1:
-                families.append(_boundary_twist_relations(m, n))
+                families.append(_boundary_twist_relations(table, m, n))
             else:
+                first = len(table.trees)
+                number = {j: first + p for p, j in enumerate(table.ids.by_order[n // 2])}
+                twisted = [(j, u) for j, u in number.items() if columns[u] is not None]
                 families += [
-                    _interior_twist_relations(m, n, gens),
-                    _twisted_ihx_relations(m, n, gens),
+                    _interior_twist_relations(table, twisted),
+                    _twisted_ihx_relations(table, twisted, number),
                 ]
         rows = set()
         for terms in chain.from_iterable(families):
             row = {}
-            for coeff, tree in terms:
-                if tree in index:
-                    j = index[tree]
+            for coeff, u in terms:
+                j = columns[u]
+                if j is not None:
                     row[j] = row.get(j, 0) + coeff
-                elif self.k is None or multiplicity(tree) <= self.k:
-                    raise GeneratorNotFoundError(
-                        f"relation tree {tree} missing from generators"
-                    )
             row = tuple(sorted((j, x) for j, x in row.items() if x))
             if row:
                 rows.add(row)

@@ -16,22 +16,33 @@ sign is discarded at canonicalization: reversing the orientation of a
 twisted tree does not change it (the symmetry relation), so twisted trees
 are pure shapes.
 
-Canonicalization builds each vertex's sort key once, from the keys its two
-branches returned, and generators are enumerated from AS-canonical rooted
-halves only: every labeled shape is AS-equivalent to exactly one of them,
-so no raw shape is enumerated.
+Generators come from integer shape ids.  `shape_ids(m, order)` numbers
+every AS-canonical rooted shape of order <= `order` on the labels 1..m
+densely in `shape_key` order, so comparing ids compares keys.  It is built
+order by order from pairs of smaller ids, with no nested keys, and a pair
+of two canonical shapes canonicalizes by one lookup in its pair table; the
+order of the two ids gives the AS sign, and an id's ambiguity is stored.
 
-`framed_table(m, order)` canonicalizes each framed tree of an order once
-and records all of its presentations by their canonical halves, so the
-framed generators are read off it and a framed term of a relation costs two
-rooted canonicalizations and a lookup (`lookup_framed`) instead of a pass
-over every presentation.
+`framed_table(m, order)` walks each framed tree of an order once along its
+2n+1 edges, one pair lookup per edge, and maps every presentation, an int
+pair of canonical halves, to the tree's generator index and sign.  The
+framed generators are read off it, and the relations of `groups` resolve
+their terms to generator indices through these ids and tables without
+building or hashing a nested shape.
+
+Both tables are immutable, cached per (m, order) and bounded by the order
+they were built for.  `_canon`, `canonical_framed`, `framed_tree` and
+`twisted_tree` canonicalize ad-hoc nested shapes, such as the trees the
+parser and `rewrite` bring, up to any nesting depth: each vertex key is
+built once from the keys its two branches returned.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from types import MappingProxyType
 
 from .errors import DomainError, ParameterError
@@ -137,38 +148,6 @@ def presentations(half_a, half_b):
     return out
 
 
-def _framed_pass(half_a, half_b):
-    """Canonicalize <half_a, half_b> with one `_canon` per presentation half.
-
-    Returns ``(pair, sign, torsion, reads)``: pair, sign and torsion as
-    `canonical_framed` gives them, and reads the ``(halves, sign)`` of every
-    presentation, where halves are its two canonical halves ordered by key
-    and sign is the product of their AS signs, so that
-    <halves> = sign * <half_a, half_b>.
-    """
-    best_key = None
-    best_pair = None
-    signs = set()
-    reads = []
-    for p, q in presentations(half_a, half_b):
-        cp, kp, sp, amb_p = _canon(p)
-        cq, kq, sq, amb_q = _canon(q)
-        if kq < kp:
-            cp, cq, kp, kq = cq, cp, kq, kp
-        key = (kp, kq)
-        reads.append(((cp, cq), sp * sq))
-        pres_signs = {sp * sq, -sp * sq} if (amb_p or amb_q) else {sp * sq}
-        if best_key is None or key < best_key:
-            best_key = key
-            best_pair = (cp, cq)
-            signs = set(pres_signs)
-        elif key == best_key:
-            signs |= pres_signs
-    torsion = len(signs) == 2
-    sign = 1 if torsion else signs.pop()
-    return best_pair, sign, torsion, reads
-
-
 def canonical_framed(half_a, half_b):
     """Canonicalize a framed tree.
 
@@ -178,8 +157,25 @@ def canonical_framed(half_a, half_b):
     signs, in which case the reported sign is +1 and the tree satisfies
     2t = 0 at group level.
     """
-    pair, sign, torsion, _ = _framed_pass(half_a, half_b)
-    return pair, sign, torsion
+    best_key = None
+    best_pair = None
+    signs = set()
+    for p, q in presentations(half_a, half_b):
+        cp, kp, sp, amb_p = _canon(p)
+        cq, kq, sq, amb_q = _canon(q)
+        if kq < kp:
+            cp, cq, kp, kq = cq, cp, kq, kp
+        key = (kp, kq)
+        pres_signs = {sp * sq, -sp * sq} if (amb_p or amb_q) else {sp * sq}
+        if best_key is None or key < best_key:
+            best_key = key
+            best_pair = (cp, cq)
+            signs = set(pres_signs)
+        elif key == best_key:
+            signs |= pres_signs
+    torsion = len(signs) == 2
+    sign = 1 if torsion else signs.pop()
+    return best_pair, sign, torsion
 
 
 def leaf_rootings(half_a, half_b):
@@ -202,15 +198,6 @@ def leaf_rootings(half_a, half_b):
     walk(half_a, half_b)
     walk(half_b, half_a)
     return out
-
-
-def internal_splits(half_a, half_b):
-    """Presentations split at an internal edge (both halves non-leaf)."""
-    return [
-        (p, q)
-        for p, q in presentations(half_a, half_b)
-        if isinstance(p, tuple) and isinstance(q, tuple)
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -348,53 +335,182 @@ def inner_product(i_tree: DecoratedTree, j_tree: DecoratedTree):
 # enumeration
 
 
-@lru_cache(maxsize=None)
-def canonical_shapes(m: int, order: int) -> tuple:
-    """AS-canonical rooted shapes of the given order as (shape, key) pairs.
+def _pair_shapes(m: int, order: int):
+    """The canonical shapes of order <= order as (pairs, orders), in key order.
 
-    A pair is canonical exactly when both branches are and the left key is
-    not above the right one, so each shape is built once from smaller
-    canonical shapes.  Sorted by key.
+    Shapes are numbered pairs first, then the labels 1..m, in key order;
+    pairs holds the (left, right) ids of each pair shape's branches, and
+    orders the order of every id.  A pair is canonical exactly when its
+    left id is not above its right one.  Each order is built on the
+    numbering of the smaller ones, in which the pairs of every order up to
+    it, old and new, sort as the int pairs of their branches' ids; then all
+    of them take new ids.
     """
-    if order == 0:
-        return tuple((label, (1, label)) for label in range(1, m + 1))
-    out = []
-    for left_order in range(order):
-        for a, ka in canonical_shapes(m, left_order):
-            for b, kb in canonical_shapes(m, order - 1 - left_order):
-                if ka <= kb:
-                    out.append(((a, b), (0, ka, kb)))
-    return tuple(sorted(out, key=lambda sk: sk[1]))
+    pairs = []
+    orders = [0] * m
+    for k in range(1, order + 1):
+        by_order = [[] for _ in range(k)]
+        for i, o in enumerate(orders):
+            by_order[o].append(i)
+        new = []
+        for a, o in enumerate(orders):
+            rights = by_order[k - 1 - o]
+            new += [(a, b) for b in rights[bisect_left(rights, a):]]
+        merged = sorted(pairs + new)
+        position = {p: i for i, p in enumerate(merged)}
+        renumber = [position[p] for p in pairs]
+        renumber += range(len(merged), len(merged) + m)
+        orders = [orders[a] + orders[b] + 1 for a, b in merged] + [0] * m
+        pairs = [(renumber[a], renumber[b]) for a, b in merged]
+    return pairs, tuple(orders)
+
+
+class ShapeIds:
+    """The AS-canonical rooted shapes of order <= `order` on labels 1..m.
+
+    Ids are dense ints in `shape_key` order, so comparing ids compares
+    keys.  Indexed by id:
+
+    - ``shapes``: the nested shape, sharing its subtrees with its branches;
+    - ``kids``: the ids (left, right) of a pair shape's branches, None for
+      a label;
+    - ``orders``, and ``ambiguous``: some vertex has equal branches.
+
+    ``by_order[k]`` lists the ids of order k in increasing order, and
+    ``labels`` maps a label to its id.  ``pair`` maps the branches (a, b),
+    a <= b, of each pair shape to its id, so `join` canonicalizes the pair
+    of two canonical shapes a, b with one lookup, of (a, b) with sign +1
+    when a <= b and of (b, a) with sign -1 otherwise.  The pair is
+    ambiguous when a == b or either branch is.
+    """
+
+    def __init__(self, m: int, order: int):
+        pairs, orders = _pair_shapes(m, order)
+        self.kids = tuple(pairs) + (None,) * m
+        self.orders = orders
+        self.labels = MappingProxyType({lab: len(pairs) + lab - 1 for lab in range(1, m + 1)})
+        ids = range(len(orders))
+        self.pair = MappingProxyType(dict(zip(pairs, ids)))
+        by_order = [[] for _ in range(order + 1)]
+        for i in ids:
+            by_order[orders[i]].append(i)
+        self.by_order = tuple(map(tuple, by_order))
+        shapes = [None] * len(orders)
+        ambiguous = [False] * len(orders)
+        for i in self.by_order[0]:
+            shapes[i] = i - len(pairs) + 1
+        # a branch has a smaller order, not always a smaller id
+        for i in chain.from_iterable(self.by_order[1:]):
+            a, b = pairs[i]
+            shapes[i] = (shapes[a], shapes[b])
+            ambiguous[i] = a == b or ambiguous[a] or ambiguous[b]
+        self.shapes = tuple(shapes)
+        self.ambiguous = tuple(ambiguous)
+
+    def join(self, a, b):
+        """``(id, sign)`` of the pair shape (a, b) of branches given as ``(id, sign)``."""
+        (i, si), (j, sj) = a, b
+        if i <= j:
+            return self.pair[i, j], si * sj
+        return self.pair[j, i], -si * sj
+
+    def canon(self, shape):
+        """``(id, sign)`` of a nested rooted shape; KeyError if no id names it."""
+        if isinstance(shape, int):
+            return self.labels[shape], 1
+        return self.join(self.canon(shape[0]), self.canon(shape[1]))
+
+    def edges(self, a: int, b: int) -> list:
+        """The 2n+1 edges of the framed tree <a, b> of canonical ids a, b.
+
+        Each edge is ``(x, rest, branches)``: one half is the canonical shape
+        x, the other reads as rest = ``(id, sign)``, sign * the canonical
+        shape id, and branches holds the ``(id, sign)`` of the other half's
+        two branches in that reading, or None when it is a leaf.  Walking
+        from <a, b>, the branches of each other half are canonical shapes or
+        halves already read, so every edge costs one `join`.
+        """
+        kids, join = self.kids, self.join
+        out = [(a, (b, 1), kids[b] and ((kids[b][0], 1), (kids[b][1], 1)))]
+        # pair vertices (canonical shape ids) and how the rest of the tree reads from each
+        stack = [(v, (w, 1)) for v, w in ((a, b), (b, a)) if kids[v]]
+        while stack:
+            v, rest = stack.pop()
+            x, y = kids[v]
+            # the cyclic order at v is (x, y, rest): from x the tree reads
+            # (y, rest), from y it reads (rest, x)
+            for half, branches in ((x, ((y, 1), rest)), (y, (rest, (x, 1)))):
+                other = join(*branches)
+                out.append((half, other, branches))
+                if kids[half]:
+                    stack.append((half, other))
+        return out
 
 
 @lru_cache(maxsize=None)
-def framed_table(m: int, order: int) -> MappingProxyType:
-    """Every presentation of every framed tree of the given order.
+def shape_ids(m: int, order: int) -> ShapeIds:
+    """The shape ids of orders 0..order, shared by every caller."""
+    return ShapeIds(m, order)
 
-    A read-only mapping, shared by every caller, from the two canonical
-    halves of a presentation, ordered by key, to ``(tree, sign)`` with
-    <halves> = sign * tree; a torsion tree stores +1. Pairs of canonical
-    halves A, B with order(A) <= order(B) reach every framed tree, and a
-    pair already read as a presentation of an earlier tree is skipped, so
-    each tree is canonicalized once.
+
+class FramedTable:
+    """Every framed tree of one order and every presentation of each.
+
+    ``trees`` are the canonical framed trees in generator order, with their
+    ``torsion`` flags and their canonical ``halves`` as id pairs.
+    ``entries`` maps the halves (lo, hi), lo <= hi, of every presentation
+    to ``(index, sign)`` with <lo, hi> = sign * trees[index]; a torsion tree
+    stores +1.  ``ids`` are the shape ids the keys are read in.
+
+    Id pairs are visited in increasing order, and a pair already read as a
+    presentation of an earlier tree is skipped, so each tree is met first
+    at its minimal presentation, its canonical form, and walked once.
     """
-    # keys hold the shape objects of `canonical_shapes`, which share their
-    # subtrees, rather than the fresh copies `_canon` builds
-    shared = {
-        shape: shape for k in range(order + 1) for shape, _ in canonical_shapes(m, k)
-    }
-    table = {}
-    for left_order in range(order // 2 + 1):
-        for left, kl in canonical_shapes(m, left_order):
-            for right, kr in canonical_shapes(m, order - left_order):
-                if ((left, right) if kl <= kr else (right, left)) in table:
+
+    def __init__(self, m: int, order: int):
+        self.ids = ids = shape_ids(m, order)
+        entries = {}
+        halves = []
+        torsion = []
+        for lo, o in enumerate(ids.orders):
+            rights = ids.by_order[order - o]
+            for hi in rights[bisect_left(rights, lo):]:
+                if (lo, hi) in entries:
                     continue
-                pair, sign, torsion, reads = _framed_pass(left, right)
-                tree = DecoratedTree(FRAMED, pair, torsion)
-                for (a, b), read_sign in reads:
-                    entry = (tree, 1 if torsion else read_sign * sign)
-                    table[shared[a], shared[b]] = entry
-    return MappingProxyType(table)
+                reads = []
+                signs = set()
+                for p, (q, sign), _ in ids.edges(lo, hi):
+                    key = (p, q) if p <= q else (q, p)
+                    reads.append((key, sign))
+                    if key == (lo, hi):
+                        signs.add(sign)
+                        if ids.ambiguous[p] or ids.ambiguous[q]:
+                            signs.add(-sign)
+                index = len(halves)
+                halves.append((lo, hi))
+                torsion.append(len(signs) == 2)
+                plus = (index, 1)
+                minus = plus if torsion[index] else (index, -1)
+                for key, sign in reads:
+                    entries[key] = plus if sign > 0 else minus
+        self.entries = MappingProxyType(entries)
+        self.halves = tuple(halves)
+        self.torsion = tuple(torsion)
+        self.trees = tuple(
+            DecoratedTree(FRAMED, (ids.shapes[lo], ids.shapes[hi]), t)
+            for (lo, hi), t in zip(halves, torsion)
+        )
+
+    def term(self, a: int, sa: int, b: int, sb: int):
+        """``(index, sign)`` with <sa * a, sb * b> = sign * trees[index]."""
+        index, sign = self.entries[(a, b) if a <= b else (b, a)]
+        return index, 1 if self.torsion[index] else sign * sa * sb
+
+
+@lru_cache(maxsize=None)
+def framed_table(m: int, order: int) -> FramedTable:
+    """The framed trees of an order and their presentations, shared by every caller."""
+    return FramedTable(m, order)
 
 
 def lookup_framed(m: int, order: int, half_a, half_b):
@@ -403,23 +519,17 @@ def lookup_framed(m: int, order: int, half_a, half_b):
     A pair the table lacks (labels above m, or another order) is
     canonicalized directly.
     """
-    ca, ka, sa, _ = _canon(half_a)
-    cb, kb, sb, _ = _canon(half_b)
-    entry = framed_table(m, order).get((ca, cb) if ka <= kb else (cb, ca))
-    if entry is None:
+    table = framed_table(m, order)
+    try:
+        index, sign = table.term(*table.ids.canon(half_a), *table.ids.canon(half_b))
+    except KeyError:
         return framed_tree(half_a, half_b)
-    tree, sign = entry
-    return tree, 1 if tree.torsion else sign * sa * sb
+    return table.trees[index], sign
 
 
-@lru_cache(maxsize=None)
 def framed_generators(m: int, order: int) -> tuple:
-    """All canonical framed trees of the given order, sorted.
-
-    These are the distinct trees of `framed_table(m, order)`.
-    """
-    trees = {tree for tree, _ in framed_table(m, order).values()}
-    return tuple(sorted(trees, key=DecoratedTree.sort_key))
+    """All canonical framed trees of the given order, sorted."""
+    return framed_table(m, order).trees
 
 
 @lru_cache(maxsize=None)
@@ -429,4 +539,5 @@ def twisted_generators(m: int, order: int) -> tuple:
     Twisted trees are unsigned canonical shapes, so these are exactly the
     canonical shapes of that order in key order.
     """
-    return tuple(DecoratedTree(TWISTED, shape) for shape, _ in canonical_shapes(m, order))
+    ids = shape_ids(m, order)
+    return tuple(DecoratedTree(TWISTED, ids.shapes[i]) for i in ids.by_order[order])

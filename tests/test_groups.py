@@ -126,6 +126,9 @@ def test_bad_parameters():
         (5, 2, "twisted", None, 185, "3f276305ad406cfd"),
         (3, 4, "twisted", 2, 57, "4c6039e4d989de02"),
         (2, 5, "twisted", None, 223, "8b1fab048aef1461"),
+        (2, 6, "twisted", None, 814, "6adc74b9e01eb80e"),
+        (3, 4, "framed", None, 549, "35edb5f396b027bd"),
+        (2, 7, "framed", None, 2702, "36d2e3506940a797"),
     ],
 )
 def test_relation_rows_pinned(m, n, flavor, k, count, digest):
@@ -134,6 +137,16 @@ def test_relation_rows_pinned(m, n, flavor, k, count, digest):
     rows = build_group(m, n, flavor, k).relations
     assert len(rows) == count
     assert hashlib.sha256(repr(rows).encode()).hexdigest()[:16] == digest
+
+
+def test_large_twisted_rows_pinned():
+    # twisted IHX partners regrafted two vertices below the root, with two
+    # labels; the dense rows are too large to pin here, so the sparse ones are
+    g = TreeGroup(2, 8, "twisted")
+    gens = [(t.kind, t.data, t.torsion) for t in g.generators]
+    assert (len(gens), len(g.sparse_relations)) == (2430, 10198)
+    assert hashlib.sha256(repr(gens).encode()).hexdigest()[:16] == "9f236dce2b376dad"
+    assert hashlib.sha256(repr(g.sparse_relations).encode()).hexdigest()[:16] == "866fe2f95fc6b4df"
 
 
 def test_element_equality():

@@ -9,15 +9,16 @@ from forestcalc.trees import (
     DecoratedTree,
     canonical_framed,
     canonical_rooted,
-    canonical_shapes,
     canonicalize_tree,
     framed_generators,
+    framed_table,
     framed_tree,
     inner_product,
     lookup_framed,
     multiplicity,
     rooted_product,
     rooted_tree,
+    shape_ids,
     tree_stats,
     twisted_generators,
     twisted_tree,
@@ -230,23 +231,63 @@ def _old_presentations(half_a, half_b):
     return seen
 
 
-def _old_canonical_framed(half_a, half_b):
-    """(pair, sign, torsion): minimum over every edge presentation."""
+def _old_framed_pass(half_a, half_b):
+    """(pair, sign, torsion, reads): minimum over every edge presentation,
+    and the (canonical halves ordered by key, sign) each presentation reads."""
     best_key = None
     signs = set()
+    reads = []
     for p, q in _old_presentations(half_a, half_b):
         cp, sp, amb_p = _old_canonical_rooted(p)
         cq, sq, amb_q = _old_canonical_rooted(q)
         if _old_shape_key(cq) < _old_shape_key(cp):
             cp, cq = cq, cp
         key = (_old_shape_key(cp), _old_shape_key(cq))
+        reads.append(((cp, cq), sp * sq))
         pres_signs = {sp * sq, -sp * sq} if (amb_p or amb_q) else {sp * sq}
         if best_key is None or key < best_key:
             best_key, best_pair, signs = key, (cp, cq), set(pres_signs)
         elif key == best_key:
             signs |= pres_signs
     torsion = len(signs) == 2
-    return best_pair, 1 if torsion else signs.pop(), torsion
+    return best_pair, 1 if torsion else signs.pop(), torsion, reads
+
+
+def _old_canonical_framed(half_a, half_b):
+    """(pair, sign, torsion): minimum over every edge presentation."""
+    pair, sign, torsion, _ = _old_framed_pass(half_a, half_b)
+    return pair, sign, torsion
+
+
+@lru_cache(maxsize=None)
+def _old_canonical_shapes(m, order):
+    """AS-canonical rooted shapes as (shape, key) pairs sorted by key, each
+    built from canonical halves with the left key not above the right one."""
+    if order == 0:
+        return tuple((label, (1, label)) for label in range(1, m + 1))
+    out = []
+    for left_order in range(order):
+        for a, ka in _old_canonical_shapes(m, left_order):
+            for b, kb in _old_canonical_shapes(m, order - 1 - left_order):
+                if ka <= kb:
+                    out.append(((a, b), (0, ka, kb)))
+    return tuple(sorted(out, key=lambda sk: sk[1]))
+
+
+def _old_framed_table(m, order):
+    """The nested-tuple presentation table: canonical halves ordered by key
+    -> (tree, sign), one `_old_framed_pass` per tree."""
+    table = {}
+    for left_order in range(order // 2 + 1):
+        for left, kl in _old_canonical_shapes(m, left_order):
+            for right, kr in _old_canonical_shapes(m, order - left_order):
+                if ((left, right) if kl <= kr else (right, left)) in table:
+                    continue
+                pair, sign, torsion, reads = _old_framed_pass(left, right)
+                tree = DecoratedTree(FRAMED, pair, torsion)
+                for halves, read_sign in reads:
+                    table[halves] = (tree, 1 if torsion else read_sign * sign)
+    return table
 
 
 def _old_generators(m, order):
@@ -307,8 +348,8 @@ def _pair_loop_generators(m, order):
     order(A) <= order(B)."""
     seen = {}
     for left_order in range(order // 2 + 1):
-        for left, _ in canonical_shapes(m, left_order):
-            for right, _ in canonical_shapes(m, order - left_order):
+        for left, _ in _old_canonical_shapes(m, left_order):
+            for right, _ in _old_canonical_shapes(m, order - left_order):
                 pair, _, torsion = canonical_framed(left, right)
                 seen[pair] = DecoratedTree(FRAMED, pair, torsion)
     return tuple(sorted(seen.values(), key=DecoratedTree.sort_key))
@@ -317,6 +358,62 @@ def _pair_loop_generators(m, order):
 @pytest.mark.parametrize("m,order", [(3, 4), (2, 6), (4, 3), (1, 8)])
 def test_framed_generators_match_pair_loop(m, order):
     assert framed_generators(m, order) == _pair_loop_generators(m, order)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_shape_ids_follow_key_order(m):
+    # ids number the canonical shapes of orders 0..5 in key order, and a pair
+    # of ids canonicalizes as the recursive-key oracle does
+    ids = shape_ids(m, 5)
+    shapes = sorted(
+        (shape for k in range(6) for shape, _ in _old_canonical_shapes(m, k)),
+        key=_old_shape_key,
+    )
+    assert list(ids.shapes) == shapes
+    for k in range(6):
+        assert [ids.shapes[i] for i in ids.by_order[k]] == [s for s, _ in _old_canonical_shapes(m, k)]
+    for a, shape_a in enumerate(ids.shapes):
+        for b, shape_b in enumerate(ids.shapes):
+            if ids.orders[a] + ids.orders[b] >= 5:
+                continue
+            canon, sign, amb = _old_canonical_rooted((shape_a, shape_b))
+            i, s = ids.join((a, 1), (b, -1))
+            assert (ids.shapes[i], s) == (canon, -sign)
+            assert (a == b or ids.ambiguous[a] or ids.ambiguous[b]) == amb == ids.ambiguous[i]
+
+
+def test_shape_ids_canon_matches_oracle():
+    rng = random.Random(5)
+    ids = shape_ids(3, 4)
+    for _ in range(300):
+        shape = _random_shape(rng, 3, rng.randint(0, 4))
+        canon, sign, _ = _old_canonical_rooted(shape)
+        i, s = ids.canon(shape)
+        assert (ids.shapes[i], s) == (canon, sign)
+    with pytest.raises(KeyError):
+        ids.canon((1, 4))  # label above m
+    with pytest.raises(KeyError):
+        ids.canon(_random_shape(rng, 3, 5))  # order above the table's
+
+
+@pytest.mark.parametrize("m,order", [(2, 5), (4, 3), (3, 4), (1, 8)])
+def test_framed_table_matches_nested_table(m, order):
+    # the id table holds exactly the old table's entries, read back as shapes
+    table = framed_table(m, order)
+    shapes = table.ids.shapes
+    read = {
+        (shapes[lo], shapes[hi]): (table.trees[index], sign)
+        for (lo, hi), (index, sign) in table.entries.items()
+    }
+    assert read == _old_framed_table(m, order)
+    assert [(shapes[lo], shapes[hi]) for lo, hi in table.halves] == [t.data for t in table.trees]
+    assert list(table.torsion) == [t.torsion for t in table.trees]
+
+
+def test_lookup_framed_outside_the_table():
+    # labels above m and other orders fall back to direct canonicalization
+    assert lookup_framed(2, 1, (1, 3), 2) == framed_tree((1, 3), 2)
+    assert lookup_framed(2, 1, ((1, 2), 1), 2) == framed_tree(((1, 2), 1), 2)
 
 
 def test_validate_rejects_bad_labels():
