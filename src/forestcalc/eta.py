@@ -42,7 +42,7 @@ from .intlinalg import (
     invariant_factors,
     left_kernel,
     mat_mul,
-    smith_normal_form,
+    presentation,
     solve_left,
 )
 from .trees import (
@@ -146,26 +146,25 @@ def eta_kernel(m: int, n: int):
 
     Returns (invariant factors, generator lifts as forests).  The kernel
     lattice of the generator-level matrix is divided by the relation rows of
-    the group presentation.
+    the group presentation.  The lifts are the `Presentation.summands` of
+    that quotient, one per torsion factor and then one per free summand,
+    mapped back to generators; their classes, not their strings or order,
+    are fixed by the group.
     """
     group, _, rows = eta_matrix(m, n)
     lattice = left_kernel(rows)
-    # express each relation row in lattice coordinates (relations map to 0
-    # under eta, hence lie in the kernel lattice)
+    # relations map to 0 under eta, hence lie in the kernel lattice
     basis = hermite_factor(lattice)
-    rel_coords = [solve_left(basis, rel) for rel in group.relations]
-    del basis  # memory peaks in the Smith form below; free the factor first
-    diag, _, v = smith_normal_form(rel_coords or [[0] * len(lattice)], want_v=True)
-    torsion = sorted(d for d in diag if d > 1)
-    free = len(lattice) - len(diag)
-    # generator lifts: lattice coordinates x have Smith coordinates x * v, so
-    # the class of the j-th torsion or free summand is row j of v^-1 (v is
-    # unimodular: its Hermite form is the identity and u is the inverse);
-    # map lattice coordinates back to forests
-    picked = [i for i, d in enumerate(diag) if d > 1]
-    picked += list(range(len(diag), len(lattice)))
-    v_inv = hermite_factor(v).u if picked else []
-    lifts = mat_mul([v_inv[j] for j in picked], lattice)
+    rel_coords = []
+    for rel in group.relations:
+        dense = [0] * len(group.generators)
+        for j, x in rel:
+            dense[j] = x
+        rel_coords.append({i: c for i, c in enumerate(solve_left(basis, dense)) if c})
+    quotient = presentation(rel_coords, len(lattice))
+    torsion = [d for d in quotient.diag if d > 1]
+    free = len(quotient.survivors) - len(quotient.diag)
+    lifts = mat_mul(quotient.summands(), lattice)
     forests = [
         make_forest(m, [(c, g) for c, g in zip(vec, group.generators) if c])
         for vec in lifts

@@ -9,9 +9,9 @@ lists of (coeff, tree number) terms, a tree number being a position in the
 generator list before the k bound: a framed term is resolved by
 `FramedTable.term`, a twisted one by its shape id.  `TreeGroup` alone turns
 them into sparse rows, dropping the terms whose tree the k bound removed.
-The invariants come from `invariant_factors` on those sparse rows.  Normal
-forms need the Smith transform v, so they use the dense relation matrix,
-built only when first read.
+The invariants come from `invariant_factors` on those rows, and normal
+forms from their `presentation`, built when first read: one coordinate per
+generator that no unit pivot eliminates, over the residual's Smith basis.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from itertools import chain
 
 from .errors import DomainError, GeneratorNotFoundError, ParameterError
 from .forest import IntersectionForest
-from .intlinalg import invariant_factors, mat_mul, smith_normal_form
+from .intlinalg import invariant_factors, presentation
 from .trees import (
     FRAMED,
     TWISTED,
@@ -160,22 +160,10 @@ def _partner(join, a, w, b, up):
     return node
 
 
-def _dense_order(row):
-    """Sort key of a sparse row ((column, coeff), ...) giving its dense tuple's order.
-
-    Dense tuples first differ where one row's entry is smaller, an absent
-    entry counting as 0: a negative entry sorts before any later column's
-    entry and before the row's end, a positive one after both.  So a
-    negative (j, x) maps to (0, j, x), a positive one to (2, -j, x), and the
-    end of the row to (1,).
-    """
-    return tuple((0, j, x) if x < 0 else (2, -j, x) for j, x in row) + ((1,),)
-
-
 @dataclass(frozen=True)
 class GroupElement:
     group: "TreeGroup"
-    coords: tuple  # normal-form coordinates over the Smith basis
+    coords: tuple  # one per surviving generator, over the residual's Smith basis
 
     @property
     def is_zero(self):
@@ -183,7 +171,7 @@ class GroupElement:
 
 
 class TreeGroup:
-    """A graded tree group with its relations and cached Smith normal-form data."""
+    """A graded tree group with its relations and cached normal-form presentation."""
 
     def __init__(self, m, n, flavor, k=None):
         self.m = m
@@ -193,8 +181,8 @@ class TreeGroup:
         trees = _trees(m, n, flavor)
         columns = _columns(trees, k)
         self.generators = [t for t, c in zip(trees, columns) if c is not None]
-        # ((generator index, coeff), ...) by index, in the order of `relations`
-        self.sparse_relations = self._build_relations(columns)
+        # sparse rows ((generator index, coeff), ...) by index, sorted
+        self.relations = self._build_relations(columns)
 
     @cached_property
     def index(self):
@@ -202,7 +190,7 @@ class TreeGroup:
         return {g: i for i, g in enumerate(self.generators)}
 
     def _build_relations(self, columns):
-        """Sparse rows of every relation, deduplicated and in dense-tuple order.
+        """Sparse rows of every relation, deduplicated and sorted.
 
         columns maps each tree number of the terms to its generator index; a
         term whose tree the k bound removed is dropped (it is zero in the
@@ -233,33 +221,12 @@ class TreeGroup:
             row = tuple(sorted((j, x) for j, x in row.items() if x))
             if row:
                 rows.add(row)
-        return sorted(rows, key=_dense_order)
-
-    @cached_property
-    def relations(self):
-        """The relation rows as dense tuples over the generators, sorted."""
-        dense = []
-        for row in self.sparse_relations:
-            vec = [0] * len(self.generators)
-            for j, x in row:
-                vec[j] = x
-            dense.append(tuple(vec))
-        return dense
+        return sorted(rows)
 
     @cached_property
     def snf(self):
-        """(diag, v) with U*R*V = diag over the generator basis."""
-        diag, _, v = smith_normal_form(
-            self.relations or [[0] * len(self.generators)], want_v=True
-        )
-        return diag, v
-
-    def element_from_coords(self, coords) -> GroupElement:
-        diag, v = self.snf
-        if len(coords) != len(self.generators):
-            raise DomainError("coordinate length mismatch")
-        w = mat_mul([coords], v)[0]
-        return GroupElement(self, tuple([x % d for x, d in zip(w, diag)] + w[len(diag):]))
+        """The `Presentation` of the group that normal forms are read from."""
+        return presentation(self.relations, len(self.generators))
 
     def reduce_forest(self, forest: IntersectionForest) -> GroupElement:
         """Normal form of the order-n (and matching kind) part of a forest."""
@@ -274,7 +241,7 @@ class TreeGroup:
                     f"canonical tree {tree} not among generators"
                 )
             coords[self.index[tree]] += coeff
-        return self.element_from_coords(coords)
+        return GroupElement(self, self.snf.reduce(coords))
 
     def _selects(self, tree: DecoratedTree) -> bool:
         if tree.kind == FRAMED:
@@ -292,7 +259,7 @@ class TreeGroup:
 
     @cached_property
     def _factors(self):
-        return invariant_factors([dict(row) for row in self.sparse_relations])
+        return invariant_factors(self.relations)
 
     def invariants(self):
         """(free_rank, [torsion orders]) of the presented group."""

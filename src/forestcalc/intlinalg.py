@@ -7,17 +7,17 @@ A matrix that is solved against many right-hand sides is factored once with
 `hermite_factor`; `solve_left` accepts that factor in place of the matrix
 and never factors it again.
 
-Invariant factors alone come from `invariant_factors`, which takes sparse
-rows (mappings {column: coeff}), splits off unit pivots by sparse row
-operations, and works on the block left without one modulo the determinant
-of a full-rank minor, so that block's coefficients stay bounded.
+Sparse rows, {column: coeff} or ((column, coeff), ...), have one
+elimination of unit pivots, which leaves a small residual block.
+`invariant_factors` works on that block modulo a determinant, so its
+coefficients stay bounded; `presentation` keeps the pivot rows, for normal
+forms, and takes the block's Smith form with v.
 
-`smith_normal_form` is for callers that read the transforms u or v.  It
-skips work that cannot change a value: a unit pivot ends the pivot search
-and needs no divisibility scan, and row and column additions pass over zero
-source entries.  Its sequence of row and column operations is that of full
-scans, so it returns the same diag, u and v.  Its coefficients are not
-bounded.
+`smith_normal_form` skips work that cannot change a value: a unit pivot
+ends the pivot search and needs no divisibility scan, and row and column
+additions pass over zero source entries.  Its sequence of row and column
+operations is that of full scans, so it returns the same diag, u and v.
+Its coefficients are not bounded.
 """
 
 from __future__ import annotations
@@ -111,15 +111,9 @@ def row_hermite(matrix, want_transform=False):
 
 def left_kernel(matrix):
     """Basis of the lattice {x : x * matrix = 0}, in row Hermite form."""
-    rows = len(matrix)
-    if rows == 0:
-        return []
     _, pivots, u = row_hermite(matrix, want_transform=True)
-    kernel = u[len(pivots):]
-    if not kernel:
-        return []
-    reduced, kp = row_hermite(kernel)
-    return [row for row in reduced[: len(kp)]]
+    reduced, kp = row_hermite(u[len(pivots):])
+    return reduced[: len(kp)]
 
 
 class HermiteFactor:
@@ -305,18 +299,15 @@ def smith_normal_form(matrix, want_u=False, want_v=False):
     return diag, u, v
 
 
-def invariant_factors(rows):
-    """Invariant factors d1 | d2 | ... of the matrix with the given sparse rows.
+def _unit_pivots(rows):
+    """(pivots, residual rows) of sparse rows, which are not modified.
 
-    Each row is a mapping {column: nonzero coefficient}; the rows are not
-    modified, and columns no row names are zero.  Unit pivots are eliminated
-    first: each round takes the column with the fewest entries that holds a
-    unit, ties going to the lower column index, and within it the shortest
-    row with a unit there, ties going to the lower row index.  The pivot's
-    column is cleared with row operations, after which its row and column
-    split off as a factor 1.  The rows left without a unit pivot form a small
-    dense block over the columns they name, whose factors `_residual_factors`
-    finds with its entries kept below a determinant.
+    Each round takes the column with the fewest entries that holds a unit,
+    ties going to the lower column, and in it the shortest row with a unit,
+    ties going to the lower row, and clears that column from every other
+    row.  `pivots` lists (column, row dict as taken) in that order: a unit at
+    its column and no entry at an earlier pivot's.  The residual rows, the
+    nonzero rows never taken, name no pivot column.
     """
     rows = [dict(row) for row in rows]
     where = {}  # column -> indices of the rows with an entry there
@@ -332,7 +323,7 @@ def invariant_factors(rows):
         if where[j]:
             heapq.heappush(heap, (len(where[j]), j, version[j]))
 
-    units = 0
+    pivots = []
     while heap:
         _, col, stamp = heapq.heappop(heap)
         if stamp != version[col]:
@@ -358,12 +349,67 @@ def invariant_factors(rows):
         for j in prow:
             where[j].discard(pivot)
         rows[pivot] = {}
-        units += 1
+        pivots.append((col, prow))
         for j in sorted(prow):
             touched(j)
-    rest = [row for row in rows if row]
+    return pivots, [row for row in rows if row]
+
+
+def invariant_factors(rows):
+    """Invariant factors d1 | d2 | ... of sparse rows: 1 per unit pivot, then the residual's."""
+    pivots, rest = _unit_pivots(rows)
     cols = sorted({j for row in rest for j in row})
-    return [1] * units + _residual_factors([[row.get(j, 0) for j in cols] for row in rest])
+    return [1] * len(pivots) + _residual_factors([[row.get(j, 0) for j in cols] for row in rest])
+
+
+class Presentation:
+    """Z^width modulo a row lattice, presented on the columns without a unit pivot.
+
+    Built by `presentation`.  Subtracting the pivot rows maps Z^width onto
+    Z^survivors, where ``u * residual * v == diag``, so the quotient is Z/d
+    for each d in diag and Z for each survivor past ``len(diag)``.
+    """
+
+    def __init__(self, width, pivots, survivors, diag, v):
+        self.width = width
+        self.pivots = pivots
+        self.survivors = survivors
+        self.diag = diag
+        self.v = v
+
+    def reduce(self, vec):
+        """Normal form of a vector of Z^width: with the pivot rows subtracted,
+        its survivor part x as x * v, reduced modulo diag."""
+        vec = list(vec)
+        for col, row in self.pivots:
+            x = vec[col] * row[col]  # a unit pivot is its own inverse
+            if x:
+                for j, y in row.items():
+                    vec[j] -= x * y
+        w = mat_mul([[vec[j] for j in self.survivors]], self.v)[0]
+        return tuple([x % d for x, d in zip(w, self.diag)] + w[len(self.diag):])
+
+    def summands(self):
+        """Generators of each Z/d, d > 1, then each Z: rows of v^-1 at the survivors."""
+        picked = [j for j, d in enumerate(self.diag) if d > 1]
+        picked += range(len(self.diag), len(self.survivors))
+        v_inv = row_hermite(self.v, want_transform=True)[2] if picked else []
+        out = [[0] * self.width for _ in picked]
+        for vec, j in zip(out, picked):
+            for col, x in zip(self.survivors, v_inv[j]):
+                vec[col] = x
+        return out
+
+
+def presentation(rows, width):
+    """`Presentation` of Z^width modulo the lattice of sparse rows."""
+    pivots, rest = _unit_pivots(rows)
+    survivors = sorted(set(range(width)).difference(col for col, _ in pivots))
+    # the Smith form gets the residual in row Hermite form (the same lattice):
+    # on some random blocks as they stood, its coefficients grew for minutes
+    h, ranked = row_hermite([[row.get(j, 0) for j in survivors] for row in rest])
+    diag, _, v = smith_normal_form(h[: len(ranked)] or [[0] * len(survivors)], want_v=True)
+    return Presentation(width, pivots, survivors, diag, v)
 
 
 def _minor_rank(a):

@@ -513,20 +513,6 @@ def framed_table(m: int, order: int) -> FramedTable:
     return FramedTable(m, order)
 
 
-def lookup_framed(m: int, order: int, half_a, half_b):
-    """`framed_tree(half_a, half_b)` for labels <= m, read from `framed_table`.
-
-    A pair the table lacks (labels above m, or another order) is
-    canonicalized directly.
-    """
-    table = framed_table(m, order)
-    try:
-        index, sign = table.term(*table.ids.canon(half_a), *table.ids.canon(half_b))
-    except KeyError:
-        return framed_tree(half_a, half_b)
-    return table.trees[index], sign
-
-
 def framed_generators(m: int, order: int) -> tuple:
     """All canonical framed trees of the given order, sorted."""
     return framed_table(m, order).trees

@@ -92,7 +92,7 @@ def test_criterion_5_relation_soundness():
         for n in range(0, 5):
             group = build_group(m, n, "twisted")
             for rel in group.relations:
-                terms = [(c, group.generators[i]) for i, c in enumerate(rel) if c]
+                terms = [(c, group.generators[i]) for i, c in rel]
                 if not eta(make_forest(m, terms), n).is_zero:
                     ok = False
             for gen in group.generators:

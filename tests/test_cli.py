@@ -41,6 +41,25 @@ def test_obstruct_nonzero_witness(capsys):
     assert out.splitlines()[1].startswith("witness:")
 
 
+@pytest.mark.parametrize(
+    "forest, verdict",
+    [
+        ("+1*<((((((1,2),1),1),1),1),(1,2)),(1,2)>", "ZERO"),
+        ("+1*((((1,2),1),2),1)^inf", "NONZERO"),
+    ],
+)
+def test_obstruct_large_twisted_cell(capsys, forest, verdict):
+    # (2,8) twisted has 2,430 generators and 10,198 relation rows; the
+    # normal form comes from the unit-pivot presentation, on 13 survivors
+    start = time.perf_counter()
+    code, out, _ = run(
+        capsys, "obstruct", "--m", "2", "--order", "8", "--flavor", "twisted", forest
+    )
+    assert code == 0
+    assert out.splitlines()[0] == verdict
+    assert time.perf_counter() - start < 30
+
+
 def test_normalize(capsys):
     code, out, _ = run(capsys, "normalize", "--m", "3", "+1*<(2,1),3>")
     assert code == 0
@@ -134,8 +153,8 @@ def test_arf(capsys):
     assert out == (
         "classes: (1,1)^inf (2,2)^inf\n"
         "kernel: 2 2\n"
-        "lift: +1*(2,2)^inf\n"
         "lift: +1*(1,1)^inf\n"
+        "lift: +1*(2,2)^inf\n"
     )
 
 

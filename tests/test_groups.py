@@ -1,4 +1,5 @@
 import hashlib
+import random
 
 import pytest
 
@@ -7,6 +8,18 @@ from test_freelie import witt
 from forestcalc.errors import ParameterError
 from forestcalc.forest import make_forest, parse_forest
 from forestcalc.groups import TreeGroup, build_group, enumerate_generators
+from forestcalc.intlinalg import mat_mul, smith_normal_form
+
+
+def dense_relations(group):
+    """The sparse relation rows of a group as dense tuples over its generators."""
+    out = []
+    for row in group.relations:
+        vec = [0] * len(group.generators)
+        for j, x in row:
+            vec[j] = x
+        out.append(tuple(vec))
+    return out
 
 
 def test_order_zero_framed_free():
@@ -77,7 +90,7 @@ def test_interior_twist_relation():
 def test_twisted_ihx_rows_vanish_in_group():
     g = build_group(2, 4, "twisted")
     for rel in g.relations:
-        terms = [(c, g.generators[i]) for i, c in enumerate(rel) if c]
+        terms = [(c, g.generators[i]) for i, c in rel]
         assert g.is_zero(make_forest(2, terms))
 
 
@@ -132,21 +145,35 @@ def test_bad_parameters():
     ],
 )
 def test_relation_rows_pinned(m, n, flavor, k, count, digest):
-    # the row set and its order decide v, hence the obstruct witnesses and
-    # the arf lifts; every relation family is exercised at these cells
-    rows = build_group(m, n, flavor, k).relations
+    # every relation family is exercised at these cells; the digests are of
+    # the dense rows in their sorted order
+    rows = sorted(dense_relations(build_group(m, n, flavor, k)))
     assert len(rows) == count
     assert hashlib.sha256(repr(rows).encode()).hexdigest()[:16] == digest
 
 
+def _dense_order(row):
+    """Sort key of a sparse row ((column, coeff), ...) giving its dense tuple's order.
+
+    Dense tuples first differ where one row's entry is smaller, an absent
+    entry counting as 0: a negative entry sorts before any later column's
+    entry and before the row's end, a positive one after both.  So a
+    negative (j, x) maps to (0, j, x), a positive one to (2, -j, x), and the
+    end of the row to (1,).
+    """
+    return tuple((0, j, x) if x < 0 else (2, -j, x) for j, x in row) + ((1,),)
+
+
 def test_large_twisted_rows_pinned():
     # twisted IHX partners regrafted two vertices below the root, with two
-    # labels; the dense rows are too large to pin here, so the sparse ones are
+    # labels; the dense rows are too large to pin here, so the sparse ones
+    # are, in the order of the dense ones
     g = TreeGroup(2, 8, "twisted")
     gens = [(t.kind, t.data, t.torsion) for t in g.generators]
-    assert (len(gens), len(g.sparse_relations)) == (2430, 10198)
+    assert (len(gens), len(g.relations)) == (2430, 10198)
     assert hashlib.sha256(repr(gens).encode()).hexdigest()[:16] == "9f236dce2b376dad"
-    assert hashlib.sha256(repr(g.sparse_relations).encode()).hexdigest()[:16] == "866fe2f95fc6b4df"
+    rows = sorted(g.relations, key=_dense_order)
+    assert hashlib.sha256(repr(rows).encode()).hexdigest()[:16] == "866fe2f95fc6b4df"
 
 
 def test_element_equality():
@@ -164,10 +191,12 @@ def test_element_equality():
 def test_invariants_need_neither_snf_nor_dense_relations():
     g = TreeGroup(2, 4, "twisted")
     free, torsion = g.invariants()
-    assert "snf" not in vars(g) and "relations" not in vars(g)
-    # the Smith form, built on demand, agrees
-    diag, _ = g.snf
-    assert (free, torsion) == (len(g.generators) - len(diag), [d for d in diag if d > 1])
+    assert "snf" not in vars(g)
+    # the presentation, built on demand, agrees: each survivor is a free
+    # generator or carries a factor of the residual's Smith form
+    snf = g.snf
+    assert free == len(snf.survivors) - len(snf.diag)
+    assert torsion == [d for d in snf.diag if d > 1]
 
 
 @pytest.mark.parametrize("m, n", [(2, 7), (3, 5), (4, 4)])
@@ -177,3 +206,69 @@ def test_large_framed_invariants(m, n):
     free, torsion = TreeGroup(m, n, "framed").invariants()
     assert free == m * witt(m, n + 1) - witt(m, n + 2)
     assert set(torsion) <= {2}
+
+
+def _dense_normal_forms(group, vectors):
+    """Normal forms as computed before the unit-pivot presentation: the Smith
+    form with v of the whole dense relation matrix, rows in dense order, and
+    x * v reduced modulo diag."""
+    rows = sorted(dense_relations(group))
+    diag, _, v = smith_normal_form(rows or [[0] * len(group.generators)], want_v=True)
+    forms = []
+    for x in vectors:
+        w = mat_mul([x], v)[0]
+        forms.append(tuple([c % d for c, d in zip(w, diag)] + w[len(diag):]))
+    return forms
+
+
+def _random_vectors(rng, group, count):
+    """Coordinate vectors: sparse draws, sums of relation rows (zero), draws
+    plus such sums (equal to the draw), and doubled draws (zero on 2-torsion)."""
+    width = len(group.generators)
+
+    def draw():
+        x = [0] * width
+        for j in rng.sample(range(width), min(width, rng.randint(1, 3))):
+            x[j] = rng.randint(-3, 3)
+        return x
+
+    def relation_sum():
+        x = [0] * width
+        for row in rng.sample(group.relations, min(len(group.relations), rng.randint(1, 3))):
+            c = rng.choice((-2, -1, 1, 2))
+            for j, y in row:
+                x[j] += c * y
+        return x
+
+    out = []
+    while len(out) < count:
+        base = draw()
+        out += [base, relation_sum(), [a + b for a, b in zip(base, relation_sum())],
+                [2 * a for a in base]]
+    return out[:count]
+
+
+def _check_against_dense_normal_form(m, n, flavor, k, seed):
+    group = build_group(m, n, flavor, k)
+    rng = random.Random(seed)
+    vectors = _random_vectors(rng, group, 40)
+    forests = [make_forest(m, [(c, g) for c, g in zip(x, group.generators) if c]) for x in vectors]
+    new = [group.reduce_forest(f) for f in forests]
+    old = _dense_normal_forms(group, vectors)
+    assert [e.is_zero for e in new] == [not any(c) for c in old]
+    for i in range(len(new)):
+        for j in range(i):
+            assert (new[i] == new[j]) == (old[i] == old[j]), (i, j)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_normal_forms_match_dense_smith_form(m):
+    for n in range(5):
+        for flavor in ("framed", "twisted"):
+            for k in (None, 1, 2):
+                _check_against_dense_normal_form(m, n, flavor, k, seed=100 * m + 10 * n + (k or 0))
+
+
+@pytest.mark.parametrize("m, n, flavor", [(2, 5, "framed"), (4, 3, "framed"), (2, 6, "twisted")])
+def test_large_normal_forms_match_dense_smith_form(m, n, flavor):
+    _check_against_dense_normal_form(m, n, flavor, None, seed=7)

@@ -6,6 +6,8 @@ from sympy import ZZ, Matrix
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.matrices.normalforms import smith_normal_form as sympy_domain_snf
 
+from test_groups import dense_relations
+
 from forestcalc.errors import DomainError
 from forestcalc.eta import eta_matrix
 from forestcalc.groups import build_group
@@ -15,6 +17,7 @@ from forestcalc.intlinalg import (
     invariant_factors,
     left_kernel,
     mat_mul,
+    presentation,
     row_hermite,
     smith_normal_form,
     solve_left,
@@ -226,14 +229,14 @@ def _old_smith_normal_form(matrix, want_u=False, want_v=False):
 
 
 def _relation_matrix(m, n, flavor):
-    return [list(r) for r in build_group(m, n, flavor).relations]
+    return [list(r) for r in sorted(dense_relations(build_group(m, n, flavor)))]
 
 
 def _eta_relation_coords(m, n):
     # the matrix eta_kernel passes to the Smith form
     group, _, rows = eta_matrix(m, n)
     basis = hermite_factor(left_kernel([list(r) for r in rows]))
-    return [solve_left(basis, rel) for rel in group.relations]
+    return [solve_left(basis, rel) for rel in dense_relations(group)]
 
 
 def _sparse_relation_like(rng, rows, cols):
@@ -334,3 +337,67 @@ def test_invariants_against_sympy():
         rows = _sparse(a)
         assert invariant_factors(rows) == _sympy_invariants(a)
         assert rows == _sparse(a)  # the input rows are left as they were
+
+
+def _in_lattice(basis, vec):
+    try:
+        solve_left(basis, vec)
+    except DomainError:
+        return False
+    return True
+
+
+def test_presentation_reduce_is_lattice_membership():
+    # the seed-23 relation-like draws of test_invariants_against_sympy, on
+    # some of which the Smith form of the residual block, unless it is put
+    # in Hermite form first, does not finish; reduce(vec) is zero exactly
+    # when vec is in the row lattice
+    rng = random.Random(23)
+    matrices = [
+        _sparse_relation_like(rng, rng.randint(1, 30), rng.randint(1, 30))
+        for _ in range(60)
+    ]
+    verdicts = []
+    for a in matrices:
+        width = len(a[0])
+        quotient = presentation(_sparse(a), width)
+        basis = hermite_factor(a)
+        vectors = [list(row) for row in a]
+        for _ in range(10):
+            combo = [0] * width
+            for row in a:
+                c = rng.randint(-2, 2)
+                combo = [x + c * y for x, y in zip(combo, row)]
+            nudged = list(combo)
+            nudged[rng.randrange(width)] += rng.choice((-2, -1, 1, 2))
+            vectors += [combo, nudged, [2 * x for x in nudged]]
+        for vec in vectors:
+            member = _in_lattice(basis, vec)
+            assert (not any(quotient.reduce(vec))) == member
+            verdicts.append(member)
+    assert 0 < verdicts.count(False) < verdicts.count(True)
+
+
+def test_presentation_summands_are_smith_unit_vectors():
+    # summand j reduces to the j-th unit vector of the Smith coordinates,
+    # and a torsion summand times its factor lies in the row lattice
+    rng = random.Random(29)
+    matrices = [
+        _sparse_relation_like(rng, rng.randint(1, 12), rng.randint(1, 12)) for _ in range(60)
+    ]
+    matrices += [mat_mul(_random_matrix(rng, 4, 3, 3), _random_matrix(rng, 3, 6, 3))
+                 for _ in range(20)]
+    seen = 0
+    for a in matrices:
+        quotient = presentation(_sparse(a), len(a[0]))
+        diag, survivors = quotient.diag, quotient.survivors
+        picked = [j for j, d in enumerate(diag) if d > 1] + list(range(len(diag), len(survivors)))
+        summands = quotient.summands()
+        assert len(summands) == len(picked)
+        basis = hermite_factor(a)
+        for j, vec in zip(picked, summands):
+            assert list(quotient.reduce(vec)) == [int(i == j) for i in range(len(survivors))]
+            if j < len(diag):
+                assert _in_lattice(basis, [diag[j] * x for x in vec])
+            seen += 1
+    assert seen

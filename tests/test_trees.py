@@ -14,7 +14,6 @@ from forestcalc.trees import (
     framed_table,
     framed_tree,
     inner_product,
-    lookup_framed,
     multiplicity,
     rooted_product,
     rooted_tree,
@@ -330,6 +329,7 @@ def test_generators_match_raw_enumeration(m, order):
 
 @pytest.mark.parametrize("m,order", [(2, 4), (3, 3), (1, 6)])
 def test_framed_tree_matches_old_canonical_framed(m, order):
+    table = framed_table(m, order)
     torsion_seen = False
     for left_order in range(order + 1):
         for a in rooted_shapes(m, left_order):
@@ -337,7 +337,8 @@ def test_framed_tree_matches_old_canonical_framed(m, order):
                 pair, sign, torsion = _old_canonical_framed(a, b)
                 expected = (DecoratedTree("framed", pair, torsion), sign)
                 assert framed_tree(a, b) == expected
-                assert lookup_framed(m, order, a, b) == expected
+                index, sign = table.term(*table.ids.canon(a), *table.ids.canon(b))
+                assert (table.trees[index], sign) == expected
                 torsion_seen |= torsion
     assert torsion_seen
 
@@ -408,12 +409,6 @@ def test_framed_table_matches_nested_table(m, order):
     assert read == _old_framed_table(m, order)
     assert [(shapes[lo], shapes[hi]) for lo, hi in table.halves] == [t.data for t in table.trees]
     assert list(table.torsion) == [t.torsion for t in table.trees]
-
-
-def test_lookup_framed_outside_the_table():
-    # labels above m and other orders fall back to direct canonicalization
-    assert lookup_framed(2, 1, (1, 3), 2) == framed_tree((1, 3), 2)
-    assert lookup_framed(2, 1, ((1, 2), 1), 2) == framed_tree(((1, 2), 1), 2)
 
 
 def test_validate_rejects_bad_labels():
