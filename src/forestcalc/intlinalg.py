@@ -1,17 +1,21 @@
 """Exact integer matrix normal forms: row Hermite form, Smith form, solvers.
 
-Matrices are lists of lists of Python ints, so entries may grow past
-machine words without overflow.  Everything here is deterministic.
+Entries are Python ints, so they may grow past machine words without
+overflow.  Everything here is deterministic.  The public functions take and
+return dense matrices, lists of lists; inside, eliminations run on sparse
+rows, {column: coeff} or ((column, coeff), ...), so that work follows the
+nonzeros, and dense rows are converted through their nonzeros only.
 
-A matrix that is solved against many right-hand sides is factored once with
-`hermite_factor`; `solve_left` accepts that factor in place of the matrix
-and never factors it again.
+One sparse Hermite core, `_hermite`, serves `row_hermite`, `left_kernel` and
+`hermite_factor`; a transform is carried as extra columns of each row.  A
+matrix that is solved against many right-hand sides is factored once with
+`hermite_factor`, which keeps only the sparse rank rows; `solve_left`
+accepts that factor in place of the matrix and never factors it again.
 
-Sparse rows, {column: coeff} or ((column, coeff), ...), have one
-elimination of unit pivots, which leaves a small residual block.
-`invariant_factors` works on that block modulo a determinant, so its
-coefficients stay bounded; `presentation` keeps the pivot rows, for normal
-forms, and takes the block's Smith form with v.
+Sparse rows also have one elimination of unit pivots, which leaves a small
+residual block.  `invariant_factors` works on that block modulo a
+determinant, so its coefficients stay bounded; `presentation` keeps the
+pivot rows, for normal forms, and takes the block's Smith form with v.
 
 `smith_normal_form` skips work that cannot change a value: a unit pivot
 ends the pivot search and needs no divisibility scan, and row and column
@@ -23,6 +27,7 @@ Its coefficients are not bounded.
 from __future__ import annotations
 
 import heapq
+from itertools import compress
 from math import gcd
 
 from .errors import DomainError
@@ -48,93 +53,165 @@ def mat_mul(a, b):
     return out
 
 
+def _subtract(rows, where, i, factor, prow):
+    """rows[i] -= factor * prow for a nonzero factor, keeping `where`
+    (column -> indices of the rows with an entry there) in step."""
+    row = rows[i]
+    for j, x in prow.items():
+        y = row.get(j, 0) - factor * x
+        if y:
+            if j not in row:
+                where[j].add(i)
+            row[j] = y
+        else:
+            del row[j]
+            where[j].discard(i)
+
+
+def _hermite(rows, width):
+    """Row Hermite form of sparse {column: coeff} rows, computed in place.
+
+    Columns are taken in increasing order.  In each, the rows not yet placed
+    that have an entry there are reduced by repeated division against the one
+    of least absolute entry (ties: fewer entries, then lower index) until one
+    is left; it is placed with a positive pivot, and the entries of the
+    placed rows at that column are reduced into [0, pivot).  Columns from
+    `width` on are carried along and never pivot, so a row i that ends with
+    ``width + i: 1`` carries its transform.  Returns the placed row indices
+    and their pivot columns, both in increasing pivot column; the other rows
+    are left with no entry below `width`.
+    """
+    where = {}
+    for i, row in enumerate(rows):
+        for j in row:
+            where.setdefault(j, set()).add(i)
+    done = [False] * len(rows)
+    placed, pivots = [], []
+    for col in sorted(j for j in where if j < width):
+        at = [i for i in where[col] if not done[i]]
+        if not at:
+            continue
+        while len(at) > 1:
+            p = min(at, key=lambda i: (abs(rows[i][col]), len(rows[i]), i))
+            prow = rows[p]
+            pivot = prow[col]
+            rest = [p]
+            for i in at:
+                if i != p:
+                    _subtract(rows, where, i, rows[i][col] // pivot, prow)
+                    if col in rows[i]:
+                        rest.append(i)
+            at = rest
+        p = at[0]
+        prow = rows[p]
+        if prow[col] < 0:
+            for j in prow:
+                prow[j] = -prow[j]
+        pivot = prow[col]
+        for i in [i for i in where[col] if i != p]:
+            q = rows[i][col] // pivot
+            if q:
+                _subtract(rows, where, i, q, prow)
+        done[p] = True
+        placed.append(p)
+        pivots.append(col)
+    return placed, pivots
+
+
+def _sparse_rows(matrix, transform=False):
+    """(sparse rows, width) of a dense matrix; with `transform`, row i also
+    carries ``width + i: 1``."""
+    width = len(matrix[0]) if matrix else 0
+    rows = []
+    for i, row in enumerate(matrix):
+        sparse = {j: row[j] for j in compress(range(width), row)}
+        if transform:
+            sparse[width + i] = 1
+        rows.append(sparse)
+    return rows, width
+
+
+def _dense(pairs, n):
+    """Dense vector of length n with the entries (column, coeff)."""
+    out = [0] * n
+    for j, x in pairs:
+        out[j] = x
+    return out
+
+
+def _split(row, width):
+    """(entries below `width`, carried entries shifted down by `width`) of a sparse row."""
+    head, tail = [], []
+    for j in sorted(row):
+        if j < width:
+            head.append((j, row[j]))
+        else:
+            tail.append((j - width, row[j]))
+    return tuple(head), tuple(tail)
+
+
 def row_hermite(matrix, want_transform=False):
     """Row Hermite normal form.
 
     Returns ``(h, pivots)`` or ``(h, pivots, u)`` with ``u * matrix == h``,
     u unimodular.  h keeps the full row count; nonzero rows come first with
     positive pivots in strictly increasing columns, and entries above each
-    pivot are reduced into [0, pivot).
+    pivot are reduced into [0, pivot).  h is unique; the rows of u past the
+    rank are one basis of the left kernel.
     """
-    h = [list(row) for row in matrix]
-    rows = len(h)
-    cols = len(h[0]) if rows else 0
-    u = identity(rows) if want_transform else None
-    top = 0
-    pivots = []
-    for col in range(cols):
-        # find a pivot row at or below `top`
-        pivot = None
-        for i in range(top, rows):
-            if h[i][col]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        if pivot != top:
-            h[top], h[pivot] = h[pivot], h[top]
-            if u is not None:
-                u[top], u[pivot] = u[pivot], u[top]
-        # clear below with gcd steps
-        for i in range(top + 1, rows):
-            while h[i][col]:
-                q = h[top][col] // h[i][col]
-                for j in range(cols):
-                    h[top][j] -= q * h[i][j]
-                if u is not None:
-                    for j in range(rows):
-                        u[top][j] -= q * u[i][j]
-                h[top], h[i] = h[i], h[top]
-                if u is not None:
-                    u[top], u[i] = u[i], u[top]
-        if h[top][col] < 0:
-            h[top] = [-x for x in h[top]]
-            if u is not None:
-                u[top] = [-x for x in u[top]]
-        # reduce entries above the pivot
-        for i in range(top):
-            q = h[i][col] // h[top][col]
-            if q:
-                for j in range(cols):
-                    h[i][j] -= q * h[top][j]
-                if u is not None:
-                    for j in range(rows):
-                        u[i][j] -= q * u[top][j]
-        pivots.append(col)
-        top += 1
-        if top == rows:
-            break
+    rows, width = _sparse_rows(matrix, want_transform)
+    placed, pivots = _hermite(rows, width)
+    taken = set(placed)
+    order = placed + [i for i in range(len(rows)) if i not in taken]
+    halves = [_split(rows[i], width) for i in order]
+    h = [_dense(head, width) for head, _ in halves]
     if want_transform:
-        return h, pivots, u
+        return h, pivots, [_dense(tail, len(rows)) for _, tail in halves]
     return h, pivots
 
 
 def left_kernel(matrix):
-    """Basis of the lattice {x : x * matrix = 0}, in row Hermite form."""
-    _, pivots, u = row_hermite(matrix, want_transform=True)
-    reduced, kp = row_hermite(u[len(pivots):])
-    return reduced[: len(kp)]
+    """Basis of the lattice {x : x * matrix = 0}, in row Hermite form.
+
+    The rows of [matrix | I] that the Hermite form leaves zero on the left
+    span the kernel by their right parts; the Hermite form of those is the
+    lattice's unique basis.
+    """
+    rows, width = _sparse_rows(matrix, transform=True)
+    taken = set(_hermite(rows, width)[0])
+    kernel = [{j - width: x for j, x in row.items()}
+              for i, row in enumerate(rows) if i not in taken]
+    placed, _ = _hermite(kernel, len(rows))
+    return [_dense(kernel[i].items(), len(rows)) for i in placed]
 
 
 class HermiteFactor:
-    """Row Hermite factorization ``u * matrix == h`` of one matrix.
+    """Row Hermite factorization ``u * matrix == h`` of one matrix, sparse.
 
-    Built by `hermite_factor`.  An object rather than a tuple, so that code
-    scanning tuples and lists for coefficient sizes does not read the pivot
-    column numbers as matrix entries.
+    Built by `hermite_factor`.  Only the rank rows are kept: `h` and `u`
+    hold each as ((column, coeff), ...) in increasing column, so the pivot
+    is the first entry of an h row; `pivots` maps a pivot column to its row
+    and `rows` is the row count of the matrix.  An object rather than a
+    tuple, so that code scanning tuples and lists for coefficient sizes does
+    not read column numbers as matrix entries.
     """
 
-    __slots__ = ("h", "pivots", "u")
+    __slots__ = ("h", "u", "pivots", "rows")
 
-    def __init__(self, h, pivots, u):
+    def __init__(self, h, u, pivots, rows):
         self.h = h
-        self.pivots = pivots
         self.u = u
+        self.pivots = pivots
+        self.rows = rows
 
 
 def hermite_factor(matrix):
     """Factor `matrix` once, for any number of `solve_left` calls against it."""
-    return HermiteFactor(*row_hermite(matrix, want_transform=True))
+    rows, width = _sparse_rows(matrix, transform=True)
+    placed, pivots = _hermite(rows, width)
+    halves = [_split(rows[i], width) for i in placed]
+    return HermiteFactor([head for head, _ in halves], [tail for _, tail in halves],
+                         {col: t for t, col in enumerate(pivots)}, len(matrix))
 
 
 def solve_left(basis, target):
@@ -143,37 +220,36 @@ def solve_left(basis, target):
     `basis` is either the matrix itself or its `hermite_factor`; a factor is
     used as it is and never factored again, while a plain matrix is factored
     first.  Returns x (length = row count) or raises DomainError when no
-    integer solution exists.
+    integer solution exists.  x is the unique solution when the matrix has
+    full row rank, as every Hermite basis does; otherwise it is one of many.
+
+    The residue's nonzero columns are visited in increasing order: a pivot
+    column subtracts its h row, and any other one has no solution.
     """
     if not isinstance(basis, HermiteFactor):
         basis = hermite_factor(basis)
-    h, pivots, u = basis.h, basis.pivots, basis.u
-    rows = len(h)
-    if rows == 0:
-        if any(target):
-            raise DomainError("no integer solution (empty matrix)")
-        return []
+    h, u, pivots = basis.h, basis.u, basis.pivots
     residue = list(target)
-    y = [0] * rows
-    for i, col in enumerate(pivots):
+    heap = list(compress(range(len(residue)), residue))  # sorted, so a heap
+    x = [0] * basis.rows
+    while heap:
+        col = heapq.heappop(heap)
         value = residue[col]
-        pivot = h[i][col]
-        q, r = divmod(value, pivot)
+        if not value:
+            continue
+        t = pivots.get(col)
+        if t is None:
+            raise DomainError("no integer solution (not in row span)")
+        row = h[t]
+        q, r = divmod(value, row[0][1])
         if r:
             raise DomainError("no integer solution (divisibility)")
-        if q:
-            y[i] = q
-            for j, x in enumerate(h[i]):
-                if x:
-                    residue[j] -= q * x
-    if any(residue):
-        raise DomainError("no integer solution (not in row span)")
-    # x = y * u
-    x = [0] * rows
-    for i, yi in enumerate(y):
-        if yi:
-            for j, uij in enumerate(u[i]):
-                x[j] += yi * uij
+        for j, y in row:
+            if not residue[j]:
+                heapq.heappush(heap, j)
+            residue[j] -= q * y
+        for j, y in u[t]:
+            x[j] += q * y
     return x
 
 
@@ -335,17 +411,7 @@ def _unit_pivots(rows):
         prow = rows[pivot]
         sign = prow[col]
         for i in where[col] - {pivot}:
-            row = rows[i]
-            factor = row[col] * sign
-            for j, x in prow.items():
-                y = row.get(j, 0) - factor * x
-                if y:
-                    if j not in row:
-                        where[j].add(i)
-                    row[j] = y
-                else:
-                    del row[j]
-                    where[j].discard(i)
+            _subtract(rows, where, i, rows[i][col] * sign, prow)
         for j in prow:
             where[j].discard(pivot)
         rows[pivot] = {}

@@ -165,6 +165,22 @@ def test_eta_kernel_order_six():
     assert group.reduce_forest(lift) == group.reduce_forest(make_forest(2, [(1, tree)]))
 
 
+def test_eta_kernel_three_six():
+    # Ker(eta_6) = Z/2 (x) L_2 for m = 3, and L_2 has rank 3: one class of
+    # order 2 per Lyndon word ij, that of (J,J)^inf with J = [i,j]
+    invfac, lifts = eta_kernel(3, 6)
+    assert invfac == [2, 2, 2]
+    group = build_group(3, 6, "twisted")
+    for lift, (_, tree) in zip(lifts, arf_classes(3, 2, 8), strict=True):
+        assert eta(lift, 6).is_zero
+        assert not group.is_zero(lift)
+        assert group.reduce_forest(lift) == group.reduce_forest(make_forest(3, [(1, tree)]))
+    assert [str(lift) for lift in lifts] == [
+        f"+1*((({i},{j}),{i}),{j})^inf + -1*((({i},{j}),{j}),{i})^inf"
+        for i, j in ((1, 2), (1, 3), (2, 3))
+    ]
+
+
 def _mirror(shape):
     """Plane reflection of a rooted shape: every pair reversed."""
     if isinstance(shape, int):

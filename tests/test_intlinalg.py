@@ -9,7 +9,8 @@ from sympy.polys.matrices.normalforms import smith_normal_form as sympy_domain_s
 from test_groups import dense_relations
 
 from forestcalc.errors import DomainError
-from forestcalc.eta import eta_matrix
+from forestcalc.eta import eta_matrix, eta_tree
+from forestcalc.freelie import _bracket_rows, bracket_kernel
 from forestcalc.groups import build_group
 from forestcalc.intlinalg import (
     hermite_factor,
@@ -401,3 +402,192 @@ def test_presentation_summands_are_smith_unit_vectors():
                 assert _in_lattice(basis, [diag[j] * x for x in vec])
             seen += 1
     assert seen
+
+
+# ---------------------------------------------------------------------------
+# the dense Hermite elimination that the sparse core replaced, kept as oracle
+
+
+def _old_row_hermite(matrix, want_transform=False):
+    """Dense row Hermite form: the first nonzero row at or below the pivot
+    row clears its column below by repeated division, over full rows of h
+    and of the rows x rows transform u."""
+    h = [list(row) for row in matrix]
+    rows = len(h)
+    cols = len(h[0]) if rows else 0
+    u = identity(rows) if want_transform else None
+    top = 0
+    pivots = []
+    for col in range(cols):
+        pivot = None
+        for i in range(top, rows):
+            if h[i][col]:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        if pivot != top:
+            h[top], h[pivot] = h[pivot], h[top]
+            if u is not None:
+                u[top], u[pivot] = u[pivot], u[top]
+        for i in range(top + 1, rows):
+            while h[i][col]:
+                q = h[top][col] // h[i][col]
+                for j in range(cols):
+                    h[top][j] -= q * h[i][j]
+                if u is not None:
+                    for j in range(rows):
+                        u[top][j] -= q * u[i][j]
+                h[top], h[i] = h[i], h[top]
+                if u is not None:
+                    u[top], u[i] = u[i], u[top]
+        if h[top][col] < 0:
+            h[top] = [-x for x in h[top]]
+            if u is not None:
+                u[top] = [-x for x in u[top]]
+        for i in range(top):
+            q = h[i][col] // h[top][col]
+            if q:
+                for j in range(cols):
+                    h[i][j] -= q * h[top][j]
+                if u is not None:
+                    for j in range(rows):
+                        u[i][j] -= q * u[top][j]
+        pivots.append(col)
+        top += 1
+        if top == rows:
+            break
+    if want_transform:
+        return h, pivots, u
+    return h, pivots
+
+
+def _old_left_kernel(matrix):
+    _, pivots, u = _old_row_hermite(matrix, want_transform=True)
+    reduced, kp = _old_row_hermite(u[len(pivots):])
+    return reduced[: len(kp)]
+
+
+def _old_solve_left(matrix, target):
+    """x with x * matrix == target by the dense factor, or None."""
+    h, pivots, u = _old_row_hermite(matrix, want_transform=True)
+    rows = len(h)
+    if rows == 0:
+        return None if any(target) else []
+    residue = list(target)
+    y = [0] * rows
+    for i, col in enumerate(pivots):
+        q, r = divmod(residue[col], h[i][col])
+        if r:
+            return None
+        if q:
+            y[i] = q
+            for j, x in enumerate(h[i]):
+                if x:
+                    residue[j] -= q * x
+    if any(residue):
+        return None
+    x = [0] * rows
+    for i, yi in enumerate(y):
+        if yi:
+            for j, uij in enumerate(u[i]):
+                x[j] += yi * uij
+    return x
+
+
+def _with_zero_lines(rng, a):
+    """a with a zero row and a zero column inserted at random places."""
+    cols = len(a[0])
+    a = [list(row) for row in a]
+    a.insert(rng.randint(0, len(a)), [0] * cols)
+    j = rng.randint(0, cols)
+    return [row[:j] + [0] + row[j:] for row in a]
+
+
+def _rank_deficient(rng, bound=3):
+    rows, inner, cols = rng.randint(2, 9), rng.randint(1, 3), rng.randint(1, 9)
+    return mat_mul(_random_matrix(rng, rows, inner, bound), _random_matrix(rng, inner, cols, bound))
+
+
+def test_hermite_matches_old_dense():
+    # h is unique, so the sparse core returns the old h and pivots exactly
+    rng = random.Random(37)
+    matrices = [_random_matrix(rng, rng.randint(1, 8), rng.randint(1, 8)) for _ in range(40)]
+    matrices += [_with_zero_lines(rng, _rank_deficient(rng)) for _ in range(40)]
+    for a in matrices:
+        assert row_hermite(a) == _old_row_hermite(a)
+        h, pivots, u = row_hermite(a, want_transform=True)
+        assert (h, pivots) == _old_row_hermite(a)
+        assert mat_mul(u, a) == h
+
+
+def test_left_kernel_matches_old_dense():
+    rng = random.Random(31)
+    matrices = [[], [[]], [[], []], [[0, 0, 0]], [[0], [0], [0]], [[1, 0], [1, 0]]]
+    matrices += [_random_matrix(rng, rng.randint(1, 8), rng.randint(1, 8)) for _ in range(40)]
+    matrices += [_rank_deficient(rng) for _ in range(40)]
+    matrices += [_with_zero_lines(rng, _rank_deficient(rng)) for _ in range(40)]
+    matrices += [_sparse_relation_like(rng, rng.randint(1, 20), rng.randint(1, 20))
+                 for _ in range(40)]
+    assert sum(len(left_kernel(a)) > 0 for a in matrices) > 100
+    for a in matrices:
+        assert left_kernel(a) == _old_left_kernel(a)
+
+
+def test_bracket_kernel_matches_old_dense():
+    cells = [(m, n) for m in range(1, 5) for n in range(1, 5)]
+    cells += [(m, 5) for m in range(1, 4)] + [(m, 6) for m in range(1, 3)]
+    for m, n in cells:
+        for k in (None, 2, 3):
+            domain, target_words, images = _bracket_rows(m, n, k)
+            dense = [[row.get(j, 0) for j in range(len(target_words))] for row in images]
+            old = tuple(tuple(row) for row in _old_left_kernel(dense))
+            assert bracket_kernel(m, n, k).rows == old
+
+
+def test_solve_left_matches_old_on_full_row_rank():
+    # the eta lattices of the benchmark's eta cells against their relation
+    # rows, and the D_n bases against the eta images of the generators: each
+    # basis has full row rank, so x is unique and both solvers must give it
+    solved = 0
+    for m, n in ((4, 3), (5, 2), (3, 3), (2, 4), (4, 2)):
+        group, kern, rows = eta_matrix(m, n)
+        lattice = left_kernel([list(r) for r in rows])
+        cases = [(lattice, dense_relations(group))]
+        images = []
+        for gen in group.generators:
+            vec = [0] * len(kern.domain)
+            for key, c in eta_tree(m, n, gen).coeffs:
+                vec[kern.index[key]] = c
+            images.append(vec)
+        cases.append(([list(r) for r in kern.rows], images))
+        for basis, targets in cases:
+            assert len(_old_row_hermite(basis)[1]) == len(basis)
+            factor = hermite_factor(basis)
+            for target in targets:
+                x = solve_left(factor, list(target))
+                assert x == _old_solve_left(basis, list(target))
+                solved += 1
+    assert solved > 1000
+
+
+def test_solve_left_rank_deficient_verdicts():
+    # x is not unique here: the verdict must be the old one, and a returned x
+    # must solve the system
+    rng = random.Random(41)
+    verdicts = []
+    for _ in range(60):
+        a = _with_zero_lines(rng, _rank_deficient(rng))
+        factor = hermite_factor(a)
+        coeffs = _random_matrix(rng, 2, len(a), bound=3)
+        targets = mat_mul(coeffs, a) + _random_matrix(rng, 2, len(a[0]), bound=2)
+        targets.append([2 * x for x in targets[0]])
+        targets.append([0] * len(a[0]))
+        for target in targets:
+            old = _old_solve_left(a, target)
+            new = _solve_or_none(factor, target)
+            assert (new is None) == (old is None)
+            if new is not None:
+                assert mat_mul([new], a)[0] == target
+            verdicts.append(new is None)
+    assert 0 < verdicts.count(True) < verdicts.count(False)
