@@ -16,7 +16,6 @@ alike.  Ranks, invariant factors and zero tests do not see that sign.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import compress
 
 from .errors import (
     BracketNonzeroError,
@@ -33,6 +32,7 @@ from .freelie import (
     k_project_lie,
     k_project_tensor,
     lyndon_words,
+    reduce_shape,
     shape_to_lie,
     standard_bracketing,
     word_multiplicity,
@@ -42,7 +42,6 @@ from .intlinalg import (
     hermite_factor,
     invariant_factors,
     left_kernel,
-    mat_mul,
     presentation,
     solve_left,
 )
@@ -51,6 +50,7 @@ from .trees import (
     TWISTED,
     DecoratedTree,
     canonical_framed,
+    framed_table,
     leaf_rootings,
     multiplicity,
     twisted_tree,
@@ -123,23 +123,64 @@ def milnor_from_forest(forest: IntersectionForest, n: int, k=None) -> TensorElem
     return image
 
 
+def _eta_images(m: int, n: int):
+    """eta of every generator of T_n^inf, in generator order, off the framed table.
+
+    A framed generator <lo, hi> is walked along `ShapeIds.edges`: each edge
+    at a leaf contributes X_label (x) sign * B, where the rest of the tree
+    reads as sign * the canonical shape with bracket B.  A twisted J^inf is
+    half of what the edges of <J, J> give.  Each shape's bracket is reduced
+    once per call, and the reductions are dropped with the call.
+    """
+    table = framed_table(m, n)
+    ids = table.ids
+    kids, shapes = ids.kids, ids.shapes
+    brackets = {}  # shape id -> its Lie reduction, ((word, coeff), ...)
+
+    def add(acc, label, rest, sign):
+        lie = brackets.get(rest)
+        if lie is None:
+            lie = brackets[rest] = reduce_shape(m, n + 1, shapes[rest]).coeffs
+        for w, c in lie:
+            key = (label, w)
+            acc[key] = acc.get(key, 0) + sign * c
+
+    def image(a, b):
+        acc = {}
+        for x, (rest, sign), _ in ids.edges(a, b):
+            if kids[x] is None:
+                add(acc, shapes[x], rest, sign)
+            if kids[rest] is None:  # only <a, b> itself has a leaf as its rest
+                add(acc, shapes[rest], x, sign)
+        return acc
+
+    for lo, hi in table.halves:
+        yield TensorElement.make(m, n + 1, image(lo, hi))
+    if n % 2 == 0:
+        for j in ids.by_order[n // 2]:
+            acc = {}
+            for key, c in image(j, j).items():
+                acc[key], rem = divmod(c, 2)
+                if rem:
+                    raise OddCoefficientError(
+                        f"odd coefficient halving eta(<J,J>) for {shapes[j]}^inf"
+                    )
+            yield TensorElement.make(m, n + 1, acc)
+
+
 @lru_cache(maxsize=None)
 def eta_matrix(m: int, n: int):
-    """Integer matrix of eta over (generators of T_n^inf) x (basis of D_n)."""
+    """eta over the generators of T_n^inf, as sparse rows over the basis of D_n."""
     group = build_group(m, n, FLAVOR_TWISTED)
     kern = bracket_kernel(m, n)
-    rows = []
-    for g in group.generators:
-        image = eta_tree(m, n, g)
-        rows.append(kern.coordinates(image) if kern.rank else [])
+    rows = [kern.coordinates(image) if kern.rank else () for image in _eta_images(m, n)]
     return group, kern, rows
 
 
 def eta_cokernel_invariants(m: int, n: int):
     """Invariant factors of coker(eta_n) plus its free rank, as (torsion, free)."""
     _, kern, rows = eta_matrix(m, n)
-    diag = invariant_factors([{j: row[j] for j in compress(range(len(row)), row)}
-                              for row in rows])
+    diag = invariant_factors(rows)
     return sorted(d for d in diag if d > 1), kern.rank - len(diag)
 
 
@@ -157,23 +198,22 @@ def eta_kernel(m: int, n: int):
     lattice = left_kernel(rows)
     # relations map to 0 under eta, hence lie in the kernel lattice; that
     # lattice is sparse, nearly the identity (3,825 rows and 5,568 nonzeros at
-    # (3,6)), so each solve against its sparse factor costs about its nonzeros
+    # (3,6)), and the relation rows hold a few nonzeros each, so each solve
+    # against its sparse factor costs about the nonzeros it meets
     basis = hermite_factor(lattice)
-    rel_coords = []
-    for rel in group.relations:
-        dense = [0] * len(group.generators)
-        for j, x in rel:
-            dense[j] = x
-        coords = solve_left(basis, dense)
-        rel_coords.append({i: coords[i] for i in compress(range(len(coords)), coords)})
+    rel_coords = [solve_left(basis, rel) for rel in group.relations]
     quotient = presentation(rel_coords, len(lattice))
     torsion = [d for d in quotient.diag if d > 1]
     free = len(quotient.survivors) - len(quotient.diag)
-    lifts = mat_mul(quotient.summands(), lattice)
-    forests = [
-        make_forest(m, [(c, g) for c, g in zip(vec, group.generators) if c])
-        for vec in lifts
-    ]
+    forests = []
+    for vec in quotient.summands():
+        lift = {}
+        for x, row in zip(vec, lattice):
+            if x:
+                for g, c in row:
+                    lift[g] = lift.get(g, 0) + x * c
+        forests.append(make_forest(m, [(lift[g], group.generators[g])
+                                       for g in sorted(lift) if lift[g]]))
     return torsion + [0] * free, forests
 
 

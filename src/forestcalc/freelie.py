@@ -10,6 +10,7 @@ non-primitive tensors.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -152,20 +153,32 @@ def _bracket_shape_str(shape) -> str:
 def tensor_to_lie(m: int, degree: int, tensor: dict) -> LieElement:
     """Invert the tensor expansion on the Lie subspace.
 
-    Eliminates along Lyndon words in lexicographic order (each basis
-    expansion is triangular with unit diagonal); a nonzero residue means
-    the tensor is not a Lie element.
+    Eliminates along the residue's least word, kept in a heap: the
+    expansion of a Lyndon word's standard bracketing is the word plus
+    lexicographically larger ones, so a least word that is a Lyndon word of
+    the degree over 1..m takes its coefficient from the residue, and any
+    other least word stays in the residue for good, so the tensor is not a
+    Lie element.
     """
+    if m < 1 or degree < 1:
+        raise ParameterError("tensor_to_lie requires m >= 1, degree >= 1")
     residue = {w: c for w, c in tensor.items() if c}
+    heap = list(residue)
+    heapq.heapify(heap)
     out = {}
-    for word in lyndon_words(m, degree):
-        c = residue.get(word, 0)
-        if c:
-            out[word] = c
-            for w, x in shape_tensor(standard_bracketing(word)):
-                residue[w] = residue.get(w, 0) - c * x
-    if any(residue.values()):
-        raise NotPrimitiveError("tensor is not primitive (no Lie preimage)")
+    while heap:
+        word = heapq.heappop(heap)
+        c = residue[word]
+        if not c:
+            continue
+        if len(word) != degree or not all(0 < i <= m for i in word) or not _is_lyndon(word):
+            raise NotPrimitiveError("tensor is not primitive (no Lie preimage)")
+        out[word] = c
+        for w, x in shape_tensor(standard_bracketing(word)):
+            old = residue.get(w, 0)
+            if not old:
+                heapq.heappush(heap, w)
+            residue[w] = old - c * x
     return LieElement.make(m, degree, out)
 
 
@@ -175,10 +188,21 @@ def lie_bracket(a: LieElement, b: LieElement) -> LieElement:
     return tensor_to_lie(a.m, a.degree + b.degree, acc)
 
 
+def reduce_shape(m: int, degree: int, shape) -> LieElement:
+    """Basis reduction of the bracket of a rooted shape with `degree` leaves.
+
+    Only the expansions of its branches are cached, by `shape_tensor`, so a
+    caller that reduces each of many shapes once holds nothing more.
+    """
+    if isinstance(shape, int):
+        return tensor_to_lie(m, degree, {(shape,): 1})
+    return tensor_to_lie(m, degree, _commutator(shape_tensor(shape[0]), shape_tensor(shape[1])))
+
+
 @lru_cache(maxsize=None)
 def shape_to_lie(m: int, shape) -> LieElement:
-    """Basis reduction of the bracket determined by a rooted shape."""
-    return tensor_to_lie(m, len(shape_leaves(shape)), dict(shape_tensor(shape)))
+    """Basis reduction of the bracket determined by a rooted shape, cached."""
+    return reduce_shape(m, len(shape_leaves(shape)), shape)
 
 
 def word_multiplicity(word) -> int:
@@ -249,7 +273,7 @@ class BracketKernel:
     n: int
     k: object  # int or None
     domain: tuple  # ordered ((root label, lyndon word), ...)
-    rows: tuple  # Hermite-reduced basis rows over `domain`
+    rows: tuple  # Hermite-reduced sparse basis rows over `domain`
     factor: object = field(compare=False, repr=False)  # hermite_factor of `rows`
     index: dict = field(compare=False, repr=False)  # domain key -> position
 
@@ -259,30 +283,28 @@ class BracketKernel:
 
     def basis_elements(self):
         return [
-            TensorElement.make(
-                self.m, self.n + 1,
-                {key: c for key, c in zip(self.domain, row) if c},
-            )
+            TensorElement.make(self.m, self.n + 1, {self.domain[j]: c for j, c in row})
             for row in self.rows
         ]
 
     def coordinates(self, x: TensorElement):
-        """Coordinates of x in this basis (x must lie in the kernel lattice)."""
-        vec = [0] * len(self.domain)
+        """Sparse coordinates of x in this basis (x must lie in the kernel lattice)."""
+        vec = []
         for key, c in x.coeffs:
             j = self.index.get(key)
             if j is None:
                 raise NotPrimitiveError(f"term {key} outside the kernel domain")
-            vec[j] = c
-        return solve_left(self.factor, vec)
+            vec.append((j, c))
+        return solve_left(self.factor, vec)  # the domain is in key order
 
 
 def _bracket_rows(m: int, n: int, k):
     """The (restricted) bracket map L1 (x) L_{n+1} -> L_{n+2} as sparse rows.
 
-    Returns ``(domain, target_words, rows)`` with one row
-    {target word index: coeff} per domain key.  Brackets keep every letter's
-    multiplicity, so a restricted domain maps into the restricted target.
+    Returns ``(domain, target_words, rows)`` with one sparse row
+    ((target word index, coeff), ...) per domain key.  Brackets keep every
+    letter's multiplicity, so a restricted domain maps into the restricted
+    target.
     """
     domain = [
         (i, w)
@@ -298,7 +320,7 @@ def _bracket_rows(m: int, n: int, k):
     rows = []
     for i, word in domain:
         image = shape_to_lie(m, (i, standard_bracketing(word)))
-        rows.append({col[w]: c for w, c in image.coeffs})
+        rows.append(tuple((col[w], c) for w, c in image.coeffs))  # words sort as columns
     return domain, target_words, rows
 
 
@@ -306,8 +328,8 @@ def _bracket_rows(m: int, n: int, k):
 def bracket_kernel(m: int, n: int, k=None) -> BracketKernel:
     """Basis of D_n (or D_n^k) as the exact integer kernel of the bracket map."""
     domain, target_words, images = _bracket_rows(m, n, k)
-    rows = left_kernel([[row.get(j, 0) for j in range(len(target_words))] for row in images])
-    return BracketKernel(m, n, k, tuple(domain), tuple(tuple(r) for r in rows),
+    rows = left_kernel(images)
+    return BracketKernel(m, n, k, tuple(domain), tuple(rows),
                          hermite_factor(rows), {key: j for j, key in enumerate(domain)})
 
 

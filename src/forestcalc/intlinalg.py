@@ -1,21 +1,22 @@
 """Exact integer matrix normal forms: row Hermite form, Smith form, solvers.
 
 Entries are Python ints, so they may grow past machine words without
-overflow.  Everything here is deterministic.  The public functions take and
-return dense matrices, lists of lists; inside, eliminations run on sparse
-rows, {column: coeff} or ((column, coeff), ...), so that work follows the
-nonzeros, and dense rows are converted through their nonzeros only.
+overflow.  Everything here is deterministic.  Matrices are sparse rows,
+((column, coeff), ...) in increasing column, as `groups` builds relations;
+`invariant_factors` and `presentation` also take {column: coeff} rows, and
+a width is passed where the rows do not fix it.  Inside, rows are
+{column: coeff} dicts, so that work follows the nonzeros.
 
 One sparse Hermite core, `_hermite`, serves `row_hermite`, `left_kernel` and
-`hermite_factor`; a transform is carried as extra columns of each row.  A
-matrix that is solved against many right-hand sides is factored once with
-`hermite_factor`, which keeps only the sparse rank rows; `solve_left`
-accepts that factor in place of the matrix and never factors it again.
+`hermite_factor`; a transform is carried as extra columns of each row.
+Rows solved against many targets are factored once with `hermite_factor`,
+which keeps only the rank rows, and `solve_left` takes that factor.
 
 Sparse rows also have one elimination of unit pivots, which leaves a small
 residual block.  `invariant_factors` works on that block modulo a
 determinant, so its coefficients stay bounded; `presentation` keeps the
 pivot rows, for normal forms, and takes the block's Smith form with v.
+Only that block goes through the dense `row_hermite` and `smith_normal_form`.
 
 `smith_normal_form` skips work that cannot change a value: a unit pivot
 ends the pivot search and needs no divisibility scan, and row and column
@@ -27,7 +28,6 @@ Its coefficients are not bounded.
 from __future__ import annotations
 
 import heapq
-from itertools import compress
 from math import gcd
 
 from .errors import DomainError
@@ -118,17 +118,13 @@ def _hermite(rows, width):
     return placed, pivots
 
 
-def _sparse_rows(matrix, transform=False):
-    """(sparse rows, width) of a dense matrix; with `transform`, row i also
-    carries ``width + i: 1``."""
-    width = len(matrix[0]) if matrix else 0
-    rows = []
-    for i, row in enumerate(matrix):
-        sparse = {j: row[j] for j in compress(range(width), row)}
-        if transform:
-            sparse[width + i] = 1
-        rows.append(sparse)
-    return rows, width
+def _carrying(rows):
+    """(dicts of the rows, width), row i carrying ``width + i: 1`` past them."""
+    out = [dict(row) for row in rows]
+    width = 1 + max((j for row in out for j in row), default=-1)
+    for i, row in enumerate(out):
+        row[width + i] = 1
+    return out, width
 
 
 def _dense(pairs, n):
@@ -151,7 +147,7 @@ def _split(row, width):
 
 
 def row_hermite(matrix, want_transform=False):
-    """Row Hermite normal form.
+    """Row Hermite normal form of a dense matrix.
 
     Returns ``(h, pivots)`` or ``(h, pivots, u)`` with ``u * matrix == h``,
     u unimodular.  h keeps the full row count; nonzero rows come first with
@@ -159,7 +155,11 @@ def row_hermite(matrix, want_transform=False):
     pivot are reduced into [0, pivot).  h is unique; the rows of u past the
     rank are one basis of the left kernel.
     """
-    rows, width = _sparse_rows(matrix, want_transform)
+    width = len(matrix[0]) if matrix else 0
+    rows = [{j: x for j, x in enumerate(row) if x} for row in matrix]
+    if want_transform:
+        for i, row in enumerate(rows):
+            row[width + i] = 1
     placed, pivots = _hermite(rows, width)
     taken = set(placed)
     order = placed + [i for i in range(len(rows)) if i not in taken]
@@ -170,58 +170,57 @@ def row_hermite(matrix, want_transform=False):
     return h, pivots
 
 
-def left_kernel(matrix):
-    """Basis of the lattice {x : x * matrix = 0}, in row Hermite form.
+def left_kernel(rows):
+    """Basis of the lattice {x : x * rows = 0}, in row Hermite form.
 
-    The rows of [matrix | I] that the Hermite form leaves zero on the left
-    span the kernel by their right parts; the Hermite form of those is the
-    lattice's unique basis.
+    The basis rows are sparse, over the indices of `rows`.  The rows of
+    [rows | I] that the Hermite form leaves zero on the left span the kernel
+    by their right parts; the Hermite form of those is the lattice's unique
+    basis.
     """
-    rows, width = _sparse_rows(matrix, transform=True)
+    rows, width = _carrying(rows)
     taken = set(_hermite(rows, width)[0])
     kernel = [{j - width: x for j, x in row.items()}
               for i, row in enumerate(rows) if i not in taken]
     placed, _ = _hermite(kernel, len(rows))
-    return [_dense(kernel[i].items(), len(rows)) for i in placed]
+    return [tuple(sorted(kernel[i].items())) for i in placed]
 
 
 class HermiteFactor:
-    """Row Hermite factorization ``u * matrix == h`` of one matrix, sparse.
+    """Row Hermite factorization ``u * rows == h`` of sparse rows.
 
     Built by `hermite_factor`.  Only the rank rows are kept: `h` and `u`
     hold each as ((column, coeff), ...) in increasing column, so the pivot
-    is the first entry of an h row; `pivots` maps a pivot column to its row
-    and `rows` is the row count of the matrix.  An object rather than a
-    tuple, so that code scanning tuples and lists for coefficient sizes does
-    not read column numbers as matrix entries.
+    is the first entry of an h row, and `pivots` maps a pivot column to its
+    row.  An object rather than a tuple, so that code scanning tuples and
+    lists for coefficient sizes does not read column numbers as entries.
     """
 
-    __slots__ = ("h", "u", "pivots", "rows")
+    __slots__ = ("h", "u", "pivots")
 
-    def __init__(self, h, u, pivots, rows):
+    def __init__(self, h, u, pivots):
         self.h = h
         self.u = u
         self.pivots = pivots
-        self.rows = rows
 
 
-def hermite_factor(matrix):
-    """Factor `matrix` once, for any number of `solve_left` calls against it."""
-    rows, width = _sparse_rows(matrix, transform=True)
+def hermite_factor(rows):
+    """Factor sparse rows once, for any number of `solve_left` calls."""
+    rows, width = _carrying(rows)
     placed, pivots = _hermite(rows, width)
     halves = [_split(rows[i], width) for i in placed]
     return HermiteFactor([head for head, _ in halves], [tail for _, tail in halves],
-                         {col: t for t, col in enumerate(pivots)}, len(matrix))
+                         {col: t for t, col in enumerate(pivots)})
 
 
 def solve_left(basis, target):
-    """Solve ``x * matrix == target`` over the integers.
+    """Solve ``x * rows == target`` over the integers.
 
-    `basis` is either the matrix itself or its `hermite_factor`; a factor is
-    used as it is and never factored again, while a plain matrix is factored
-    first.  Returns x (length = row count) or raises DomainError when no
-    integer solution exists.  x is the unique solution when the matrix has
-    full row rank, as every Hermite basis does; otherwise it is one of many.
+    `basis` is the sparse rows or their `hermite_factor`, which is used as
+    it is; plain rows are factored first.  `target` and the returned x are
+    sparse rows, x over the indices of the rows.  Raises DomainError when no
+    integer solution exists.  x is unique when the rows are linearly
+    independent, as a `left_kernel` basis is; otherwise it is one of many.
 
     The residue's nonzero columns are visited in increasing order: a pivot
     column subtracts its h row, and any other one has no solution.
@@ -229,9 +228,9 @@ def solve_left(basis, target):
     if not isinstance(basis, HermiteFactor):
         basis = hermite_factor(basis)
     h, u, pivots = basis.h, basis.u, basis.pivots
-    residue = list(target)
-    heap = list(compress(range(len(residue)), residue))  # sorted, so a heap
-    x = [0] * basis.rows
+    residue = dict(target)
+    heap = sorted(residue)  # sorted, so a heap
+    x = {}
     while heap:
         col = heapq.heappop(heap)
         value = residue[col]
@@ -245,12 +244,13 @@ def solve_left(basis, target):
         if r:
             raise DomainError("no integer solution (divisibility)")
         for j, y in row:
-            if not residue[j]:
+            old = residue.get(j, 0)
+            if not old:
                 heapq.heappush(heap, j)
-            residue[j] -= q * y
+            residue[j] = old - q * y
         for j, y in u[t]:
-            x[j] += q * y
-    return x
+            x[j] = x.get(j, 0) + q * y
+    return tuple(sorted((j, c) for j, c in x.items() if c))
 
 
 def _pivot(a, t):

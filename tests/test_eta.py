@@ -1,9 +1,10 @@
 import pytest
 
-from test_groups import dense_relations
+from test_groups import dense_relations, dense_row, sparse_row
 
 from forestcalc.errors import OrderMismatchError, ParameterError
 from forestcalc.eta import (
+    _eta_images,
     arf_classes,
     eta,
     eta_cokernel_invariants,
@@ -26,6 +27,7 @@ from forestcalc.intlinalg import hermite_factor, left_kernel, mat_mul, solve_lef
 from forestcalc.trees import (
     FRAMED,
     canonical_framed,
+    framed_tree,
     leaf_rootings,
     multiplicity,
     twisted_tree,
@@ -56,8 +58,6 @@ def test_eta_twisted_half_rule():
         for gen in g.generators:
             if gen.kind != "twisted":
                 continue
-            from forestcalc.trees import framed_tree
-
             tree, sign = framed_tree(gen.data, gen.data)
             lhs = eta_tree(m, n, gen, 2)
             rhs = eta_tree(m, n, tree, sign)
@@ -85,12 +85,32 @@ def test_relation_coords_against_unfactored_lattice():
     for m, n in [(2, 2), (3, 2), (2, 4), (3, 3)]:
         group, kern, rows = eta_matrix(m, n)
         assert kern.rank and group.relations
-        lattice = left_kernel([list(r) for r in rows])
+        lattice = left_kernel(rows)
         basis = hermite_factor(lattice)
+        dense_lattice = [dense_row(r, len(group.generators)) for r in lattice]
         for rel in dense_relations(group):
-            x = solve_left(basis, rel)
-            assert x == solve_left([list(r) for r in lattice], list(rel))
-            assert mat_mul([x], lattice)[0] == list(rel)
+            x = dense_row(solve_left(basis, sparse_row(rel)), len(lattice))
+            assert x == dense_row(solve_left(lattice, sparse_row(rel)), len(lattice))
+            assert mat_mul([x], dense_lattice)[0] == list(rel)
+
+
+def test_table_images_match_eta_tree():
+    # eta_matrix reads each generator's image off the framed table's edges;
+    # eta_tree, which re-roots the nested shapes at each leaf, is the oracle.
+    # A twisted image is half of eta(<J,J>), so twice it must be that exactly
+    cells = [(m, n) for m in range(1, 5) for n in range(5)] + [(2, 6), (3, 5), (1, 8)]
+    twisted = 0
+    for m, n in cells:
+        generators = build_group(m, n, "twisted").generators
+        images = list(_eta_images(m, n))
+        assert len(images) == len(generators)
+        for gen, image in zip(generators, images):
+            assert image == eta_tree(m, n, gen)
+            if gen.kind == "twisted":
+                tree, sign = framed_tree(gen.data, gen.data)
+                assert image.scale(2) == eta_tree(m, n, tree, sign)
+                twisted += 1
+    assert twisted == 116
 
 
 def test_eta_k_drops_high_multiplicity():

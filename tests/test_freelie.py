@@ -14,6 +14,7 @@ from forestcalc.freelie import (
     k_project_tensor,
     lie_bracket,
     lyndon_words,
+    shape_tensor,
     shape_to_lie,
     standard_bracketing,
     tensor_of,
@@ -118,7 +119,8 @@ def test_kernel_coordinates_roundtrip():
     kern = bracket_kernel(2, 2)
     basis = kern.basis_elements()
     if basis:
-        coords = kern.coordinates(basis[0])
+        sparse = dict(kern.coordinates(basis[0]))
+        coords = [sparse.get(j, 0) for j in range(kern.rank)]
         assert coords[0] == 1 and all(c == 0 for c in coords[1:])
 
 
@@ -127,3 +129,51 @@ def test_k_projection_counts_root():
     assert k_project_tensor(x, 1).is_zero
     assert k_project_tensor(x, 2) == x
     assert word_multiplicity((1, 2, 1)) == 2
+
+
+def _old_tensor_to_lie(m, degree, tensor):
+    """The full scan that the heap replaced, kept as oracle: every Lyndon
+    word of the degree in order, then any residue left is non-primitive."""
+    residue = {w: c for w, c in tensor.items() if c}
+    out = {}
+    for word in lyndon_words(m, degree):
+        c = residue.get(word, 0)
+        if c:
+            out[word] = c
+            for w, x in shape_tensor(standard_bracketing(word)):
+                residue[w] = residue.get(w, 0) - c * x
+    if any(residue.values()):
+        raise NotPrimitiveError("tensor is not primitive (no Lie preimage)")
+    return LieElement.make(m, degree, out)
+
+
+def _verdict(fn, m, degree, tensor):
+    try:
+        return fn(m, degree, dict(tensor))
+    except NotPrimitiveError:
+        return "not primitive"
+
+
+def test_tensor_to_lie_matches_old_scan():
+    rng = random.Random(43)
+    counts = {"lie": 0, "not primitive": 0}
+    for _ in range(300):
+        m, degree = rng.randint(1, 4), rng.randint(1, 6)
+        words = lyndon_words(m, degree)
+        coeffs = {w: rng.randint(-3, 3) for w in rng.sample(words, min(len(words), 4))}
+        tensor = LieElement.make(m, degree, coeffs).tensor()
+        # a word of the wrong length, a letter above m, and non-Lyndon words:
+        # 1^degree is below every other word of the degree, m^degree above
+        length = degree + 1 if degree == 1 else degree + rng.choice((-1, 1))
+        extra = [
+            tuple(rng.randint(1, m) for _ in range(length)),
+            tuple(rng.randint(1, m) for _ in range(degree - 1)) + (m + 1,),
+            (1,) * degree if degree > 1 else (m + 1,),
+            (m,) * degree if degree > 1 else (0,),
+        ]
+        for perturbed in [tensor] + [{**tensor, w: tensor.get(w, 0) + rng.choice((-2, -1, 1))}
+                                     for w in extra]:
+            old = _verdict(_old_tensor_to_lie, m, degree, perturbed)
+            assert _verdict(tensor_to_lie, m, degree, perturbed) == old
+            counts["lie" if old != "not primitive" else "not primitive"] += 1
+    assert counts == {"lie": 300, "not primitive": 1200}

@@ -6,7 +6,7 @@ from sympy import ZZ, Matrix
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.matrices.normalforms import smith_normal_form as sympy_domain_snf
 
-from test_groups import dense_relations
+from test_groups import dense_relations, dense_row, sparse_row
 
 from forestcalc.errors import DomainError
 from forestcalc.eta import eta_matrix, eta_tree
@@ -33,6 +33,16 @@ def _sparse(matrix):
     return [{j: x for j, x in enumerate(row) if x} for row in matrix]
 
 
+def _rows(matrix):
+    """The sparse rows ((column, coeff), ...) of a dense matrix."""
+    return [sparse_row(row) for row in matrix]
+
+
+def _left_kernel(matrix):
+    """left_kernel of a dense matrix, as dense rows."""
+    return [dense_row(r, len(matrix)) for r in left_kernel(_rows(matrix))]
+
+
 def test_hermite_transform_identity():
     rng = random.Random(3)
     for _ in range(40):
@@ -53,7 +63,7 @@ def test_left_kernel_annihilates():
     rng = random.Random(5)
     for _ in range(40):
         a = _random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
-        kern = left_kernel(a)
+        kern = _left_kernel(a)
         for row in kern:
             assert all(v == 0 for v in mat_mul([row], a)[0])
         rank = len(row_hermite(a)[1])
@@ -62,42 +72,46 @@ def test_left_kernel_annihilates():
 
 def test_left_kernel_saturated():
     # kernel basis solves exact integer membership: 2x - 2y = 0 has (1,-1)
-    kern = left_kernel([[1, 0], [1, 0]])
-    assert solve_left(kern, [3, -3]) is not None
+    kern = left_kernel(_rows([[1, 0], [1, 0]]))
+    assert solve_left(kern, sparse_row([3, -3])) is not None
 
 
-def _solve_or_none(basis, target):
+def _solve_or_none(basis, target, height):
+    """Dense x of length height with x * basis == target, or None; `basis` is
+    a dense matrix or a factor, and target a dense vector."""
+    if isinstance(basis, list):
+        basis = _rows(basis)
     try:
-        return solve_left(basis, target)
+        return dense_row(solve_left(basis, sparse_row(target)), height)
     except DomainError:
         return None
 
 
 def test_solve_left():
     a = [[2, 0], [0, 3]]
-    x = solve_left(a, [4, 9])
+    x = dense_row(solve_left(_rows(a), sparse_row([4, 9])), 2)
     assert mat_mul([x], a)[0] == [4, 9]
     with pytest.raises(DomainError):
-        solve_left(a, [1, 0])
+        solve_left(_rows(a), sparse_row([1, 0]))
     with pytest.raises(DomainError):
-        solve_left(hermite_factor(a), [1, 0])
+        solve_left(hermite_factor(_rows(a)), sparse_row([1, 0]))
     # a factored basis solves exactly as the plain matrix, which is factored
     # afresh on every call, and fails on the same targets
     rng = random.Random(17)
     for _ in range(40):
         a = _random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
-        basis = hermite_factor(a)
+        basis = hermite_factor(_rows(a))
         coeffs = _random_matrix(rng, 1, len(a), bound=3)
         targets = [mat_mul(coeffs, a)[0]] + _random_matrix(rng, 3, len(a[0]))
         for target in targets:
-            x = _solve_or_none(a, target)
-            assert _solve_or_none(basis, target) == x
+            x = _solve_or_none(a, target, len(a))
+            assert _solve_or_none(basis, target, len(a)) == x
             if x is not None:
                 assert mat_mul([x], a)[0] == target
-        assert _solve_or_none(a, targets[0]) is not None
-    assert solve_left(hermite_factor([]), []) == []
+        assert _solve_or_none(a, targets[0], len(a)) is not None
+    assert dense_row(solve_left(hermite_factor([]), sparse_row([])), 0) == []
     with pytest.raises(DomainError):
-        solve_left(hermite_factor([]), [1])
+        solve_left(hermite_factor([]), sparse_row([1]))
 
 
 def test_smith_against_sympy():
@@ -236,8 +250,10 @@ def _relation_matrix(m, n, flavor):
 def _eta_relation_coords(m, n):
     # the matrix eta_kernel passes to the Smith form
     group, _, rows = eta_matrix(m, n)
-    basis = hermite_factor(left_kernel([list(r) for r in rows]))
-    return [solve_left(basis, rel) for rel in dense_relations(group)]
+    lattice = left_kernel(rows)
+    basis = hermite_factor(lattice)
+    return [dense_row(solve_left(basis, sparse_row(rel)), len(lattice))
+            for rel in dense_relations(group)]
 
 
 def _sparse_relation_like(rng, rows, cols):
@@ -342,7 +358,7 @@ def test_invariants_against_sympy():
 
 def _in_lattice(basis, vec):
     try:
-        solve_left(basis, vec)
+        solve_left(basis, sparse_row(vec))
     except DomainError:
         return False
     return True
@@ -362,7 +378,7 @@ def test_presentation_reduce_is_lattice_membership():
     for a in matrices:
         width = len(a[0])
         quotient = presentation(_sparse(a), width)
-        basis = hermite_factor(a)
+        basis = hermite_factor(_rows(a))
         vectors = [list(row) for row in a]
         for _ in range(10):
             combo = [0] * width
@@ -395,7 +411,7 @@ def test_presentation_summands_are_smith_unit_vectors():
         picked = [j for j, d in enumerate(diag) if d > 1] + list(range(len(diag), len(survivors)))
         summands = quotient.summands()
         assert len(summands) == len(picked)
-        basis = hermite_factor(a)
+        basis = hermite_factor(_rows(a))
         for j, vec in zip(picked, summands):
             assert list(quotient.reduce(vec)) == [int(i == j) for i in range(len(survivors))]
             if j < len(diag):
@@ -529,9 +545,9 @@ def test_left_kernel_matches_old_dense():
     matrices += [_with_zero_lines(rng, _rank_deficient(rng)) for _ in range(40)]
     matrices += [_sparse_relation_like(rng, rng.randint(1, 20), rng.randint(1, 20))
                  for _ in range(40)]
-    assert sum(len(left_kernel(a)) > 0 for a in matrices) > 100
+    assert sum(len(_left_kernel(a)) > 0 for a in matrices) > 100
     for a in matrices:
-        assert left_kernel(a) == _old_left_kernel(a)
+        assert _left_kernel(a) == _old_left_kernel(a)
 
 
 def test_bracket_kernel_matches_old_dense():
@@ -540,9 +556,10 @@ def test_bracket_kernel_matches_old_dense():
     for m, n in cells:
         for k in (None, 2, 3):
             domain, target_words, images = _bracket_rows(m, n, k)
-            dense = [[row.get(j, 0) for j in range(len(target_words))] for row in images]
+            dense = [dense_row(row, len(target_words)) for row in images]
             old = tuple(tuple(row) for row in _old_left_kernel(dense))
-            assert bracket_kernel(m, n, k).rows == old
+            rows = bracket_kernel(m, n, k).rows
+            assert tuple(tuple(dense_row(row, len(domain))) for row in rows) == old
 
 
 def test_solve_left_matches_old_on_full_row_rank():
@@ -552,7 +569,7 @@ def test_solve_left_matches_old_on_full_row_rank():
     solved = 0
     for m, n in ((4, 3), (5, 2), (3, 3), (2, 4), (4, 2)):
         group, kern, rows = eta_matrix(m, n)
-        lattice = left_kernel([list(r) for r in rows])
+        lattice = [dense_row(r, len(group.generators)) for r in left_kernel(rows)]
         cases = [(lattice, dense_relations(group))]
         images = []
         for gen in group.generators:
@@ -560,12 +577,12 @@ def test_solve_left_matches_old_on_full_row_rank():
             for key, c in eta_tree(m, n, gen).coeffs:
                 vec[kern.index[key]] = c
             images.append(vec)
-        cases.append(([list(r) for r in kern.rows], images))
+        cases.append(([dense_row(r, len(kern.domain)) for r in kern.rows], images))
         for basis, targets in cases:
             assert len(_old_row_hermite(basis)[1]) == len(basis)
-            factor = hermite_factor(basis)
+            factor = hermite_factor(_rows(basis))
             for target in targets:
-                x = solve_left(factor, list(target))
+                x = dense_row(solve_left(factor, sparse_row(target)), len(basis))
                 assert x == _old_solve_left(basis, list(target))
                 solved += 1
     assert solved > 1000
@@ -578,14 +595,14 @@ def test_solve_left_rank_deficient_verdicts():
     verdicts = []
     for _ in range(60):
         a = _with_zero_lines(rng, _rank_deficient(rng))
-        factor = hermite_factor(a)
+        factor = hermite_factor(_rows(a))
         coeffs = _random_matrix(rng, 2, len(a), bound=3)
         targets = mat_mul(coeffs, a) + _random_matrix(rng, 2, len(a[0]), bound=2)
         targets.append([2 * x for x in targets[0]])
         targets.append([0] * len(a[0]))
         for target in targets:
             old = _old_solve_left(a, target)
-            new = _solve_or_none(factor, target)
+            new = _solve_or_none(factor, target, len(a))
             assert (new is None) == (old is None)
             if new is not None:
                 assert mat_mul([new], a)[0] == target
