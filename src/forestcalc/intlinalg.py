@@ -7,28 +7,22 @@ overflow.  Everything here is deterministic.  Matrices are sparse rows,
 a width is passed where the rows do not fix it.  Inside, rows are
 {column: coeff} dicts, so that work follows the nonzeros.
 
-One sparse Hermite core, `_hermite`, serves `row_hermite`, `left_kernel` and
-`hermite_factor`; a transform is carried as extra columns of each row.
-Rows solved against many targets are factored once with `hermite_factor`,
-which keeps only the rank rows, and `solve_left` takes that factor.
+One sparse Hermite core, `_hermite`, serves `left_kernel`, `hermite_factor`
+and the residual Smith form; a transform is carried as extra columns of each
+row.  Rows solved against many targets are factored once with
+`hermite_factor`, which keeps only the rank rows, and `solve_left` takes
+that factor.
 
 Sparse rows also have one elimination of unit pivots, which leaves a small
-residual block.  `invariant_factors` works on that block modulo a
-determinant, so its coefficients stay bounded; `presentation` keeps the
-pivot rows, for normal forms, and takes the block's Smith form with v.
-Only that block goes through the dense `row_hermite` and `smith_normal_form`.
-
-`smith_normal_form` skips work that cannot change a value: a unit pivot
-ends the pivot search and needs no divisibility scan, and row and column
-additions pass over zero source entries.  Its sequence of row and column
-operations is that of full scans, so it returns the same diag, u and v.
-Its coefficients are not bounded.
+residual block, and that block has one Smith form, `_residual_smith`: the
+rank rows of its Hermite form go through the dense `smith_normal_form`.
+`invariant_factors` keeps its diag; `presentation` keeps the pivot rows, for
+normal forms, and the diag with v.
 """
 
 from __future__ import annotations
 
 import heapq
-from math import gcd
 
 from .errors import DomainError
 
@@ -146,30 +140,6 @@ def _split(row, width):
     return tuple(head), tuple(tail)
 
 
-def row_hermite(matrix, want_transform=False):
-    """Row Hermite normal form of a dense matrix.
-
-    Returns ``(h, pivots)`` or ``(h, pivots, u)`` with ``u * matrix == h``,
-    u unimodular.  h keeps the full row count; nonzero rows come first with
-    positive pivots in strictly increasing columns, and entries above each
-    pivot are reduced into [0, pivot).  h is unique; the rows of u past the
-    rank are one basis of the left kernel.
-    """
-    width = len(matrix[0]) if matrix else 0
-    rows = [{j: x for j, x in enumerate(row) if x} for row in matrix]
-    if want_transform:
-        for i, row in enumerate(rows):
-            row[width + i] = 1
-    placed, pivots = _hermite(rows, width)
-    taken = set(placed)
-    order = placed + [i for i in range(len(rows)) if i not in taken]
-    halves = [_split(rows[i], width) for i in order]
-    h = [_dense(head, width) for head, _ in halves]
-    if want_transform:
-        return h, pivots, [_dense(tail, len(rows)) for _, tail in halves]
-    return h, pivots
-
-
 def left_kernel(rows):
     """Basis of the lattice {x : x * rows = 0}, in row Hermite form.
 
@@ -274,59 +244,52 @@ def _pivot(a, t):
     return best
 
 
-def smith_normal_form(matrix, want_u=False, want_v=False):
-    """Smith normal form ``u * matrix * v == d``.
+def smith_normal_form(matrix):
+    """Smith normal form ``u * matrix * v == d`` of a dense matrix.
 
-    Returns ``(diag, u, v)`` where diag is the list of positive invariant
-    factors d1 | d2 | ... and u/v are unimodular (or None when not
-    requested).  An all-zero matrix gives ``diag == []`` and ``v`` the
-    identity, so a caller without rows passes ``rows or [[0] * cols]``.
+    Returns ``(diag, v)`` where diag is the list of positive invariant
+    factors d1 | d2 | ... and v is unimodular; u is not kept.  An all-zero
+    matrix gives ``diag == []`` and ``v`` the identity, so a caller without
+    rows passes ``rows or [[0] * cols]``.
 
     Each step pivots on the first entry of least absolute value in the
     remaining block, clears its row and column by repeated division, and adds
     a row that the pivot does not divide into the pivot row.  A unit pivot
     ends the search and skips the divisibility scan, and additions skip zero
-    source entries; the operations, and so diag, u and v, are those of full
+    source entries; the operations, and so diag and v, are those of full
     scans.
+
+    The caller passes the rank rows of a row Hermite form, as
+    `_residual_smith` does.  This elimination never reduces the remaining
+    block, so on arbitrary rows its coefficients can grow without bound: on
+    an 8 x 8 block with entries below 10 it did not finish within a minute.
+    Hermite rows are already reduced above each pivot, and on them it has
+    stayed fast on every block tested.
     """
     a = [list(row) for row in matrix]
     rows = len(a)
     cols = len(a[0]) if rows else 0
-    u = identity(rows) if want_u else None
-    v = identity(cols) if want_v else None
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        if u is not None:
-            u[i], u[j] = u[j], u[i]
+    v = identity(cols)
 
     def swap_cols(i, j):
         if i == j:
             return
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        if v is not None:
-            for row in v:
+        for mat in (a, v):
+            for row in mat:
                 row[i], row[j] = row[j], row[i]
 
     def add_row(src, dst, factor):
-        for mat in (a, u) if u is not None else (a,):
-            target = mat[dst]
-            for j, x in enumerate(mat[src]):
-                if x:
-                    target[j] += factor * x
+        target = a[dst]
+        for j, x in enumerate(a[src]):
+            if x:
+                target[j] += factor * x
 
     def add_col(src, dst, factor):
-        for mat in (a, v) if v is not None else (a,):
+        for mat in (a, v):
             for row in mat:
                 x = row[src]
                 if x:
                     row[dst] += factor * x
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        if u is not None:
-            u[i] = [-x for x in u[i]]
 
     t = 0
     limit = min(rows, cols)
@@ -334,7 +297,7 @@ def smith_normal_form(matrix, want_u=False, want_v=False):
         best = _pivot(a, t)
         if best is None:
             break
-        swap_rows(t, best[0])
+        a[t], a[best[0]] = a[best[0]], a[t]
         swap_cols(t, best[1])
         dirty = True
         while dirty:
@@ -344,7 +307,7 @@ def smith_normal_form(matrix, want_u=False, want_v=False):
                     q = a[i][t] // a[t][t]
                     add_row(t, i, -q)
                     if a[i][t]:
-                        swap_rows(t, i)
+                        a[t], a[i] = a[i], a[t]
                         dirty = True
             for j in range(t + 1, cols):
                 if a[t][j]:
@@ -354,7 +317,7 @@ def smith_normal_form(matrix, want_u=False, want_v=False):
                         swap_cols(t, j)
                         dirty = True
         if a[t][t] < 0:
-            negate_row(t)
+            a[t] = [-x for x in a[t]]
         # enforce divisibility of the remaining block by the pivot; a unit
         # divides everything
         pivot = a[t][t]
@@ -372,7 +335,7 @@ def smith_normal_form(matrix, want_u=False, want_v=False):
             continue
         t += 1
     diag = [a[i][i] for i in range(limit) if a[i][i]]
-    return diag, u, v
+    return diag, v
 
 
 def _unit_pivots(rows):
@@ -421,19 +384,35 @@ def _unit_pivots(rows):
     return pivots, [row for row in rows if row]
 
 
+def _residual_smith(rest, cols):
+    """``(diag, v)`` of residual rows, with v over the positions in `cols`.
+
+    `cols` holds every column that the rows name, in increasing order.  The
+    rows are put in row Hermite form, the same lattice, and its rank rows
+    go through `smith_normal_form`.
+    """
+    at = {j: k for k, j in enumerate(cols)}
+    rows = [{at[j]: x for j, x in row.items()} for row in rest]
+    placed, _ = _hermite(rows, len(cols))
+    return smith_normal_form([_dense(rows[i].items(), len(cols)) for i in placed]
+                             or [[0] * len(cols)])
+
+
 def invariant_factors(rows):
     """Invariant factors d1 | d2 | ... of sparse rows: 1 per unit pivot, then the residual's."""
     pivots, rest = _unit_pivots(rows)
-    cols = sorted({j for row in rest for j in row})
-    return [1] * len(pivots) + _residual_factors([[row.get(j, 0) for j in cols] for row in rest])
+    diag, _ = _residual_smith(rest, sorted({j for row in rest for j in row}))
+    return [1] * len(pivots) + diag
 
 
 class Presentation:
     """Z^width modulo a row lattice, presented on the columns without a unit pivot.
 
     Built by `presentation`.  Subtracting the pivot rows maps Z^width onto
-    Z^survivors, where ``u * residual * v == diag``, so the quotient is Z/d
-    for each d in diag and Z for each survivor past ``len(diag)``.
+    Z^survivors, modulo the residual rows, whose Smith form over the
+    survivors is ``u * residual * v == diag`` for some unimodular u.  So the
+    quotient is Z/d for each d in diag and Z for each survivor past
+    ``len(diag)``, and a survivor vector x has the Smith coordinates x * v.
     """
 
     def __init__(self, width, pivots, survivors, diag, v):
@@ -459,11 +438,14 @@ class Presentation:
         """Generators of each Z/d, d > 1, then each Z: rows of v^-1 at the survivors."""
         picked = [j for j, d in enumerate(self.diag) if d > 1]
         picked += range(len(self.diag), len(self.survivors))
-        v_inv = row_hermite(self.v, want_transform=True)[2] if picked else []
+        v_inv = []
+        if picked:
+            # v is unimodular: its Hermite form is I, so the transform is v^-1
+            v_inv = hermite_factor([{j: x for j, x in enumerate(row) if x} for row in self.v]).u
         out = [[0] * self.width for _ in picked]
         for vec, j in zip(out, picked):
-            for col, x in zip(self.survivors, v_inv[j]):
-                vec[col] = x
+            for k, x in v_inv[j]:
+                vec[self.survivors[k]] = x
         return out
 
 
@@ -471,103 +453,4 @@ def presentation(rows, width):
     """`Presentation` of Z^width modulo the lattice of sparse rows."""
     pivots, rest = _unit_pivots(rows)
     survivors = sorted(set(range(width)).difference(col for col, _ in pivots))
-    # the Smith form gets the residual in row Hermite form (the same lattice):
-    # on some random blocks as they stood, its coefficients grew for minutes
-    h, ranked = row_hermite([[row.get(j, 0) for j in survivors] for row in rest])
-    diag, _, v = smith_normal_form(h[: len(ranked)] or [[0] * len(survivors)], want_v=True)
-    return Presentation(width, pivots, survivors, diag, v)
-
-
-def _minor_rank(a):
-    """(rank r, |det| of a nonsingular r x r minor) of a dense matrix.
-
-    Fraction-free (Bareiss) elimination: every entry it holds is a minor of
-    `a`, so coefficients stay within the Hadamard bound.
-    """
-    a = [list(row) for row in a]
-    rank, last = 0, 1
-    for col in range(len(a[0]) if a else 0):
-        pivot = next((i for i in range(rank, len(a)) if a[i][col]), None)
-        if pivot is None:
-            continue
-        a[rank], a[pivot] = a[pivot], a[rank]
-        top = a[rank]
-        for row in a[rank + 1:]:
-            x = row[col]
-            for j in range(col + 1, len(row)):
-                row[j] = (top[col] * row[j] - x * top[j]) // last
-            row[col] = 0
-        last = top[col]
-        rank += 1
-    return rank, abs(last)
-
-
-def _gcdex(a, b):
-    """(x, y, g) with x*a + y*b == g == gcd(a, b), for a, b >= 0."""
-    x0, y0, x1, y1 = 1, 0, 0, 1
-    while b:
-        q, r = divmod(a, b)
-        a, b = b, r
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    return x0, y0, a
-
-
-def _combine(p, q, a, b, d):
-    """Replace the vectors p, q by x*p + y*q and (b*p - a*q) / g, modulo d.
-
-    a and b are the entries of p and q in the column being cleared; the
-    2 x 2 transform has determinant -1, and the second vector's entry there
-    becomes 0.  When a divides b, p is kept as it is: the pivot then changes
-    only by shrinking, which is what ends the clearing loop.
-    """
-    if b % a == 0:
-        f = b // a
-        return p, [(f * u - v) % d for u, v in zip(p, q)]
-    x, y, g = _gcdex(a, b)
-    a, b = a // g, b // g
-    return ([(x * u + y * v) % d for u, v in zip(p, q)],
-            [(b * u - a * v) % d for u, v in zip(p, q)])
-
-
-def _residual_factors(a):
-    """Invariant factors of a dense block, with every entry kept below D.
-
-    D is the determinant of a nonsingular minor of full rank r, so every
-    invariant factor divides D and the row lattice may be enlarged by D*Z^n
-    (Cohen, A Course in Computational Algebraic Number Theory, 2.4.14): the
-    block is reduced modulo D, each pivot, the least entry left, clears its
-    row and column with 2 x 2 gcd transforms, and contributes gcd(pivot, D).
-    Those gcds, made into a divisibility chain and followed by D for every
-    column without a pivot, are the invariant factors of the enlarged
-    lattice; the first r are those of the block.
-    """
-    rank, d = _minor_rank(a)
-    width = len(a[0]) if a else 0
-    a = [[x % d for x in row] for row in a]
-    found = []
-    while True:
-        entries = [(x, i, j) for i, row in enumerate(a) for j, x in enumerate(row) if x]
-        if not entries:
-            break
-        _, p, q = min(entries)
-        while True:
-            for i, row in enumerate(a):
-                if i != p and row[q]:
-                    a[p], a[i] = _combine(a[p], row, a[p][q], row[q], d)
-            cols = [list(col) for col in zip(*a)]
-            for j, col in enumerate(cols):
-                if j != q and col[p]:
-                    cols[q], cols[j] = _combine(cols[q], col, cols[q][p], col[p], d)
-            a = [list(row) for row in zip(*cols)]
-            if not any(row[q] for i, row in enumerate(a) if i != p):
-                break
-        found.append(gcd(a[p][q], d))
-        del a[p]
-        for row in a:
-            del row[q]
-    for i in range(len(found)):
-        for j in range(i + 1, len(found)):
-            g = gcd(found[i], found[j])
-            found[i], found[j] = g, found[i] * found[j] // g
-    return (found + [d] * (width - len(found)))[:rank]
+    return Presentation(width, pivots, survivors, *_residual_smith(rest, survivors))

@@ -220,7 +220,7 @@ def _dense_normal_forms(group, vectors):
     form with v of the whole dense relation matrix, rows in dense order, and
     x * v reduced modulo diag."""
     rows = sorted(dense_relations(group))
-    diag, _, v = smith_normal_form(rows or [[0] * len(group.generators)], want_v=True)
+    diag, v = smith_normal_form(rows or [[0] * len(group.generators)])
     forms = []
     for x in vectors:
         w = mat_mul([x], v)[0]

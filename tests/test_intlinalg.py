@@ -1,5 +1,6 @@
 import random
 import time
+from math import gcd
 
 import pytest
 from sympy import ZZ, Matrix
@@ -13,13 +14,14 @@ from forestcalc.eta import eta_matrix, eta_tree
 from forestcalc.freelie import _bracket_rows, bracket_kernel
 from forestcalc.groups import build_group
 from forestcalc.intlinalg import (
+    _residual_smith,
+    _unit_pivots,
     hermite_factor,
     identity,
     invariant_factors,
     left_kernel,
     mat_mul,
     presentation,
-    row_hermite,
     smith_normal_form,
     solve_left,
 )
@@ -43,12 +45,23 @@ def _left_kernel(matrix):
     return [dense_row(r, len(matrix)) for r in left_kernel(_rows(matrix))]
 
 
+def _dense_factor(a):
+    """(h, pivots, u) of hermite_factor on a dense matrix, h and u dense."""
+    factor = hermite_factor(_rows(a))
+    width = len(a[0]) if a else 0
+    h = [dense_row(row, width) for row in factor.h]
+    u = [dense_row(row, len(a)) for row in factor.u]
+    pivots = sorted(factor.pivots)  # pivot columns increase with the row
+    return h, pivots, u
+
+
 def test_hermite_transform_identity():
     rng = random.Random(3)
     for _ in range(40):
         a = _random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
-        h, pivots, u = row_hermite(a, want_transform=True)
+        h, pivots, u = _dense_factor(a)
         assert mat_mul(u, a) == h
+        assert h == _old_row_hermite(a)[0][: len(pivots)]
         # pivots positive, strictly increasing columns, entries above reduced
         last = -1
         for r, c in enumerate(pivots):
@@ -66,7 +79,8 @@ def test_left_kernel_annihilates():
         kern = _left_kernel(a)
         for row in kern:
             assert all(v == 0 for v in mat_mul([row], a)[0])
-        rank = len(row_hermite(a)[1])
+        rank = len(hermite_factor(_rows(a)).pivots)
+        assert rank == len(_old_row_hermite(a)[1])
         assert len(kern) == len(a) - rank
 
 
@@ -130,7 +144,10 @@ def test_smith_transforms():
     rng = random.Random(13)
     for _ in range(30):
         a = _random_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))
-        diag, u, v = smith_normal_form(a, want_u=True, want_v=True)
+        # the old form repeats the operation sequence, so its u goes with v
+        diag, v = smith_normal_form(a)
+        old_diag, u, old_v = _old_smith_normal_form(a, want_u=True, want_v=True)
+        assert (diag, v) == (old_diag, old_v)
         d = mat_mul(mat_mul(u, a), v)
         for i, row in enumerate(d):
             for j, val in enumerate(row):
@@ -269,7 +286,7 @@ def _sparse_relation_like(rng, rows, cols):
 
 
 def test_smith_repeats_old_operation_sequence():
-    # identical (diag, u, v), hence identical lifts and witnesses read off v
+    # identical (diag, v), hence identical lifts and witnesses read off v
     matrices = [_relation_matrix(*cell) for cell in TREE_GROUP_CELLS]
     matrices += [_eta_relation_coords(m, n) for m, n in ((4, 3), (5, 2), (3, 3))]
     # random draws stay at 12 x 12: from about 16 x 16 up, draws of this
@@ -280,14 +297,14 @@ def test_smith_repeats_old_operation_sequence():
         for _ in range(60)
     ]
     for a in matrices:
-        new = smith_normal_form(a, want_u=True, want_v=True)
-        assert new == _old_smith_normal_form(a, want_u=True, want_v=True)
+        diag, _, v = _old_smith_normal_form(a, want_v=True)
+        assert smith_normal_form(a) == (diag, v)
 
 
 def test_smith_of_zero_row_is_identity():
     # the callers' "no relations" case: rows or [[0] * cols]
     for cols in (0, 1, 4):
-        assert smith_normal_form([[0] * cols], want_v=True) == ([], None, identity(cols))
+        assert smith_normal_form([[0] * cols]) == ([], identity(cols))
 
 
 def test_tree_group_invariants_against_sympy():
@@ -354,6 +371,132 @@ def test_invariants_against_sympy():
         rows = _sparse(a)
         assert invariant_factors(rows) == _sympy_invariants(a)
         assert rows == _sparse(a)  # the input rows are left as they were
+
+
+# ---------------------------------------------------------------------------
+# the modular residual invariants that the shared Smith form replaced, kept
+# as oracle
+
+
+def _old_minor_rank(a):
+    """(rank r, |det| of a nonsingular r x r minor) of a dense matrix.
+
+    Fraction-free (Bareiss) elimination: every entry it holds is a minor of
+    `a`, so coefficients stay within the Hadamard bound.
+    """
+    a = [list(row) for row in a]
+    rank, last = 0, 1
+    for col in range(len(a[0]) if a else 0):
+        pivot = next((i for i in range(rank, len(a)) if a[i][col]), None)
+        if pivot is None:
+            continue
+        a[rank], a[pivot] = a[pivot], a[rank]
+        top = a[rank]
+        for row in a[rank + 1:]:
+            x = row[col]
+            for j in range(col + 1, len(row)):
+                row[j] = (top[col] * row[j] - x * top[j]) // last
+            row[col] = 0
+        last = top[col]
+        rank += 1
+    return rank, abs(last)
+
+
+def _old_gcdex(a, b):
+    """(x, y, g) with x*a + y*b == g == gcd(a, b), for a, b >= 0."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return x0, y0, a
+
+
+def _old_combine(p, q, a, b, d):
+    """Replace the vectors p, q by x*p + y*q and (b*p - a*q) / g, modulo d.
+
+    a and b are the entries of p and q in the column being cleared; the
+    2 x 2 transform has determinant -1, and the second vector's entry there
+    becomes 0.  When a divides b, p is kept as it is: the pivot then changes
+    only by shrinking, which is what ends the clearing loop.
+    """
+    if b % a == 0:
+        f = b // a
+        return p, [(f * u - v) % d for u, v in zip(p, q)]
+    x, y, g = _old_gcdex(a, b)
+    a, b = a // g, b // g
+    return ([(x * u + y * v) % d for u, v in zip(p, q)],
+            [(b * u - a * v) % d for u, v in zip(p, q)])
+
+
+def _old_residual_factors(a):
+    """Invariant factors of a dense block, with every entry kept below D:
+    the modular path that `invariant_factors` took before the residual block
+    had one Smith form.
+
+    D is the determinant of a nonsingular minor of full rank r, so every
+    invariant factor divides D and the row lattice may be enlarged by D*Z^n
+    (Cohen, A Course in Computational Algebraic Number Theory, 2.4.14): the
+    block is reduced modulo D, each pivot, the least entry left, clears its
+    row and column with 2 x 2 gcd transforms, and contributes gcd(pivot, D).
+    Those gcds, made into a divisibility chain and followed by D for every
+    column without a pivot, are the invariant factors of the enlarged
+    lattice; the first r are those of the block.
+    """
+    rank, d = _old_minor_rank(a)
+    width = len(a[0]) if a else 0
+    a = [[x % d for x in row] for row in a]
+    found = []
+    while True:
+        entries = [(x, i, j) for i, row in enumerate(a) for j, x in enumerate(row) if x]
+        if not entries:
+            break
+        _, p, q = min(entries)
+        while True:
+            for i, row in enumerate(a):
+                if i != p and row[q]:
+                    a[p], a[i] = _old_combine(a[p], row, a[p][q], row[q], d)
+            cols = [list(col) for col in zip(*a)]
+            for j, col in enumerate(cols):
+                if j != q and col[p]:
+                    cols[q], cols[j] = _old_combine(cols[q], col, cols[q][p], col[p], d)
+            a = [list(row) for row in zip(*cols)]
+            if not any(row[q] for i, row in enumerate(a) if i != p):
+                break
+        found.append(gcd(a[p][q], d))
+        del a[p]
+        for row in a:
+            del row[q]
+    for i in range(len(found)):
+        for j in range(i + 1, len(found)):
+            g = gcd(found[i], found[j])
+            found[i], found[j] = g, found[i] * found[j] // g
+    return (found + [d] * (width - len(found)))[:rank]
+
+
+def _residuals():
+    """(rows, columns) of the unit-pivot residuals of the cells with the
+    largest residual blocks, and of the seed-23 relation-like draws."""
+    out = []
+    rows = [build_group(3, 6, "twisted").relations, build_group(4, 5, "framed").relations]
+    rng = random.Random(23)
+    rows += [_sparse(_sparse_relation_like(rng, rng.randint(1, 30), rng.randint(1, 30)))
+             for _ in range(60)]
+    for r in rows:
+        _, rest = _unit_pivots(r)
+        out.append((rest, sorted({j for row in rest for j in row})))
+    return out
+
+
+def test_residual_smith_matches_old_modular():
+    residuals = _residuals()
+    assert (len(residuals[0][0]), len(residuals[0][1])) == (12, 6)
+    assert (len(residuals[1][0]), len(residuals[1][1])) == (366, 88)
+    assert sum(bool(rest) for rest, _ in residuals) > 20
+    for rest, cols in residuals:
+        dense = [[row.get(j, 0) for j in cols] for row in rest]
+        assert _residual_smith(rest, cols)[0] == _old_residual_factors(dense)
 
 
 def _in_lattice(basis, vec):
@@ -531,9 +674,10 @@ def test_hermite_matches_old_dense():
     matrices = [_random_matrix(rng, rng.randint(1, 8), rng.randint(1, 8)) for _ in range(40)]
     matrices += [_with_zero_lines(rng, _rank_deficient(rng)) for _ in range(40)]
     for a in matrices:
-        assert row_hermite(a) == _old_row_hermite(a)
-        h, pivots, u = row_hermite(a, want_transform=True)
-        assert (h, pivots) == _old_row_hermite(a)
+        old_h, old_pivots = _old_row_hermite(a)
+        h, pivots, u = _dense_factor(a)
+        assert (h, pivots) == (old_h[: len(old_pivots)], old_pivots)
+        assert not any(map(any, old_h[len(old_pivots):]))
         assert mat_mul(u, a) == h
 
 
