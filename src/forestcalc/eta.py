@@ -31,6 +31,7 @@ from .freelie import (
     bracket_map,
     k_project_lie,
     k_project_tensor,
+    lie_bracket,
     lyndon_words,
     reduce_shape,
     shape_to_lie,
@@ -129,19 +130,29 @@ def _eta_images(m: int, n: int):
     A framed generator <lo, hi> is walked along `ShapeIds.edges`: each edge
     at a leaf contributes X_label (x) sign * B, where the rest of the tree
     reads as sign * the canonical shape with bracket B.  A twisted J^inf is
-    half of what the edges of <J, J> give.  Each shape's bracket is reduced
-    once per call, and the reductions are dropped with the call.
+    half of what the edges of <J, J> give.  Each canonical shape's bracket
+    is reduced once per call, as the bracket of its branches' reductions on
+    the Lyndon basis; the reductions and the memo of basis-pair brackets
+    that they share are dropped with the call.
     """
     table = framed_table(m, n)
     ids = table.ids
     kids, shapes = ids.kids, ids.shapes
-    brackets = {}  # shape id -> its Lie reduction, ((word, coeff), ...)
+    brackets = {}  # shape id -> its Lie reduction
+    memo = {}  # basis-pair brackets, for lie_bracket
+
+    def lie(x):
+        out = brackets.get(x)
+        if out is None:
+            if kids[x] is None:
+                out = reduce_shape(m, 1, shapes[x])
+            else:
+                out = lie_bracket(lie(kids[x][0]), lie(kids[x][1]), memo)
+            brackets[x] = out
+        return out
 
     def add(acc, label, rest, sign):
-        lie = brackets.get(rest)
-        if lie is None:
-            lie = brackets[rest] = reduce_shape(m, n + 1, shapes[rest]).coeffs
-        for w, c in lie:
+        for w, c in lie(rest).coeffs:
             key = (label, w)
             acc[key] = acc.get(key, 0) + sign * c
 

@@ -1,11 +1,21 @@
 """Free Lie algebra over the integers with the Lyndon-word basis.
 
-Degree-n elements live in the span of standard (Chen-Fox-Lyndon)
-bracketings of Lyndon words of length n over the alphabet 1..m.  Reduction
-to the basis goes through the tensor algebra: the expansion of the standard
-bracketing of a Lyndon word w is w plus lexicographically larger words, so
-integer elimination along sorted Lyndon words is exact and detects
-non-primitive tensors.
+Degree-n elements live in the span of the standard (Chen-Fox-Lyndon)
+bracketings P_w of the Lyndon words w of length n over the alphabet 1..m.
+Brackets are taken on that basis by rewriting, with no tensor built
+(Reutenauer, *Free Lie Algebras*, ch. 4-5): for Lyndon words u < v, where
+u = u1 u2 is the standard factorization,
+
+- [P_u, P_v] = P_uv if u is a letter or u2 >= v;
+- otherwise [P_u, P_v] = [P_u1, [P_u2, P_v]] + [[P_u1, P_v], P_u2] (Jacobi),
+
+with [P_v, P_u] = -[P_u, P_v] and [P_u, P_u] = 0.  The memo of these
+basis-pair brackets belongs to the caller and is dropped with it.
+
+The tensor algebra stays for the Magnus expansion and as an oracle: the
+expansion of P_w is w plus lexicographically larger words, so integer
+elimination along sorted Lyndon words (`tensor_to_lie`) is exact and
+detects non-primitive tensors.
 """
 
 from __future__ import annotations
@@ -40,17 +50,24 @@ def lyndon_words(m: int, n: int) -> tuple:
     return tuple(sorted(words))
 
 
+def _split(word) -> int:
+    """Where the standard factorization of a word of length >= 2 cuts it.
+
+    The right factor is the longest proper Lyndon suffix, which is the least
+    proper suffix: a longer Lyndon suffix would be less than it.
+    """
+    return min(range(1, len(word)), key=lambda i: word[i:])
+
+
 @lru_cache(maxsize=None)
 def standard_bracketing(word: tuple):
     """Standard bracketing of a Lyndon word, as a rooted shape."""
     if len(word) == 1:
         return word[0]
-    # standard factorization: longest proper Lyndon suffix
-    for split in range(1, len(word)):
-        suffix = word[split:]
-        if _is_lyndon(suffix):
-            return (standard_bracketing(word[:split]), standard_bracketing(suffix))
-    raise ParameterError(f"{word} is not a Lyndon word")
+    if not word:
+        raise ParameterError(f"{word} is not a Lyndon word")
+    split = _split(word)
+    return (standard_bracketing(word[:split]), standard_bracketing(word[split:]))
 
 
 def _is_lyndon(word) -> bool:
@@ -182,21 +199,82 @@ def tensor_to_lie(m: int, degree: int, tensor: dict) -> LieElement:
     return LieElement.make(m, degree, out)
 
 
-def lie_bracket(a: LieElement, b: LieElement) -> LieElement:
-    """[a, b], basis-reduced through the tensor algebra."""
-    acc = _commutator(a.tensor().items(), b.tensor().items())
-    return tensor_to_lie(a.m, a.degree + b.degree, acc)
+def _basis_bracket(u, v, memo) -> tuple:
+    """[P_u, P_v] for Lyndon words u < v, as (Lyndon word, coeff) pairs.
+
+    Rewrites by the rule in the module docstring.  `memo` maps (u, v) to the
+    result; the caller owns it.
+    """
+    out = memo.get((u, v))
+    if out is None:
+        split = len(u) > 1 and _split(u)
+        if not split or u[split:] >= v:
+            out = ((u + v, 1),)
+        else:
+            u1, u2 = u[:split], u[split:]
+            acc = {}
+            _add_bracket(acc, 1, u1, _basis_bracket(u2, v, memo), memo)
+            _add_bracket(acc, -1, u2, _basis_bracket(u1, v, memo), memo)
+            out = tuple((w, c) for w, c in acc.items() if c)
+        memo[u, v] = out
+    return out
+
+
+def _add_bracket(acc, scale, u, x, memo):
+    """acc += scale * [P_u, x], for x given as (Lyndon word, coeff) pairs."""
+    for w, c in x:
+        if u < w:
+            pairs, c = _basis_bracket(u, w, memo), scale * c
+        elif w < u:
+            pairs, c = _basis_bracket(w, u, memo), -scale * c
+        else:
+            continue
+        for z, y in pairs:
+            acc[z] = acc.get(z, 0) + c * y
+
+
+def _bracket(x, y, memo) -> dict:
+    """[x, y] as word -> nonzero coeff, for x, y given as (Lyndon word, coeff) pairs."""
+    acc = {}
+    for u, c in x:
+        _add_bracket(acc, c, u, y, memo)
+    return {w: c for w, c in acc.items() if c}
+
+
+def lie_bracket(a: LieElement, b: LieElement, memo=None) -> LieElement:
+    """[a, b] on the Lyndon basis.
+
+    `memo` holds basis-pair brackets (see `_basis_bracket`): a caller that
+    takes many brackets may pass one dict to all of them and drop it after;
+    None takes a fresh one.
+    """
+    memo = {} if memo is None else memo
+    return LieElement.make(a.m, a.degree + b.degree, _bracket(a.coeffs, b.coeffs, memo))
+
+
+def _reduce(shape, memo) -> dict:
+    if isinstance(shape, int):
+        return {(shape,): 1}
+    return _bracket(_reduce(shape[0], memo).items(), _reduce(shape[1], memo).items(), memo)
 
 
 def reduce_shape(m: int, degree: int, shape) -> LieElement:
     """Basis reduction of the bracket of a rooted shape with `degree` leaves.
 
-    Only the expansions of its branches are cached, by `shape_tensor`, so a
-    caller that reduces each of many shapes once holds nothing more.
+    Each vertex brackets the Lie coordinates of its branches on the basis,
+    with one memo of basis-pair brackets for the call.  A bracket keeps
+    every letter's multiplicity, so all words of a nonzero result hold the
+    shape's leaves: if they are not `degree` labels in 1..m, the bracket is
+    no element of that piece and NotPrimitiveError is raised.  A zero
+    bracket is zero in any degree.
     """
-    if isinstance(shape, int):
-        return tensor_to_lie(m, degree, {(shape,): 1})
-    return tensor_to_lie(m, degree, _commutator(shape_tensor(shape[0]), shape_tensor(shape[1])))
+    if m < 1 or degree < 1:
+        raise ParameterError("reduce_shape requires m >= 1, degree >= 1")
+    coeffs = _reduce(shape, {})
+    word = next(iter(coeffs), None)
+    if word is not None and (len(word) != degree or not all(0 < i <= m for i in word)):
+        raise NotPrimitiveError(f"shape {shape} is not a bracket of degree {degree} on 1..{m}")
+    return LieElement.make(m, degree, coeffs)
 
 
 @lru_cache(maxsize=None)
@@ -241,11 +319,9 @@ def tensor_of(i: int, lie: LieElement) -> TensorElement:
 
 def bracket_map(x: TensorElement) -> LieElement:
     """L1 (x) L_{n+1} -> L_{n+2}, (Xi, B) -> [Xi, B]."""
-    acc = {}
+    acc, memo = {}, {}
     for (i, word), c in x.coeffs:
-        reduced = shape_to_lie(x.m, (i, standard_bracketing(word)))
-        for w, v in reduced.coeffs:
-            acc[w] = acc.get(w, 0) + c * v
+        _add_bracket(acc, c, (i,), ((word, 1),), memo)
     return LieElement.make(x.m, x.degree + 1, acc)
 
 
@@ -317,10 +393,11 @@ def _bracket_rows(m: int, n: int, k):
         if k is None or word_multiplicity(w) <= k
     ]
     col = {w: j for j, w in enumerate(target_words)}
+    memo = {}  # basis-pair brackets, dropped with the call
     rows = []
     for i, word in domain:
-        image = shape_to_lie(m, (i, standard_bracketing(word)))
-        rows.append(tuple((col[w], c) for w, c in image.coeffs))  # words sort as columns
+        image = sorted(_bracket((((i,), 1),), ((word, 1),), memo).items())
+        rows.append(tuple((col[w], c) for w, c in image))  # words sort as columns
     return domain, target_words, rows
 
 

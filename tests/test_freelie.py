@@ -1,12 +1,16 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy import divisors, mobius
 
-from forestcalc.errors import NotPrimitiveError
+from forestcalc.errors import NotPrimitiveError, ParameterError
 from forestcalc.freelie import (
     LieElement,
     TensorElement,
+    _bracket_rows,
+    _commutator,
     bracket_kernel,
     bracket_map,
     bracket_map_cokernel,
@@ -14,6 +18,7 @@ from forestcalc.freelie import (
     k_project_tensor,
     lie_bracket,
     lyndon_words,
+    reduce_shape,
     shape_tensor,
     shape_to_lie,
     standard_bracketing,
@@ -21,6 +26,7 @@ from forestcalc.freelie import (
     tensor_to_lie,
     word_multiplicity,
 )
+from forestcalc.trees import shape_ids, shape_leaves
 
 
 def witt(m, n):
@@ -177,3 +183,129 @@ def test_tensor_to_lie_matches_old_scan():
             assert _verdict(tensor_to_lie, m, degree, perturbed) == old
             counts["lie" if old != "not primitive" else "not primitive"] += 1
     assert counts == {"lie": 300, "not primitive": 1200}
+
+
+# The tensor round trip that Lyndon rewriting replaced, kept as oracle: expand
+# both branches in the tensor algebra and eliminate their commutator.
+
+
+def _old_reduce_shape(m, degree, shape):
+    if isinstance(shape, int):
+        return tensor_to_lie(m, degree, {(shape,): 1})
+    return tensor_to_lie(m, degree, _commutator(shape_tensor(shape[0]), shape_tensor(shape[1])))
+
+
+def _mirror(shape):
+    return shape if isinstance(shape, int) else (_mirror(shape[1]), _mirror(shape[0]))
+
+
+def test_reduce_shape_matches_tensor_round_trip():
+    ids = shape_ids(3, 6)
+    assert len(ids.shapes) > 10000
+    for shape, order in zip(ids.shapes, ids.orders):
+        for s in (shape, _mirror(shape)):
+            old = _old_reduce_shape(3, order + 1, s)
+            assert reduce_shape(3, order + 1, s) == old
+            assert shape_to_lie(3, s) == old
+
+
+def test_bracket_rows_and_map_match_tensor_round_trip():
+    rng = random.Random(11)
+    cells = [(m, n) for m in range(1, 5) for n in range(1, 5)]
+    cells += [(m, 5) for m in range(1, 4)] + [(m, 6) for m in range(1, 3)]
+    for m, n in cells:
+        for k in (None, 2, 3):
+            domain, target_words, rows = _bracket_rows(m, n, k)
+            images = [_old_reduce_shape(m, n + 2, (i, standard_bracketing(w))) for i, w in domain]
+            col = {w: j for j, w in enumerate(target_words)}
+            assert rows == [tuple((col[w], c) for w, c in x.coeffs) for x in images]
+            coeffs = [rng.randint(-3, 3) for _ in domain]
+            x = TensorElement.make(m, n + 1, dict(zip(domain, coeffs)))
+            total = LieElement.zero(m, n + 2)
+            for c, image in zip(coeffs, images):
+                total = total + image.scale(c)
+            assert bracket_map(x) == total
+
+
+def test_lie_bracket_matches_tensor_round_trip():
+    rng = random.Random(23)
+    for _ in range(100):
+        m, a, b = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
+        x, y = (LieElement.make(m, d, {w: rng.randint(-3, 3) for w in lyndon_words(m, d)})
+                for d in (a, b))
+        old = tensor_to_lie(m, a + b, _commutator(x.tensor().items(), y.tensor().items()))
+        assert lie_bracket(x, y) == old
+
+
+def test_reduce_shape_keeps_its_errors():
+    # the old verdict on each shape: a nonzero bracket whose leaves are not
+    # `degree` labels in 1..m has no preimage; a zero one is zero anywhere
+    cases = [
+        (2, 3, ((1, 2), 3)), (2, 2, (0, 1)), (2, 2, (-1, 2)), (2, 1, 3),
+        (2, 2, ((1, 2), 1)), (2, 4, ((1, 2), 1)), (2, 2, 1),
+        (2, 2, (3, 3)), (2, 5, (1, 1)), (2, 3, ((1, 2), 2)),
+    ]
+    def verdict(fn, m, degree, shape):
+        try:
+            return fn(m, degree, shape)
+        except NotPrimitiveError:
+            return "not primitive"
+
+    verdicts = []
+    for m, degree, shape in cases:
+        old = verdict(_old_reduce_shape, m, degree, shape)
+        assert verdict(reduce_shape, m, degree, shape) == old
+        verdicts.append(old == "not primitive")
+    assert verdicts == [True] * 7 + [False] * 3
+    for m, degree in ((0, 2), (2, 0), (-1, 1)):
+        with pytest.raises(ParameterError):
+            reduce_shape(m, degree, (1, 2))
+
+
+# An oracle that shares no code with the rewriting: its own standard
+# factorization (first split with a Lyndon suffix) and tensor expansion.
+
+
+def _own_bracketing(word):
+    if len(word) == 1:
+        return word[0]
+    split = next(i for i in range(1, len(word))
+                 if all(word[i:] < word[j:] for j in range(i + 1, len(word))))
+    return (_own_bracketing(word[:split]), _own_bracketing(word[split:]))
+
+
+def _own_tensor(shape):
+    if isinstance(shape, int):
+        return {(shape,): 1}
+    a, b = _own_tensor(shape[0]), _own_tensor(shape[1])
+    acc = {}
+    for wa, ca in a.items():
+        for wb, cb in b.items():
+            acc[wa + wb] = acc.get(wa + wb, 0) + ca * cb
+            acc[wb + wa] = acc.get(wb + wa, 0) - ca * cb
+    return {w: c for w, c in acc.items() if c}
+
+
+_WORDS = {m: [w for n in range(1, 9) for w in lyndon_words(m, n)] for m in range(1, 5)}
+
+
+@st.composite
+def _lyndon_pairs(draw):
+    m = draw(st.integers(1, 4))
+    u = draw(st.sampled_from(_WORDS[m]))
+    v = draw(st.sampled_from([w for w in _WORDS[m] if len(u) + len(w) <= 9]))
+    return m, u, v
+
+
+@settings(max_examples=150, deadline=None)
+@given(_lyndon_pairs())
+def test_rewritten_bracket_expands_to_commutator(pair):
+    m, u, v = pair
+    shape_u, shape_v = _own_bracketing(u), _own_bracketing(v)
+    assert (standard_bracketing(u), standard_bracketing(v)) == (shape_u, shape_v)
+    rewritten = lie_bracket(LieElement.make(m, len(u), {u: 1}), LieElement.make(m, len(v), {v: 1}))
+    expanded = {}
+    for w, c in rewritten.coeffs:
+        for x, y in _own_tensor(_own_bracketing(w)).items():
+            expanded[x] = expanded.get(x, 0) + c * y
+    assert {x: c for x, c in expanded.items() if c} == _own_tensor((shape_u, shape_v))
