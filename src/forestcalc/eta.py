@@ -27,7 +27,6 @@ from .errors import (
 from .forest import IntersectionForest, make_forest
 from .freelie import (
     TensorElement,
-    bracket_kernel,
     bracket_map,
     k_project_lie,
     k_project_tensor,
@@ -39,13 +38,7 @@ from .freelie import (
     word_multiplicity,
 )
 from .groups import FLAVOR_TWISTED, build_group
-from .intlinalg import (
-    hermite_factor,
-    invariant_factors,
-    left_kernel,
-    presentation,
-    solve_left,
-)
+from .intlinalg import invariant_factors, left_kernel
 from .trees import (
     FRAMED,
     TWISTED,
@@ -124,16 +117,15 @@ def milnor_from_forest(forest: IntersectionForest, n: int, k=None) -> TensorElem
     return image
 
 
-def _eta_images(m: int, n: int):
-    """eta of every generator of T_n^inf, in generator order, off the framed table.
+def _eta_images(m: int, n: int, gens):
+    """eta of the generators numbered in `gens`, in order, off the framed table.
 
     A framed generator <lo, hi> is walked along `ShapeIds.edges`: each edge
     at a leaf contributes X_label (x) sign * B, where the rest of the tree
     reads as sign * the canonical shape with bracket B.  A twisted J^inf is
     half of what the edges of <J, J> give.  Each canonical shape's bracket
     is reduced once per call, as the bracket of its branches' reductions on
-    the Lyndon basis; the reductions and the memo of basis-pair brackets
-    that they share are dropped with the call.
+    the Lyndon basis, with one memo of basis-pair brackets.
     """
     table = framed_table(m, n)
     ids = table.ids
@@ -165,67 +157,71 @@ def _eta_images(m: int, n: int):
                 add(acc, shapes[rest], x, sign)
         return acc
 
-    for lo, hi in table.halves:
-        yield TensorElement.make(m, n + 1, image(lo, hi))
-    if n % 2 == 0:
-        for j in ids.by_order[n // 2]:
-            acc = {}
-            for key, c in image(j, j).items():
-                acc[key], rem = divmod(c, 2)
-                if rem:
-                    raise OddCoefficientError(
-                        f"odd coefficient halving eta(<J,J>) for {shapes[j]}^inf"
-                    )
-            yield TensorElement.make(m, n + 1, acc)
+    framed = len(table.halves)
+    for g in gens:
+        if g < framed:
+            yield TensorElement.make(m, n + 1, image(*table.halves[g]))
+            continue
+        j = ids.by_order[n // 2][g - framed]
+        acc = {}
+        for key, c in image(j, j).items():
+            acc[key], rem = divmod(c, 2)
+            if rem:
+                raise OddCoefficientError(
+                    f"odd coefficient halving eta(<J,J>) for {shapes[j]}^inf"
+                )
+        yield TensorElement.make(m, n + 1, acc)
 
 
 @lru_cache(maxsize=None)
-def eta_matrix(m: int, n: int):
-    """eta over the generators of T_n^inf, as sparse rows over the basis of D_n."""
+def _free_rows(m: int, n: int):
+    """(group, summands, rows): the twisted T_n, its presentation's summands,
+    and eta of each free summand, read on the generators it names, as a
+    sparse row over the (label, Lyndon word) keys of L_1 (x) L_{n+1}.
+    """
     group = build_group(m, n, FLAVOR_TWISTED)
-    kern = bracket_kernel(m, n)
-    rows = [kern.coordinates(image) if kern.rank else () for image in _eta_images(m, n)]
-    return group, kern, rows
+    summands = group.snf.summands()
+    free = summands[sum(d > 1 for d in group.snf.diag):]
+    gens = sorted({g for row in free for g, _ in row})
+    images = dict(zip(gens, _eta_images(m, n, gens)))
+    cols, rows = {}, []
+    for row in free:
+        acc = {}
+        for g, c in row:
+            for key, x in images[g].coeffs:
+                j = cols.setdefault(key, len(cols))
+                acc[j] = acc.get(j, 0) + c * x
+        rows.append(tuple(sorted((j, x) for j, x in acc.items() if x)))
+    return group, summands, rows
 
 
 def eta_cokernel_invariants(m: int, n: int):
-    """Invariant factors of coker(eta_n) plus its free rank, as (torsion, free)."""
-    _, kern, rows = eta_matrix(m, n)
-    diag = invariant_factors(rows)
-    return sorted(d for d in diag if d > 1), kern.rank - len(diag)
+    """Invariant factors of coker(eta_n) plus its free rank, as (torsion, free).
+
+    The free summands' rows span im(eta).  D_n is a kernel, so saturated in
+    L_1 (x) L_{n+1}, and the torsion is the rows'.  The bracket to L_{n+2}
+    is onto, so D_n has rank m W(m,n+1) - W(m,n+2).
+    """
+    diag = invariant_factors(_free_rows(m, n)[2])
+    rank = m * len(lyndon_words(m, n + 1)) - len(lyndon_words(m, n + 2))
+    return sorted(d for d in diag if d > 1), rank - len(diag)
 
 
 def eta_kernel(m: int, n: int):
-    """Kernel of the induced map T_n^inf -> D_n.
+    """Kernel of the induced map T_n^inf -> D_n, as (invariant factors, lifts).
 
-    Returns (invariant factors, generator lifts as forests).  The kernel
-    lattice of the generator-level matrix is divided by the relation rows of
-    the group presentation.  The lifts are the `Presentation.summands` of
-    that quotient, one per torsion factor and then one per free summand,
-    mapped back to generators; their classes, not their strings or order,
-    are fixed by the group.
+    D_n is torsion-free, so the kernel is the torsion of T_n^inf plus that
+    of eta on its free summands.  The lifts are the torsion summands, then
+    the free ones combined by the Hermite basis of the left kernel of their
+    eta rows; only their classes are fixed, not their strings.
     """
-    group, _, rows = eta_matrix(m, n)
-    lattice = left_kernel(rows)
-    # relations map to 0 under eta, hence lie in the kernel lattice; that
-    # lattice is sparse, nearly the identity (3,825 rows and 5,568 nonzeros at
-    # (3,6)), and the relation rows hold a few nonzeros each, so each solve
-    # against its sparse factor costs about the nonzeros it meets
-    basis = hermite_factor(lattice)
-    rel_coords = [solve_left(basis, rel) for rel in group.relations]
-    quotient = presentation(rel_coords, len(lattice))
-    torsion = [d for d in quotient.diag if d > 1]
-    free = len(quotient.survivors) - len(quotient.diag)
-    forests = []
-    for vec in quotient.summands():
-        lift = {}
-        for x, row in zip(vec, lattice):
-            if x:
-                for g, c in row:
-                    lift[g] = lift.get(g, 0) + x * c
-        forests.append(make_forest(m, [(lift[g], group.generators[g])
-                                       for g in sorted(lift) if lift[g]]))
-    return torsion + [0] * free, forests
+    group, summands, rows = _free_rows(m, n)
+    torsion = [d for d in group.snf.diag if d > 1]
+    free, gens = summands[len(torsion):], group.generators
+    kernel = left_kernel(rows)
+    lifts = [[(c, gens[g]) for g, c in row] for row in summands[:len(torsion)]]
+    lifts += [[(c * y, gens[g]) for i, c in x for g, y in free[i]] for x in kernel]
+    return torsion + [0] * len(kernel), [make_forest(m, terms) for terms in lifts]
 
 
 def arf_classes(m: int, j: int, k: int):

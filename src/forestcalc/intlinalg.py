@@ -415,8 +415,7 @@ class Presentation:
     ``len(diag)``, and a survivor vector x has the Smith coordinates x * v.
     """
 
-    def __init__(self, width, pivots, survivors, diag, v):
-        self.width = width
+    def __init__(self, pivots, survivors, diag, v):
         self.pivots = pivots
         self.survivors = survivors
         self.diag = diag
@@ -435,22 +434,19 @@ class Presentation:
         return tuple([x % d for x, d in zip(w, self.diag)] + w[len(self.diag):])
 
     def summands(self):
-        """Generators of each Z/d, d > 1, then each Z: rows of v^-1 at the survivors."""
+        """Generators of each Z/d, d > 1, then each Z: rows of v^-1 at the
+        survivors, as sparse rows over Z^width, since they may be many and wide."""
         picked = [j for j, d in enumerate(self.diag) if d > 1]
         picked += range(len(self.diag), len(self.survivors))
-        v_inv = []
-        if picked:
-            # v is unimodular: its Hermite form is I, so the transform is v^-1
-            v_inv = hermite_factor([{j: x for j, x in enumerate(row) if x} for row in self.v]).u
-        out = [[0] * self.width for _ in picked]
-        for vec, j in zip(out, picked):
-            for k, x in v_inv[j]:
-                vec[self.survivors[k]] = x
-        return out
+        if not picked:
+            return []
+        # v is unimodular: its Hermite form is I, so the transform is v^-1
+        v_inv = hermite_factor([{j: x for j, x in enumerate(row) if x} for row in self.v]).u
+        return [tuple((self.survivors[k], x) for k, x in v_inv[j]) for j in picked]
 
 
 def presentation(rows, width):
     """`Presentation` of Z^width modulo the lattice of sparse rows."""
     pivots, rest = _unit_pivots(rows)
     survivors = sorted(set(range(width)).difference(col for col, _ in pivots))
-    return Presentation(width, pivots, survivors, *_residual_smith(rest, survivors))
+    return Presentation(pivots, survivors, *_residual_smith(rest, survivors))

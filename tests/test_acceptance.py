@@ -240,7 +240,7 @@ def test_criterion_9_determinism(capsys, monkeypatch):
         forestcalc.eta, "eta_tree",
         lambda m, n, tree, coeff=1: plane_eta_tree(m, n, tree, coeff).scale((-1) ** n),
     )
-    forestcalc.eta.eta_matrix.cache_clear()
+    forestcalc.eta._free_rows.cache_clear()
     try:
         for idx in range(len(GOLDEN_COMMANDS)):
             code, out = cli_main_capture(GOLDEN_COMMANDS[idx], capsys)
@@ -249,7 +249,7 @@ def test_criterion_9_determinism(capsys, monkeypatch):
         code, out = cli_main_capture(ODD_ORDER_MILNOR, capsys)
         ok = ok and (code, out) == (0, f"order 1; value: {borromean.scale(-1)}\n")
     finally:
-        forestcalc.eta.eta_matrix.cache_clear()
+        forestcalc.eta._free_rows.cache_clear()
     _verdict(9, "CLI goldens byte-identical across runs and conventions", ok)
 
 

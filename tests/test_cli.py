@@ -287,11 +287,11 @@ def test_sign_robust_across_conventions(capsys, monkeypatch):
         eta_module, "eta_tree",
         lambda m, n, tree, coeff=1: plane_eta_tree(m, n, tree, coeff).scale((-1) ** n),
     )
-    eta_module.eta_matrix.cache_clear()
+    eta_module._free_rows.cache_clear()
     try:
         mirror = _sign_robust_outputs(capsys)
     finally:
-        eta_module.eta_matrix.cache_clear()
+        eta_module._free_rows.cache_clear()
     assert plane[:-1] == mirror[:-1]
     assert mirror[-1] == f"order 1; value: {borromean.scale(-1)}\n"
 

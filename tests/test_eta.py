@@ -1,3 +1,5 @@
+from functools import lru_cache
+
 import pytest
 
 from test_groups import dense_relations, dense_row, sparse_row
@@ -10,7 +12,6 @@ from forestcalc.eta import (
     eta_cokernel_invariants,
     eta_k,
     eta_kernel,
-    eta_matrix,
     eta_tree,
     milnor_from_forest,
 )
@@ -20,10 +21,18 @@ from forestcalc.freelie import (
     bracket_kernel,
     bracket_map,
     k_project_tensor,
+    lyndon_words,
     shape_to_lie,
 )
 from forestcalc.groups import build_group
-from forestcalc.intlinalg import hermite_factor, left_kernel, mat_mul, solve_left
+from forestcalc.intlinalg import (
+    hermite_factor,
+    invariant_factors,
+    left_kernel,
+    mat_mul,
+    presentation,
+    solve_left,
+)
 from forestcalc.trees import (
     FRAMED,
     canonical_framed,
@@ -32,6 +41,93 @@ from forestcalc.trees import (
     multiplicity,
     twisted_tree,
 )
+
+
+# ---------------------------------------------------------------------------
+# the generator-level eta path that the free-summand path replaced, kept as oracle
+
+
+@lru_cache(maxsize=None)
+def _old_eta_matrix(m, n):
+    """eta over every generator of T_n^inf, as sparse rows over the basis of D_n."""
+    group = build_group(m, n, "twisted")
+    kern = bracket_kernel(m, n)
+    images = _eta_images(m, n, range(len(group.generators)))
+    return group, kern, [kern.coordinates(image) if kern.rank else () for image in images]
+
+
+def _old_eta_cokernel(m, n):
+    """coker(eta_n) as (torsion, free rank), from the D_n coordinates of every generator."""
+    _, kern, rows = _old_eta_matrix(m, n)
+    diag = invariant_factors(rows)
+    return sorted(d for d in diag if d > 1), kern.rank - len(diag)
+
+
+def _old_eta_kernel(m, n):
+    """Kernel of eta on T_n^inf: the generator-level kernel lattice modulo every
+    relation row solved in it, with the lifts read off that quotient's summands."""
+    group, _, rows = _old_eta_matrix(m, n)
+    lattice = left_kernel(rows)
+    basis = hermite_factor(lattice)
+    quotient = presentation([solve_left(basis, rel) for rel in group.relations], len(lattice))
+    torsion = [d for d in quotient.diag if d > 1]
+    free = len(quotient.survivors) - len(quotient.diag)
+    forests = []
+    for vec in quotient.summands():
+        lift = {}
+        for i, x in vec:
+            for g, c in lattice[i]:
+                lift[g] = lift.get(g, 0) + x * c
+        forests.append(make_forest(m, [(lift[g], group.generators[g])
+                                       for g in sorted(lift) if lift[g]]))
+    return torsion + [0] * free, forests
+
+
+ORACLE_CELLS = [(m, n) for m in range(1, 5) for n in range(5)] + [(5, 2), (2, 6), (3, 6), (1, 8)]
+
+
+def test_eta_kernel_and_cokernel_match_old_path():
+    # same factors, cokernel and lift strings as the generator-level path,
+    # and each lift in the same class of T_n^inf
+    kernels = 0
+    for m, n in ORACLE_CELLS:
+        factors, lifts = eta_kernel(m, n)
+        old_factors, old_lifts = _old_eta_kernel(m, n)
+        assert factors == old_factors
+        assert eta_cokernel_invariants(m, n) == _old_eta_cokernel(m, n)
+        assert [str(f) for f in lifts] == [str(f) for f in old_lifts]
+        group = build_group(m, n, "twisted")
+        for lift, old in zip(lifts, old_lifts, strict=True):
+            assert group.reduce_forest(lift) == group.reduce_forest(old)
+            kernels += 1
+    assert kernels == 19  # Z/2 (x) L_{(n+2)/4} at n = 2 and 6, and no free part
+
+
+def test_bracket_kernel_rank_is_bracket_onto():
+    # the cokernel's free rank reads rank D_n as m W(m,n+1) - W(m,n+2): the
+    # bracket L_1 (x) L_{n+1} -> L_{n+2} is onto
+    cells = [(m, n) for m in range(1, 5) for n in range(6)] + [(2, 8)]
+    for m, n in cells:
+        rank = m * len(lyndon_words(m, n + 1)) - len(lyndon_words(m, n + 2))
+        assert rank == bracket_kernel(m, n).rank
+
+
+def test_free_summand_images_lie_in_bracket_kernel():
+    # eta_kernel reads eta on the free summands in L_1 (x) L_{n+1}; each
+    # image must lie in D_n, the kernel of the bracket
+    images = 0
+    for m, n in ORACLE_CELLS:
+        snf = build_group(m, n, "twisted").snf
+        free = snf.summands()[sum(d > 1 for d in snf.diag):]
+        gens = sorted({g for row in free for g, _ in row})
+        by_gen = dict(zip(gens, _eta_images(m, n, gens)))
+        for row in free:
+            image = TensorElement.zero(m, n + 1)
+            for g, c in row:
+                image = image + by_gen[g].scale(c)
+            assert bracket_map(image).is_zero
+            images += 1
+    assert images > 100
 
 
 def test_eta_order_zero():
@@ -79,11 +175,11 @@ def test_relation_rows_map_to_zero():
 
 
 def test_relation_coords_against_unfactored_lattice():
-    # eta_kernel factors its kernel lattice once; every relation row must
-    # solve to the coordinates that a fresh solve against the plain lattice
-    # gives, and they must reproduce the row
+    # the old eta path factors its kernel lattice once; every relation row
+    # must solve to the coordinates that a fresh solve against the plain
+    # lattice gives, and they must reproduce the row
     for m, n in [(2, 2), (3, 2), (2, 4), (3, 3)]:
-        group, kern, rows = eta_matrix(m, n)
+        group, kern, rows = _old_eta_matrix(m, n)
         assert kern.rank and group.relations
         lattice = left_kernel(rows)
         basis = hermite_factor(lattice)
@@ -95,14 +191,14 @@ def test_relation_coords_against_unfactored_lattice():
 
 
 def test_table_images_match_eta_tree():
-    # eta_matrix reads each generator's image off the framed table's edges;
+    # _eta_images reads each generator's image off the framed table's edges;
     # eta_tree, which re-roots the nested shapes at each leaf, is the oracle.
     # A twisted image is half of eta(<J,J>), so twice it must be that exactly
     cells = [(m, n) for m in range(1, 5) for n in range(5)] + [(2, 6), (3, 5), (1, 8)]
     twisted = 0
     for m, n in cells:
         generators = build_group(m, n, "twisted").generators
-        images = list(_eta_images(m, n))
+        images = list(_eta_images(m, n, range(len(generators))))
         assert len(images) == len(generators)
         for gen, image in zip(generators, images):
             assert image == eta_tree(m, n, gen)

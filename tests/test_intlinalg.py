@@ -7,10 +7,11 @@ from sympy import ZZ, Matrix
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.matrices.normalforms import smith_normal_form as sympy_domain_snf
 
+from test_eta import _old_eta_matrix
 from test_groups import dense_relations, dense_row, sparse_row
 
 from forestcalc.errors import DomainError
-from forestcalc.eta import eta_matrix, eta_tree
+from forestcalc.eta import eta_tree
 from forestcalc.freelie import _bracket_rows, bracket_kernel
 from forestcalc.groups import build_group
 from forestcalc.intlinalg import (
@@ -265,8 +266,8 @@ def _relation_matrix(m, n, flavor):
 
 
 def _eta_relation_coords(m, n):
-    # the matrix eta_kernel passes to the Smith form
-    group, _, rows = eta_matrix(m, n)
+    # the matrix the old eta path passes to the Smith form
+    group, _, rows = _old_eta_matrix(m, n)
     lattice = left_kernel(rows)
     basis = hermite_factor(lattice)
     return [dense_row(solve_left(basis, sparse_row(rel)), len(lattice))
@@ -555,7 +556,9 @@ def test_presentation_summands_are_smith_unit_vectors():
         summands = quotient.summands()
         assert len(summands) == len(picked)
         basis = hermite_factor(_rows(a))
-        for j, vec in zip(picked, summands):
+        for j, row in zip(picked, summands):
+            vec = dense_row(row, len(a[0]))
+            assert row == sparse_row(vec)  # increasing columns, no zeros
             assert list(quotient.reduce(vec)) == [int(i == j) for i in range(len(survivors))]
             if j < len(diag):
                 assert _in_lattice(basis, [diag[j] * x for x in vec])
@@ -712,7 +715,7 @@ def test_solve_left_matches_old_on_full_row_rank():
     # basis has full row rank, so x is unique and both solvers must give it
     solved = 0
     for m, n in ((4, 3), (5, 2), (3, 3), (2, 4), (4, 2)):
-        group, kern, rows = eta_matrix(m, n)
+        group, kern, rows = _old_eta_matrix(m, n)
         lattice = [dense_row(r, len(group.generators)) for r in left_kernel(rows)]
         cases = [(lattice, dense_relations(group))]
         images = []
