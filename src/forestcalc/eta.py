@@ -38,7 +38,7 @@ from .freelie import (
     word_multiplicity,
 )
 from .groups import FLAVOR_TWISTED, build_group
-from .intlinalg import invariant_factors, left_kernel
+from .intlinalg import left_kernel, presentation
 from .trees import (
     FRAMED,
     TWISTED,
@@ -199,12 +199,13 @@ def eta_cokernel_invariants(m: int, n: int):
     """Invariant factors of coker(eta_n) plus its free rank, as (torsion, free).
 
     The free summands' rows span im(eta).  D_n is a kernel, so saturated in
-    L_1 (x) L_{n+1}, and the torsion is the rows'.  The bracket to L_{n+2}
-    is onto, so D_n has rank m W(m,n+1) - W(m,n+2).
+    L_1 (x) L_{n+1}, and the torsion is that of the rows' presentation.  The
+    bracket to L_{n+2} is onto, so D_n has rank m W(m,n+1) - W(m,n+2).
     """
-    diag = invariant_factors(_free_rows(m, n)[2])
-    rank = m * len(lyndon_words(m, n + 1)) - len(lyndon_words(m, n + 2))
-    return sorted(d for d in diag if d > 1), rank - len(diag)
+    width = m * len(lyndon_words(m, n + 1))
+    snf = presentation(_free_rows(m, n)[2], width)
+    rank = width - len(lyndon_words(m, n + 2))
+    return sorted(d for d in snf.diag if d > 1), rank - len(snf.pivots) - len(snf.diag)
 
 
 def eta_kernel(m: int, n: int):

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import NotPrimitiveError, ParameterError
-from .intlinalg import hermite_factor, invariant_factors, left_kernel, solve_left
+from .intlinalg import hermite_factor, left_kernel, presentation, solve_left
 from .trees import shape_leaves
 
 
@@ -413,7 +413,7 @@ def bracket_kernel(m: int, n: int, k=None) -> BracketKernel:
 def bracket_map_cokernel(m: int, n: int, k=None):
     """Invariant factors of the cokernel of the (restricted) bracket map."""
     _, target_words, rows = _bracket_rows(m, n, k)
-    diag = invariant_factors(rows)
-    # cokernel = Z^{cols - rank} plus torsion from nontrivial factors
-    free = len(target_words) - len(diag)
-    return sorted(d for d in diag if d != 1) + [0] * free
+    snf = presentation(rows, len(target_words))
+    # cokernel: Z/d per factor d > 1 and Z per survivor past the factors
+    free = len(snf.survivors) - len(snf.diag)
+    return sorted(d for d in snf.diag if d != 1) + [0] * free

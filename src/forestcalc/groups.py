@@ -9,9 +9,9 @@ lists of (coeff, tree number) terms, a tree number being a position in the
 generator list before the k bound: a framed term is resolved by
 `FramedTable.term`, a twisted one by its shape id.  `TreeGroup` alone turns
 them into sparse rows, dropping the terms whose tree the k bound removed.
-The invariants come from `invariant_factors` on those rows, and normal
-forms from their `presentation`, built when first read: one coordinate per
-generator that no unit pivot eliminates, over the residual's Smith basis.
+Invariants and normal forms both read the rows' one `presentation`, built
+when first read: one coordinate per generator that no unit pivot eliminates,
+over the Smith basis of the columns the residual names, then the rest.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from itertools import chain
 
 from .errors import DomainError, GeneratorNotFoundError, ParameterError
 from .forest import IntersectionForest
-from .intlinalg import invariant_factors, presentation
+from .intlinalg import presentation
 from .trees import (
     FRAMED,
     TWISTED,
@@ -257,14 +257,11 @@ class TreeGroup:
     def is_zero(self, forest: IntersectionForest) -> bool:
         return self.reduce_forest(forest).is_zero
 
-    @cached_property
-    def _factors(self):
-        return invariant_factors(self.relations)
-
     def invariants(self):
         """(free_rank, [torsion orders]) of the presented group."""
-        free = len(self.generators) - len(self._factors)
-        return free, [d for d in self._factors if d > 1]
+        snf = self.snf
+        free = len(self.generators) - len(snf.pivots) - len(snf.diag)
+        return free, [d for d in snf.diag if d > 1]
 
     def invariants_str(self) -> str:
         free, torsion = self.invariants()

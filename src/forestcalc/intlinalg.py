@@ -3,9 +3,9 @@
 Entries are Python ints, so they may grow past machine words without
 overflow.  Everything here is deterministic.  Matrices are sparse rows,
 ((column, coeff), ...) in increasing column, as `groups` builds relations;
-`invariant_factors` and `presentation` also take {column: coeff} rows, and
-a width is passed where the rows do not fix it.  Inside, rows are
-{column: coeff} dicts, so that work follows the nonzeros.
+`presentation` also takes {column: coeff} rows, and a width is passed where
+the rows do not fix it.  Inside, rows are {column: coeff} dicts, so that
+work follows the nonzeros.
 
 One sparse Hermite core, `_hermite`, serves `left_kernel`, `hermite_factor`
 and the residual Smith form; a transform is carried as extra columns of each
@@ -13,11 +13,10 @@ row.  Rows solved against many targets are factored once with
 `hermite_factor`, which keeps only the rank rows, and `solve_left` takes
 that factor.
 
-Sparse rows also have one elimination of unit pivots, which leaves a small
-residual block, and that block has one Smith form, `_residual_smith`: the
-rank rows of its Hermite form go through the dense `smith_normal_form`.
-`invariant_factors` keeps its diag; `presentation` keeps the pivot rows, for
-normal forms, and the diag with v.
+Sparse rows also have one presentation, `presentation`: an elimination of
+unit pivots leaves a small residual block, and the rank rows of its Hermite
+form go through the dense `smith_normal_form` on only the columns that the
+block names.  Invariants and normal forms are both read off it.
 """
 
 from __future__ import annotations
@@ -249,8 +248,8 @@ def smith_normal_form(matrix):
 
     Returns ``(diag, v)`` where diag is the list of positive invariant
     factors d1 | d2 | ... and v is unimodular; u is not kept.  An all-zero
-    matrix gives ``diag == []`` and ``v`` the identity, so a caller without
-    rows passes ``rows or [[0] * cols]``.
+    matrix gives ``diag == []`` and ``v`` the identity, and no rows give
+    ``([], [])``.
 
     Each step pivots on the first entry of least absolute value in the
     remaining block, clears its row and column by repeated division, and adds
@@ -259,12 +258,12 @@ def smith_normal_form(matrix):
     source entries; the operations, and so diag and v, are those of full
     scans.
 
-    The caller passes the rank rows of a row Hermite form, as
-    `_residual_smith` does.  This elimination never reduces the remaining
-    block, so on arbitrary rows its coefficients can grow without bound: on
-    an 8 x 8 block with entries below 10 it did not finish within a minute.
-    Hermite rows are already reduced above each pivot, and on them it has
-    stayed fast on every block tested.
+    Its one caller, `_residual_smith`, passes the rank rows of a row Hermite
+    form, on the columns that they name.  This elimination never reduces the
+    remaining block, so on arbitrary rows its coefficients can grow without
+    bound: on an 8 x 8 block with entries below 10 it did not finish within
+    a minute.  Hermite rows are already reduced above each pivot, and on
+    them it has stayed fast on every block tested.
     """
     a = [list(row) for row in matrix]
     rows = len(a)
@@ -394,25 +393,19 @@ def _residual_smith(rest, cols):
     at = {j: k for k, j in enumerate(cols)}
     rows = [{at[j]: x for j, x in row.items()} for row in rest]
     placed, _ = _hermite(rows, len(cols))
-    return smith_normal_form([_dense(rows[i].items(), len(cols)) for i in placed]
-                             or [[0] * len(cols)])
-
-
-def invariant_factors(rows):
-    """Invariant factors d1 | d2 | ... of sparse rows: 1 per unit pivot, then the residual's."""
-    pivots, rest = _unit_pivots(rows)
-    diag, _ = _residual_smith(rest, sorted({j for row in rest for j in row}))
-    return [1] * len(pivots) + diag
+    return smith_normal_form([_dense(rows[i].items(), len(cols)) for i in placed])
 
 
 class Presentation:
     """Z^width modulo a row lattice, presented on the columns without a unit pivot.
 
     Built by `presentation`.  Subtracting the pivot rows maps Z^width onto
-    Z^survivors, modulo the residual rows, whose Smith form over the
-    survivors is ``u * residual * v == diag`` for some unimodular u.  So the
-    quotient is Z/d for each d in diag and Z for each survivor past
-    ``len(diag)``, and a survivor vector x has the Smith coordinates x * v.
+    Z^survivors, modulo the residual rows.  `survivors` lists the columns
+    those rows name, over which their Smith form is ``u * residual * v ==
+    diag`` for some unimodular u, then the free generators that no row names.
+    So the quotient is Z/d for each d in diag and Z for each survivor past
+    ``len(diag)``, and a survivor vector x has the coordinates x * v on the
+    named columns, then x itself on the free generators.
     """
 
     def __init__(self, pivots, survivors, diag, v):
@@ -423,30 +416,33 @@ class Presentation:
 
     def reduce(self, vec):
         """Normal form of a vector of Z^width: with the pivot rows subtracted,
-        its survivor part x as x * v, reduced modulo diag."""
+        the coordinates of its survivor part, reduced modulo diag."""
         vec = list(vec)
         for col, row in self.pivots:
             x = vec[col] * row[col]  # a unit pivot is its own inverse
             if x:
                 for j, y in row.items():
                     vec[j] -= x * y
-        w = mat_mul([[vec[j] for j in self.survivors]], self.v)[0]
-        return tuple([x % d for x, d in zip(w, self.diag)] + w[len(self.diag):])
+        x = [vec[j] for j in self.survivors]
+        w = mat_mul([x[:len(self.v)]], self.v)[0] + x[len(self.v):]
+        return tuple([c % d for c, d in zip(w, self.diag)] + w[len(self.diag):])
 
     def summands(self):
-        """Generators of each Z/d, d > 1, then each Z: rows of v^-1 at the
-        survivors, as sparse rows over Z^width, since they may be many and wide."""
+        """Generators of each Z/d, d > 1, then each Z, as sparse rows over
+        Z^width, since they may be many and wide: rows of v^-1 at the named
+        survivors, then one unit row per free generator."""
         picked = [j for j, d in enumerate(self.diag) if d > 1]
-        picked += range(len(self.diag), len(self.survivors))
-        if not picked:
-            return []
+        picked += range(len(self.diag), len(self.v))
         # v is unimodular: its Hermite form is I, so the transform is v^-1
         v_inv = hermite_factor([{j: x for j, x in enumerate(row) if x} for row in self.v]).u
-        return [tuple((self.survivors[k], x) for k, x in v_inv[j]) for j in picked]
+        return ([tuple((self.survivors[k], x) for k, x in v_inv[j]) for j in picked]
+                + [((j, 1),) for j in self.survivors[len(self.v):]])
 
 
 def presentation(rows, width):
     """`Presentation` of Z^width modulo the lattice of sparse rows."""
     pivots, rest = _unit_pivots(rows)
-    survivors = sorted(set(range(width)).difference(col for col, _ in pivots))
-    return Presentation(pivots, survivors, *_residual_smith(rest, survivors))
+    named = sorted({j for row in rest for j in row})
+    taken = set(named).union(col for col, _ in pivots)
+    free = [j for j in range(width) if j not in taken]
+    return Presentation(pivots, named + free, *_residual_smith(rest, named))

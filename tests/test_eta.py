@@ -27,7 +27,6 @@ from forestcalc.freelie import (
 from forestcalc.groups import build_group
 from forestcalc.intlinalg import (
     hermite_factor,
-    invariant_factors,
     left_kernel,
     mat_mul,
     presentation,
@@ -59,7 +58,8 @@ def _old_eta_matrix(m, n):
 def _old_eta_cokernel(m, n):
     """coker(eta_n) as (torsion, free rank), from the D_n coordinates of every generator."""
     _, kern, rows = _old_eta_matrix(m, n)
-    diag = invariant_factors(rows)
+    quotient = presentation(rows, kern.rank)
+    diag = [1] * len(quotient.pivots) + quotient.diag
     return sorted(d for d in diag if d > 1), kern.rank - len(diag)
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from test_freelie import witt
 
+from forestcalc import intlinalg
 from forestcalc.errors import ParameterError
 from forestcalc.forest import make_forest, parse_forest
 from forestcalc.groups import TreeGroup, build_group, enumerate_generators
@@ -195,12 +196,21 @@ def test_element_equality():
     assert e in [0, None, e]
 
 
-def test_invariants_need_neither_snf_nor_dense_relations():
+def test_invariants_and_normal_forms_share_one_elimination(monkeypatch):
+    runs = []
+    unit_pivots = intlinalg._unit_pivots
+
+    def counted(rows):
+        runs.append(len(rows))
+        return unit_pivots(rows)
+
+    monkeypatch.setattr(intlinalg, "_unit_pivots", counted)
     g = TreeGroup(2, 4, "twisted")
     free, torsion = g.invariants()
-    assert "snf" not in vars(g)
-    # the presentation, built on demand, agrees: each survivor is a free
-    # generator or carries a factor of the residual's Smith form
+    g.reduce_forest(make_forest(2, [(1, g.generators[0])]))
+    assert len(runs) == 1
+    # the presentation agrees: each survivor is a free generator or carries
+    # a factor of the residual's Smith form
     snf = g.snf
     assert free == len(snf.survivors) - len(snf.diag)
     assert torsion == [d for d in snf.diag if d > 1]

@@ -19,7 +19,6 @@ from forestcalc.intlinalg import (
     _unit_pivots,
     hermite_factor,
     identity,
-    invariant_factors,
     left_kernel,
     mat_mul,
     presentation,
@@ -39,6 +38,13 @@ def _sparse(matrix):
 def _rows(matrix):
     """The sparse rows ((column, coeff), ...) of a dense matrix."""
     return [sparse_row(row) for row in matrix]
+
+
+def _invariant_factors(rows, width):
+    """Invariant factors d1 | d2 | ... of sparse rows, read off their
+    presentation: 1 per unit pivot, then diag."""
+    quotient = presentation(rows, width)
+    return [1] * len(quotient.pivots) + quotient.diag
 
 
 def _left_kernel(matrix):
@@ -133,7 +139,7 @@ def test_smith_against_sympy():
     rng = random.Random(9)
     for _ in range(30):
         a = _random_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))
-        ours = invariant_factors(_sparse(a))
+        ours = _invariant_factors(_sparse(a), len(a[0]))
         from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
         snf = sympy_snf(Matrix(a))
@@ -303,7 +309,8 @@ def test_smith_repeats_old_operation_sequence():
 
 
 def test_smith_of_zero_row_is_identity():
-    # the callers' "no relations" case: rows or [[0] * cols]
+    # the old presentation's "no residual" case, rows or [[0] * cols], for
+    # which `_old_presentation` takes identity(cols) directly
     for cols in (0, 1, 4):
         assert smith_normal_form([[0] * cols]) == ([], identity(cols))
 
@@ -338,7 +345,7 @@ def test_invariants_bound_coefficient_growth():
         [-1, 3, 3, 9, 9, 2, 0, 2], [-4, 0, 3, -4, 9, 2, 1, 1],
     ]
     start = time.perf_counter()
-    assert invariant_factors(_sparse(a)) == [1] * 7 + [2692221]
+    assert _invariant_factors(_sparse(a), len(a[0])) == [1] * 7 + [2692221]
     assert time.perf_counter() - start < 1.0
     assert _sympy_invariants(a) == [1] * 7 + [2692221]
 
@@ -370,7 +377,7 @@ def test_invariants_against_sympy():
         )
     for a in matrices:
         rows = _sparse(a)
-        assert invariant_factors(rows) == _sympy_invariants(a)
+        assert _invariant_factors(rows, len(a[0])) == _sympy_invariants(a)
         assert rows == _sparse(a)  # the input rows are left as they were
 
 
@@ -564,6 +571,92 @@ def test_presentation_summands_are_smith_unit_vectors():
                 assert _in_lattice(basis, [diag[j] * x for x in vec])
             seen += 1
     assert seen
+
+
+# ---------------------------------------------------------------------------
+# the presentation with its Smith form over every survivor, and the separate
+# elimination for invariant factors, that one presentation on the columns the
+# residual names replaced, kept as oracle
+
+
+class _OldPresentation:
+    """Z^width modulo a row lattice, with the Smith form of the residual
+    rows over every survivor, ``u * residual * v == diag``: a survivor
+    vector x has the Smith coordinates x * v."""
+
+    def __init__(self, pivots, survivors, diag, v):
+        self.pivots = pivots
+        self.survivors = survivors
+        self.diag = diag
+        self.v = v
+
+    def reduce(self, vec):
+        vec = list(vec)
+        for col, row in self.pivots:
+            x = vec[col] * row[col]
+            if x:
+                for j, y in row.items():
+                    vec[j] -= x * y
+        w = mat_mul([[vec[j] for j in self.survivors]], self.v)[0]
+        return tuple([x % d for x, d in zip(w, self.diag)] + w[len(self.diag):])
+
+    def summands(self):
+        picked = [j for j, d in enumerate(self.diag) if d > 1]
+        picked += range(len(self.diag), len(self.survivors))
+        if not picked:
+            return []
+        v_inv = hermite_factor([{j: x for j, x in enumerate(row) if x} for row in self.v]).u
+        return [tuple((self.survivors[k], x) for k, x in v_inv[j]) for j in picked]
+
+
+def _old_presentation(rows, width):
+    """`_OldPresentation` of Z^width modulo sparse rows, its Smith form over
+    every survivor in increasing column, named by a residual row or not."""
+    pivots, rest = _unit_pivots(rows)
+    survivors = sorted(set(range(width)).difference(col for col, _ in pivots))
+    diag, v = _residual_smith(rest, survivors) if rest else ([], identity(len(survivors)))
+    return _OldPresentation(pivots, survivors, diag, v)
+
+
+def _old_invariant_factors(rows):
+    """Invariant factors d1 | d2 | ... of sparse rows: 1 per unit pivot, then the residual's."""
+    pivots, rest = _unit_pivots(rows)
+    diag, _ = _residual_smith(rest, sorted({j for row in rest for j in row}))
+    return [1] * len(pivots) + diag
+
+
+@pytest.mark.parametrize("m, n, flavor", [
+    (4, 3, "framed"), (5, 2, "twisted"), (3, 2, "twisted"), (2, 6, "twisted"),
+    (4, 2, "twisted"), (4, 5, "framed"), (3, 6, "twisted"), (2, 9, "framed"),
+])
+def test_presentation_matches_old_smith_over_all_survivors(m, n, flavor):
+    # same factors and invariants; on each generator the same coordinates
+    # modulo diag, and free coordinates that one column permutation of the
+    # whole group carries onto the old ones; the same torsion summands.
+    # Both subtract the same pivot rows and reduce is linear modulo diag, so
+    # agreement on the survivors' unit vectors carries to every generator's;
+    # every survivor is taken, and every (width // 200)-th generator, so a
+    # cell of fewer than 400 generators is taken whole
+    group = build_group(m, n, flavor)
+    width = len(group.generators)
+    new, old = group.snf, _old_presentation(group.relations, width)
+    assert new.pivots == old.pivots
+    assert new.diag == old.diag
+    factors = _old_invariant_factors(group.relations)
+    assert group.invariants() == (width - len(factors), [d for d in factors if d > 1])
+    cut = len(new.diag)
+    new_free, old_free = [], []
+    for g in sorted(set(old.survivors).union(range(0, width, max(1, width // 200)))):
+        unit = [0] * width
+        unit[g] = 1
+        a, b = new.reduce(unit), old.reduce(unit)
+        assert a[:cut] == b[:cut]
+        new_free.append(a[cut:])
+        old_free.append(b[cut:])
+    assert len(new_free[0]) == len(old_free[0])
+    assert sorted(zip(*new_free)) == sorted(zip(*old_free))
+    torsion = sum(d > 1 for d in new.diag)
+    assert new.summands()[:torsion] == old.summands()[:torsion]
 
 
 # ---------------------------------------------------------------------------
