@@ -1,13 +1,15 @@
 """Command-line front end.
 
 Line-oriented plain-text reports with a --json mirror of the same data.
-Exit codes: 0 success, 1 domain error, 2 parse error.
+Exit codes: 0 success, 1 domain error, 2 parse error.  A reader that closes
+stdout early ends the run with 0 and nothing on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .errors import ForestcalcError, ParameterError, ParseError
@@ -246,7 +248,14 @@ def build_parser():
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: stop quietly, whether the output was still
+        # buffered or not, and let the flush at exit write to nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except ParseError as exc:
         print(f"error[{exc.tag}]: {exc}", file=sys.stderr)
         return 2

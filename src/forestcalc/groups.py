@@ -232,7 +232,7 @@ class TreeGroup:
         """Normal form of the order-n (and matching kind) part of a forest."""
         if forest.m != self.m:
             raise DomainError("index count mismatch")
-        coords = [0] * len(self.generators)
+        coords = {}
         for coeff, tree in forest.terms:
             if not self._selects(tree):
                 continue
@@ -240,8 +240,9 @@ class TreeGroup:
                 raise GeneratorNotFoundError(
                     f"canonical tree {tree} not among generators"
                 )
-            coords[self.index[tree]] += coeff
-        return GroupElement(self, self.snf.reduce(coords))
+            j = self.index[tree]
+            coords[j] = coords.get(j, 0) + coeff
+        return GroupElement(self, self.snf.reduce(coords.items()))
 
     def _selects(self, tree: DecoratedTree) -> bool:
         if tree.kind == FRAMED:

@@ -8,42 +8,22 @@ the rows do not fix it.  Inside, rows are {column: coeff} dicts, so that
 work follows the nonzeros.
 
 One sparse Hermite core, `_hermite`, serves `left_kernel`, `hermite_factor`
-and the residual Smith form; a transform is carried as extra columns of each
-row.  Rows solved against many targets are factored once with
-`hermite_factor`, which keeps only the rank rows, and `solve_left` takes
-that factor.
+and the Smith form; a transform is carried as extra columns of each row.
+Rows solved against many targets are factored once with `hermite_factor`,
+which keeps only the rank rows, and `solve_left` takes that factor.
 
 Sparse rows also have one presentation, `presentation`: an elimination of
-unit pivots leaves a small residual block, and the rank rows of its Hermite
-form go through the dense `smith_normal_form` on only the columns that the
-block names.  Invariants and normal forms are both read off it.
+unit pivots leaves a small residual block, whose Smith form alternates row
+and column Hermite forms on only the columns that the block names.
+Invariants and normal forms are both read off it.
 """
 
 from __future__ import annotations
 
 import heapq
+from math import gcd
 
 from .errors import DomainError
-
-
-def identity(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a, b):
-    if not a or not b:
-        return [[0] * (len(b[0]) if b else 0) for _ in a]
-    cols = len(b[0])
-    out = []
-    for row in a:
-        acc = [0] * cols
-        for x, brow in zip(row, b):
-            if x:
-                for j, y in enumerate(brow):
-                    if y:
-                        acc[j] += x * y
-        out.append(acc)
-    return out
 
 
 def _subtract(rows, where, i, factor, prow):
@@ -118,14 +98,6 @@ def _carrying(rows):
     for i, row in enumerate(out):
         row[width + i] = 1
     return out, width
-
-
-def _dense(pairs, n):
-    """Dense vector of length n with the entries (column, coeff)."""
-    out = [0] * n
-    for j, x in pairs:
-        out[j] = x
-    return out
 
 
 def _split(row, width):
@@ -222,121 +194,6 @@ def solve_left(basis, target):
     return tuple(sorted((j, c) for j, c in x.items() if c))
 
 
-def _pivot(a, t):
-    """Position of the first entry of least absolute value in a[t:][t:].
-
-    Entries are scanned in row-major order and only a strictly smaller one
-    replaces the candidate; nothing is smaller than a unit, so the first unit
-    found ends the search at the same position a full scan would return.
-    """
-    best, least = None, 0
-    for i in range(t, len(a)):
-        row = a[i]
-        for j in range(t, len(row)):
-            x = row[j]
-            if x:
-                x = abs(x)
-                if best is None or x < least:
-                    if x == 1:
-                        return i, j
-                    best, least = (i, j), x
-    return best
-
-
-def smith_normal_form(matrix):
-    """Smith normal form ``u * matrix * v == d`` of a dense matrix.
-
-    Returns ``(diag, v)`` where diag is the list of positive invariant
-    factors d1 | d2 | ... and v is unimodular; u is not kept.  An all-zero
-    matrix gives ``diag == []`` and ``v`` the identity, and no rows give
-    ``([], [])``.
-
-    Each step pivots on the first entry of least absolute value in the
-    remaining block, clears its row and column by repeated division, and adds
-    a row that the pivot does not divide into the pivot row.  A unit pivot
-    ends the search and skips the divisibility scan, and additions skip zero
-    source entries; the operations, and so diag and v, are those of full
-    scans.
-
-    Its one caller, `_residual_smith`, passes the rank rows of a row Hermite
-    form, on the columns that they name.  This elimination never reduces the
-    remaining block, so on arbitrary rows its coefficients can grow without
-    bound: on an 8 x 8 block with entries below 10 it did not finish within
-    a minute.  Hermite rows are already reduced above each pivot, and on
-    them it has stayed fast on every block tested.
-    """
-    a = [list(row) for row in matrix]
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    v = identity(cols)
-
-    def swap_cols(i, j):
-        if i == j:
-            return
-        for mat in (a, v):
-            for row in mat:
-                row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, factor):
-        target = a[dst]
-        for j, x in enumerate(a[src]):
-            if x:
-                target[j] += factor * x
-
-    def add_col(src, dst, factor):
-        for mat in (a, v):
-            for row in mat:
-                x = row[src]
-                if x:
-                    row[dst] += factor * x
-
-    t = 0
-    limit = min(rows, cols)
-    while t < limit:
-        best = _pivot(a, t)
-        if best is None:
-            break
-        a[t], a[best[0]] = a[best[0]], a[t]
-        swap_cols(t, best[1])
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(t + 1, rows):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    add_row(t, i, -q)
-                    if a[i][t]:
-                        a[t], a[i] = a[i], a[t]
-                        dirty = True
-            for j in range(t + 1, cols):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    add_col(t, j, -q)
-                    if a[t][j]:
-                        swap_cols(t, j)
-                        dirty = True
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-        # enforce divisibility of the remaining block by the pivot; a unit
-        # divides everything
-        pivot = a[t][t]
-        offender = None
-        if pivot != 1:
-            for i in range(t + 1, rows):
-                for j in range(t + 1, cols):
-                    if a[i][j] % pivot:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-        if offender is not None:
-            add_row(offender, t, 1)
-            continue
-        t += 1
-    diag = [a[i][i] for i in range(limit) if a[i][i]]
-    return diag, v
-
-
 def _unit_pivots(rows):
     """(pivots, residual rows) of sparse rows, which are not modified.
 
@@ -386,14 +243,57 @@ def _unit_pivots(rows):
 def _residual_smith(rest, cols):
     """``(diag, v)`` of residual rows, with v over the positions in `cols`.
 
-    `cols` holds every column that the rows name, in increasing order.  The
-    rows are put in row Hermite form, the same lattice, and its rank rows
-    go through `smith_normal_form`.
+    `cols` holds every column that the rows name, in increasing order.
+    diag lists the positive invariant factors d1 | d2 | ... and v is
+    unimodular, with ``u * rows * v == diag`` for some unimodular u.
+
+    Row and column Hermite forms alternate until the block is diagonal
+    (Kannan and Bachem, SIAM J. Comput. 8, 1979).  The column form is the
+    row form of the transpose: each column is a sparse row that carries its
+    column of v past every row index, so `_hermite` applies each column
+    operation to v too.  The columns it leaves zero span the kernel and go
+    last in v.  From then on the block is square, and each form reduces
+    every entry against its column's or row's pivot, so no entry exceeds the
+    determinant.  Then, for each pair d_i, d_j with d_i not dividing d_j, a
+    2 x 2 gcd transform of v's columns i and j makes them gcd and lcm.
     """
     at = {j: k for k, j in enumerate(cols)}
     rows = [{at[j]: x for j, x in row.items()} for row in rest]
-    placed, _ = _hermite(rows, len(cols))
-    return smith_normal_form([_dense(rows[i].items(), len(cols)) for i in placed])
+    top = len(rows)
+    columns = [{top + k: 1} for k in range(len(cols))]
+    kernel = []
+    while True:
+        placed, _ = _hermite(rows, len(columns))
+        for i, p in enumerate(placed):
+            for k, x in rows[p].items():
+                columns[k][i] = x
+        r = len(placed)
+        placed, _ = _hermite(columns, r)
+        kept = set(placed)
+        kernel += [col for k, col in enumerate(columns) if k not in kept]
+        columns = [columns[k] for k in placed]  # column k has its pivot in row k
+        rows = [{} for _ in range(r)]
+        for k, col in enumerate(columns):
+            for i in [i for i in col if i < r]:
+                rows[i][k] = col.pop(i)
+        if all(len(row) == 1 for row in rows):
+            break
+    v = [[0] * len(cols) for _ in cols]
+    for k, col in enumerate(columns + kernel):
+        for i, x in col.items():
+            v[i - top][k] = x
+    diag = [row[i] for i, row in enumerate(rows)]
+    for i in range(r):
+        for j in range(i + 1, r):
+            a, b = diag[i], diag[j]
+            if b % a:
+                g = gcd(a, b)
+                s = pow(a // g, -1, b // g)  # s*a + t*b == g
+                t = (g - s * a) // b
+                for row in v:
+                    row[i], row[j] = s * row[i] + t * row[j], (a * row[j] - b * row[i]) // g
+                diag[i], diag[j] = g, a // g * b
+    return diag, v
 
 
 class Presentation:
@@ -401,11 +301,12 @@ class Presentation:
 
     Built by `presentation`.  Subtracting the pivot rows maps Z^width onto
     Z^survivors, modulo the residual rows.  `survivors` lists the columns
-    those rows name, over which their Smith form is ``u * residual * v ==
-    diag`` for some unimodular u, then the free generators that no row names.
-    So the quotient is Z/d for each d in diag and Z for each survivor past
-    ``len(diag)``, and a survivor vector x has the coordinates x * v on the
-    named columns, then x itself on the free generators.
+    those rows name, over which `_residual_smith` gives ``u * residual * v
+    == diag`` for some unimodular u, then the free generators that no row
+    names.  So the quotient is Z/d for each d in diag and Z for each
+    survivor past ``len(diag)``, and a survivor vector x has the
+    coordinates x * v on the named columns, then x itself on the free
+    generators.
     """
 
     def __init__(self, pivots, survivors, diag, v):
@@ -413,18 +314,39 @@ class Presentation:
         self.survivors = survivors
         self.diag = diag
         self.v = v
+        self._step = {col: t for t, (col, _) in enumerate(pivots)}
+        self._place = {j: k for k, j in enumerate(survivors)}
 
     def reduce(self, vec):
-        """Normal form of a vector of Z^width: with the pivot rows subtracted,
-        the coordinates of its survivor part, reduced modulo diag."""
-        vec = list(vec)
-        for col, row in self.pivots:
-            x = vec[col] * row[col]  # a unit pivot is its own inverse
+        """Normal form of a sparse vector ((column, coeff), ...) of Z^width:
+        with the pivot rows subtracted, the coordinates of its survivor part,
+        reduced modulo diag.
+
+        Only the pivots that the vector reaches are visited, in pivot order:
+        a pivot row names no earlier pivot's column, so none is reached again.
+        """
+        vec, step = dict(vec), self._step
+        heap = [step[j] for j in vec if j in step]
+        heapq.heapify(heap)
+        while heap:
+            col, row = self.pivots[heapq.heappop(heap)]
+            x = vec.pop(col, 0) * row[col]  # a unit pivot is its own inverse
             if x:
                 for j, y in row.items():
-                    vec[j] -= x * y
-        x = [vec[j] for j in self.survivors]
-        w = mat_mul([x[:len(self.v)]], self.v)[0] + x[len(self.v):]
+                    if j != col:
+                        if j not in vec and j in step:
+                            heapq.heappush(heap, step[j])
+                        vec[j] = vec.get(j, 0) - x * y
+        w = [0] * len(self.survivors)
+        named = len(self.v)
+        for j, x in vec.items():
+            k = self._place[j]
+            if k >= named:
+                w[k] = x
+            elif x:
+                for i, y in enumerate(self.v[k]):
+                    if y:
+                        w[i] += x * y
         return tuple([c % d for c, d in zip(w, self.diag)] + w[len(self.diag):])
 
     def summands(self):

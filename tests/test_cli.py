@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -261,6 +264,24 @@ def test_missing_file_exit_1(capsys):
     code, _, err = run(capsys, "milnor", "--longitudes", "/nonexistent.lnk")
     assert code == 1
     assert err.startswith("error[io-error]")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_stdout_exits_quietly(unbuffered):
+    # the reader closes stdout before anything is written: the run ends with
+    # 0 and nothing on stderr, whether stdout is buffered or not
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "forestcalc.cli", "normalize", "--m", "2", "+1*<1,2>"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (0, b"")
 
 
 def test_determinism_three_runs(capsys):

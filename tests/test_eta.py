@@ -2,7 +2,7 @@ from functools import lru_cache
 
 import pytest
 
-from test_groups import dense_relations, dense_row, sparse_row
+from test_groups import dense_relations, dense_row, mat_mul, sparse_row
 
 from forestcalc.errors import OrderMismatchError, ParameterError
 from forestcalc.eta import (
@@ -28,7 +28,6 @@ from forestcalc.groups import build_group
 from forestcalc.intlinalg import (
     hermite_factor,
     left_kernel,
-    mat_mul,
     presentation,
     solve_left,
 )

@@ -9,7 +9,6 @@ from forestcalc import intlinalg
 from forestcalc.errors import ParameterError
 from forestcalc.forest import make_forest, parse_forest
 from forestcalc.groups import TreeGroup, build_group, enumerate_generators
-from forestcalc.intlinalg import mat_mul, smith_normal_form
 
 
 def dense_row(pairs, n):
@@ -23,6 +22,110 @@ def dense_row(pairs, n):
 def sparse_row(vec):
     """Sparse row ((column, coeff), ...) of a dense vector."""
     return tuple((j, x) for j, x in enumerate(vec) if x)
+
+
+def identity(n):
+    """The dense n x n identity matrix."""
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def mat_mul(a, b):
+    """The dense product a * b."""
+    if not a or not b:
+        return [[0] * (len(b[0]) if b else 0) for _ in a]
+    cols = len(b[0])
+    out = []
+    for row in a:
+        acc = [0] * cols
+        for x, brow in zip(row, b):
+            if x:
+                for j, y in enumerate(brow):
+                    if y:
+                        acc[j] += x * y
+        out.append(acc)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the dense Smith form that alternating Hermite forms replaced, kept as oracle
+
+
+def _old_smith_normal_form(matrix):
+    """``(diag, v)`` of the dense Smith form ``u * matrix * v == diag``.
+
+    Each step pivots on the first entry of least absolute value in the
+    remaining block (full scans), clears its row and column by repeated
+    division, and adds a row that the pivot does not divide into the pivot
+    row.  It never reduces the remaining block, so its coefficients can grow
+    without bound on arbitrary input; on row Hermite forms it stays fast.
+    Its diag and v are those that normal forms were read from before the
+    residual block was diagonalized by alternating Hermite forms."""
+    a = [list(row) for row in matrix]
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    v = identity(cols)
+
+    def swap_cols(i, j):
+        for mat in (a, v):
+            for row in mat:
+                row[i], row[j] = row[j], row[i]
+
+    def add_row(src, dst, factor):
+        for j in range(cols):
+            a[dst][j] += factor * a[src][j]
+
+    def add_col(src, dst, factor):
+        for mat in (a, v):
+            for row in mat:
+                row[dst] += factor * row[src]
+
+    t = 0
+    limit = min(rows, cols)
+    while t < limit:
+        best = None
+        for i in range(t, rows):
+            for j in range(t, cols):
+                x = a[i][j]
+                if x and (best is None or abs(x) < abs(a[best[0]][best[1]])):
+                    best = (i, j)
+        if best is None:
+            break
+        a[t], a[best[0]] = a[best[0]], a[t]
+        swap_cols(t, best[1])
+        dirty = True
+        while dirty:
+            dirty = False
+            for i in range(t + 1, rows):
+                if a[i][t]:
+                    q = a[i][t] // a[t][t]
+                    add_row(t, i, -q)
+                    if a[i][t]:
+                        a[t], a[i] = a[i], a[t]
+                        dirty = True
+            for j in range(t + 1, cols):
+                if a[t][j]:
+                    q = a[t][j] // a[t][t]
+                    add_col(t, j, -q)
+                    if a[t][j]:
+                        swap_cols(t, j)
+                        dirty = True
+        if a[t][t] < 0:
+            a[t] = [-x for x in a[t]]
+        pivot = a[t][t]
+        offender = None
+        for i in range(t + 1, rows):
+            for j in range(t + 1, cols):
+                if a[i][j] % pivot:
+                    offender = i
+                    break
+            if offender is not None:
+                break
+        if offender is not None:
+            add_row(offender, t, 1)
+            continue
+        t += 1
+    diag = [a[i][i] for i in range(limit) if a[i][i]]
+    return diag, v
 
 
 def dense_relations(group):
@@ -230,7 +333,7 @@ def _dense_normal_forms(group, vectors):
     form with v of the whole dense relation matrix, rows in dense order, and
     x * v reduced modulo diag."""
     rows = sorted(dense_relations(group))
-    diag, v = smith_normal_form(rows or [[0] * len(group.generators)])
+    diag, v = _old_smith_normal_form(rows or [[0] * len(group.generators)])
     forms = []
     for x in vectors:
         w = mat_mul([x], v)[0]

@@ -8,7 +8,14 @@ from sympy.polys.matrices import DomainMatrix
 from sympy.polys.matrices.normalforms import smith_normal_form as sympy_domain_snf
 
 from test_eta import _old_eta_matrix
-from test_groups import dense_relations, dense_row, sparse_row
+from test_groups import (
+    _old_smith_normal_form,
+    dense_relations,
+    dense_row,
+    identity,
+    mat_mul,
+    sparse_row,
+)
 
 from forestcalc.errors import DomainError
 from forestcalc.eta import eta_tree
@@ -18,11 +25,8 @@ from forestcalc.intlinalg import (
     _residual_smith,
     _unit_pivots,
     hermite_factor,
-    identity,
     left_kernel,
-    mat_mul,
     presentation,
-    smith_normal_form,
     solve_left,
 )
 
@@ -147,28 +151,6 @@ def test_smith_against_sympy():
         assert ours == diag
 
 
-def test_smith_transforms():
-    rng = random.Random(13)
-    for _ in range(30):
-        a = _random_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))
-        # the old form repeats the operation sequence, so its u goes with v
-        diag, v = smith_normal_form(a)
-        old_diag, u, old_v = _old_smith_normal_form(a, want_u=True, want_v=True)
-        assert (diag, v) == (old_diag, old_v)
-        d = mat_mul(mat_mul(u, a), v)
-        for i, row in enumerate(d):
-            for j, val in enumerate(row):
-                expect = diag[i] if i == j and i < len(diag) else 0
-                assert val == expect
-        for i in range(len(diag) - 1):
-            assert diag[i + 1] % diag[i] == 0
-        assert all(x > 0 for x in diag)
-
-
-def test_identity():
-    assert identity(3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-
-
 # the (m, n, flavor) cells of the benchmark's tree-groups workload
 TREE_GROUP_CELLS = (
     (2, 5, "framed"), (1, 8, "twisted"), (4, 3, "framed"), (2, 4, "twisted"),
@@ -176,108 +158,8 @@ TREE_GROUP_CELLS = (
 )
 
 
-def _old_smith_normal_form(matrix, want_u=False, want_v=False):
-    """The Smith form with full scans: every pivot search reads the whole
-    remaining block, every pivot is followed by a divisibility scan, and row
-    and column additions touch zero entries too.  The fast form must repeat
-    its operation sequence exactly."""
-    a = [list(row) for row in matrix]
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    u = identity(rows) if want_u else None
-    v = identity(cols) if want_v else None
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        if u is not None:
-            u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        if v is not None:
-            for row in v:
-                row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, factor):
-        for j in range(cols):
-            a[dst][j] += factor * a[src][j]
-        if u is not None:
-            for j in range(rows):
-                u[dst][j] += factor * u[src][j]
-
-    def add_col(src, dst, factor):
-        for row in a:
-            row[dst] += factor * row[src]
-        if v is not None:
-            for row in v:
-                row[dst] += factor * row[src]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        if u is not None:
-            u[i] = [-x for x in u[i]]
-
-    t = 0
-    limit = min(rows, cols)
-    while t < limit:
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                x = a[i][j]
-                if x and (best is None or abs(x) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        swap_rows(t, best[0])
-        swap_cols(t, best[1])
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(t + 1, rows):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    add_row(t, i, -q)
-                    if a[i][t]:
-                        swap_rows(t, i)
-                        dirty = True
-            for j in range(t + 1, cols):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    add_col(t, j, -q)
-                    if a[t][j]:
-                        swap_cols(t, j)
-                        dirty = True
-        if a[t][t] < 0:
-            negate_row(t)
-        pivot = a[t][t]
-        offender = None
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if a[i][j] % pivot:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            add_row(offender, t, 1)
-            continue
-        t += 1
-    diag = [a[i][i] for i in range(limit) if a[i][i]]
-    return diag, u, v
-
-
 def _relation_matrix(m, n, flavor):
     return [list(r) for r in sorted(dense_relations(build_group(m, n, flavor)))]
-
-
-def _eta_relation_coords(m, n):
-    # the matrix the old eta path passes to the Smith form
-    group, _, rows = _old_eta_matrix(m, n)
-    lattice = left_kernel(rows)
-    basis = hermite_factor(lattice)
-    return [dense_row(solve_left(basis, sparse_row(rel)), len(lattice))
-            for rel in dense_relations(group)]
 
 
 def _sparse_relation_like(rng, rows, cols):
@@ -290,29 +172,6 @@ def _sparse_relation_like(rng, rows, cols):
             row[j] = rng.choice((-3, -2, -1, 1, 2, 3))
         out.append(row)
     return out
-
-
-def test_smith_repeats_old_operation_sequence():
-    # identical (diag, v), hence identical lifts and witnesses read off v
-    matrices = [_relation_matrix(*cell) for cell in TREE_GROUP_CELLS]
-    matrices += [_eta_relation_coords(m, n) for m, n in ((4, 3), (5, 2), (3, 3))]
-    # random draws stay at 12 x 12: from about 16 x 16 up, draws of this
-    # kind can hit the coefficient growth that both forms share
-    rng = random.Random(23)
-    matrices += [
-        _sparse_relation_like(rng, rng.randint(1, 12), rng.randint(1, 12))
-        for _ in range(60)
-    ]
-    for a in matrices:
-        diag, _, v = _old_smith_normal_form(a, want_v=True)
-        assert smith_normal_form(a) == (diag, v)
-
-
-def test_smith_of_zero_row_is_identity():
-    # the old presentation's "no residual" case, rows or [[0] * cols], for
-    # which `_old_presentation` takes identity(cols) directly
-    for cols in (0, 1, 4):
-        assert smith_normal_form([[0] * cols]) == ([], identity(cols))
 
 
 def test_tree_group_invariants_against_sympy():
@@ -337,7 +196,9 @@ def _sympy_invariants(matrix):
 
 
 def test_invariants_bound_coefficient_growth():
-    # the dense Smith form does not finish on this matrix within a minute
+    # a dense Smith form that never reduces its remaining block did not
+    # finish on this matrix within a minute; every Hermite form that the
+    # residual's Smith form alternates is reduced
     a = [
         [0, -1, 6, -1, 0, 6, 2, 6], [1, -4, 6, -4, -1, 3, 0, -4],
         [-2, 2, -4, 1, -1, 0, 1, 0], [0, -4, 9, -1, 3, 0, 0, 9],
@@ -483,18 +344,20 @@ def _old_residual_factors(a):
     return (found + [d] * (width - len(found)))[:rank]
 
 
+def _residual(rows):
+    """(rest, columns) of the unit-pivot residual of sparse rows."""
+    _, rest = _unit_pivots(rows)
+    return rest, sorted({j for row in rest for j in row})
+
+
 def _residuals():
     """(rows, columns) of the unit-pivot residuals of the cells with the
     largest residual blocks, and of the seed-23 relation-like draws."""
-    out = []
     rows = [build_group(3, 6, "twisted").relations, build_group(4, 5, "framed").relations]
     rng = random.Random(23)
     rows += [_sparse(_sparse_relation_like(rng, rng.randint(1, 30), rng.randint(1, 30)))
              for _ in range(60)]
-    for r in rows:
-        _, rest = _unit_pivots(r)
-        out.append((rest, sorted({j for row in rest for j in row})))
-    return out
+    return [_residual(r) for r in rows]
 
 
 def test_residual_smith_matches_old_modular():
@@ -505,6 +368,47 @@ def test_residual_smith_matches_old_modular():
     for rest, cols in residuals:
         dense = [[row.get(j, 0) for j in cols] for row in rest]
         assert _residual_smith(rest, cols)[0] == _old_residual_factors(dense)
+
+
+def _growth_draws():
+    """The seed-31 relation-like square blocks: 40 of 48 x 48, then 40 of 64 x 64."""
+    out = []
+    for size in (48, 64):
+        rng = random.Random(31)
+        out += [_sparse_relation_like(rng, size, size) for _ in range(40)]
+    return out
+
+
+def test_residual_smith_contract():
+    # diag is the residual's invariant factors as a divisibility chain, v is
+    # unimodular, and rows * v is zero past len(diag) with its column j
+    # divisible by d_j; with equal factors, the lattices rows * v and diag
+    # are then equal
+    residuals = _residuals() + [_residual(_sparse(a)) for a in _growth_draws()]
+    assert sum(len(cols) > 20 for _, cols in residuals) > 40
+    for rest, cols in residuals:
+        diag, v = _residual_smith(rest, cols)
+        dense = [[row.get(j, 0) for j in cols] for row in rest]
+        assert diag == _old_residual_factors(dense)
+        assert all(d > 0 for d in diag)
+        assert all(b % a == 0 for a, b in zip(diag, diag[1:]))
+        assert _old_minor_rank(v) == (len(cols), 1)
+        for row in mat_mul(dense, v):
+            assert not any(row[len(diag):])
+            assert all(x % d == 0 for x, d in zip(row, diag))
+
+
+def test_presentation_bounds_coefficient_growth():
+    # 3 of these 80 draws, one of 48 x 48 and two of 64 x 64, ran past 3 s
+    # when the residual's Smith form was a dense elimination that never
+    # reduced its remaining block
+    for a in _growth_draws():
+        rows = _sparse(a)
+        start = time.perf_counter()
+        quotient = presentation(rows, len(a[0]))
+        assert time.perf_counter() - start < 1.0
+        rest, cols = _residual(rows)
+        assert quotient.diag == _old_residual_factors([[row.get(j, 0) for j in cols] for row in rest])
 
 
 def _in_lattice(basis, vec):
@@ -541,7 +445,7 @@ def test_presentation_reduce_is_lattice_membership():
             vectors += [combo, nudged, [2 * x for x in nudged]]
         for vec in vectors:
             member = _in_lattice(basis, vec)
-            assert (not any(quotient.reduce(vec))) == member
+            assert (not any(quotient.reduce(sparse_row(vec)))) == member
             verdicts.append(member)
     assert 0 < verdicts.count(False) < verdicts.count(True)
 
@@ -566,7 +470,7 @@ def test_presentation_summands_are_smith_unit_vectors():
         for j, row in zip(picked, summands):
             vec = dense_row(row, len(a[0]))
             assert row == sparse_row(vec)  # increasing columns, no zeros
-            assert list(quotient.reduce(vec)) == [int(i == j) for i in range(len(survivors))]
+            assert list(quotient.reduce(sparse_row(vec))) == [int(i == j) for i in range(len(survivors))]
             if j < len(diag):
                 assert _in_lattice(basis, [diag[j] * x for x in vec])
             seen += 1
@@ -614,14 +518,21 @@ def _old_presentation(rows, width):
     every survivor in increasing column, named by a residual row or not."""
     pivots, rest = _unit_pivots(rows)
     survivors = sorted(set(range(width)).difference(col for col, _ in pivots))
-    diag, v = _residual_smith(rest, survivors) if rest else ([], identity(len(survivors)))
+    diag, v = _old_residual_smith(rest, survivors) if rest else ([], identity(len(survivors)))
     return _OldPresentation(pivots, survivors, diag, v)
+
+
+def _old_residual_smith(rest, cols):
+    """``(diag, v)`` of nonempty residual rows over the columns `cols`: the
+    dense Smith form of the rank rows of their row Hermite form."""
+    h, pivots = _old_row_hermite([[row.get(j, 0) for j in cols] for row in rest])
+    return _old_smith_normal_form(h[:len(pivots)])
 
 
 def _old_invariant_factors(rows):
     """Invariant factors d1 | d2 | ... of sparse rows: 1 per unit pivot, then the residual's."""
     pivots, rest = _unit_pivots(rows)
-    diag, _ = _residual_smith(rest, sorted({j for row in rest for j in row}))
+    diag = _old_residual_smith(rest, sorted({j for row in rest for j in row}))[0] if rest else []
     return [1] * len(pivots) + diag
 
 
@@ -649,7 +560,7 @@ def test_presentation_matches_old_smith_over_all_survivors(m, n, flavor):
     for g in sorted(set(old.survivors).union(range(0, width, max(1, width // 200)))):
         unit = [0] * width
         unit[g] = 1
-        a, b = new.reduce(unit), old.reduce(unit)
+        a, b = new.reduce(sparse_row(unit)), old.reduce(unit)
         assert a[:cut] == b[:cut]
         new_free.append(a[cut:])
         old_free.append(b[cut:])

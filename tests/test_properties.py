@@ -1,6 +1,8 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_groups import sparse_row
+
 from forestcalc.eta import eta
 from forestcalc.forest import forest_add, make_forest, parse_forest
 from forestcalc.groups import GroupElement, build_group
@@ -39,7 +41,7 @@ def test_group_reduction_additive(f, g):
             _raw_coords(grp, g),
         )
     ]
-    assert lhs == GroupElement(grp, grp.snf.reduce(vec))
+    assert lhs == GroupElement(grp, grp.snf.reduce(sparse_row(vec)))
 
 
 def _raw_coords(grp, forest):
