@@ -43,7 +43,6 @@ from .trees import (
     FRAMED,
     TWISTED,
     DecoratedTree,
-    canonical_framed,
     framed_table,
     leaf_rootings,
     multiplicity,
@@ -74,10 +73,9 @@ def eta_tree(m: int, n: int, tree: DecoratedTree, coeff: int = 1) -> TensorEleme
             raise OrderMismatchError(
                 f"twisted tree {tree} has order {tree.order} != {n}/2"
             )
-        pair, sign, _ = canonical_framed(tree.data, tree.data)
         acc = {}
-        for key, c in _eta_framed_raw(m, pair).items():
-            half, rem = divmod(sign * coeff * c, 2)
+        for key, c in _eta_framed_raw(m, (tree.data, tree.data)).items():
+            half, rem = divmod(coeff * c, 2)
             if rem:
                 raise OddCoefficientError(
                     f"odd coefficient halving eta(<J,J>) for {tree}"

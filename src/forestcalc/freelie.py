@@ -21,11 +21,11 @@ detects non-primitive tensors.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import NotPrimitiveError, ParameterError
-from .intlinalg import hermite_factor, left_kernel, presentation, solve_left
+from .intlinalg import left_kernel, presentation
 from .trees import shape_leaves
 
 
@@ -343,15 +343,18 @@ def k_project_tensor(x: TensorElement, k: int) -> TensorElement:
 
 @dataclass(frozen=True)
 class BracketKernel:
-    """Integer basis of the kernel of the (possibly restricted) bracket map."""
+    """Integer basis of the kernel of the (possibly restricted) bracket map.
+
+    `rows` is the kernel lattice's unique basis in row Hermite form, as
+    `left_kernel` returns it: sparse rows over the positions in `domain`,
+    with strictly increasing pivot columns.
+    """
 
     m: int
     n: int
     k: object  # int or None
     domain: tuple  # ordered ((root label, lyndon word), ...)
     rows: tuple  # Hermite-reduced sparse basis rows over `domain`
-    factor: object = field(compare=False, repr=False)  # hermite_factor of `rows`
-    index: dict = field(compare=False, repr=False)  # domain key -> position
 
     @property
     def rank(self):
@@ -363,16 +366,6 @@ class BracketKernel:
             for row in self.rows
         ]
 
-    def coordinates(self, x: TensorElement):
-        """Sparse coordinates of x in this basis (x must lie in the kernel lattice)."""
-        vec = []
-        for key, c in x.coeffs:
-            j = self.index.get(key)
-            if j is None:
-                raise NotPrimitiveError(f"term {key} outside the kernel domain")
-            vec.append((j, c))
-        return solve_left(self.factor, vec)  # the domain is in key order
-
 
 def _bracket_rows(m: int, n: int, k):
     """The (restricted) bracket map L1 (x) L_{n+1} -> L_{n+2} as sparse rows.
@@ -382,6 +375,8 @@ def _bracket_rows(m: int, n: int, k):
     letter's multiplicity, so a restricted domain maps into the restricted
     target.
     """
+    if k is not None and k < 1:
+        raise ParameterError(f"k must be >= 1, got {k}")
     domain = [
         (i, w)
         for i in range(1, m + 1)
@@ -404,10 +399,8 @@ def _bracket_rows(m: int, n: int, k):
 @lru_cache(maxsize=None)
 def bracket_kernel(m: int, n: int, k=None) -> BracketKernel:
     """Basis of D_n (or D_n^k) as the exact integer kernel of the bracket map."""
-    domain, target_words, images = _bracket_rows(m, n, k)
-    rows = left_kernel(images)
-    return BracketKernel(m, n, k, tuple(domain), tuple(rows),
-                         hermite_factor(rows), {key: j for j, key in enumerate(domain)})
+    domain, _, images = _bracket_rows(m, n, k)
+    return BracketKernel(m, n, k, tuple(domain), tuple(left_kernel(images)))
 
 
 def bracket_map_cokernel(m: int, n: int, k=None):

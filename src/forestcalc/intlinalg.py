@@ -1,4 +1,4 @@
-"""Exact integer matrix normal forms: row Hermite form, Smith form, solvers.
+"""Exact integer matrix normal forms: kernels and presentations of row lattices.
 
 Entries are Python ints, so they may grow past machine words without
 overflow.  Everything here is deterministic.  Matrices are sparse rows,
@@ -7,23 +7,19 @@ overflow.  Everything here is deterministic.  Matrices are sparse rows,
 the rows do not fix it.  Inside, rows are {column: coeff} dicts, so that
 work follows the nonzeros.
 
-One sparse Hermite core, `_hermite`, serves `left_kernel`, `hermite_factor`
-and the Smith form; a transform is carried as extra columns of each row.
-Rows solved against many targets are factored once with `hermite_factor`,
-which keeps only the rank rows, and `solve_left` takes that factor.
-
-Sparse rows also have one presentation, `presentation`: an elimination of
-unit pivots leaves a small residual block, whose Smith form alternates row
-and column Hermite forms on only the columns that the block names.
-Invariants and normal forms are both read off it.
+The public surface is `left_kernel` and `presentation`.  One sparse
+Hermite core, `_hermite`, serves both; a transform is carried as extra
+columns of each row.  `presentation` first eliminates unit pivots, which
+leaves a small residual block, whose Smith form alternates row and column
+Hermite forms on only the columns that the block names.  Invariants,
+normal forms and summand generators are all read off that one
+`Presentation`.
 """
 
 from __future__ import annotations
 
 import heapq
 from math import gcd
-
-from .errors import DomainError
 
 
 def _subtract(rows, where, i, factor, prow):
@@ -100,17 +96,6 @@ def _carrying(rows):
     return out, width
 
 
-def _split(row, width):
-    """(entries below `width`, carried entries shifted down by `width`) of a sparse row."""
-    head, tail = [], []
-    for j in sorted(row):
-        if j < width:
-            head.append((j, row[j]))
-        else:
-            tail.append((j - width, row[j]))
-    return tuple(head), tuple(tail)
-
-
 def left_kernel(rows):
     """Basis of the lattice {x : x * rows = 0}, in row Hermite form.
 
@@ -125,73 +110,6 @@ def left_kernel(rows):
               for i, row in enumerate(rows) if i not in taken]
     placed, _ = _hermite(kernel, len(rows))
     return [tuple(sorted(kernel[i].items())) for i in placed]
-
-
-class HermiteFactor:
-    """Row Hermite factorization ``u * rows == h`` of sparse rows.
-
-    Built by `hermite_factor`.  Only the rank rows are kept: `h` and `u`
-    hold each as ((column, coeff), ...) in increasing column, so the pivot
-    is the first entry of an h row, and `pivots` maps a pivot column to its
-    row.  An object rather than a tuple, so that code scanning tuples and
-    lists for coefficient sizes does not read column numbers as entries.
-    """
-
-    __slots__ = ("h", "u", "pivots")
-
-    def __init__(self, h, u, pivots):
-        self.h = h
-        self.u = u
-        self.pivots = pivots
-
-
-def hermite_factor(rows):
-    """Factor sparse rows once, for any number of `solve_left` calls."""
-    rows, width = _carrying(rows)
-    placed, pivots = _hermite(rows, width)
-    halves = [_split(rows[i], width) for i in placed]
-    return HermiteFactor([head for head, _ in halves], [tail for _, tail in halves],
-                         {col: t for t, col in enumerate(pivots)})
-
-
-def solve_left(basis, target):
-    """Solve ``x * rows == target`` over the integers.
-
-    `basis` is the sparse rows or their `hermite_factor`, which is used as
-    it is; plain rows are factored first.  `target` and the returned x are
-    sparse rows, x over the indices of the rows.  Raises DomainError when no
-    integer solution exists.  x is unique when the rows are linearly
-    independent, as a `left_kernel` basis is; otherwise it is one of many.
-
-    The residue's nonzero columns are visited in increasing order: a pivot
-    column subtracts its h row, and any other one has no solution.
-    """
-    if not isinstance(basis, HermiteFactor):
-        basis = hermite_factor(basis)
-    h, u, pivots = basis.h, basis.u, basis.pivots
-    residue = dict(target)
-    heap = sorted(residue)  # sorted, so a heap
-    x = {}
-    while heap:
-        col = heapq.heappop(heap)
-        value = residue[col]
-        if not value:
-            continue
-        t = pivots.get(col)
-        if t is None:
-            raise DomainError("no integer solution (not in row span)")
-        row = h[t]
-        q, r = divmod(value, row[0][1])
-        if r:
-            raise DomainError("no integer solution (divisibility)")
-        for j, y in row:
-            old = residue.get(j, 0)
-            if not old:
-                heapq.heappush(heap, j)
-            residue[j] = old - q * y
-        for j, y in u[t]:
-            x[j] = x.get(j, 0) + q * y
-    return tuple(sorted((j, c) for j, c in x.items() if c))
 
 
 def _unit_pivots(rows):
@@ -352,12 +270,17 @@ class Presentation:
     def summands(self):
         """Generators of each Z/d, d > 1, then each Z, as sparse rows over
         Z^width, since they may be many and wide: rows of v^-1 at the named
-        survivors, then one unit row per free generator."""
+        survivors, then one unit row per free generator.
+
+        v is unimodular, so its Hermite form is I, and the row placed j-th
+        carries row j of v^-1.
+        """
         picked = [j for j, d in enumerate(self.diag) if d > 1]
         picked += range(len(self.diag), len(self.v))
-        # v is unimodular: its Hermite form is I, so the transform is v^-1
-        v_inv = hermite_factor([{j: x for j, x in enumerate(row) if x} for row in self.v]).u
-        return ([tuple((self.survivors[k], x) for k, x in v_inv[j]) for j in picked]
+        rows, width = _carrying([{j: x for j, x in enumerate(row) if x} for row in self.v])
+        placed, _ = _hermite(rows, width)
+        return ([tuple((self.survivors[k - width], x) for k, x in sorted(rows[placed[j]].items())
+                       if k >= width) for j in picked]
                 + [((j, 1),) for j in self.survivors[len(self.v):]])
 
 

@@ -1,10 +1,15 @@
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from forestcalc import eta as eta_module
 from forestcalc.cli import main
@@ -347,3 +352,115 @@ def test_usage_error_is_one_tagged_line(capsys, argv):
     lines = err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("error[syntax-error]:")
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: every input ends with exit 0, 1 or 2, and a nonzero exit with one
+# tagged stderr line; an uncaught exception fails the test with its traceback
+
+TAGGED = re.compile(r"error\[[a-z-]+\]: ")
+
+
+def _check_exit(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in out + err
+    if code:
+        lines = err.splitlines()
+        assert len(lines) == 1 and TAGGED.match(lines[0]), (argv, err)
+    else:
+        assert err == "", (argv, err)
+
+
+@st.composite
+def _garbled(draw, text, alphabet):
+    """text with up to two small random edits (insert, delete or replace);
+    most draws are left whole."""
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        at = draw(st.integers(0, len(text)))
+        cut = draw(st.integers(0, 2))
+        text = text[:at] + draw(st.text(alphabet, max_size=2)) + text[at + cut:]
+    return text
+
+
+def _labels(draw, m):
+    """Labels in 1..m, or, for some draws, anywhere in -1..5."""
+    return st.integers(1, max(m, 1)) if draw(st.booleans()) else st.integers(-1, 5)
+
+
+@st.composite
+def _rooted(draw, leaves, label):
+    if leaves == 1:
+        return str(draw(label))
+    left = draw(st.integers(1, leaves - 1))
+    return f"({draw(_rooted(left, label))},{draw(_rooted(leaves - left, label))})"
+
+
+FOREST_CHARS = "()<>,*+-^inf 0123456789"
+_small = st.integers(-1, 4)
+
+
+@st.composite
+def _forest_argv(draw):
+    """argv of a forest command on forest-grammar text whose terms share
+    one leaf count, so that the order often fits."""
+    command = draw(st.sampled_from(["normalize", "eta", "obstruct", "monoize"]))
+    m = draw(_small)
+    leaves, label = draw(st.integers(2, 5)), _labels(draw, m)
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        c = draw(st.integers(-3, 3))
+        if leaves % 2 or draw(st.booleans()):
+            a = draw(st.integers(1, leaves - 1))
+            terms.append(f"{c:+d}*<{draw(_rooted(a, label))},{draw(_rooted(leaves - a, label))}>")
+        else:
+            terms.append(f"{c:+d}*{draw(_rooted(leaves // 2, label))}^inf")
+    text = draw(st.one_of(_garbled(" + ".join(terms), FOREST_CHARS),
+                          st.text(FOREST_CHARS, max_size=24)))
+    argv = [command, "--m", str(m)]
+    if command in ("eta", "obstruct"):
+        argv += ["--order", str(draw(st.one_of(st.just(leaves - 2), _small)))]
+    if command == "obstruct":
+        argv += ["--flavor", draw(st.sampled_from(["framed", "twisted"]))]
+    if command == "monoize" or (command != "normalize" and draw(st.booleans())):
+        argv += ["--k", str(draw(_small))]
+    return argv + [text]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_forest_argv())
+def test_fuzzed_forest_commands_exit_cleanly(argv):
+    _check_exit(argv)
+
+
+@st.composite
+def _longitude_text(draw):
+    """A longitude file, "m = <int>" then "l<i>: <word>" lines."""
+    m = draw(_small)
+    index, letter = _labels(draw, m), _labels(draw, m)
+    lines = [f"m = {m}"]
+    for i in draw(st.lists(index, max_size=4, unique=True)):
+        word = [f"{draw(st.sampled_from('xX'))}{draw(letter)}"
+                for _ in range(draw(st.integers(0, 6)))]
+        lines.append(f"l{i}: {' '.join(word)}")
+    return draw(_garbled("\n".join(lines), "lmxX0123456789:=# \n"))
+
+
+_option = st.one_of(st.none(), _small.map(str))
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_longitude_text(), _option, _option)
+def test_fuzzed_longitude_files_exit_cleanly(tmp_path, text, cap, k):
+    path = tmp_path / "fuzz.lnk"  # rewritten by every example
+    path.write_text(text)
+    argv = ["milnor", "--longitudes", str(path)]
+    if cap is not None:
+        argv += ["--cap", cap]
+    if k is not None:
+        argv += ["--k", k]
+    _check_exit(argv)

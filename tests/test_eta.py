@@ -2,8 +2,6 @@ from functools import lru_cache
 
 import pytest
 
-from test_groups import dense_relations, dense_row, mat_mul, sparse_row
-
 from forestcalc.errors import OrderMismatchError, ParameterError
 from forestcalc.eta import (
     _eta_images,
@@ -25,12 +23,7 @@ from forestcalc.freelie import (
     shape_to_lie,
 )
 from forestcalc.groups import build_group
-from forestcalc.intlinalg import (
-    hermite_factor,
-    left_kernel,
-    presentation,
-    solve_left,
-)
+from forestcalc.intlinalg import left_kernel, presentation
 from forestcalc.trees import (
     FRAMED,
     canonical_framed,
@@ -45,13 +38,46 @@ from forestcalc.trees import (
 # the generator-level eta path that the free-summand path replaced, kept as oracle
 
 
+def _hermite_solver(rows):
+    """Solver of x * rows == target for sparse rows in row Hermite form, as
+    `left_kernel` returns them (each row's first entry is its pivot, pivot
+    columns increase): the target's least nonzero column names the next
+    pivot, by back-substitution.  x is sparse, and target must lie in the
+    rows' lattice."""
+    at = {row[0][0]: i for i, row in enumerate(rows)}
+
+    def solve(target):
+        residue, x = dict(target), {}
+        while residue:
+            col = min(residue)
+            value = residue.pop(col)
+            if value:
+                assert col in at, "target outside the row span"
+                i = at[col]
+                x[i], r = divmod(value, rows[i][0][1])
+                assert not r, "target outside the lattice"
+                for j, y in rows[i][1:]:
+                    residue[j] = residue.get(j, 0) - x[i] * y
+        return tuple(sorted(x.items()))
+
+    return solve
+
+
+def _kernel_coords(kern):
+    """Coordinates of a tensor in the basis of D_n that `bracket_kernel` gives."""
+    at = {key: j for j, key in enumerate(kern.domain)}
+    solve = _hermite_solver(kern.rows)
+    return lambda image: solve([(at[key], c) for key, c in image.coeffs])
+
+
 @lru_cache(maxsize=None)
 def _old_eta_matrix(m, n):
     """eta over every generator of T_n^inf, as sparse rows over the basis of D_n."""
     group = build_group(m, n, "twisted")
     kern = bracket_kernel(m, n)
     images = _eta_images(m, n, range(len(group.generators)))
-    return group, kern, [kern.coordinates(image) if kern.rank else () for image in images]
+    coords = _kernel_coords(kern)
+    return group, kern, [coords(image) if kern.rank else () for image in images]
 
 
 def _old_eta_cokernel(m, n):
@@ -67,8 +93,8 @@ def _old_eta_kernel(m, n):
     relation row solved in it, with the lifts read off that quotient's summands."""
     group, _, rows = _old_eta_matrix(m, n)
     lattice = left_kernel(rows)
-    basis = hermite_factor(lattice)
-    quotient = presentation([solve_left(basis, rel) for rel in group.relations], len(lattice))
+    solve = _hermite_solver(lattice)
+    quotient = presentation([solve(rel) for rel in group.relations], len(lattice))
     torsion = [d for d in quotient.diag if d > 1]
     free = len(quotient.survivors) - len(quotient.diag)
     forests = []
@@ -173,22 +199,6 @@ def test_relation_rows_map_to_zero():
                 assert eta(make_forest(m, terms), n).is_zero
 
 
-def test_relation_coords_against_unfactored_lattice():
-    # the old eta path factors its kernel lattice once; every relation row
-    # must solve to the coordinates that a fresh solve against the plain
-    # lattice gives, and they must reproduce the row
-    for m, n in [(2, 2), (3, 2), (2, 4), (3, 3)]:
-        group, kern, rows = _old_eta_matrix(m, n)
-        assert kern.rank and group.relations
-        lattice = left_kernel(rows)
-        basis = hermite_factor(lattice)
-        dense_lattice = [dense_row(r, len(group.generators)) for r in lattice]
-        for rel in dense_relations(group):
-            x = dense_row(solve_left(basis, sparse_row(rel)), len(lattice))
-            assert x == dense_row(solve_left(lattice, sparse_row(rel)), len(lattice))
-            assert mat_mul([x], dense_lattice)[0] == list(rel)
-
-
 def test_table_images_match_eta_tree():
     # _eta_images reads each generator's image off the framed table's edges;
     # eta_tree, which re-roots the nested shapes at each leaf, is the oracle.
@@ -235,7 +245,7 @@ def test_eta_k_factorization():
 def test_milnor_from_forest_kernel_membership():
     x = milnor_from_forest(parse_forest("+1*(1,2)^inf", 2), 2)
     kern = bracket_kernel(2, 2)
-    assert kern.coordinates(x) is not None
+    assert _kernel_coords(kern)(x)  # nonzero, and in the lattice, or it asserts
 
 
 def test_eta_iso_orders():

@@ -121,13 +121,14 @@ def test_cokernel_trivial():
             assert bracket_map_cokernel(m, n) == []
 
 
-def test_kernel_coordinates_roundtrip():
-    kern = bracket_kernel(2, 2)
-    basis = kern.basis_elements()
-    if basis:
-        sparse = dict(kern.coordinates(basis[0]))
-        coords = [sparse.get(j, 0) for j in range(kern.rank)]
-        assert coords[0] == 1 and all(c == 0 for c in coords[1:])
+def test_bracket_kernel_rejects_nonpositive_k():
+    # k counts letter multiplicities, as in build_group and eta_k: k <= 0 is
+    # a parameter error, not an empty kernel or a trivial cokernel
+    for k in (0, -1):
+        with pytest.raises(ParameterError, match=f"k must be >= 1, got {k}"):
+            bracket_kernel(2, 2, k)
+        with pytest.raises(ParameterError, match=f"k must be >= 1, got {k}"):
+            bracket_map_cokernel(2, 2, k)
 
 
 def test_k_projection_counts_root():

@@ -7,7 +7,6 @@ from sympy import ZZ, Matrix
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.matrices.normalforms import smith_normal_form as sympy_domain_snf
 
-from test_eta import _old_eta_matrix
 from test_groups import (
     _old_smith_normal_form,
     dense_relations,
@@ -17,17 +16,15 @@ from test_groups import (
     sparse_row,
 )
 
-from forestcalc.errors import DomainError
-from forestcalc.eta import eta_tree
 from forestcalc.freelie import _bracket_rows, bracket_kernel
 from forestcalc.groups import build_group
 from forestcalc.intlinalg import (
+    _carrying,
+    _hermite,
     _residual_smith,
     _unit_pivots,
-    hermite_factor,
     left_kernel,
     presentation,
-    solve_left,
 )
 
 
@@ -57,12 +54,14 @@ def _left_kernel(matrix):
 
 
 def _dense_factor(a):
-    """(h, pivots, u) of hermite_factor on a dense matrix, h and u dense."""
-    factor = hermite_factor(_rows(a))
-    width = len(a[0]) if a else 0
-    h = [dense_row(row, width) for row in factor.h]
-    u = [dense_row(row, len(a)) for row in factor.u]
-    pivots = sorted(factor.pivots)  # pivot columns increase with the row
+    """(h, pivots, u) of the sparse Hermite core on a dense matrix, carrying
+    its transform: the rank rows of h, and of u with u * a == h, dense."""
+    rows, width = _carrying(_rows(a))
+    placed, pivots = _hermite(rows, width)
+    h = [dense_row([(j, x) for j, x in rows[i].items() if j < width], len(a[0]) if a else 0)
+         for i in placed]
+    u = [dense_row([(j - width, x) for j, x in rows[i].items() if j >= width], len(a))
+         for i in placed]
     return h, pivots, u
 
 
@@ -90,53 +89,15 @@ def test_left_kernel_annihilates():
         kern = _left_kernel(a)
         for row in kern:
             assert all(v == 0 for v in mat_mul([row], a)[0])
-        rank = len(hermite_factor(_rows(a)).pivots)
+        rank = len(_dense_factor(a)[1])
         assert rank == len(_old_row_hermite(a)[1])
         assert len(kern) == len(a) - rank
 
 
 def test_left_kernel_saturated():
     # kernel basis solves exact integer membership: 2x - 2y = 0 has (1,-1)
-    kern = left_kernel(_rows([[1, 0], [1, 0]]))
-    assert solve_left(kern, sparse_row([3, -3])) is not None
-
-
-def _solve_or_none(basis, target, height):
-    """Dense x of length height with x * basis == target, or None; `basis` is
-    a dense matrix or a factor, and target a dense vector."""
-    if isinstance(basis, list):
-        basis = _rows(basis)
-    try:
-        return dense_row(solve_left(basis, sparse_row(target)), height)
-    except DomainError:
-        return None
-
-
-def test_solve_left():
-    a = [[2, 0], [0, 3]]
-    x = dense_row(solve_left(_rows(a), sparse_row([4, 9])), 2)
-    assert mat_mul([x], a)[0] == [4, 9]
-    with pytest.raises(DomainError):
-        solve_left(_rows(a), sparse_row([1, 0]))
-    with pytest.raises(DomainError):
-        solve_left(hermite_factor(_rows(a)), sparse_row([1, 0]))
-    # a factored basis solves exactly as the plain matrix, which is factored
-    # afresh on every call, and fails on the same targets
-    rng = random.Random(17)
-    for _ in range(40):
-        a = _random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
-        basis = hermite_factor(_rows(a))
-        coeffs = _random_matrix(rng, 1, len(a), bound=3)
-        targets = [mat_mul(coeffs, a)[0]] + _random_matrix(rng, 3, len(a[0]))
-        for target in targets:
-            x = _solve_or_none(a, target, len(a))
-            assert _solve_or_none(basis, target, len(a)) == x
-            if x is not None:
-                assert mat_mul([x], a)[0] == target
-        assert _solve_or_none(a, targets[0], len(a)) is not None
-    assert dense_row(solve_left(hermite_factor([]), sparse_row([])), 0) == []
-    with pytest.raises(DomainError):
-        solve_left(hermite_factor([]), sparse_row([1]))
+    kern = [dense_row(r, 2) for r in left_kernel(_rows([[1, 0], [1, 0]]))]
+    assert _in_lattice(_old_row_hermite(kern, want_transform=True), [3, -3])
 
 
 def test_smith_against_sympy():
@@ -411,12 +372,10 @@ def test_presentation_bounds_coefficient_growth():
         assert quotient.diag == _old_residual_factors([[row.get(j, 0) for j in cols] for row in rest])
 
 
-def _in_lattice(basis, vec):
-    try:
-        solve_left(basis, sparse_row(vec))
-    except DomainError:
-        return False
-    return True
+def _in_lattice(factor, vec):
+    """Whether vec lies in the row lattice of a matrix, given its dense
+    factor ``_old_row_hermite(matrix, want_transform=True)``."""
+    return _old_solve_left(factor, vec) is not None
 
 
 def test_presentation_reduce_is_lattice_membership():
@@ -433,7 +392,7 @@ def test_presentation_reduce_is_lattice_membership():
     for a in matrices:
         width = len(a[0])
         quotient = presentation(_sparse(a), width)
-        basis = hermite_factor(_rows(a))
+        basis = _old_row_hermite(a, want_transform=True)
         vectors = [list(row) for row in a]
         for _ in range(10):
             combo = [0] * width
@@ -466,7 +425,7 @@ def test_presentation_summands_are_smith_unit_vectors():
         picked = [j for j, d in enumerate(diag) if d > 1] + list(range(len(diag), len(survivors)))
         summands = quotient.summands()
         assert len(summands) == len(picked)
-        basis = hermite_factor(_rows(a))
+        basis = _old_row_hermite(a, want_transform=True)
         for j, row in zip(picked, summands):
             vec = dense_row(row, len(a[0]))
             assert row == sparse_row(vec)  # increasing columns, no zeros
@@ -509,8 +468,9 @@ class _OldPresentation:
         picked += range(len(self.diag), len(self.survivors))
         if not picked:
             return []
-        v_inv = hermite_factor([{j: x for j, x in enumerate(row) if x} for row in self.v]).u
-        return [tuple((self.survivors[k], x) for k, x in v_inv[j]) for j in picked]
+        _, _, v_inv = _old_row_hermite(self.v, want_transform=True)  # v is unimodular: h is I
+        return [tuple((self.survivors[k], x) for k, x in enumerate(v_inv[j]) if x)
+                for j in picked]
 
 
 def _old_presentation(rows, width):
@@ -634,9 +594,10 @@ def _old_left_kernel(matrix):
     return reduced[: len(kp)]
 
 
-def _old_solve_left(matrix, target):
-    """x with x * matrix == target by the dense factor, or None."""
-    h, pivots, u = _old_row_hermite(matrix, want_transform=True)
+def _old_solve_left(factor, target):
+    """x with x * matrix == target, or None, given the matrix's dense factor
+    ``_old_row_hermite(matrix, want_transform=True)``."""
+    h, pivots, u = factor
     rows = len(h)
     if rows == 0:
         return None if any(target) else []
@@ -711,51 +672,3 @@ def test_bracket_kernel_matches_old_dense():
             old = tuple(tuple(row) for row in _old_left_kernel(dense))
             rows = bracket_kernel(m, n, k).rows
             assert tuple(tuple(dense_row(row, len(domain))) for row in rows) == old
-
-
-def test_solve_left_matches_old_on_full_row_rank():
-    # the eta lattices of the benchmark's eta cells against their relation
-    # rows, and the D_n bases against the eta images of the generators: each
-    # basis has full row rank, so x is unique and both solvers must give it
-    solved = 0
-    for m, n in ((4, 3), (5, 2), (3, 3), (2, 4), (4, 2)):
-        group, kern, rows = _old_eta_matrix(m, n)
-        lattice = [dense_row(r, len(group.generators)) for r in left_kernel(rows)]
-        cases = [(lattice, dense_relations(group))]
-        images = []
-        for gen in group.generators:
-            vec = [0] * len(kern.domain)
-            for key, c in eta_tree(m, n, gen).coeffs:
-                vec[kern.index[key]] = c
-            images.append(vec)
-        cases.append(([dense_row(r, len(kern.domain)) for r in kern.rows], images))
-        for basis, targets in cases:
-            assert len(_old_row_hermite(basis)[1]) == len(basis)
-            factor = hermite_factor(_rows(basis))
-            for target in targets:
-                x = dense_row(solve_left(factor, sparse_row(target)), len(basis))
-                assert x == _old_solve_left(basis, list(target))
-                solved += 1
-    assert solved > 1000
-
-
-def test_solve_left_rank_deficient_verdicts():
-    # x is not unique here: the verdict must be the old one, and a returned x
-    # must solve the system
-    rng = random.Random(41)
-    verdicts = []
-    for _ in range(60):
-        a = _with_zero_lines(rng, _rank_deficient(rng))
-        factor = hermite_factor(_rows(a))
-        coeffs = _random_matrix(rng, 2, len(a), bound=3)
-        targets = mat_mul(coeffs, a) + _random_matrix(rng, 2, len(a[0]), bound=2)
-        targets.append([2 * x for x in targets[0]])
-        targets.append([0] * len(a[0]))
-        for target in targets:
-            old = _old_solve_left(a, target)
-            new = _solve_or_none(factor, target, len(a))
-            assert (new is None) == (old is None)
-            if new is not None:
-                assert mat_mul([new], a)[0] == target
-            verdicts.append(new is None)
-    assert 0 < verdicts.count(True) < verdicts.count(False)
