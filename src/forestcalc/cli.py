@@ -177,42 +177,23 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
-def build_parser():
-    parser = _Parser(
-        prog="forestcalc",
-        description="Exact calculus of decorated trees and free Lie algebras.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _common(p, forest=False, need_order=False, k=True, flavor=False, strict=False):
+    # a missing-arguments error names the required ones in this order
+    p.add_argument("--m", type=int, required=True, help="number of indices")
+    if need_order:
+        p.add_argument("--order", type=int, required=True)
+    if k:
+        p.add_argument("--k", type=int, default=None)
+    p.add_argument("--json", action="store_true")
+    if forest:
+        p.add_argument("forest", help="forest in the bracket grammar")
+    if flavor:
+        p.add_argument("--flavor", choices=["framed", "twisted"], required=True)
+    if strict:
+        p.add_argument("--strict-collapse", action="store_true")
 
-    def common(p, forest=False, need_order=False, k=True):
-        p.add_argument("--m", type=int, required=True, help="number of indices")
-        if need_order:
-            p.add_argument("--order", type=int, required=True)
-        if k:
-            p.add_argument("--k", type=int, default=None)
-        p.add_argument("--json", action="store_true")
-        if forest:
-            p.add_argument("forest", help="forest in the bracket grammar")
 
-    p = sub.add_parser("normalize", help="parse and canonically print a forest")
-    common(p, forest=True, k=False)
-    p.set_defaults(func=cmd_normalize)
-
-    p = sub.add_parser("group", help="invariants of a tree group")
-    common(p, need_order=True)
-    p.add_argument("--flavor", choices=["framed", "twisted"], required=True)
-    p.set_defaults(func=cmd_group)
-
-    p = sub.add_parser("obstruct", help="test a forest for zero in a tree group")
-    common(p, forest=True, need_order=True)
-    p.add_argument("--flavor", choices=["framed", "twisted"], required=True)
-    p.set_defaults(func=cmd_obstruct)
-
-    p = sub.add_parser("eta", help="summation map of a forest")
-    common(p, forest=True, need_order=True)
-    p.set_defaults(func=cmd_eta)
-
-    p = sub.add_parser("milnor", help="first nonvanishing invariant")
+def _milnor_args(p):
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--order", type=int, default=None)
     p.add_argument("--k", type=int, default=None)
@@ -220,34 +201,57 @@ def build_parser():
     p.add_argument("--longitudes", default=None, help="longitude file path")
     p.add_argument("--json", action="store_true")
     p.add_argument("forest", nargs="?", default=None)
-    p.set_defaults(func=cmd_milnor)
 
-    p = sub.add_parser("lie", help="Lyndon bracket basis of a graded piece")
-    common(p, need_order=True, k=False)
-    p.set_defaults(func=cmd_lie)
 
-    p = sub.add_parser("arf", help="twist classes and the order-2j kernel")
-    common(p, need_order=True)
-    p.set_defaults(func=cmd_arf)
-
-    p = sub.add_parser("collapse", help="one edge collapse on a single term")
-    common(p, k=False)
-    p.add_argument("--strict-collapse", action="store_true")
+def _collapse_args(p):
+    _common(p, k=False, strict=True)
     p.add_argument("term", help="single signed term")
     p.add_argument("label", type=int)
-    p.set_defaults(func=cmd_collapse)
 
-    p = sub.add_parser("monoize", help="collapse a forest to mono-labeled trees")
-    common(p, forest=True)
-    p.add_argument("--strict-collapse", action="store_true")
-    p.set_defaults(func=cmd_monoize)
 
+# name -> (help, handler, adds the arguments), in the order --help lists them
+_COMMANDS = {
+    "normalize": ("parse and canonically print a forest", cmd_normalize,
+                  lambda p: _common(p, forest=True, k=False)),
+    "group": ("invariants of a tree group", cmd_group,
+              lambda p: _common(p, need_order=True, flavor=True)),
+    "obstruct": ("test a forest for zero in a tree group", cmd_obstruct,
+                 lambda p: _common(p, forest=True, need_order=True, flavor=True)),
+    "eta": ("summation map of a forest", cmd_eta,
+            lambda p: _common(p, forest=True, need_order=True)),
+    "milnor": ("first nonvanishing invariant", cmd_milnor, _milnor_args),
+    "lie": ("Lyndon bracket basis of a graded piece", cmd_lie,
+            lambda p: _common(p, need_order=True, k=False)),
+    "arf": ("twist classes and the order-2j kernel", cmd_arf,
+            lambda p: _common(p, need_order=True)),
+    "collapse": ("one edge collapse on a single term", cmd_collapse, _collapse_args),
+    "monoize": ("collapse a forest to mono-labeled trees", cmd_monoize,
+                lambda p: _common(p, forest=True, strict=True)),
+}
+
+
+def build_parser(command=None):
+    """The top-level parser with the subparser of `command` only, or of
+    every command when `command` is None or names none, so that help and
+    usage errors still list them all."""
+    parser = _Parser(
+        prog="forestcalc",
+        description="Exact calculus of decorated trees and free Lie algebras.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, func, add_arguments) in _COMMANDS.items():
+        if command in _COMMANDS and name != command:
+            continue
+        p = sub.add_parser(name, help=help_text)
+        add_arguments(p)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()
         return code

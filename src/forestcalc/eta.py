@@ -173,9 +173,11 @@ def _eta_images(m: int, n: int, gens):
 
 @lru_cache(maxsize=None)
 def _free_rows(m: int, n: int):
-    """(group, summands, rows): the twisted T_n, its presentation's summands,
-    and eta of each free summand, read on the generators it names, as a
-    sparse row over the (label, Lyndon word) keys of L_1 (x) L_{n+1}.
+    """(group, summands, rows, snf): the twisted T_n, its presentation's
+    summands, eta of each free summand, read on the generators it names, as
+    a sparse row over the (label, Lyndon word) keys of L_1 (x) L_{n+1}, and
+    the `Presentation` of those rows, which both eta_kernel and
+    eta_cokernel_invariants read.
     """
     group = build_group(m, n, FLAVOR_TWISTED)
     summands = group.snf.summands()
@@ -190,7 +192,8 @@ def _free_rows(m: int, n: int):
                 j = cols.setdefault(key, len(cols))
                 acc[j] = acc.get(j, 0) + c * x
         rows.append(tuple(sorted((j, x) for j, x in acc.items() if x)))
-    return group, summands, rows
+    snf = presentation(rows, m * len(lyndon_words(m, n + 1)))
+    return group, summands, rows, snf
 
 
 def eta_cokernel_invariants(m: int, n: int):
@@ -200,9 +203,8 @@ def eta_cokernel_invariants(m: int, n: int):
     L_1 (x) L_{n+1}, and the torsion is that of the rows' presentation.  The
     bracket to L_{n+2} is onto, so D_n has rank m W(m,n+1) - W(m,n+2).
     """
-    width = m * len(lyndon_words(m, n + 1))
-    snf = presentation(_free_rows(m, n)[2], width)
-    rank = width - len(lyndon_words(m, n + 2))
+    snf = _free_rows(m, n)[3]
+    rank = m * len(lyndon_words(m, n + 1)) - len(lyndon_words(m, n + 2))
     return sorted(d for d in snf.diag if d > 1), rank - len(snf.pivots) - len(snf.diag)
 
 
@@ -212,12 +214,14 @@ def eta_kernel(m: int, n: int):
     D_n is torsion-free, so the kernel is the torsion of T_n^inf plus that
     of eta on its free summands.  The lifts are the torsion summands, then
     the free ones combined by the Hermite basis of the left kernel of their
-    eta rows; only their classes are fixed, not their strings.
+    eta rows; only their classes are fixed, not their strings.  The rows'
+    presentation gives their rank, and the left kernel is computed only
+    when that is below the row count.
     """
-    group, summands, rows = _free_rows(m, n)
+    group, summands, rows, snf = _free_rows(m, n)
     torsion = [d for d in group.snf.diag if d > 1]
     free, gens = summands[len(torsion):], group.generators
-    kernel = left_kernel(rows)
+    kernel = left_kernel(rows) if len(snf.pivots) + len(snf.diag) < len(rows) else []
     lifts = [[(c, gens[g]) for g, c in row] for row in summands[:len(torsion)]]
     lifts += [[(c * y, gens[g]) for i, c in x for g, y in free[i]] for x in kernel]
     return torsion + [0] * len(kernel), [make_forest(m, terms) for terms in lifts]

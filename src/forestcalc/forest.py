@@ -17,7 +17,7 @@ most that deep in any presentation; printed forests always parse back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     DomainError,
@@ -35,15 +35,11 @@ from .trees import ROOTED, DecoratedTree, framed_tree, twisted_tree
 MAX_NESTING = 100
 
 
-@dataclass(frozen=True)
-class IntersectionForest:
+class IntersectionForest(NamedTuple):
     """Merged multiset of signed framed trees and integer-weighted inf-trees."""
 
     m: int
     terms: tuple  # ((coeff, DecoratedTree), ...) canonical, sorted, no zeros
-
-    def __iter__(self):
-        return iter(self.terms)
 
     @property
     def is_zero(self) -> bool:

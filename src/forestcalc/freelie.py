@@ -21,8 +21,8 @@ detects non-primitive tensors.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import NotPrimitiveError, ParameterError
 from .intlinalg import left_kernel, presentation
@@ -93,18 +93,25 @@ def shape_tensor(shape) -> tuple:
     return tuple(sorted((w, c) for w, c in acc.items() if c))
 
 
-@dataclass(frozen=True)
-class SparseVector:
+class SparseVector(NamedTuple):
     """Sparse integer vector of a graded piece: sorted (key, coeff) pairs.
 
     ``coeffs`` holds no zeros.  Arithmetic keeps the operand's class, ``m``
     and ``degree``; equality compares the class too, so a Lie element never
-    equals a tensor with the same pairs.
+    equals a tensor, or a plain tuple, with the same fields.
     """
 
     m: int
     degree: int
     coeffs: tuple  # sorted ((key, coeff), ...), no zeros
+
+    def __eq__(self, other):
+        return type(self) is type(other) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = tuple.__hash__
 
     @classmethod
     def make(cls, m, degree, mapping):
@@ -142,6 +149,8 @@ class LieElement(SparseVector):
 
     Keys are Lyndon words (basis brackets); ``degree`` is their length.
     """
+
+    __slots__ = ()
 
     def tensor(self) -> dict:
         """Expansion in the tensor algebra (word -> coefficient)."""
@@ -305,6 +314,8 @@ class TensorElement(SparseVector):
     the right-hand Lie factor (= n + 1).
     """
 
+    __slots__ = ()
+
     def __str__(self):
         if not self.coeffs:
             return "0"
@@ -341,8 +352,7 @@ def k_project_tensor(x: TensorElement, k: int) -> TensorElement:
 # the bracket kernel D_n
 
 
-@dataclass(frozen=True)
-class BracketKernel:
+class BracketKernel(NamedTuple):
     """Integer basis of the kernel of the (possibly restricted) bracket map.
 
     `rows` is the kernel lattice's unique basis in row Hermite form, as

@@ -16,9 +16,9 @@ over the Smith basis of the columns the residual names, then the rest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain
+from typing import NamedTuple
 
 from .errors import DomainError, GeneratorNotFoundError, ParameterError
 from .forest import IntersectionForest
@@ -160,8 +160,7 @@ def _partner(join, a, w, b, up):
     return node
 
 
-@dataclass(frozen=True)
-class GroupElement:
+class GroupElement(NamedTuple):
     group: "TreeGroup"
     coords: tuple  # one per surviving generator, over the residual's Smith basis
 
@@ -270,8 +269,17 @@ class TreeGroup:
         return " + ".join(parts)
 
 
-@lru_cache(maxsize=None)
 def build_group(m: int, n: int, flavor: str, k=None) -> TreeGroup:
+    """The group of (m, n, flavor, k), built once however k is passed."""
+    return _build_group(m, n, flavor, k)
+
+
+@lru_cache(maxsize=None)
+def _build_group(m, n, flavor, k):
     if m < 1 or n < 0:
         raise ParameterError("build_group requires m >= 1, n >= 0")
     return TreeGroup(m, n, flavor, k)
+
+
+# a caller timing a cold build clears the one cache through the public name
+build_group.cache_clear = _build_group.cache_clear

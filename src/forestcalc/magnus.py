@@ -9,7 +9,7 @@ of that part.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     BracketNonzeroError,
@@ -77,8 +77,7 @@ def _degree_part(word, degree: int) -> dict:
     return parts[degree]
 
 
-@dataclass(frozen=True)
-class LongitudeData:
+class LongitudeData(NamedTuple):
     m: int
     words: tuple  # index i-1 -> parsed word for longitude l_i
 
@@ -125,8 +124,7 @@ class AllVanishing(Exception):
         self.cap = cap
 
 
-@dataclass(frozen=True)
-class MilnorResult:
+class MilnorResult(NamedTuple):
     order: int  # n: first nonvanishing order
     value: TensorElement  # mu in L1 (x) L_{n+1}
     table: tuple  # ((word, longitude index, coefficient), ...)

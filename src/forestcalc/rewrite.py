@@ -9,7 +9,7 @@ off-label leaves drives every tree in a forest to a mono-labeled one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError, HypothesisViolationError, ParameterError
 from .forest import IntersectionForest, make_forest
@@ -24,8 +24,7 @@ from .trees import (
 )
 
 
-@dataclass(frozen=True)
-class CollapseStep:
+class CollapseStep(NamedTuple):
     """One rewrite step: (coeff, tree) at label -> replacement terms."""
 
     coeff: int

@@ -40,10 +40,10 @@ built once from the keys its two branches returned.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .errors import DomainError, ParameterError
 
@@ -204,8 +204,7 @@ def leaf_rootings(half_a, half_b):
 # decorated trees
 
 
-@dataclass(frozen=True)
-class DecoratedTree:
+class DecoratedTree(NamedTuple):
     """A canonical framed, rooted, or twisted tree.
 
     Instances are only built by the canonicalizing factories below, so two
@@ -287,8 +286,7 @@ def canonicalize_tree(tree: DecoratedTree):
 # statistics and products
 
 
-@dataclass(frozen=True)
-class TreeStats:
+class TreeStats(NamedTuple):
     order: int
     degree: int
     r: dict

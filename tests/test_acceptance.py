@@ -236,13 +236,23 @@ def test_criterion_9_determinism(capsys, monkeypatch):
     import forestcalc.eta
 
     plane_eta_tree = forestcalc.eta.eta_tree
+    plane_eta_images = forestcalc.eta._eta_images
+    reached = set()  # goldens whose eta_kernel read an image in the mirror convention
+
+    def mirror_eta_images(m, n, gens):
+        for image in plane_eta_images(m, n, gens):
+            reached.add(golden)
+            yield image.scale((-1) ** n)
+
     monkeypatch.setattr(
         forestcalc.eta, "eta_tree",
         lambda m, n, tree, coeff=1: plane_eta_tree(m, n, tree, coeff).scale((-1) ** n),
     )
+    monkeypatch.setattr(forestcalc.eta, "_eta_images", mirror_eta_images)
     forestcalc.eta._free_rows.cache_clear()
     try:
         for idx in range(len(GOLDEN_COMMANDS)):
+            golden = GOLDEN_COMMANDS[idx][0]
             code, out = cli_main_capture(GOLDEN_COMMANDS[idx], capsys)
             if (code, out) != baseline[idx]:
                 ok = False
@@ -250,6 +260,7 @@ def test_criterion_9_determinism(capsys, monkeypatch):
         ok = ok and (code, out) == (0, f"order 1; value: {borromean.scale(-1)}\n")
     finally:
         forestcalc.eta._free_rows.cache_clear()
+    ok = ok and "arf" in reached
     _verdict(9, "CLI goldens byte-identical across runs and conventions", ok)
 
 

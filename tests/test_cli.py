@@ -309,10 +309,19 @@ def test_sign_robust_across_conventions(capsys, monkeypatch):
     plane = _sign_robust_outputs(capsys)
     assert plane[-1] == f"order 1; value: {borromean}\n"
     plane_eta_tree = eta_module.eta_tree
+    plane_eta_images = eta_module._eta_images
+    reached = []  # the (m, n) of each image eta_kernel read in the mirror convention
+
+    def mirror_eta_images(m, n, gens):
+        for image in plane_eta_images(m, n, gens):
+            reached.append((m, n))
+            yield image.scale((-1) ** n)
+
     monkeypatch.setattr(
         eta_module, "eta_tree",
         lambda m, n, tree, coeff=1: plane_eta_tree(m, n, tree, coeff).scale((-1) ** n),
     )
+    monkeypatch.setattr(eta_module, "_eta_images", mirror_eta_images)
     eta_module._free_rows.cache_clear()
     try:
         mirror = _sign_robust_outputs(capsys)
@@ -320,6 +329,7 @@ def test_sign_robust_across_conventions(capsys, monkeypatch):
         eta_module._free_rows.cache_clear()
     assert plane[:-1] == mirror[:-1]
     assert mirror[-1] == f"order 1; value: {borromean.scale(-1)}\n"
+    assert (2, 2) in reached  # the arf kernel went through the mirror reading
 
 
 def _sign_robust_outputs(capsys):
@@ -352,6 +362,69 @@ def test_usage_error_is_one_tagged_line(capsys, argv):
     lines = err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("error[syntax-error]:")
+
+
+# ---------------------------------------------------------------------------
+# cold start: a command builds only its own subparser, and importing the CLI
+# pulls in no code generation; help and usage errors still list every command
+
+EVERY_COMMAND = "{normalize,group,obstruct,eta,milnor,lie,arf,collapse,monoize}"
+
+
+def test_import_loads_no_dataclasses_or_inspect():
+    code = (
+        "import sys; before = set(sys.modules); import forestcalc.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout == "[]\n"
+
+
+def test_unknown_command_lists_every_command(capsys):
+    assert run(capsys, "bogus") == (
+        2, "",
+        "error[syntax-error]: argument command: invalid choice: 'bogus' (choose from "
+        "'normalize', 'group', 'obstruct', 'eta', 'milnor', 'lie', 'arf', 'collapse', "
+        "'monoize')\n",
+    )
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"]])
+def test_top_level_help_lists_every_command(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:3] == ["usage: forestcalc [-h]", " " * 18 + EVERY_COMMAND, " " * 18 + "..."]
+    assert lines[7:17] == [
+        "  " + EVERY_COMMAND,
+        "    normalize           parse and canonically print a forest",
+        "    group               invariants of a tree group",
+        "    obstruct            test a forest for zero in a tree group",
+        "    eta                 summation map of a forest",
+        "    milnor              first nonvanishing invariant",
+        "    lie                 Lyndon bracket basis of a graded piece",
+        "    arf                 twist classes and the order-2j kernel",
+        "    collapse            one edge collapse on a single term",
+        "    monoize             collapse a forest to mono-labeled trees",
+    ]
+
+
+def test_command_help_and_missing_arguments(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit):
+        main(["obstruct", "--help"])
+    assert capsys.readouterr().out.splitlines()[:2] == [
+        "usage: forestcalc obstruct [-h] --m M --order ORDER [--k K] [--json] --flavor",
+        "                           {framed,twisted}",
+    ]
+    assert run(capsys, "obstruct") == (
+        2, "",
+        "error[syntax-error]: the following arguments are required: "
+        "--m, --order, forest, --flavor\n",
+    )
 
 
 # ---------------------------------------------------------------------------

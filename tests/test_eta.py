@@ -5,6 +5,7 @@ import pytest
 from forestcalc.errors import OrderMismatchError, ParameterError
 from forestcalc.eta import (
     _eta_images,
+    _free_rows,
     arf_classes,
     eta,
     eta_cokernel_invariants,
@@ -126,6 +127,26 @@ def test_eta_kernel_and_cokernel_match_old_path():
             assert group.reduce_forest(lift) == group.reduce_forest(old)
             kernels += 1
     assert kernels == 19  # Z/2 (x) L_{(n+2)/4} at n = 2 and 6, and no free part
+
+
+def test_kernel_skipped_only_at_full_rank():
+    # eta_kernel reads the rank of the free summands' eta rows off their
+    # presentation, pivots plus diag, and skips left_kernel when it is the
+    # row count; at every cell the tests read (the arf goldens and the
+    # acceptance cells among them), rank plus left_kernel's rank is the row
+    # count, and eta_kernel finds as many free kernel classes as left_kernel
+    kernels = 0
+    for m, n in ORACLE_CELLS:
+        _, _, rows, snf = _free_rows(m, n)
+        kernel = left_kernel(rows)
+        assert len(snf.pivots) + len(snf.diag) + len(kernel) == len(rows)
+        assert eta_kernel(m, n)[0].count(0) == len(kernel)
+        kernels += len(kernel)
+    assert kernels == 0  # eta is injective on the free summands at every cell
+    # the same rule on rows that have a kernel
+    rows = [((0, 2), (1, 4)), ((0, 1), (1, 2)), ((1, 3),), ((0, 3), (1, 9))]
+    snf = presentation(rows, 2)
+    assert len(snf.pivots) + len(snf.diag) == 2 == len(rows) - len(left_kernel(rows))
 
 
 def test_bracket_kernel_rank_is_bracket_onto():

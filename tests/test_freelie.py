@@ -70,7 +70,10 @@ def test_bracket_antisymmetry_and_jacobi():
 def test_arithmetic_keeps_class_and_equality_is_type_strict():
     lie = LieElement.make(2, 1, {(1,): 2, (2,): -1})
     tensor = TensorElement.make(2, 1, {(1,): 2, (2,): -1})
-    assert lie != tensor
+    assert lie != tensor and not lie == tensor
+    pairs = (((1,), 2), ((2,), -1))
+    assert LieElement(2, 1, pairs) != TensorElement(2, 1, pairs)
+    assert LieElement(2, 1, pairs) == lie != (2, 1, pairs)
     for x in (lie, tensor):
         assert type(x + x) is type(x) and type(x - x) is type(x)
         assert (x - x) == type(x).zero(2, 1) and (x - x).is_zero
