@@ -177,7 +177,7 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
-def _common(p, forest=False, need_order=False, k=True, flavor=False, strict=False):
+def _common(p, forest=False, need_order=False, k=True):
     # a missing-arguments error names the required ones in this order
     p.add_argument("--m", type=int, required=True, help="number of indices")
     if need_order:
@@ -187,10 +187,11 @@ def _common(p, forest=False, need_order=False, k=True, flavor=False, strict=Fals
     p.add_argument("--json", action="store_true")
     if forest:
         p.add_argument("forest", help="forest in the bracket grammar")
-    if flavor:
-        p.add_argument("--flavor", choices=["framed", "twisted"], required=True)
-    if strict:
-        p.add_argument("--strict-collapse", action="store_true")
+
+
+def _group_args(p, forest=False):
+    _common(p, forest=forest, need_order=True)
+    p.add_argument("--flavor", choices=["framed", "twisted"], required=True)
 
 
 def _milnor_args(p):
@@ -204,19 +205,24 @@ def _milnor_args(p):
 
 
 def _collapse_args(p):
-    _common(p, k=False, strict=True)
+    _common(p, k=False)
+    p.add_argument("--strict-collapse", action="store_true")
     p.add_argument("term", help="single signed term")
     p.add_argument("label", type=int)
+
+
+def _monoize_args(p):
+    _common(p, forest=True)
+    p.add_argument("--strict-collapse", action="store_true")
 
 
 # name -> (help, handler, adds the arguments), in the order --help lists them
 _COMMANDS = {
     "normalize": ("parse and canonically print a forest", cmd_normalize,
                   lambda p: _common(p, forest=True, k=False)),
-    "group": ("invariants of a tree group", cmd_group,
-              lambda p: _common(p, need_order=True, flavor=True)),
+    "group": ("invariants of a tree group", cmd_group, _group_args),
     "obstruct": ("test a forest for zero in a tree group", cmd_obstruct,
-                 lambda p: _common(p, forest=True, need_order=True, flavor=True)),
+                 lambda p: _group_args(p, forest=True)),
     "eta": ("summation map of a forest", cmd_eta,
             lambda p: _common(p, forest=True, need_order=True)),
     "milnor": ("first nonvanishing invariant", cmd_milnor, _milnor_args),
@@ -225,8 +231,7 @@ _COMMANDS = {
     "arf": ("twist classes and the order-2j kernel", cmd_arf,
             lambda p: _common(p, need_order=True)),
     "collapse": ("one edge collapse on a single term", cmd_collapse, _collapse_args),
-    "monoize": ("collapse a forest to mono-labeled trees", cmd_monoize,
-                lambda p: _common(p, forest=True, strict=True)),
+    "monoize": ("collapse a forest to mono-labeled trees", cmd_monoize, _monoize_args),
 }
 
 

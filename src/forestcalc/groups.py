@@ -269,17 +269,8 @@ class TreeGroup:
         return " + ".join(parts)
 
 
-def build_group(m: int, n: int, flavor: str, k=None) -> TreeGroup:
-    """The group of (m, n, flavor, k), built once however k is passed."""
-    return _build_group(m, n, flavor, k)
-
-
 @lru_cache(maxsize=None)
-def _build_group(m, n, flavor, k):
+def build_group(m: int, n: int, flavor: str, k=None) -> TreeGroup:
     if m < 1 or n < 0:
         raise ParameterError("build_group requires m >= 1, n >= 0")
     return TreeGroup(m, n, flavor, k)
-
-
-# a caller timing a cold build clears the one cache through the public name
-build_group.cache_clear = _build_group.cache_clear

@@ -2,6 +2,7 @@ from functools import lru_cache
 
 import pytest
 
+from forestcalc import eta as eta_module
 from forestcalc.errors import OrderMismatchError, ParameterError
 from forestcalc.eta import (
     _eta_images,
@@ -129,12 +130,24 @@ def test_eta_kernel_and_cokernel_match_old_path():
     assert kernels == 19  # Z/2 (x) L_{(n+2)/4} at n = 2 and 6, and no free part
 
 
-def test_kernel_skipped_only_at_full_rank():
+def _spy_left_kernel(monkeypatch):
+    calls = []
+
+    def spy(rows):
+        calls.append(rows)
+        return left_kernel(rows)
+
+    monkeypatch.setattr(eta_module, "left_kernel", spy)
+    return calls
+
+
+def test_kernel_skipped_only_at_full_rank(monkeypatch):
     # eta_kernel reads the rank of the free summands' eta rows off their
     # presentation, pivots plus diag, and skips left_kernel when it is the
     # row count; at every cell the tests read (the arf goldens and the
     # acceptance cells among them), rank plus left_kernel's rank is the row
     # count, and eta_kernel finds as many free kernel classes as left_kernel
+    calls = _spy_left_kernel(monkeypatch)
     kernels = 0
     for m, n in ORACLE_CELLS:
         _, _, rows, snf = _free_rows(m, n)
@@ -143,10 +156,32 @@ def test_kernel_skipped_only_at_full_rank():
         assert eta_kernel(m, n)[0].count(0) == len(kernel)
         kernels += len(kernel)
     assert kernels == 0  # eta is injective on the free summands at every cell
-    # the same rule on rows that have a kernel
+    assert calls == []
+
+
+def test_kernel_below_full_rank(monkeypatch):
+    # rank-deficient eta rows on four free summands of (3,2): eta_kernel
+    # calls left_kernel once, and gives one 0 factor and one lift, the free
+    # summands combined by that row, per row of the left kernel
+    m, n = 3, 2
+    group, summands, _, _ = _free_rows(m, n)
+    torsion = [d for d in group.snf.diag if d > 1]
+    free = summands[len(torsion):len(torsion) + 4]
     rows = [((0, 2), (1, 4)), ((0, 1), (1, 2)), ((1, 3),), ((0, 3), (1, 9))]
     snf = presentation(rows, 2)
-    assert len(snf.pivots) + len(snf.diag) == 2 == len(rows) - len(left_kernel(rows))
+    assert len(snf.pivots) + len(snf.diag) == 2
+    fake = (group, summands[:len(torsion)] + free, rows, snf)
+    monkeypatch.setattr(eta_module, "_free_rows", lambda m_, n_: fake)
+    calls = _spy_left_kernel(monkeypatch)
+    factors, lifts = eta_kernel(m, n)
+    kernel = left_kernel(rows)
+    assert len(kernel) == 2 and calls == [rows]
+    assert factors == torsion + [0, 0]
+    gens = group.generators
+    expected = [
+        make_forest(m, [(c * y, gens[g]) for i, c in x for g, y in free[i]]) for x in kernel
+    ]
+    assert [str(f) for f in lifts[len(torsion):]] == [str(f) for f in expected]
 
 
 def test_bracket_kernel_rank_is_bracket_onto():

@@ -232,14 +232,6 @@ def test_mod2_reduction_coords():
     assert e3 == e1
 
 
-def test_build_group_once_however_k_is_passed():
-    # the CLI passes k=None and eta omits it: one group, built once
-    group = build_group(2, 3, "twisted")
-    assert build_group(2, 3, "twisted", None) is group
-    assert build_group(2, 3, "twisted", k=None) is group
-    assert build_group(m=2, n=3, flavor="twisted") is group
-
-
 def test_bad_parameters():
     with pytest.raises(ParameterError):
         build_group(0, 1, "framed")
