@@ -1,14 +1,24 @@
 """Magnus expansion of link longitudes and the resulting invariants.
 
 Longitude words in the free group on x1..xm are expanded in noncommutative
-power series (x_i -> 1 + X_i), one homogeneous degree at a time.  The least
-degree with a nonzero homogeneous part yields the first nonvanishing
-invariant, assembled as mu = sum_i X_i (x) l_i with l_i the Lie reduction
-of that part.
+power series (x_i -> 1 + X_i).  The least degree with a nonzero homogeneous
+part yields the first nonvanishing invariant, assembled as
+mu = sum_i X_i (x) l_i with l_i the Lie reduction of that part.
+
+Each longitude is expanded in one walk over its letters, up to a degree D
+chosen by a fingerprint: the same recurrence with every X_i at level d
+replaced by a fixed number a(d, i), computed mod p = 2^61 - 1.  A nonzero
+fingerprint proves its part nonzero, so the expansion's first nonzero
+degree is at most D, and less only where a fingerprint missed.  The walk is
+exact and returns every part up to D, and the scan reads them in order; only
+a k filter that empties every part of degree D sends it on, to a second
+walk.  So no output depends on the fingerprint, only the time taken.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
+from operator import mul
 from typing import NamedTuple
 
 from .errors import (
@@ -29,16 +39,26 @@ from .freelie import (
 )
 
 
-def parse_word(text: str, m: int):
-    """A free-group word: space-separated letters x3 (generator) / X3 (inverse)."""
+def parse_word(text: str, m: int, memo=None):
+    """A free-group word: space-separated letters x3 (generator) / X3 (inverse).
+
+    `memo` maps each token already seen (for the same m) to its letter; a
+    caller parsing many words may share one.
+    """
+    if memo is None:
+        memo = {}
     letters = []
-    for pos, token in enumerate(text.split()):
-        if len(token) < 2 or token[0] not in "xX" or not token[1:].isdigit():
-            raise ParseError(f"bad letter {token!r}", position=pos)
-        i = int(token[1:])
-        if not 1 <= i <= m:
-            raise ParseError(f"letter index {i} out of range 1..{m}", position=pos)
-        letters.append((i, token[0] == "X"))
+    for token in text.split():
+        letter = memo.get(token)
+        if letter is None:
+            pos = len(letters)
+            if len(token) < 2 or token[0] not in "xX" or not token[1:].isdigit():
+                raise ParseError(f"bad letter {token!r}", position=pos)
+            i = int(token[1:])
+            if not 1 <= i <= m:
+                raise ParseError(f"letter index {i} out of range 1..{m}", position=pos)
+            letter = memo[token] = (i, token[0] == "X")
+        letters.append(letter)
     return letters
 
 
@@ -53,28 +73,111 @@ def _free_reduce(word) -> tuple:
     return tuple(out)
 
 
-def _degree_part(word, degree: int) -> dict:
-    """Degree-`degree` part of the Magnus expansion of a word, zeros dropped.
+_P = (1 << 61) - 1  # the fingerprints' prime
+_MASK = (1 << 64) - 1
 
-    The parts P_0..P_degree of the prefix read so far are updated in place,
-    one letter at a time.  x_i multiplies by 1 + X_i: P_d += P_{d-1} X_i, for
-    d from the top down so that the old P_{d-1} is read.  x_i^-1 multiplies
-    by (1 + X_i)^-1, and the product Q solves Q_d + Q_{d-1} X_i = P_d: d runs
-    upwards and reads the already updated Q_{d-1}.
+
+def _point(d: int, i: int) -> int:
+    """a(d, i), the value of X_i at level d: splitmix64's finalizer of (d << 32 | i), mod p.
+
+    The points must look unrelated: separable points such as 3^(64d + i)
+    evaluate every monomial as if the X_i commuted, so they vanish on every
+    Lie element of degree 2 or more and every fingerprint would read zero.
     """
-    parts = [{(): 1}] + [{} for _ in range(degree)]
+    x = d << 32 | i
+    x = (x ^ x >> 30) * 0xBF58476D1CE4E5B9 & _MASK
+    x = (x ^ x >> 27) * 0x94D049BB133111EB & _MASK
+    return (x ^ x >> 31) % _P
+
+
+def _fingerprints(word, points: dict):
+    """f_1, f_2, ...: part P_d of the word's expansion at X_i -> a(d, i), mod p.
+
+    The recurrence of `_walk` with scalars, one level at a time: level d
+    after letter j is level d after letter j - 1, plus a(d, i) times level
+    d - 1 before the letter for x_i, or minus a(d, i) times level d - 1
+    after it for x_i^-1, a running sum.  The sums stay unreduced for up to
+    eight levels, since reducing each costs more than the multiply-add.
+    `points` caches a(d, i) by (d, i).  A monomial X_{i_1}..X_{i_d} becomes
+    the product of distinct variables a(1, i_1)..a(d, i_d), so f_d is P_d as
+    a polynomial of degree d at one point: f_d != 0 proves P_d != 0, and
+    f_d == 0 proves nothing (Schwartz, J. ACM 1980; Zippel, EUROSAM 1979).
+    """
+    read = [j + inverse for j, (_, inverse) in enumerate(word)]
+    letters = set(word)
+    row = [1] * (len(word) + 1)
+    d = 0
+    while True:
+        d += 1
+        scale = {}
+        for i, inverse in letters:
+            a = points.get((d, i))
+            if a is None:
+                a = points[d, i] = _point(d, i)
+            scale[i, inverse] = -a if inverse else a
+        terms = map(mul, map(scale.__getitem__, word), map(row.__getitem__, read))
+        row = list(accumulate(terms, initial=0))
+        if d % 8 == 0:
+            row = list(map(_P.__rmod__, row))
+        yield row[-1] % _P
+
+
+def _first_degree(words, low: int, top: int) -> int:
+    """The least degree in low..top at which some word's fingerprint is nonzero, else top."""
+    points = {}
+    levels = [_fingerprints(word, points) for word in words]
+    for d in range(1, top):
+        if d < low:
+            for f in levels:
+                next(f)
+        elif any(next(f) for f in levels):
+            return d
+    return top
+
+
+def _walk(word, degree: int, m: int) -> list:
+    """Parts P_0..P_degree of the Magnus expansion of a word, zeros dropped.
+
+    The parts of the prefix read so far are updated in place, one letter at
+    a time.  x_i multiplies by 1 + X_i: P_d += P_{d-1} X_i, for d from the top
+    down so that the old P_{d-1} is read.  x_i^-1 multiplies by
+    (1 + X_i)^-1, and the product Q solves Q_d + Q_{d-1} X_i = P_d: d runs
+    upwards and reads the already updated Q_{d-1}.
+
+    Monomials are ints, the first letter least significant in base m:
+    appending X_i at degree d adds (i - 1) m^(d-1).  `_decode` turns a part
+    back into letter tuples.
+    """
+    parts = [{0: 1}] + [{} for _ in range(degree)]
+    powers = [0] + [m ** (d - 1) for d in range(1, degree + 1)]
+    offsets = {}
     for i, inverse in word:
+        offset = offsets.get(i)
+        if offset is None:
+            offset = offsets[i] = [(i - 1) * p for p in powers]
         sign = -1 if inverse else 1
         for d in range(1, degree + 1) if inverse else range(degree, 0, -1):
-            target = parts[d]
+            target, step = parts[d], offset[d]
             for w, c in parts[d - 1].items():
-                w += (i,)
+                w += step
                 c = target.get(w, 0) + sign * c
                 if c:
                     target[w] = c
                 else:
                     del target[w]
-    return parts[degree]
+    return parts
+
+
+def _decode(part: dict, degree: int, m: int) -> dict:
+    """A part of `_walk` keyed by letter tuples (i_1, ..., i_degree)."""
+    out = {}
+    for key, c in part.items():
+        word = []
+        for _ in range(degree):
+            key, r = divmod(key, m)
+            word.append(r + 1)
+        out[tuple(word)] = c
+    return out
 
 
 class LongitudeData(NamedTuple):
@@ -86,6 +189,7 @@ def parse_longitudes(text: str) -> LongitudeData:
     """Longitude file: first line "m = <int>", then "l<i>: <word>" lines."""
     m = None
     raw = {}
+    memo = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -109,10 +213,10 @@ def parse_longitudes(text: str) -> LongitudeData:
             raise ParseError(f"longitude index {i} out of range 1..{m}", position=lineno)
         if i in raw:
             raise ParseError(f"duplicate longitude l{i}", position=lineno)
-        raw[i] = parse_word(body.strip(), m)
+        raw[i] = tuple(parse_word(body, m, memo))
     if m is None:
         raise ParseError("empty longitude input")
-    words = tuple(tuple(raw.get(i, [])) for i in range(1, m + 1))
+    words = tuple(raw.get(i, ()) for i in range(1, m + 1))
     return LongitudeData(m, words)
 
 
@@ -133,55 +237,67 @@ class MilnorResult(NamedTuple):
 def milnor_from_longitudes(data: LongitudeData, cap: int = 8, k=None) -> MilnorResult:
     """First nonvanishing invariant of the longitudes, scanning orders 0..cap.
 
-    Each longitude is freely reduced once.  At order n only the degree-(n+1)
-    parts of the expansions are computed, and they are reduced to Lie elements
-    (non-primitivity signals inconsistent input).  With k set, parts are
-    multiplicity-filtered before the vanishing test.
+    Each nonempty longitude is freely reduced once (an empty one expands to
+    1 and is skipped) and walked to D, the least degree at which some
+    fingerprint is nonzero, or to cap + 1.  The exact parts of degrees 1..D
+    are scanned in order; with k set, parts are multiplicity-filtered before
+    the vanishing test.  Only if every part through D vanishes (k filtered
+    the degree-D parts away) are the longitudes walked again, past D.  The
+    first nonvanishing degree is reduced to Lie elements (non-primitivity
+    signals inconsistent input).
     """
     if cap < 0:
         raise ParameterError("cap must be >= 0")
     if k is not None and k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
     m = data.m
-    words = [_free_reduce(w) for w in data.words]
-    for n in range(cap + 1):
-        degree = n + 1
-        parts = []
-        found = False
-        for i, word in enumerate(words, start=1):
-            part = _degree_part(word, degree)
-            if k is not None:
-                part = {
-                    w: c for w, c in part.items()
-                    if word_multiplicity(w + (i,)) <= k
-                }
-            parts.append(part)
-            if part:
-                found = True
-        if not found:
-            continue
-        value = TensorElement.zero(m, degree)
-        table = []
-        for i, part in enumerate(parts, start=1):
-            if not part:
-                continue
-            try:
-                lie = tensor_to_lie(m, degree, part)
-            except NotPrimitiveError:
-                raise DomainError(
-                    f"longitude l{i} is not primitive at degree {degree}"
-                ) from None
-            value = value + tensor_of(i, lie)
-            for w in sorted(part):
-                table.append((w, i, part[w]))
-        check = bracket_map(value)
-        if k is not None:
-            check = k_project_lie(check, k)
-        if not check.is_zero:
-            raise BracketNonzeroError(
-                "longitude invariant escapes the bracket kernel"
-            )
-        if k is not None:
-            value = k_project_tensor(value, k)
-        return MilnorResult(n, value, tuple(table))
+    words = [(i, _free_reduce(w)) for i, w in enumerate(data.words, start=1) if w]
+    words = [(i, w) for i, w in words if w]
+    scanned = 0
+    while scanned <= cap:
+        top = _first_degree([w for _, w in words], scanned + 1, cap + 1)
+        walks = [(i, _walk(word, top, m)) for i, word in words]
+        for degree in range(scanned + 1, top + 1):
+            parts = []
+            for i, walk in walks:
+                part = walk[degree]
+                if not part:
+                    continue
+                part = _decode(part, degree, m)
+                if k is not None:
+                    part = {
+                        w: c for w, c in part.items()
+                        if word_multiplicity(w + (i,)) <= k
+                    }
+                if part:
+                    parts.append((i, part))
+            if parts:
+                return _invariant(m, degree, parts, k)
+        scanned = top
     raise AllVanishing(cap)
+
+
+def _invariant(m: int, degree: int, parts, k) -> MilnorResult:
+    """mu = sum_i X_i (x) l_i from the nonzero parts (i, P_degree of l_i)."""
+    value = TensorElement.zero(m, degree)
+    table = []
+    for i, part in parts:
+        try:
+            lie = tensor_to_lie(m, degree, part)
+        except NotPrimitiveError:
+            raise DomainError(
+                f"longitude l{i} is not primitive at degree {degree}"
+            ) from None
+        value = value + tensor_of(i, lie)
+        for w in sorted(part):
+            table.append((w, i, part[w]))
+    check = bracket_map(value)
+    if k is not None:
+        check = k_project_lie(check, k)
+    if not check.is_zero:
+        raise BracketNonzeroError(
+            "longitude invariant escapes the bracket kernel"
+        )
+    if k is not None:
+        value = k_project_tensor(value, k)
+    return MilnorResult(degree - 1, value, tuple(table))

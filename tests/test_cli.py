@@ -136,6 +136,16 @@ def test_milnor_freely_trivial_longitude(capsys, tmp_path):
     assert (code, out) == (0, "all invariants vanish through order 12\n")
 
 
+def test_milnor_skips_empty_longitudes(capsys, tmp_path):
+    # a million components, all but two with the empty longitude
+    path = tmp_path / "hopf.lnk"
+    path.write_text(HOPF.replace("m = 2", "m = 1000000"))
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "milnor", "--longitudes", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (0, MILNOR_GOLDENS[0][2])
+
+
 def test_milnor_forest(capsys):
     code, out, _ = run(capsys, "milnor", "--m", "2", "--order", "0", "+1*<1,2>")
     assert code == 0
@@ -374,7 +384,8 @@ EVERY_COMMAND = "{normalize,group,obstruct,eta,milnor,lie,arf,collapse,monoize}"
 def test_import_loads_no_dataclasses_or_inspect():
     code = (
         "import sys; before = set(sys.modules); import forestcalc.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+        "print(sorted({'dataclasses', 'inspect', 'random', 'hashlib'}"
+        " & (set(sys.modules) - before)))"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True)

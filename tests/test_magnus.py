@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from forestcalc import magnus
 from forestcalc.errors import (
     BracketNonzeroError,
     DomainError,
@@ -24,8 +25,9 @@ from forestcalc.magnus import (
     AllVanishing,
     LongitudeData,
     MilnorResult,
-    _degree_part,
+    _decode,
     _free_reduce,
+    _walk,
     milnor_from_longitudes,
     parse_longitudes,
     parse_word,
@@ -150,12 +152,31 @@ WHITEHEAD = (
 )
 
 
+def _parts(word, degree, m):
+    """The walk's parts P_0..P_degree, keyed by letter tuples."""
+    return [_decode(part, d, m) for d, part in enumerate(_walk(word, degree, m))]
+
+
 def test_word_parsing():
     assert parse_word("x1 X2 x1", 2) == [(1, False), (2, True), (1, False)]
     with pytest.raises(ParseError):
         parse_word("x1 y2", 2)
     with pytest.raises(ParseError):
         parse_word("x3", 2)
+
+
+def test_word_parsing_with_a_shared_memo():
+    memo = {}
+    assert parse_word("x1 X2 x1", 2, memo) == [(1, False), (2, True), (1, False)]
+    assert parse_word("X2 x01 x1", 2, memo) == [(2, True), (1, False), (1, False)]
+    for text, message in [
+        ("x1 X2 y2", "bad letter 'y2' (at position 2)"),
+        ("X2 x1 x3", "letter index 3 out of range 1..2 (at position 2)"),
+    ]:
+        for shared in (memo, None):
+            with pytest.raises(ParseError) as exc:
+                parse_word(text, 2, shared)
+            assert str(exc.value) == message
 
 
 def test_longitude_file_parsing():
@@ -172,14 +193,14 @@ def test_inverse_cancellation():
     word = parse_word("x1 X1", 2)
     s = _old_magnus_expand(word, 2, 4)
     assert s.coeffs == {(): 1}
-    assert all(_degree_part(word, d) == {} for d in range(1, 5))
+    assert _parts(word, 4, 2) == [{(): 1}, {}, {}, {}, {}]
 
 
 def test_truncation():
     s = _old_magnus_expand(parse_word("x1 x1 x1", 1), 1, 2)
     assert max(len(w) for w in s.coeffs) <= 2
     assert s.coefficient((1, 1)) == 3
-    assert _degree_part(parse_word("x1 x1 x1", 1), 2) == {(1, 1): 3}
+    assert _parts(parse_word("x1 x1 x1", 1), 2, 1)[2] == {(1, 1): 3}
 
 
 def test_geometric_series_inverse():
@@ -188,8 +209,7 @@ def test_geometric_series_inverse():
     assert s.coefficient((1,)) == -1
     assert s.coefficient((1, 1)) == 1
     assert s.coefficient((1, 1, 1)) == -1
-    for d in range(4):
-        assert _degree_part([(1, True)], d) == {(1,) * d: (-1) ** d}
+    assert _parts([(1, True)], 3, 2) == [{(1,) * d: (-1) ** d} for d in range(4)]
 
 
 def test_hopf_matches_forest():
@@ -289,7 +309,8 @@ def _padded_links(draw):
        st.integers(0, 6))
 def test_degree_part_matches_old_expansion(mw, degree):
     m, word = mw
-    assert _degree_part(word, degree) == _old_magnus_expand(word, m, degree).homogeneous(degree)
+    old = _old_magnus_expand(word, m, degree)
+    assert _parts(word, degree, m) == [old.homogeneous(d) for d in range(degree + 1)]
 
 
 def _outcome(scan, data, cap, k):
@@ -310,6 +331,121 @@ def test_milnor_matches_old_scan(data, k, cap):
     assert _outcome(milnor_from_longitudes, data, cap, k) == _outcome(
         _old_milnor_from_longitudes, data, cap, k
     )
+
+
+# -- the fingerprint decides only how far to walk -----------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda m: st.tuples(st.just(m), _words(m, max_len=12))))
+def test_fingerprint_is_the_part_at_the_points(mw):
+    # nine levels pass the reduction of the running sums at level 8
+    m, word = mw
+    p = (1 << 61) - 1
+    fingerprints = magnus._fingerprints(word, {})
+    for d, part in enumerate(_parts(word, 9, m)[1:], start=1):
+        at_points = 0
+        for w, c in part.items():
+            for j, i in enumerate(w, start=1):
+                c *= magnus._point(j, i)
+            at_points += c
+        assert next(fingerprints) == at_points % p
+
+
+def _no_fingerprint(word, points):
+    """Every fingerprint reads zero, so every scan walks to cap + 1."""
+    while True:
+        yield 0
+
+
+def _every_fingerprint(word, points):
+    """Every fingerprint reads nonzero, so every walk stops at the least degree left."""
+    while True:
+        yield 1
+
+
+@pytest.mark.parametrize("fingerprints", [_no_fingerprint, _every_fingerprint])
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.one_of(_random_longitudes(), _padded_links()),
+    k=st.sampled_from([None, 1, 2, 3]),
+    cap=st.integers(0, 3),
+)
+def test_milnor_exact_whatever_the_fingerprint(fingerprints, data, k, cap):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(magnus, "_fingerprints", fingerprints)
+        outcome = _outcome(milnor_from_longitudes, data, cap, k)
+    assert outcome == _outcome(_old_milnor_from_longitudes, data, cap, k)
+
+
+def _commutator_word(shape):
+    """Iterated group commutator of a rooted shape, [u, v] = u v u^-1 v^-1."""
+    if isinstance(shape, int):
+        return ((shape, False),)
+    u, v = _commutator_word(shape[0]), _commutator_word(shape[1])
+    return u + v + _inverse(u) + _inverse(v)
+
+
+def _rootings(shape, outside):
+    """(label, rest of the tree read from that leaf) for each leaf of `shape`."""
+    if isinstance(shape, int):
+        return [(shape, outside)]
+    left, right = shape
+    return _rootings(left, (right, outside)) + _rootings(right, (outside, left))
+
+
+def _forest_longitudes(m, trees):
+    """Longitudes of clasper surgery along framed trees <A, B>, coefficients +1.
+
+    Each leaf adds the commutator of the rest of its tree to the longitude
+    of its label, so the expansion is 1 + eta of the forest + higher terms.
+    """
+    words = [()] * m
+    for a, b in trees:
+        for label, rest in _rootings(a, b) + _rootings(b, a):
+            words[label - 1] += _commutator_word(rest)
+    return LongitudeData(m, tuple(words))
+
+
+def _forest_text(trees):
+    return " + ".join(f"+1*<{a},{b}>".replace(" ", "") for a, b in trees)
+
+
+# (m, order, framed trees <A, B>) with distinct labels per tree; m = 5 at
+# order 2 leaves l5 empty
+FORESTS = [
+    (4, 2, [((1, 2), (3, 4))]),
+    (5, 2, [((1, 2), (3, 4)), ((1, 3), (2, 4))]),
+    (5, 3, [(((1, 2), 3), (4, 5))]),
+    (6, 4, [(((1, 2), 3), ((4, 5), 6))]),
+    (6, 4, [((((1, 2), 3), 4), (5, 6)), ((1, (2, 3)), ((4, 5), 6))]),
+]
+
+
+@pytest.mark.parametrize(
+    "data, order, expected",
+    [(parse_longitudes(text), order, None)
+     for text, order in [(HOPF, 0), (BORROMEAN, 1), (WHITEHEAD, 2)]]
+    + [(_forest_longitudes(m, trees), n,
+        milnor_from_forest(parse_forest(_forest_text(trees), m), n))
+       for m, n, trees in FORESTS],
+)
+def test_one_walk_per_nonempty_longitude(monkeypatch, data, order, expected):
+    # points that vanish on Lie elements (separable or affine in (d, i))
+    # would read zero below cap + 1 and send every walk there
+    walks = []
+    walk = magnus._walk
+
+    def spy(word, degree, m):
+        walks.append(degree)
+        return walk(word, degree, m)
+
+    monkeypatch.setattr(magnus, "_walk", spy)
+    result = milnor_from_longitudes(data)
+    assert result.order == order
+    assert walks == [order + 1] * sum(1 for w in data.words if _free_reduce(w))
+    if expected is not None:
+        assert result.value == expected
 
 
 def test_free_reduction():
