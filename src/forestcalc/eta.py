@@ -30,20 +30,17 @@ from .freelie import (
     bracket_map,
     k_project_lie,
     k_project_tensor,
-    lie_bracket,
     lyndon_words,
-    reduce_shape,
     shape_to_lie,
     standard_bracketing,
     word_multiplicity,
 )
-from .groups import FLAVOR_TWISTED, build_group
+from .groups import twisted_lie
 from .intlinalg import left_kernel, presentation
 from .trees import (
     FRAMED,
     TWISTED,
     DecoratedTree,
-    framed_table,
     leaf_rootings,
     multiplicity,
     twisted_tree,
@@ -115,85 +112,27 @@ def milnor_from_forest(forest: IntersectionForest, n: int, k=None) -> TensorElem
     return image
 
 
-def _eta_images(m: int, n: int, gens):
-    """eta of the generators numbered in `gens`, in order, off the framed table.
-
-    A framed generator <lo, hi> is walked along `ShapeIds.edges`: each edge
-    at a leaf contributes X_label (x) sign * B, where the rest of the tree
-    reads as sign * the canonical shape with bracket B.  A twisted J^inf is
-    half of what the edges of <J, J> give.  Each canonical shape's bracket
-    is reduced once per call, as the bracket of its branches' reductions on
-    the Lyndon basis, with one memo of basis-pair brackets.
-    """
-    table = framed_table(m, n)
-    ids = table.ids
-    kids, shapes = ids.kids, ids.shapes
-    brackets = {}  # shape id -> its Lie reduction
-    memo = {}  # basis-pair brackets, for lie_bracket
-
-    def lie(x):
-        out = brackets.get(x)
-        if out is None:
-            if kids[x] is None:
-                out = reduce_shape(m, 1, shapes[x])
-            else:
-                out = lie_bracket(lie(kids[x][0]), lie(kids[x][1]), memo)
-            brackets[x] = out
-        return out
-
-    def add(acc, label, rest, sign):
-        for w, c in lie(rest).coeffs:
-            key = (label, w)
-            acc[key] = acc.get(key, 0) + sign * c
-
-    def image(a, b):
-        acc = {}
-        for x, (rest, sign), _ in ids.edges(a, b):
-            if kids[x] is None:
-                add(acc, shapes[x], rest, sign)
-            if kids[rest] is None:  # only <a, b> itself has a leaf as its rest
-                add(acc, shapes[rest], x, sign)
-        return acc
-
-    framed = len(table.halves)
-    for g in gens:
-        if g < framed:
-            yield TensorElement.make(m, n + 1, image(*table.halves[g]))
-            continue
-        j = ids.by_order[n // 2][g - framed]
-        acc = {}
-        for key, c in image(j, j).items():
-            acc[key], rem = divmod(c, 2)
-            if rem:
-                raise OddCoefficientError(
-                    f"odd coefficient halving eta(<J,J>) for {shapes[j]}^inf"
-                )
-        yield TensorElement.make(m, n + 1, acc)
-
-
 @lru_cache(maxsize=None)
 def _free_rows(m: int, n: int):
-    """(group, summands, rows, snf): the twisted T_n, its presentation's
-    summands, eta of each free summand, read on the generators it names, as
-    a sparse row over the (label, Lyndon word) keys of L_1 (x) L_{n+1}, and
-    the `Presentation` of those rows, which both eta_kernel and
-    eta_cokernel_invariants read.
+    """(lie, group, summands, rows, snf): the twisted T_n^inf on Lie
+    coordinates (`twisted_lie`), its `Presentation` and that one's
+    summands, eta of each free summand, summed from the images of the
+    generators it names as a sparse row over the (label, Lyndon word) keys
+    of L_1 (x) L_{n+1}, and the `Presentation` of those rows, which both
+    eta_kernel and eta_cokernel_invariants read.
     """
-    group = build_group(m, n, FLAVOR_TWISTED)
-    summands = group.snf.summands()
-    free = summands[sum(d > 1 for d in group.snf.diag):]
-    gens = sorted({g for row in free for g, _ in row})
-    images = dict(zip(gens, _eta_images(m, n, gens)))
-    cols, rows = {}, []
-    for row in free:
+    lie = twisted_lie(m, n)
+    group = presentation(lie.relations, len(lie.images))
+    summands = group.summands()
+    rows = []
+    for row in summands[sum(d > 1 for d in group.diag):]:
         acc = {}
         for g, c in row:
-            for key, x in images[g].coeffs:
-                j = cols.setdefault(key, len(cols))
+            for j, x in lie.images[g].items():
                 acc[j] = acc.get(j, 0) + c * x
         rows.append(tuple(sorted((j, x) for j, x in acc.items() if x)))
-    snf = presentation(rows, m * len(lyndon_words(m, n + 1)))
-    return group, summands, rows, snf
+    snf = presentation(rows, m * len(lie.words))
+    return lie, group, summands, rows, snf
 
 
 def eta_cokernel_invariants(m: int, n: int):
@@ -203,7 +142,7 @@ def eta_cokernel_invariants(m: int, n: int):
     L_1 (x) L_{n+1}, and the torsion is that of the rows' presentation.  The
     bracket to L_{n+2} is onto, so D_n has rank m W(m,n+1) - W(m,n+2).
     """
-    snf = _free_rows(m, n)[3]
+    snf = _free_rows(m, n)[4]
     rank = m * len(lyndon_words(m, n + 1)) - len(lyndon_words(m, n + 2))
     return sorted(d for d in snf.diag if d > 1), rank - len(snf.pivots) - len(snf.diag)
 
@@ -214,17 +153,18 @@ def eta_kernel(m: int, n: int):
     D_n is torsion-free, so the kernel is the torsion of T_n^inf plus that
     of eta on its free summands.  The lifts are the torsion summands, then
     the free ones combined by the Hermite basis of the left kernel of their
-    eta rows; only their classes are fixed, not their strings.  The rows'
-    presentation gives their rank, and the left kernel is computed only
-    when that is below the row count.
+    eta rows, each generator standing for its tree (`TwistedLie.forest`); only
+    their classes are fixed, not their strings.  The rows' presentation
+    gives their rank, and the left kernel is computed only when that is
+    below the row count.
     """
-    group, summands, rows, snf = _free_rows(m, n)
-    torsion = [d for d in group.snf.diag if d > 1]
-    free, gens = summands[len(torsion):], group.generators
+    lie, group, summands, rows, snf = _free_rows(m, n)
+    torsion = [d for d in group.diag if d > 1]
+    free = summands[len(torsion):]
     kernel = left_kernel(rows) if len(snf.pivots) + len(snf.diag) < len(rows) else []
-    lifts = [[(c, gens[g]) for g, c in row] for row in summands[:len(torsion)]]
-    lifts += [[(c * y, gens[g]) for i, c in x for g, y in free[i]] for x in kernel]
-    return torsion + [0] * len(kernel), [make_forest(m, terms) for terms in lifts]
+    lifts = summands[:len(torsion)]
+    lifts += [[(g, c * y) for i, c in x for g, y in free[i]] for x in kernel]
+    return torsion + [0] * len(kernel), [lie.forest(row) for row in lifts]
 
 
 def arf_classes(m: int, j: int, k: int):

@@ -250,6 +250,30 @@ def _bracket(x, y, memo) -> dict:
     return {w: c for w, c in acc.items() if c}
 
 
+def leaf_readings(word, outsides, memo) -> list:
+    """P_word with each of `outsides` grafted at its root, read at every leaf.
+
+    Read at a leaf, the tree is the bracket of everything else: going into
+    the left branch P_a of a vertex (P_a, P_b) brackets the outside y to
+    [P_b, y], into the right branch to [y, P_a] = -[P_a, y], one rewriting
+    per vertex and outside.  Outsides and readings are Lie elements as
+    {Lyndon word: coeff} dicts, which may hold zeros.  Returns (label,
+    readings) in leaf reading order, one reading per outside.  `memo` is
+    the caller's, as for `lie_bracket`.
+    """
+    if len(word) == 1:
+        return [(word[0], outsides)]
+    split = _split(word)
+    a, b = word[:split], word[split:]
+    left, right = [], []
+    for out in outsides:
+        left.append({})
+        _add_bracket(left[-1], 1, b, out.items(), memo)
+        right.append({})
+        _add_bracket(right[-1], -1, a, out.items(), memo)
+    return leaf_readings(a, left, memo) + leaf_readings(b, right, memo)
+
+
 def lie_bracket(a: LieElement, b: LieElement, memo=None) -> LieElement:
     """[a, b] on the Lyndon basis.
 

@@ -12,6 +12,29 @@ them into sparse rows, dropping the terms whose tree the k bound removed.
 Invariants and normal forms both read the rows' one `presentation`, built
 when first read: one coordinate per generator that no unit pivot eliminates,
 over the Smith basis of the columns the residual names, then the rest.
+
+`twisted_lie` presents the twisted T_n^inf on Lie coordinates instead, for
+eta.  x (x) B -> <x, B> maps L_1 (x) L'_{n+1}, L' the free quasi-Lie ring,
+onto the framed T_n: every tree is <x, B> read at any of its leaves x, and
+read at a leaf, AS and IHX are antisymmetry and Jacobi.  Its kernel is
+spanned by the re-rooting differences, a tree read at x minus the same
+tree read at another leaf; the rows keep those of the trees <x, std(w)>,
+std(w) the standard bracketing of a Lyndon word w, each reading reduced on
+the Lyndon basis.  L' is L but for the top brackets [u, u], since a nested
+one vanishes by Jacobi and antisymmetry.  So L'_{n+1} = L_{n+1} at even n,
+where n + 1 is odd, and at twisted odd n the boundary twists
+<x, (J, J)> = 0 kill the rest, Z/2 (x) L_{(n+1)/2} (Levine, AGT 6, 2006).
+At twisted even n, twisted IHX makes J -> J^inf quadratic with polar form
+<.,.> (Conant-Schneiderman-Teichner, J. Topology 2014):
+(J + K)^inf = J^inf + K^inf + <J, K>, and (-J)^inf = J^inf.  So modulo the
+framed part the w^inf of the Lyndon words w of degree n/2 + 1 generate,
+with 2 w^inf = <w, w> by the interior twist, and at n = 2 mod 4 so do the
+(v, v)^inf of the Lyndon words v of degree (n+2)/4, of order 2, which the
+Lie value [v, v] = 0 of J does not see.  That the kept differences span
+all of them is checked, not proved, here: the tests compare the
+invariants with `TreeGroup`'s, where an onto map between groups with the
+same invariants is an isomorphism, and past the table's reach the rank
+with m W(m,n+1) - W(m,n+2) and the torsion with CST's Z/2 (x) L_{(n+2)/4}.
 """
 
 from __future__ import annotations
@@ -21,7 +44,8 @@ from itertools import chain
 from typing import NamedTuple
 
 from .errors import DomainError, GeneratorNotFoundError, ParameterError
-from .forest import IntersectionForest
+from .forest import IntersectionForest, make_forest
+from .freelie import leaf_readings, lyndon_words, standard_bracketing
 from .intlinalg import presentation
 from .trees import (
     FRAMED,
@@ -29,8 +53,10 @@ from .trees import (
     DecoratedTree,
     framed_generators,
     framed_table,
+    framed_tree,
     multiplicity,
     twisted_generators,
+    twisted_tree,
 )
 
 FLAVOR_FRAMED = "framed"
@@ -274,3 +300,99 @@ def build_group(m: int, n: int, flavor: str, k=None) -> TreeGroup:
     if m < 1 or n < 0:
         raise ParameterError("build_group requires m >= 1, n >= 0")
     return TreeGroup(m, n, flavor, k)
+
+
+class TwistedLie(NamedTuple):
+    """Twisted T_n^inf on Lie coordinates, with eta of each generator.
+
+    Generators, numbered in this order: (x, w) at (x - 1) * len(words) plus
+    the index of w, for each label x and each w in `words`; w^inf for each w
+    in `halves`; (v,v)^inf for each v in `arf`.  `relations` are sparse rows
+    ((generator, coeff), ...) over them.  `images` holds eta of each
+    generator as a {column: coeff} row over L_1 (x) L_{n+1}, whose keys
+    (label, Lyndon word) are numbered as the generators (x, w) are.
+    """
+
+    m: int
+    words: tuple  # the Lyndon words of degree n + 1
+    halves: tuple  # of degree n/2 + 1 at even n, else none
+    arf: tuple  # of degree (n+2)/4 at n = 2 mod 4, else none
+    relations: tuple
+    images: tuple
+
+    def forest(self, row):
+        """The forest of a sparse row ((generator, coeff), ...): (x, w) is
+        <x, std(w)>, w^inf is std(w)^inf and (v,v)^inf is (std(v), std(v))^inf,
+        std the standard bracketing."""
+        framed, terms = self.m * len(self.words), []
+        for g, c in row:
+            if g < framed:
+                x, i = divmod(g, len(self.words))
+                tree, sign = framed_tree(x + 1, standard_bracketing(self.words[i]))
+                terms.append((c * sign, tree))
+            elif g < framed + len(self.halves):
+                terms.append((c, twisted_tree(standard_bracketing(self.halves[g - framed]))))
+            else:
+                half = standard_bracketing(self.arf[g - framed - len(self.halves)])
+                terms.append((c, twisted_tree((half, half))))
+        return make_forest(self.m, terms)
+
+
+def twisted_lie(m: int, n: int) -> TwistedLie:
+    """Twisted T_n^inf on Lie coordinates, and eta on its generators.
+
+    The rows (see the module docstring) are, for each generator (x, w), the
+    generator minus the reading of <x, std(w)> at each other leaf, then
+    2 w^inf minus each reading of <std(w), std(w)>, then 2 (v,v)^inf,
+    deduplicated up to sign.  eta comes with the readings: eta(x, w) is the
+    sum of every reading of <x, std(w)>, and eta(w^inf) half that of
+    <std(w), std(w)>, whose two halves read alike, so the sum of one half's
+    readings; eta((v,v)^inf) = 0.  One walk per (w, x), with one memo of
+    basis-pair brackets for the build, gives rows and images.
+    """
+    if m < 1 or n < 0:
+        raise ParameterError("twisted_lie requires m >= 1, n >= 0")
+    words = lyndon_words(m, n + 1)
+    size = len(words)
+    column = {w: i for i, w in enumerate(words)}
+    memo = {}  # basis-pair brackets
+    rows = {}  # each sparse row, its first entry positive, in the order made
+
+    def read(g, scale, readings):
+        """eta's image summed from the readings y (x) B, and the row
+        scale * e_g - y (x) B of each."""
+        image = {}
+        for y, b in readings:
+            base, row = (y - 1) * size, {g: scale}
+            for u, c in b.items():
+                if c:
+                    j = base + column[u]
+                    image[j] = image.get(j, 0) + c
+                    row[j] = row.get(j, 0) - c
+            if not row[g]:
+                del row[g]
+            if row:
+                row = tuple(sorted(row.items()))
+                rows[row if row[0][1] > 0 else tuple((j, -c) for j, c in row)] = None
+        return image
+
+    images = [None] * (m * size)
+    labels = range(1, m + 1)
+    for i, w in enumerate(words):
+        readings = leaf_readings(w, [{(x,): 1} for x in labels], memo)
+        for x in labels:
+            g = (x - 1) * size + i
+            image = read(g, 1, [(y, outs[x - 1]) for y, outs in readings])
+            image[g] = image.get(g, 0) + 1  # the reading at x itself
+            images[g] = image
+    halves = lyndon_words(m, n // 2 + 1) if n % 2 == 0 else ()
+    for w in halves:
+        # <w, w> read at each leaf of one half; the other half reads alike
+        readings = leaf_readings(w, [{w: 1}], memo)
+        images.append(read(len(images), 2, [(y, out) for y, (out,) in readings]))
+    arf = lyndon_words(m, (n + 2) // 4) if n % 4 == 2 else ()
+    for _ in arf:
+        rows[((len(images), 2),)] = None
+        images.append({})
+    images = tuple({j: c for j, c in image.items() if c} for image in images)
+    return TwistedLie(m, words, halves, arf, tuple(rows), images)

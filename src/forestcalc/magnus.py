@@ -182,11 +182,16 @@ def _decode(part: dict, degree: int, m: int) -> dict:
 
 class LongitudeData(NamedTuple):
     m: int
-    words: tuple  # index i-1 -> parsed word for longitude l_i
+    longitudes: tuple  # ((i, parsed word of l_i), ...) for the l_i named, by i
 
 
 def parse_longitudes(text: str) -> LongitudeData:
-    """Longitude file: first line "m = <int>", then "l<i>: <word>" lines."""
+    """Longitude file: first line "m = <int>", then "l<i>: <word>" lines.
+
+    Only the longitudes the file names are kept, so the size of the result
+    follows the file, not m; a component it does not name has the empty
+    longitude.
+    """
     m = None
     raw = {}
     memo = {}
@@ -216,8 +221,7 @@ def parse_longitudes(text: str) -> LongitudeData:
         raw[i] = tuple(parse_word(body, m, memo))
     if m is None:
         raise ParseError("empty longitude input")
-    words = tuple(raw.get(i, ()) for i in range(1, m + 1))
-    return LongitudeData(m, words)
+    return LongitudeData(m, tuple(sorted(raw.items())))
 
 
 class AllVanishing(Exception):
@@ -237,21 +241,21 @@ class MilnorResult(NamedTuple):
 def milnor_from_longitudes(data: LongitudeData, cap: int = 8, k=None) -> MilnorResult:
     """First nonvanishing invariant of the longitudes, scanning orders 0..cap.
 
-    Each nonempty longitude is freely reduced once (an empty one expands to
-    1 and is skipped) and walked to D, the least degree at which some
-    fingerprint is nonzero, or to cap + 1.  The exact parts of degrees 1..D
-    are scanned in order; with k set, parts are multiplicity-filtered before
-    the vanishing test.  Only if every part through D vanishes (k filtered
-    the degree-D parts away) are the longitudes walked again, past D.  The
-    first nonvanishing degree is reduced to Lie elements (non-primitivity
-    signals inconsistent input).
+    Each nonempty longitude is freely reduced once (an empty one, named or
+    not, expands to 1 and is skipped) and walked to D, the least degree at
+    which some fingerprint is nonzero, or to cap + 1.  The exact parts of
+    degrees 1..D are scanned in order; with k set, parts are
+    multiplicity-filtered before the vanishing test.  Only if every part
+    through D vanishes (k filtered the degree-D parts away) are the
+    longitudes walked again, past D.  The first nonvanishing degree is
+    reduced to Lie elements (non-primitivity signals inconsistent input).
     """
     if cap < 0:
         raise ParameterError("cap must be >= 0")
     if k is not None and k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
     m = data.m
-    words = [(i, _free_reduce(w)) for i, w in enumerate(data.words, start=1) if w]
+    words = [(i, _free_reduce(w)) for i, w in data.longitudes if w]
     words = [(i, w) for i, w in words if w]
     scanned = 0
     while scanned <= cap:

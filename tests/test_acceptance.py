@@ -236,19 +236,22 @@ def test_criterion_9_determinism(capsys, monkeypatch):
     import forestcalc.eta
 
     plane_eta_tree = forestcalc.eta.eta_tree
-    plane_eta_images = forestcalc.eta._eta_images
-    reached = set()  # goldens whose eta_kernel read an image in the mirror convention
+    plane_twisted_lie = forestcalc.eta.twisted_lie
+    reached = set()  # goldens whose eta_kernel read the images in the mirror convention
 
-    def mirror_eta_images(m, n, gens):
-        for image in plane_eta_images(m, n, gens):
-            reached.add(golden)
-            yield image.scale((-1) ** n)
+    def mirror_twisted_lie(m, n):
+        lie = plane_twisted_lie(m, n)
+        reached.add(golden)
+        sign = (-1) ** n
+        return lie._replace(images=tuple(
+            {j: sign * c for j, c in image.items()} for image in lie.images
+        ))
 
     monkeypatch.setattr(
         forestcalc.eta, "eta_tree",
         lambda m, n, tree, coeff=1: plane_eta_tree(m, n, tree, coeff).scale((-1) ** n),
     )
-    monkeypatch.setattr(forestcalc.eta, "_eta_images", mirror_eta_images)
+    monkeypatch.setattr(forestcalc.eta, "twisted_lie", mirror_twisted_lie)
     forestcalc.eta._free_rows.cache_clear()
     try:
         for idx in range(len(GOLDEN_COMMANDS)):

@@ -146,6 +146,17 @@ def test_milnor_skips_empty_longitudes(capsys, tmp_path):
     assert (code, out) == (0, MILNOR_GOLDENS[0][2])
 
 
+def test_milnor_header_size_is_not_a_cost(capsys, tmp_path):
+    # a header naming 10^12 components costs nothing past the two longitudes
+    # the file names: no slot is made per component
+    path = tmp_path / "hopf.lnk"
+    path.write_text(HOPF.replace("m = 2", "m = 1000000000000"))
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "milnor", "--longitudes", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (0, MILNOR_GOLDENS[0][2])
+
+
 def test_milnor_forest(capsys):
     code, out, _ = run(capsys, "milnor", "--m", "2", "--order", "0", "+1*<1,2>")
     assert code == 0
@@ -319,19 +330,22 @@ def test_sign_robust_across_conventions(capsys, monkeypatch):
     plane = _sign_robust_outputs(capsys)
     assert plane[-1] == f"order 1; value: {borromean}\n"
     plane_eta_tree = eta_module.eta_tree
-    plane_eta_images = eta_module._eta_images
-    reached = []  # the (m, n) of each image eta_kernel read in the mirror convention
+    plane_twisted_lie = eta_module.twisted_lie
+    reached = []  # the (m, n) of each cell whose images eta_kernel read in the mirror convention
 
-    def mirror_eta_images(m, n, gens):
-        for image in plane_eta_images(m, n, gens):
-            reached.append((m, n))
-            yield image.scale((-1) ** n)
+    def mirror_twisted_lie(m, n):
+        lie = plane_twisted_lie(m, n)
+        reached.append((m, n))
+        sign = (-1) ** n
+        return lie._replace(images=tuple(
+            {j: sign * c for j, c in image.items()} for image in lie.images
+        ))
 
     monkeypatch.setattr(
         eta_module, "eta_tree",
         lambda m, n, tree, coeff=1: plane_eta_tree(m, n, tree, coeff).scale((-1) ** n),
     )
-    monkeypatch.setattr(eta_module, "_eta_images", mirror_eta_images)
+    monkeypatch.setattr(eta_module, "twisted_lie", mirror_twisted_lie)
     eta_module._free_rows.cache_clear()
     try:
         mirror = _sign_robust_outputs(capsys)

@@ -3,9 +3,8 @@ from functools import lru_cache
 import pytest
 
 from forestcalc import eta as eta_module
-from forestcalc.errors import OrderMismatchError, ParameterError
+from forestcalc.errors import OddCoefficientError, OrderMismatchError, ParameterError
 from forestcalc.eta import (
-    _eta_images,
     _free_rows,
     arf_classes,
     eta,
@@ -21,19 +20,125 @@ from forestcalc.freelie import (
     bracket_kernel,
     bracket_map,
     k_project_tensor,
+    lie_bracket,
     lyndon_words,
+    reduce_shape,
     shape_to_lie,
 )
-from forestcalc.groups import build_group
+from forestcalc.groups import build_group, twisted_lie
 from forestcalc.intlinalg import left_kernel, presentation
 from forestcalc.trees import (
     FRAMED,
     canonical_framed,
+    framed_table,
     framed_tree,
     leaf_rootings,
     multiplicity,
     twisted_tree,
 )
+
+
+# ---------------------------------------------------------------------------
+# the table path that the Lie-coordinate path replaced, kept as oracle: eta
+# read off the framed presentation table on the free summands of the
+# tree-indexed TreeGroup
+
+
+def _old_eta_images(m: int, n: int, gens):
+    """eta of the generators numbered in `gens`, in order, off the framed table.
+
+    A framed generator <lo, hi> is walked along `ShapeIds.edges`: each edge
+    at a leaf contributes X_label (x) sign * B, where the rest of the tree
+    reads as sign * the canonical shape with bracket B.  A twisted J^inf is
+    half of what the edges of <J, J> give.  Each canonical shape's bracket
+    is reduced once per call, as the bracket of its branches' reductions on
+    the Lyndon basis, with one memo of basis-pair brackets.
+    """
+    table = framed_table(m, n)
+    ids = table.ids
+    kids, shapes = ids.kids, ids.shapes
+    brackets = {}  # shape id -> its Lie reduction
+    memo = {}  # basis-pair brackets, for lie_bracket
+
+    def lie(x):
+        out = brackets.get(x)
+        if out is None:
+            if kids[x] is None:
+                out = reduce_shape(m, 1, shapes[x])
+            else:
+                out = lie_bracket(lie(kids[x][0]), lie(kids[x][1]), memo)
+            brackets[x] = out
+        return out
+
+    def add(acc, label, rest, sign):
+        for w, c in lie(rest).coeffs:
+            key = (label, w)
+            acc[key] = acc.get(key, 0) + sign * c
+
+    def image(a, b):
+        acc = {}
+        for x, (rest, sign), _ in ids.edges(a, b):
+            if kids[x] is None:
+                add(acc, shapes[x], rest, sign)
+            if kids[rest] is None:  # only <a, b> itself has a leaf as its rest
+                add(acc, shapes[rest], x, sign)
+        return acc
+
+    framed = len(table.halves)
+    for g in gens:
+        if g < framed:
+            yield TensorElement.make(m, n + 1, image(*table.halves[g]))
+            continue
+        j = ids.by_order[n // 2][g - framed]
+        acc = {}
+        for key, c in image(j, j).items():
+            acc[key], rem = divmod(c, 2)
+            if rem:
+                raise OddCoefficientError(
+                    f"odd coefficient halving eta(<J,J>) for {shapes[j]}^inf"
+                )
+        yield TensorElement.make(m, n + 1, acc)
+
+
+@lru_cache(maxsize=None)
+def _old_free_rows(m: int, n: int):
+    """(group, summands, rows, snf): the tree-indexed twisted T_n, its
+    presentation's summands, eta of each free summand as a sparse row over
+    the (label, Lyndon word) keys of L_1 (x) L_{n+1}, and their presentation.
+    """
+    group = build_group(m, n, "twisted")
+    summands = group.snf.summands()
+    free = summands[sum(d > 1 for d in group.snf.diag):]
+    gens = sorted({g for row in free for g, _ in row})
+    images = dict(zip(gens, _old_eta_images(m, n, gens)))
+    cols, rows = {}, []
+    for row in free:
+        acc = {}
+        for g, c in row:
+            for key, x in images[g].coeffs:
+                j = cols.setdefault(key, len(cols))
+                acc[j] = acc.get(j, 0) + c * x
+        rows.append(tuple(sorted((j, x) for j, x in acc.items() if x)))
+    snf = presentation(rows, m * len(lyndon_words(m, n + 1)))
+    return group, summands, rows, snf
+
+
+def _old_eta_cokernel(m, n):
+    """coker(eta_n) as (torsion, free rank) on the table path."""
+    snf = _old_free_rows(m, n)[3]
+    rank = m * len(lyndon_words(m, n + 1)) - len(lyndon_words(m, n + 2))
+    return sorted(d for d in snf.diag if d > 1), rank - len(snf.pivots) - len(snf.diag)
+
+
+def _old_eta_kernel(m, n):
+    """Kernel of eta on T_n^inf on the table path, as (factors, lifts)."""
+    group, summands, rows, snf = _old_free_rows(m, n)
+    torsion = [d for d in group.snf.diag if d > 1]
+    free, gens = summands[len(torsion):], group.generators
+    kernel = left_kernel(rows) if len(snf.pivots) + len(snf.diag) < len(rows) else []
+    lifts = [[(c, gens[g]) for g, c in row] for row in summands[:len(torsion)]]
+    lifts += [[(c * y, gens[g]) for i, c in x for g, y in free[i]] for x in kernel]
+    return torsion + [0] * len(kernel), [make_forest(m, terms) for terms in lifts]
 
 
 # ---------------------------------------------------------------------------
@@ -73,56 +178,51 @@ def _kernel_coords(kern):
 
 
 @lru_cache(maxsize=None)
-def _old_eta_matrix(m, n):
+def _generator_eta_matrix(m, n):
     """eta over every generator of T_n^inf, as sparse rows over the basis of D_n."""
     group = build_group(m, n, "twisted")
     kern = bracket_kernel(m, n)
-    images = _eta_images(m, n, range(len(group.generators)))
+    images = _old_eta_images(m, n, range(len(group.generators)))
     coords = _kernel_coords(kern)
     return group, kern, [coords(image) if kern.rank else () for image in images]
 
 
-def _old_eta_cokernel(m, n):
+def _generator_eta_cokernel(m, n):
     """coker(eta_n) as (torsion, free rank), from the D_n coordinates of every generator."""
-    _, kern, rows = _old_eta_matrix(m, n)
+    _, kern, rows = _generator_eta_matrix(m, n)
     quotient = presentation(rows, kern.rank)
     diag = [1] * len(quotient.pivots) + quotient.diag
     return sorted(d for d in diag if d > 1), kern.rank - len(diag)
 
 
-def _old_eta_kernel(m, n):
-    """Kernel of eta on T_n^inf: the generator-level kernel lattice modulo every
-    relation row solved in it, with the lifts read off that quotient's summands."""
-    group, _, rows = _old_eta_matrix(m, n)
+def _generator_eta_factors(m, n):
+    """Invariant factors of the kernel of eta on T_n^inf: the generator-level
+    kernel lattice modulo every relation row solved in it."""
+    group, _, rows = _generator_eta_matrix(m, n)
     lattice = left_kernel(rows)
     solve = _hermite_solver(lattice)
     quotient = presentation([solve(rel) for rel in group.relations], len(lattice))
-    torsion = [d for d in quotient.diag if d > 1]
     free = len(quotient.survivors) - len(quotient.diag)
-    forests = []
-    for vec in quotient.summands():
-        lift = {}
-        for i, x in vec:
-            for g, c in lattice[i]:
-                lift[g] = lift.get(g, 0) + x * c
-        forests.append(make_forest(m, [(lift[g], group.generators[g])
-                                       for g in sorted(lift) if lift[g]]))
-    return torsion + [0] * free, forests
+    return [d for d in quotient.diag if d > 1] + [0] * free
 
 
 ORACLE_CELLS = [(m, n) for m in range(1, 5) for n in range(5)] + [(5, 2), (2, 6), (3, 6), (1, 8)]
 
 
 def test_eta_kernel_and_cokernel_match_old_path():
-    # same factors, cokernel and lift strings as the generator-level path,
-    # and each lift in the same class of T_n^inf
+    # same factors and cokernel as the table path and the generator-level
+    # one, and each lift in the same class of T_n^inf as the table path's;
+    # the strings agree but where the Lie path lifts Z/2 (x) L_{(n+2)/4}
+    # by (v,v)^inf, at n = 2 mod 4 from n = 6 on
     kernels = 0
     for m, n in ORACLE_CELLS:
         factors, lifts = eta_kernel(m, n)
         old_factors, old_lifts = _old_eta_kernel(m, n)
-        assert factors == old_factors
-        assert eta_cokernel_invariants(m, n) == _old_eta_cokernel(m, n)
-        assert [str(f) for f in lifts] == [str(f) for f in old_lifts]
+        assert factors == old_factors == _generator_eta_factors(m, n)
+        cokernel = eta_cokernel_invariants(m, n)
+        assert cokernel == _old_eta_cokernel(m, n) == _generator_eta_cokernel(m, n)
+        if n % 4 != 2 or n < 6:
+            assert [str(f) for f in lifts] == [str(f) for f in old_lifts]
         group = build_group(m, n, "twisted")
         for lift, old in zip(lifts, old_lifts, strict=True):
             assert group.reduce_forest(lift) == group.reduce_forest(old)
@@ -150,7 +250,7 @@ def test_kernel_skipped_only_at_full_rank(monkeypatch):
     calls = _spy_left_kernel(monkeypatch)
     kernels = 0
     for m, n in ORACLE_CELLS:
-        _, _, rows, snf = _free_rows(m, n)
+        _, _, _, rows, snf = _free_rows(m, n)
         kernel = left_kernel(rows)
         assert len(snf.pivots) + len(snf.diag) + len(kernel) == len(rows)
         assert eta_kernel(m, n)[0].count(0) == len(kernel)
@@ -164,23 +264,20 @@ def test_kernel_below_full_rank(monkeypatch):
     # calls left_kernel once, and gives one 0 factor and one lift, the free
     # summands combined by that row, per row of the left kernel
     m, n = 3, 2
-    group, summands, _, _ = _free_rows(m, n)
-    torsion = [d for d in group.snf.diag if d > 1]
+    lie, group, summands, _, _ = _free_rows(m, n)
+    torsion = [d for d in group.diag if d > 1]
     free = summands[len(torsion):len(torsion) + 4]
     rows = [((0, 2), (1, 4)), ((0, 1), (1, 2)), ((1, 3),), ((0, 3), (1, 9))]
     snf = presentation(rows, 2)
     assert len(snf.pivots) + len(snf.diag) == 2
-    fake = (group, summands[:len(torsion)] + free, rows, snf)
+    fake = (lie, group, summands[:len(torsion)] + free, rows, snf)
     monkeypatch.setattr(eta_module, "_free_rows", lambda m_, n_: fake)
     calls = _spy_left_kernel(monkeypatch)
     factors, lifts = eta_kernel(m, n)
     kernel = left_kernel(rows)
     assert len(kernel) == 2 and calls == [rows]
     assert factors == torsion + [0, 0]
-    gens = group.generators
-    expected = [
-        make_forest(m, [(c * y, gens[g]) for i, c in x for g, y in free[i]]) for x in kernel
-    ]
+    expected = [lie.forest([(g, c * y) for i, c in x for g, y in free[i]]) for x in kernel]
     assert [str(f) for f in lifts[len(torsion):]] == [str(f) for f in expected]
 
 
@@ -193,22 +290,79 @@ def test_bracket_kernel_rank_is_bracket_onto():
         assert rank == bracket_kernel(m, n).rank
 
 
+def _tensor(lie, n, row):
+    """A {column: coeff} row over L_1 (x) L_{n+1}, numbered as `twisted_lie` does."""
+    size = len(lie.words)
+    return TensorElement.make(
+        lie.m, n + 1, {(j // size + 1, lie.words[j % size]): c for j, c in row.items()}
+    )
+
+
 def test_free_summand_images_lie_in_bracket_kernel():
     # eta_kernel reads eta on the free summands in L_1 (x) L_{n+1}; each
     # image must lie in D_n, the kernel of the bracket
     images = 0
     for m, n in ORACLE_CELLS:
-        snf = build_group(m, n, "twisted").snf
-        free = snf.summands()[sum(d > 1 for d in snf.diag):]
-        gens = sorted({g for row in free for g, _ in row})
-        by_gen = dict(zip(gens, _eta_images(m, n, gens)))
-        for row in free:
-            image = TensorElement.zero(m, n + 1)
-            for g, c in row:
-                image = image + by_gen[g].scale(c)
-            assert bracket_map(image).is_zero
+        lie, _, _, rows, _ = _free_rows(m, n)
+        for row in rows:
+            assert bracket_map(_tensor(lie, n, dict(row))).is_zero
             images += 1
     assert images > 100
+
+
+def test_lie_images_match_eta_tree():
+    # twisted_lie reads each generator's image off the readings its rows
+    # make; eta of the generator's forest, which re-roots the canonical
+    # tree at each leaf, is the oracle
+    cells = ORACLE_CELLS + [(2, 5), (3, 5), (2, 7), (2, 8), (1, 10)]
+    checked = 0
+    for m, n in cells:
+        lie = twisted_lie(m, n)
+        for g, image in enumerate(lie.images):
+            assert _tensor(lie, n, image) == eta(lie.forest([(g, 1)]), n)
+            checked += 1
+    assert checked == 3261
+
+
+def test_lie_relations_map_to_zero():
+    # every relation row is a re-rooting difference, 2 w^inf - <w, w> or
+    # 2 (v,v)^inf: eta sends it to 0, summed from the images everywhere, and
+    # as the forest it names on the smaller cells
+    rows = 0
+    small = {(m, n) for m in range(1, 4) for n in range(5)} | {(5, 2), (2, 6), (2, 5), (1, 8)}
+    for m, n in ORACLE_CELLS + [(2, 5), (3, 5), (2, 7)]:
+        lie = twisted_lie(m, n)
+        for row in lie.relations:
+            acc = {}
+            for g, c in row:
+                for j, x in lie.images[g].items():
+                    acc[j] = acc.get(j, 0) + c * x
+            assert not any(acc.values())
+            if (m, n) in small:
+                assert eta(lie.forest(row), n).is_zero
+                rows += 1
+    assert rows == 1286
+
+
+def _lie_invariants(m, n):
+    lie = twisted_lie(m, n)
+    snf = presentation(lie.relations, len(lie.images))
+    return len(lie.images) - len(snf.pivots) - len(snf.diag), [d for d in snf.diag if d > 1]
+
+
+def test_lie_invariants_match_tree_group():
+    # x (x) w -> <x, std(w)> and the twists map the Lie presentation onto
+    # the tree-indexed T_n^inf; equal invariants make that an isomorphism
+    for m, n in ORACLE_CELLS + [(2, 5), (3, 5), (2, 7), (2, 8)]:
+        assert _lie_invariants(m, n) == build_group(m, n, "twisted").invariants()
+
+
+@pytest.mark.parametrize("m, n", [(2, 11), (2, 12)])
+def test_lie_invariants_past_the_table(m, n):
+    # past the table's reach: rank m W(m,n+1) - W(m,n+2), the rank of D_n,
+    # and the torsion Z/2 (x) L_{(n+2)/4} of CST, none at n = 11 and 12
+    rank = m * len(lyndon_words(m, n + 1)) - len(lyndon_words(m, n + 2))
+    assert _lie_invariants(m, n) == (rank, [])
 
 
 def test_eta_order_zero():
@@ -256,14 +410,14 @@ def test_relation_rows_map_to_zero():
 
 
 def test_table_images_match_eta_tree():
-    # _eta_images reads each generator's image off the framed table's edges;
+    # _old_eta_images reads each generator's image off the framed table's edges;
     # eta_tree, which re-roots the nested shapes at each leaf, is the oracle.
     # A twisted image is half of eta(<J,J>), so twice it must be that exactly
     cells = [(m, n) for m in range(1, 5) for n in range(5)] + [(2, 6), (3, 5), (1, 8)]
     twisted = 0
     for m, n in cells:
         generators = build_group(m, n, "twisted").generators
-        images = list(_eta_images(m, n, range(len(generators))))
+        images = list(_old_eta_images(m, n, range(len(generators))))
         assert len(images) == len(generators)
         for gen, image in zip(generators, images):
             assert image == eta_tree(m, n, gen)
@@ -357,8 +511,7 @@ def test_eta_kernel_three_six():
         assert not group.is_zero(lift)
         assert group.reduce_forest(lift) == group.reduce_forest(make_forest(3, [(1, tree)]))
     assert [str(lift) for lift in lifts] == [
-        f"+1*((({i},{j}),{i}),{j})^inf + -1*((({i},{j}),{j}),{i})^inf"
-        for i, j in ((1, 2), (1, 3), (2, 3))
+        f"+1*(({i},{j}),({i},{j}))^inf" for i, j in ((1, 2), (1, 3), (2, 3))
     ]
 
 

@@ -93,7 +93,8 @@ def _old_milnor_from_longitudes(data: LongitudeData, cap: int = 8, k=None) -> Mi
     m = data.m
     for n in range(cap + 1):
         trunc = n + 2
-        series = [_old_magnus_expand(w, m, trunc) for w in data.words]
+        words = dict(data.longitudes)
+        series = [_old_magnus_expand(words.get(i, ()), m, trunc) for i in range(1, m + 1)]
         degree = n + 1
         parts = []
         found = False
@@ -182,7 +183,7 @@ def test_word_parsing_with_a_shared_memo():
 def test_longitude_file_parsing():
     data = parse_longitudes(HOPF)
     assert data.m == 2
-    assert data.words == (((2, False),), ((1, False),))
+    assert data.longitudes == ((1, ((2, False),)), (2, ((1, False),)))
     with pytest.raises(ParseError):
         parse_longitudes("l1: x1\n")
     with pytest.raises(ParseError):
@@ -282,7 +283,7 @@ def _words(draw, m, max_len=40):
 @st.composite
 def _random_longitudes(draw):
     m = draw(st.integers(1, 4))
-    return LongitudeData(m, tuple(draw(_words(m)) for _ in range(m)))
+    return LongitudeData(m, tuple((i, draw(_words(m))) for i in range(1, m + 1)))
 
 
 @st.composite
@@ -294,13 +295,13 @@ def _padded_links(draw):
     """
     data = parse_longitudes(draw(st.sampled_from([HOPF, BORROMEAN, WHITEHEAD])))
     words = []
-    for word in data.words:
+    for i, word in data.longitudes:
         word = list(word)
         for _ in range(draw(st.integers(0, 3))):
             u = draw(_short(data.m))
             pos = draw(st.integers(0, len(word)))
             word[pos:pos] = u + _inverse(u)
-        words.append(tuple(word))
+        words.append((i, tuple(word)))
     return LongitudeData(data.m, tuple(words))
 
 
@@ -404,7 +405,7 @@ def _forest_longitudes(m, trees):
     for a, b in trees:
         for label, rest in _rootings(a, b) + _rootings(b, a):
             words[label - 1] += _commutator_word(rest)
-    return LongitudeData(m, tuple(words))
+    return LongitudeData(m, tuple(enumerate(words, start=1)))
 
 
 def _forest_text(trees):
@@ -443,7 +444,7 @@ def test_one_walk_per_nonempty_longitude(monkeypatch, data, order, expected):
     monkeypatch.setattr(magnus, "_walk", spy)
     result = milnor_from_longitudes(data)
     assert result.order == order
-    assert walks == [order + 1] * sum(1 for w in data.words if _free_reduce(w))
+    assert walks == [order + 1] * sum(1 for _, w in data.longitudes if _free_reduce(w))
     if expected is not None:
         assert result.value == expected
 
