@@ -3,14 +3,26 @@
 Line-oriented plain-text reports with a --json mirror of the same data.
 Exit codes: 0 success, 1 domain error, 2 parse error.  A reader that closes
 stdout early ends the run with 0 and nothing on stderr.
+
+Every command's arguments are data in one table, `_COMMANDS`: its help,
+its handler and its arguments in usage order, each a flag or positional
+name with a kind (int, str, a switch or choices), whether it is required
+and its default.  A plain command line (the command, options by their
+exact names, then the positionals) is read off the table by `_parse`,
+into the namespace argparse would make of it, without importing argparse,
+whose first message lookup alone imports gettext and locale.  Any other
+line, help, "=" forms, abbreviations and usage errors among them, goes to
+the argparse parser `build_parser` makes from the same table, so help
+texts and usage errors are argparse's own.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
+from types import SimpleNamespace
+from typing import NamedTuple
 
 from .errors import ForestcalcError, ParameterError, ParseError
 from .eta import arf_classes, eta, eta_k, eta_kernel, milnor_from_forest
@@ -170,85 +182,134 @@ def cmd_monoize(args):
     return 0
 
 
-class _Parser(argparse.ArgumentParser):
-    """Usage errors become parse errors, reported as one tagged line (exit 2)."""
+class _Arg(NamedTuple):
+    """One argument of a command: an option when `name` starts with "--",
+    else a positional.  `kind` is int, str, bool (a switch) or a tuple of
+    choices; a positional that is not required may be left out."""
 
-    def error(self, message):
-        raise ParseError(message)
-
-
-def _common(p, forest=False, need_order=False, k=True):
-    # a missing-arguments error names the required ones in this order
-    p.add_argument("--m", type=int, required=True, help="number of indices")
-    if need_order:
-        p.add_argument("--order", type=int, required=True)
-    if k:
-        p.add_argument("--k", type=int, default=None)
-    p.add_argument("--json", action="store_true")
-    if forest:
-        p.add_argument("forest", help="forest in the bracket grammar")
+    name: str
+    kind: object = str
+    required: bool = False
+    default: object = None
+    help: str | None = None
 
 
-def _group_args(p, forest=False):
-    _common(p, forest=forest, need_order=True)
-    p.add_argument("--flavor", choices=["framed", "twisted"], required=True)
+_M = _Arg("--m", int, required=True, help="number of indices")
+_ORDER = _Arg("--order", int, required=True)
+_K = _Arg("--k", int)
+_JSON = _Arg("--json", bool, default=False)
+_FLAVOR = _Arg("--flavor", ("framed", "twisted"), required=True)
+_FOREST = _Arg("forest", required=True, help="forest in the bracket grammar")
+_STRICT = _Arg("--strict-collapse", bool, default=False)
 
-
-def _milnor_args(p):
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--order", type=int, default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--cap", type=int, default=8)
-    p.add_argument("--longitudes", default=None, help="longitude file path")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("forest", nargs="?", default=None)
-
-
-def _collapse_args(p):
-    _common(p, k=False)
-    p.add_argument("--strict-collapse", action="store_true")
-    p.add_argument("term", help="single signed term")
-    p.add_argument("label", type=int)
-
-
-def _monoize_args(p):
-    _common(p, forest=True)
-    p.add_argument("--strict-collapse", action="store_true")
-
-
-# name -> (help, handler, adds the arguments), in the order --help lists them
+# name -> (help, handler, arguments), in the order --help lists them; each
+# command's arguments are in the order its usage line and a missing-arguments
+# error name them
 _COMMANDS = {
     "normalize": ("parse and canonically print a forest", cmd_normalize,
-                  lambda p: _common(p, forest=True, k=False)),
-    "group": ("invariants of a tree group", cmd_group, _group_args),
+                  (_M, _JSON, _FOREST)),
+    "group": ("invariants of a tree group", cmd_group, (_M, _ORDER, _K, _JSON, _FLAVOR)),
     "obstruct": ("test a forest for zero in a tree group", cmd_obstruct,
-                 lambda p: _group_args(p, forest=True)),
-    "eta": ("summation map of a forest", cmd_eta,
-            lambda p: _common(p, forest=True, need_order=True)),
-    "milnor": ("first nonvanishing invariant", cmd_milnor, _milnor_args),
-    "lie": ("Lyndon bracket basis of a graded piece", cmd_lie,
-            lambda p: _common(p, need_order=True, k=False)),
-    "arf": ("twist classes and the order-2j kernel", cmd_arf,
-            lambda p: _common(p, need_order=True)),
-    "collapse": ("one edge collapse on a single term", cmd_collapse, _collapse_args),
-    "monoize": ("collapse a forest to mono-labeled trees", cmd_monoize, _monoize_args),
+                 (_M, _ORDER, _K, _JSON, _FOREST, _FLAVOR)),
+    "eta": ("summation map of a forest", cmd_eta, (_M, _ORDER, _K, _JSON, _FOREST)),
+    "milnor": ("first nonvanishing invariant", cmd_milnor, (
+        _Arg("--m", int), _Arg("--order", int), _K, _Arg("--cap", int, default=8),
+        _Arg("--longitudes", help="longitude file path"), _JSON, _Arg("forest"))),
+    "lie": ("Lyndon bracket basis of a graded piece", cmd_lie, (_M, _ORDER, _JSON)),
+    "arf": ("twist classes and the order-2j kernel", cmd_arf, (_M, _ORDER, _K, _JSON)),
+    "collapse": ("one edge collapse on a single term", cmd_collapse, (
+        _M, _JSON, _STRICT, _Arg("term", required=True, help="single signed term"),
+        _Arg("label", int, required=True))),
+    "monoize": ("collapse a forest to mono-labeled trees", cmd_monoize,
+                (_M, _K, _JSON, _FOREST, _STRICT)),
 }
 
 
+def _value(kind, text):
+    """`text` read as an argument of this kind; ValueError if it is none."""
+    if kind is int:
+        return int(text)
+    if isinstance(kind, tuple) and text not in kind:
+        raise ValueError(text)
+    return text
+
+
+def _parse(argv):
+    """The namespace argparse would make of a plain command line, else None.
+
+    Plain means: a command, then options by their exact names, each at most
+    once, then exactly the command's positionals, no value or positional
+    starting with "-", every value of its kind and every required option
+    given.  Anything else, help and usage errors among it, is left to
+    `build_parser`.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, func, arguments = _COMMANDS[argv[0]]
+    options = {a.name: a for a in arguments if a.name.startswith("--")}
+    positionals = [a for a in arguments if a.name not in options]
+    given = {}
+    i = 1
+    try:
+        while i < len(argv) and argv[i].startswith("-"):
+            option = options.get(argv[i])
+            if option is None or option.name in given:
+                return None
+            if option.kind is bool:
+                given[option.name] = True
+                i += 1
+                continue
+            if i + 1 == len(argv) or argv[i + 1].startswith("-"):
+                return None
+            given[option.name] = _value(option.kind, argv[i + 1])
+            i += 2
+        words = argv[i:]
+        if len(words) > len(positionals) or any(w.startswith("-") for w in words):
+            return None
+        for a, word in zip(positionals, words):
+            given[a.name] = _value(a.kind, word)
+    except ValueError:
+        return None
+    if any(a.required and a.name not in given for a in arguments):
+        return None
+    args = SimpleNamespace(command=argv[0], func=func)
+    for a in arguments:
+        setattr(args, a.name.lstrip("-").replace("-", "_"), given.get(a.name, a.default))
+    return args
+
+
 def build_parser(command=None):
-    """The top-level parser with the subparser of `command` only, or of
-    every command when `command` is None or names none, so that help and
-    usage errors still list them all."""
-    parser = _Parser(
+    """The argparse parser of the commands in `_COMMANDS`, with the
+    subparser of `command` only, or of every command when `command` is None
+    or names none, so that help and usage errors still list them all.  Usage
+    errors become parse errors, reported as one tagged line (exit 2)."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise ParseError(message)
+
+    parser = Parser(
         prog="forestcalc",
         description="Exact calculus of decorated trees and free Lie algebras.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, func, add_arguments) in _COMMANDS.items():
+    for name, (help_text, func, arguments) in _COMMANDS.items():
         if command in _COMMANDS and name != command:
             continue
         p = sub.add_parser(name, help=help_text)
-        add_arguments(p)
+        for a in arguments:
+            if a.kind is bool:
+                kwargs = {"action": "store_true"}
+            elif a.name.startswith("--"):
+                kwargs = {"required": a.required, "default": a.default}
+            else:
+                kwargs = {} if a.required else {"nargs": "?", "default": a.default}
+            if a.kind is int:
+                kwargs["type"] = int
+            elif isinstance(a.kind, tuple):
+                kwargs["choices"] = list(a.kind)
+            p.add_argument(a.name, help=a.help, **kwargs)
         p.set_defaults(func=func)
     return parser
 
@@ -256,7 +317,9 @@ def build_parser(command=None):
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser(argv[0] if argv else None).parse_args(argv)
+        args = _parse(argv)
+        if args is None:
+            args = build_parser(argv[0] if argv else None).parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()
         return code

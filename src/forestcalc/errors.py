@@ -56,3 +56,7 @@ class HypothesisViolationError(DomainError):
 
 class ParameterError(DomainError):
     tag = "bad-parameter"
+
+
+class ResourceLimitError(DomainError):
+    tag = "resource-limit"

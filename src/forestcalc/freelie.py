@@ -24,16 +24,59 @@ import heapq
 from functools import lru_cache
 from typing import NamedTuple
 
-from .errors import NotPrimitiveError, ParameterError
+from .errors import NotPrimitiveError, ParameterError, ResourceLimitError
 from .intlinalg import left_kernel, presentation
 from .trees import shape_leaves
 
 
+# the most Lyndon words one degree may have; 700,000 of length 24 take 0.5 GB
+MAX_LYNDON_WORDS = 1_000_000
+
+
+def witt(m: int, n: int) -> int:
+    """W(m, n), the number of Lyndon words of length n over 1..m, by the
+    Witt formula (1/n) sum_{d | n} mu(d) m^(n/d).
+
+    mu(d) is (-1)^r on the products d of r distinct primes of n, 0 elsewhere.
+    """
+    primes, rest, p = [], n, 2
+    while p * p <= rest:
+        if rest % p == 0:
+            primes.append(p)
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    if rest > 1:
+        primes.append(rest)
+    total = 0
+    for chosen in range(1 << len(primes)):
+        d, sign = 1, 1
+        for i, p in enumerate(primes):
+            if chosen >> i & 1:
+                d, sign = d * p, -sign
+        total += sign * m ** (n // d)
+    return total // n
+
+
 @lru_cache(maxsize=None)
 def lyndon_words(m: int, n: int) -> tuple:
-    """All Lyndon words of length n over 1..m, lexicographically sorted (Duval)."""
+    """All Lyndon words of length n over 1..m, lexicographically sorted (Duval).
+
+    More than MAX_LYNDON_WORDS of them are refused before any is made.  On
+    two or more letters W(m, n) >= m^n / 2n by the Witt formula, so past
+    length 64 there are over 2^57 and they are refused uncounted.
+    """
     if m < 1 or n < 1:
         raise ParameterError("lyndon_words requires m >= 1, n >= 1")
+    if m == 1 and n > 1:
+        return ()
+    count = witt(m, n) if n <= 64 else None
+    if count is None or count > MAX_LYNDON_WORDS:
+        number = "over 2^57" if count is None else f"{count:,}"
+        raise ResourceLimitError(
+            f"Lyndon words of length {n} on {m} letters number {number},"
+            f" over the budget of {MAX_LYNDON_WORDS:,}"
+        )
     words = []
     w = [1]
     while w:

@@ -45,7 +45,10 @@ from itertools import chain
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .errors import DomainError, ParameterError
+from .errors import DomainError, ParameterError, ResourceLimitError
+
+# the most presentations a framed table may hold; 2,000,000 take about 0.8 GB
+MAX_TABLE_ENTRIES = 4_000_000
 
 FRAMED = "framed"
 ROOTED = "rooted"
@@ -505,9 +508,49 @@ class FramedTable:
         return index, 1 if self.torsion[index] else sign * sa * sb
 
 
+def _shape_counts(m: int, leaves: int, cap=None) -> list:
+    """[R(1), ..., R(leaves)], R(k) the AS-canonical rooted shapes with k
+    leaves on 1..m, cut after the first count over `cap`.
+
+    A shape of k >= 2 leaves is an unordered pair of shapes of i and k - i
+    leaves, so R(1) = m and
+    R(k) = sum_{i < k - i} R(i) R(k - i) + [k even] R(k/2) (R(k/2) + 1) / 2.
+    R never decreases: R(2) >= m and R(k) >= R(1) R(k - 1) past it.
+    """
+    counts = [0, m][:leaves + 1]
+    while len(counts) <= leaves and (cap is None or counts[-1] <= cap):
+        k = len(counts)
+        total = sum(counts[i] * counts[k - i] for i in range(1, (k + 1) // 2))
+        if k % 2 == 0:
+            total += counts[k // 2] * (counts[k // 2] + 1) // 2
+        counts.append(total)
+    return counts[1:]
+
+
+def framed_table_size(m: int, order: int) -> int:
+    """The entries of `framed_table(m, order)`, R(order + 2).
+
+    Its keys are the unordered pairs of canonical shapes with order + 2
+    leaves in all, each a presentation of one framed tree.
+    """
+    return _shape_counts(m, order + 2)[-1]
+
+
 @lru_cache(maxsize=None)
 def framed_table(m: int, order: int) -> FramedTable:
-    """The framed trees of an order and their presentations, shared by every caller."""
+    """The framed trees of an order and their presentations, shared by every caller.
+
+    A table of more than MAX_TABLE_ENTRIES entries is refused before it is
+    built.  Its size is counted only up to the first R(k) over the budget,
+    which R(order + 2) then passes too.
+    """
+    counts = _shape_counts(m, order + 2, MAX_TABLE_ENTRIES)
+    if counts and counts[-1] > MAX_TABLE_ENTRIES:
+        estimate = f"{counts[-1]:,}" if len(counts) == order + 2 else f"at least {counts[-1]:,}"
+        raise ResourceLimitError(
+            f"the framed table of order {order} at m = {m} needs {estimate} entries,"
+            f" over the budget of {MAX_TABLE_ENTRIES:,}"
+        )
     return FramedTable(m, order)
 
 

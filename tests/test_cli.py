@@ -8,13 +8,15 @@ import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from forestcalc import eta as eta_module
-from forestcalc.cli import main
+from forestcalc.cli import _COMMANDS, _parse, build_parser, main
+from forestcalc.errors import ParseError
 from forestcalc.forest import MAX_NESTING, parse_forest
 from forestcalc.magnus import milnor_from_longitudes, parse_longitudes
+from test_acceptance import GOLDEN_COMMANDS, ODD_ORDER_MILNOR
 
 
 def run(capsys, *argv):
@@ -396,14 +398,20 @@ EVERY_COMMAND = "{normalize,group,obstruct,eta,milnor,lie,arf,collapse,monoize}"
 
 
 def test_import_loads_no_dataclasses_or_inspect():
-    code = (
-        "import sys; before = set(sys.modules); import forestcalc.cli; "
-        "print(sorted({'dataclasses', 'inspect', 'random', 'hashlib'}"
-        " & (set(sys.modules) - before)))"
-    )
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True)
-    assert out.stdout == "[]\n"
+    # importing the CLI, and running an ordinary command, loads no code
+    # generation and no argparse, whose first message lookup imports gettext
+    # and locale: argparse is built only for help and usage errors
+    unwanted = "{'dataclasses', 'inspect', 'random', 'hashlib', 'argparse', 'gettext', 'locale'}"
+    for run_cli, printed in [
+        ("import forestcalc.cli", ""),
+        ("from forestcalc.cli import main; "
+         "main(['group', '--m', '2', '--order', '2', '--flavor', 'twisted'])", "Z^1 + Z/2 + Z/2\n"),
+    ]:
+        code = (f"import sys; before = set(sys.modules); {run_cli}; "
+                f"print(sorted({unwanted} & (set(sys.modules) - before)))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True)
+        assert out.stdout == printed + "[]\n"
 
 
 def test_unknown_command_lists_every_command(capsys):
@@ -450,6 +458,131 @@ def test_command_help_and_missing_arguments(capsys, monkeypatch):
         "error[syntax-error]: the following arguments are required: "
         "--m, --order, forest, --flavor\n",
     )
+
+
+# ---------------------------------------------------------------------------
+# the argument table: a plain command line is read without argparse, into the
+# namespace argparse would make of it; anything else goes to argparse
+
+
+def _argparse_namespace(argv):
+    """argparse's attributes for argv, or None where it prints help or an error."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            return vars(build_parser(argv[0] if argv else None).parse_args(argv))
+    except (ParseError, SystemExit):
+        return None
+
+
+# the cells of perfbench's tree-groups workload, as its job runs them
+TREE_GROUP_COMMANDS = [
+    ["group", "--m", str(m), "--order", str(n), "--flavor", flavor, "--json"]
+    for m, n, flavor in ((2, 5, "framed"), (1, 8, "twisted"), (4, 3, "framed"),
+                         (2, 4, "twisted"), (5, 2, "twisted"))
+]
+
+
+@pytest.mark.parametrize("argv", GOLDEN_COMMANDS + [ODD_ORDER_MILNOR] + TREE_GROUP_COMMANDS
+                         + [["milnor", "--longitudes", "link.lnk", "--cap", "4", "--json"]])
+def test_ordinary_commands_take_the_table(argv):
+    parsed = _parse(argv)
+    assert parsed is not None
+    assert vars(parsed) == _argparse_namespace(argv)
+
+
+# tokens that argparse reads otherwise or refuses: abbreviations, "=" forms,
+# help, "--", negative, empty and non-numeric values
+ODD_TOKENS = ["-h", "--help", "--", "-", "--m=2", "--order=1", "--flavor=framed",
+              "--or", "--fl", "--js", "--strict", "--long", "--c", "-m", "--x",
+              "-1", "-0", "", " ", "x", "1.5", "1e3", "0x1", "+3", " 2", "٣",
+              "-1*<1,2>", "bogus"]
+PLAIN_TOKENS = ["0", "1", "2", "3", "framed", "twisted", "+1*<1,2>", "link.lnk",
+                "+1*<(1,2),2>"]
+FLAGS = sorted({a.name for _, _, arguments in _COMMANDS.values() for a in arguments
+                if a.name.startswith("--")})
+
+
+@st.composite
+def _command_line(draw):
+    """A command line of the table's form, or one with a single kind of
+    oddity: odd tokens as values or positionals, options abbreviated or
+    written with "=", or up to three tokens inserted, dropped or replaced."""
+    oddity = draw(st.sampled_from(["none", "values", "forms", "edits"]))
+    command = draw(st.sampled_from(sorted(_COMMANDS) + ["bogus"]))
+    arguments = _COMMANDS.get(command, ("", None, ()))[2]
+    value = {int: st.sampled_from(["0", "1", "2", "3"]), str: st.sampled_from(PLAIN_TOKENS)}
+    options, positionals = [], []
+    for a in arguments:
+        if not (a.required or draw(st.booleans())):
+            continue
+        if a.kind is bool:
+            token = None
+        elif oddity == "values" and draw(st.booleans()):
+            token = draw(st.sampled_from(ODD_TOKENS))
+        elif a.kind in value:
+            token = draw(value[a.kind])
+        else:
+            token = draw(st.sampled_from(list(a.kind) + ["bogus"]))
+        if not a.name.startswith("--"):
+            positionals.append(token)
+            continue
+        form = draw(st.sampled_from(["exact", "prefix", "equals"])) if oddity == "forms" else "exact"
+        if form == "prefix":
+            options.append([a.name[:draw(st.integers(1, len(a.name) - 1))]])
+        elif form == "equals" and token is not None:
+            options.append([f"{a.name}={token}"])
+            continue
+        else:
+            options.append([a.name])
+        if token is not None:
+            options[-1].append(token)
+    options = draw(st.permutations(options))
+    argv = [command] + [t for option in options for t in option] + positionals
+    token = st.sampled_from(ODD_TOKENS + PLAIN_TOKENS + FLAGS + sorted(_COMMANDS))
+    for _ in range(draw(st.integers(1, 3)) if oddity == "edits" else 0):
+        at = draw(st.integers(0, len(argv)))
+        cut = draw(st.integers(0, 1))
+        argv = argv[:at] + draw(st.lists(token, max_size=2)) + argv[at + cut:]
+    return argv
+
+
+@settings(max_examples=600, deadline=None)
+@given(_command_line())
+@example(["milnor", "--longitudes", "-h"])
+@example(["milnor", "--longitudes", "--json"])
+@example(["milnor", "--longitudes", "-1*<1,2>"])
+@example(["milnor", "--m", "2", "--order", "0", "--", "+1*<1,2>"])
+@example(["collapse", "--m", "3", "+1*<(1,2),3>", "-h"])
+@example(["normalize", "--m", "-1", "+1*<1,2>"])
+@example(["normalize", "--m", "2", "--json", "--json", "+1*<1,2>"])
+def test_table_agrees_with_argparse(argv):
+    parsed = _parse(argv)
+    if parsed is not None:
+        assert vars(parsed) == _argparse_namespace(argv), argv
+
+
+@pytest.mark.parametrize(
+    "argv,estimate",
+    [
+        (["group", "--m", "3", "--order", "9", "--flavor", "framed"], "7,178,598 entries"),
+        (["group", "--m", "200", "--order", "1", "--flavor", "framed"], "4,020,000 entries"),
+        (["obstruct", "--m", "100000", "--order", "0", "--flavor", "twisted", "+1*<1,2>"],
+         "5,000,050,000 entries"),
+        (["group", "--m", "1", "--order", "100000", "--flavor", "framed"],
+         "at least 8,436,379 entries"),
+        (["lie", "--m", "100000", "--order", "2"], "number 4,999,950,000"),
+        (["lie", "--m", "2", "--order", "1000000"], "number over 2^57"),
+        (["arf", "--m", "100000", "--order", "1", "--k", "4"], "number 333,333,333,300,000"),
+    ],
+)
+def test_budget_refuses_before_building(capsys, argv, estimate):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert err.startswith("error[resource-limit]: ") and estimate in err
+    assert len(err.splitlines()) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import divisors, mobius
 
-from forestcalc.errors import NotPrimitiveError, ParameterError
+from forestcalc import freelie
+from forestcalc.errors import NotPrimitiveError, ParameterError, ResourceLimitError
 from forestcalc.freelie import (
     LieElement,
     TensorElement,
@@ -37,6 +38,21 @@ def test_lyndon_counts_witt():
     for m in (1, 2, 3):
         for n in range(1, 7):
             assert len(lyndon_words(m, n)) == witt(m, n)
+
+
+def test_witt_count_matches_sympy_mobius_sum():
+    for m in (1, 2, 3, 7, 10**6):
+        for n in (*range(1, 31), 60, 64, 97, 210):
+            assert freelie.witt(m, n) == witt(m, n)
+
+
+def test_lyndon_budget():
+    # counted by the Witt formula before any word is made
+    assert len(lyndon_words(2, 20)) == witt(2, 20) < freelie.MAX_LYNDON_WORDS < witt(2, 25)
+    for m, n in ((100000, 2), (2, 25), (10**9, 7), (2, 10**6)):
+        with pytest.raises(ResourceLimitError):
+            lyndon_words(m, n)
+    assert lyndon_words(1, 10**9) == ()  # no Lyndon word longer than 1 on one letter
 
 
 def test_lyndon_sorted_and_lyndon():

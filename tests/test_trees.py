@@ -3,15 +3,17 @@ from functools import lru_cache
 
 import pytest
 
-from forestcalc.errors import DomainError, ParameterError
+from forestcalc.errors import DomainError, ParameterError, ResourceLimitError
 from forestcalc.trees import (
     FRAMED,
+    MAX_TABLE_ENTRIES,
     DecoratedTree,
     canonical_framed,
     canonical_rooted,
     canonicalize_tree,
     framed_generators,
     framed_table,
+    framed_table_size,
     framed_tree,
     inner_product,
     multiplicity,
@@ -414,3 +416,25 @@ def test_framed_table_matches_nested_table(m, order):
 def test_validate_rejects_bad_labels():
     with pytest.raises(ParameterError):
         framed_tree(0, 1)
+
+
+# every framed table the tests build
+TABLE_CELLS = sorted(
+    {(m, n) for m, top in ((1, 9), (2, 9), (3, 6), (4, 5)) for n in range(top + 1)}
+    | {(5, 2)}
+)
+
+
+@pytest.mark.parametrize("m,n", TABLE_CELLS)
+def test_table_size_estimate(m, n):
+    assert framed_table_size(m, n) == len(framed_table(m, n).entries)
+
+
+def test_table_budget():
+    # sizes measured on the built tables: the last two still run, (3,9) does not
+    assert [framed_table_size(m, n) for m, n in ((4, 6), (3, 8), (5, 6), (2, 11), (3, 9))] == [
+        366_680, 1_282_824, 1_979_385, 1_964_718, 7_178_598]
+    assert framed_table_size(2, 11) < framed_table_size(5, 6) < MAX_TABLE_ENTRIES
+    for m, n in ((3, 9), (200, 1), (1, 10**6), (10**6, 0)):
+        with pytest.raises(ResourceLimitError):
+            framed_table(m, n)
