@@ -29,7 +29,6 @@ from .eta import arf_classes, eta, eta_k, eta_kernel, milnor_from_forest
 from .forest import parse_forest, parse_tree_term
 from .freelie import bracket_str, lyndon_words
 from .groups import build_group
-from .magnus import AllVanishing, milnor_from_longitudes, parse_longitudes
 from .rewrite import collapse_edge, monoize_forest
 
 
@@ -96,8 +95,17 @@ def _mu_table_lines(result):
 
 def cmd_milnor(args):
     if args.longitudes:
-        with open(args.longitudes, encoding="utf-8") as fh:
-            data = parse_longitudes(fh.read())
+        # only longitude runs compile and load the Magnus expansion
+        from .magnus import AllVanishing, milnor_from_longitudes, parse_longitudes
+
+        with open(args.longitudes, "rb") as fh:
+            raw = fh.read()
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            message = f"longitude file is not UTF-8 ({exc.reason} at byte {exc.start})"
+            raise ParseError(message) from None
+        data = parse_longitudes(text)
         try:
             result = milnor_from_longitudes(data, cap=args.cap, k=args.k)
         except AllVanishing as exc:
@@ -133,7 +141,8 @@ def cmd_milnor(args):
 
 def cmd_lie(args):
     words = lyndon_words(args.m, args.order)
-    lines = [bracket_str(w) for w in words]
+    memo = {}
+    lines = [bracket_str(w, memo) for w in words]
     _emit(args, lines, {"basis": lines})
     return 0
 

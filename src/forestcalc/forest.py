@@ -109,7 +109,7 @@ class _Parser:
         if self.peek() in "+-":
             self.pos += 1
         digits = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         if self.pos == digits:
             self.pos = start

@@ -206,17 +206,29 @@ class LieElement(SparseVector):
     def __str__(self):
         if not self.coeffs:
             return "0"
-        return " + ".join(f"{c:+d}*{bracket_str(w)}" for w, c in self.coeffs)
+        memo = {}
+        return " + ".join(f"{c:+d}*{bracket_str(w, memo)}" for w, c in self.coeffs)
 
 
-def bracket_str(word) -> str:
-    return _bracket_shape_str(standard_bracketing(tuple(word)))
+def bracket_str(word, memo=None) -> str:
+    """The standard bracketing of a Lyndon word as text, such as [x1,[x1,x2]].
 
-
-def _bracket_shape_str(shape) -> str:
-    if isinstance(shape, int):
-        return f"x{shape}"
-    return f"[{_bracket_shape_str(shape[0])},{_bracket_shape_str(shape[1])}]"
+    Each word's text joins its two standard factors' texts.  `memo` maps the
+    words printed so far to their texts; a caller printing many words may
+    share one.
+    """
+    word = tuple(word)
+    if memo is None:
+        memo = {}
+    text = memo.get(word)
+    if text is None:
+        if len(word) == 1:
+            text = f"x{word[0]}"
+        else:
+            split = _split(word)
+            text = f"[{bracket_str(word[:split], memo)},{bracket_str(word[split:], memo)}]"
+        memo[word] = text
+    return text
 
 
 def tensor_to_lie(m: int, degree: int, tensor: dict) -> LieElement:
@@ -386,8 +398,9 @@ class TensorElement(SparseVector):
     def __str__(self):
         if not self.coeffs:
             return "0"
+        memo = {}
         return " + ".join(
-            f"{c:+d}*x{i} (x) {bracket_str(w)}" for (i, w), c in self.coeffs
+            f"{c:+d}*x{i} (x) {bracket_str(w, memo)}" for (i, w), c in self.coeffs
         )
 
 

@@ -13,11 +13,23 @@ degree is at most D, and less only where a fingerprint missed.  The walk is
 exact and returns every part up to D, and the scan reads them in order; only
 a k filter that empties every part of degree D sends it on, to a second
 walk.  So no output depends on the fingerprint, only the time taken.
+
+The walk packs parts in integers.  A word's r letters are the digits
+0..r-1, and a monomial of degree d the number of its d digits, the first
+least significant.  A coefficient of any prefix of a word of length L sums
+at most C(L+D-1, D) terms +-1, one per way to read the monomial off the
+letters (x1^-L attains it at X_1^D), so a signed field of bit_length of
+that bound + 1 bits holds it, and an integer is 0 only when every field is.
+Up to degree low, the largest j with r^j <= _FIELDS, a part is one integer,
+the sum of c 2^(bits * number), and a letter shifts and adds it; past low,
+a part maps its high digits to the integer of its low ones, so sparse parts
+stay sparse.  The scan decodes only the parts it reads.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate
+from math import comb
 from operator import mul
 from typing import NamedTuple
 
@@ -52,7 +64,7 @@ def parse_word(text: str, m: int, memo=None):
         letter = memo.get(token)
         if letter is None:
             pos = len(letters)
-            if len(token) < 2 or token[0] not in "xX" or not token[1:].isdigit():
+            if len(token) < 2 or token[0] not in "xX" or not token[1:].isdecimal():
                 raise ParseError(f"bad letter {token!r}", position=pos)
             i = int(token[1:])
             if not 1 <= i <= m:
@@ -135,49 +147,70 @@ def _first_degree(words, low: int, top: int) -> int:
     return top
 
 
-def _walk(word, degree: int, m: int) -> list:
-    """Parts P_0..P_degree of the Magnus expansion of a word, zeros dropped.
+_FIELDS = 256  # the most fields of a part packed whole (module docstring)
+
+
+class _Walk(NamedTuple):
+    parts: list  # P_0..P_D: an int up to degree low, then {high digits: int}
+    letters: tuple  # the word's distinct labels, by digit
+    low: int
+    bits: int
+
+    def read(self, d: int) -> dict:
+        """Part d keyed by letter tuples (i_1, ..., i_d), lowest set bit first."""
+        r, bits, low, part = len(self.letters), self.bits, min(d, self.low), self.parts[d]
+        out = {}
+        for high, x in part.items() if d > low else ((0, part),):
+            while x:
+                field = ((x & -x).bit_length() - 1) // bits
+                c = x >> field * bits & (1 << bits) - 1
+                c -= c >> bits - 1 << bits  # the field is signed
+                x -= c << field * bits
+                index, word = field + high * r ** low, []
+                for _ in range(d):
+                    index, j = divmod(index, r)
+                    word.append(self.letters[j])
+                out[tuple(word)] = c
+        return out
+
+
+def _walk(word, degree: int) -> _Walk:
+    """Parts P_0..P_degree of the Magnus expansion of a word, packed.
 
     The parts of the prefix read so far are updated in place, one letter at
     a time.  x_i multiplies by 1 + X_i: P_d += P_{d-1} X_i, for d from the top
     down so that the old P_{d-1} is read.  x_i^-1 multiplies by
     (1 + X_i)^-1, and the product Q solves Q_d + Q_{d-1} X_i = P_d: d runs
-    upwards and reads the already updated Q_{d-1}.
-
-    Monomials are ints, the first letter least significant in base m:
-    appending X_i at degree d adds (i - 1) m^(d-1).  `_decode` turns a part
-    back into letter tuples.
+    upwards and reads the already updated Q_{d-1}.  For X_i the digit j,
+    P_{d-1} X_i shifts P_{d-1} by j r^(d-1) fields up to degree low, and
+    adds j r^(d-1-low) to each key past it.
     """
-    parts = [{0: 1}] + [{} for _ in range(degree)]
-    powers = [0] + [m ** (d - 1) for d in range(1, degree + 1)]
-    offsets = {}
+    letters = sorted({i for i, _ in word})
+    r, low = len(letters), 0
+    while low < degree and r ** (low + 1) <= _FIELDS:
+        low += 1
+    bits = (comb(len(word) + degree - 1, degree) if word else 1).bit_length() + 1
+    steps = {i: [0] + [j * r ** (d - 1) * bits if d <= low else j * r ** (d - 1 - low)
+                       for d in range(1, degree + 1)] for j, i in enumerate(letters)}
+    parts = [1] + [0] * low + [{} for _ in range(degree - low)]
+    up, down = range(1, degree + 1), range(degree, 0, -1)
     for i, inverse in word:
-        offset = offsets.get(i)
-        if offset is None:
-            offset = offsets[i] = [(i - 1) * p for p in powers]
-        sign = -1 if inverse else 1
-        for d in range(1, degree + 1) if inverse else range(degree, 0, -1):
-            target, step = parts[d], offset[d]
-            for w, c in parts[d - 1].items():
-                w += step
-                c = target.get(w, 0) + sign * c
-                if c:
-                    target[w] = c
-                else:
-                    del target[w]
-    return parts
-
-
-def _decode(part: dict, degree: int, m: int) -> dict:
-    """A part of `_walk` keyed by letter tuples (i_1, ..., i_degree)."""
-    out = {}
-    for key, c in part.items():
-        word = []
-        for _ in range(degree):
-            key, r = divmod(key, m)
-            word.append(r + 1)
-        out[tuple(word)] = c
-    return out
+        step = steps[i]
+        for d in up if inverse else down:
+            below = parts[d - 1]
+            if d <= low:
+                below <<= step[d]
+                parts[d] += -below if inverse else below
+            elif below:
+                target = parts[d]
+                for key, c in below.items() if d > low + 1 else ((0, below),):
+                    key += step[d]
+                    c = target.get(key, 0) + (-c if inverse else c)
+                    if c:
+                        target[key] = c
+                    else:
+                        del target[key]
+    return _Walk(parts, tuple(letters), low, bits)
 
 
 class LongitudeData(NamedTuple):
@@ -201,7 +234,7 @@ def parse_longitudes(text: str) -> LongitudeData:
             continue
         if m is None:
             parts = line.replace(" ", "").split("=")
-            if len(parts) != 2 or parts[0] != "m" or not parts[1].isdigit():
+            if len(parts) != 2 or parts[0] != "m" or not parts[1].isdecimal():
                 raise ParseError(f"expected 'm = <int>' on line {lineno}", position=lineno)
             m = int(parts[1])
             if m < 1:
@@ -211,7 +244,7 @@ def parse_longitudes(text: str) -> LongitudeData:
             raise ParseError(f"expected 'l<i>: <word>' on line {lineno}", position=lineno)
         head, body = line.split(":", 1)
         head = head.strip()
-        if not head.startswith("l") or not head[1:].isdigit():
+        if not head.startswith("l") or not head[1:].isdecimal():
             raise ParseError(f"bad longitude name {head!r}", position=lineno)
         i = int(head[1:])
         if not 1 <= i <= m:
@@ -260,14 +293,13 @@ def milnor_from_longitudes(data: LongitudeData, cap: int = 8, k=None) -> MilnorR
     scanned = 0
     while scanned <= cap:
         top = _first_degree([w for _, w in words], scanned + 1, cap + 1)
-        walks = [(i, _walk(word, top, m)) for i, word in words]
+        walks = [(i, _walk(word, top)) for i, word in words]
         for degree in range(scanned + 1, top + 1):
             parts = []
             for i, walk in walks:
-                part = walk[degree]
-                if not part:
+                if not walk.parts[degree]:
                     continue
-                part = _decode(part, degree, m)
+                part = walk.read(degree)
                 if k is not None:
                     part = {
                         w: c for w, c in part.items()

@@ -96,19 +96,23 @@ def validate_shape(shape, m=None):
 def _canon(shape):
     """AS-canonicalize a rooted shape, building each vertex key once.
 
-    Returns ``(canonical_shape, key, sign, ambiguous)`` where key is
-    ``shape_key(canonical_shape)``, assembled from the branch keys.
+    Returns ``(canonical_shape, key, sign, ambiguous, branches)``: key is
+    ``shape_key(canonical_shape)``, built from the branch keys, and branches
+    the `_canon` of the two branches as given, None for a label.
     """
     if isinstance(shape, int):
-        return shape, (1, shape), 1, False
-    a, ka, sa, amb_a = _canon(shape[0])
-    b, kb, sb, amb_b = _canon(shape[1])
-    sign = sa * sb
+        return shape, (1, shape), 1, False, None
+    return _join(_canon(shape[0]), _canon(shape[1]))
+
+
+def _join(a, b):
+    """The `_canon` of the pair shape of two shapes a, b given by their `_canon`."""
+    ca, ka, sa, amb_a, _ = a
+    cb, kb, sb, amb_b, _ = b
     amb = amb_a or amb_b or ka == kb
     if kb < ka:
-        a, b, ka, kb = b, a, kb, ka
-        sign = -sign
-    return (a, b), (0, ka, kb), sign, amb
+        return (cb, ca), (0, kb, ka), -sa * sb, amb, (a, b)
+    return (ca, cb), (0, ka, kb), sa * sb, amb, (a, b)
 
 
 def canonical_rooted(shape):
@@ -118,7 +122,7 @@ def canonical_rooted(shape):
     trivalent vertex has equal canonical branches, so the canonical form is
     reachable with either sign.
     """
-    canon, _, sign, amb = _canon(shape)
+    canon, _, sign, amb, _ = _canon(shape)
     return canon, sign, amb
 
 
@@ -159,26 +163,31 @@ def canonical_framed(half_a, half_b):
     torsion is set when the minimal presentation is reachable with both
     signs, in which case the reported sign is +1 and the tree satisfies
     2t = 0 at group level.
+
+    The 2n+1 edges are read in one walk, as `ShapeIds.edges` walks ids:
+    each subtree of the halves is canonicalized once, bottom-up; the walk
+    carries the canonical rest of the tree down to each vertex v = (x, y),
+    where the cyclic order (x, y, rest) reads (y, rest) from x and (rest, x)
+    from y, each joined from its two branches with one key comparison.
     """
-    best_key = None
-    best_pair = None
-    signs = set()
-    for p, q in presentations(half_a, half_b):
-        cp, kp, sp, amb_p = _canon(p)
-        cq, kq, sq, amb_q = _canon(q)
-        if kq < kp:
-            cp, cq, kp, kq = cq, cp, kq, kp
-        key = (kp, kq)
-        pres_signs = {sp * sq, -sp * sq} if (amb_p or amb_q) else {sp * sq}
+    a, b = _canon(half_a), _canon(half_b)
+    edges = [(a, b), (b, a)]  # (half, rest): the first edge both ways, then 2 per vertex
+    for v, rest in edges:
+        if v[4]:
+            x, y = v[4]
+            edges += (x, _join(y, rest)), (y, _join(rest, x))
+    best_key = signs = None
+    for p, q in edges:
+        if q[1] < p[1]:
+            p, q = q, p
+        key, sign = (p[1], q[1]), p[2] * q[2]
+        pres_signs = {sign, -sign} if p[3] or q[3] else {sign}
         if best_key is None or key < best_key:
-            best_key = key
-            best_pair = (cp, cq)
-            signs = set(pres_signs)
+            best_key, best_pair, signs = key, (p[0], q[0]), pres_signs
         elif key == best_key:
             signs |= pres_signs
     torsion = len(signs) == 2
-    sign = 1 if torsion else signs.pop()
-    return best_pair, sign, torsion
+    return best_pair, 1 if torsion else signs.pop(), torsion
 
 
 def leaf_rootings(half_a, half_b):

@@ -294,6 +294,37 @@ def test_missing_file_exit_1(capsys):
     assert err.startswith("error[io-error]")
 
 
+def _syntax_error(code, out, err):
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error[syntax-error]: "), err
+
+
+# '²' passes str.isdigit, but int rejects it
+@pytest.mark.parametrize("forest", ["1*<1,²>", "²*<1,2>", "+1*<(1,2),1²>"])
+def test_unicode_digit_in_forest_is_a_syntax_error(capsys, forest):
+    _syntax_error(*run(capsys, "normalize", "--m", "2", forest))
+
+
+@pytest.mark.parametrize("text", ["m = 2\nl1: x²\n", "m = ²\nl1: x1\n", "m = 2\nl²: x1\n"])
+def test_unicode_digit_in_longitude_file_is_a_syntax_error(capsys, tmp_path, text):
+    path = tmp_path / "digits.lnk"
+    path.write_text(text, encoding="utf-8")
+    _syntax_error(*run(capsys, "milnor", "--longitudes", str(path)))
+
+
+def test_decimal_digit_reads_as_int_reads_it(capsys):
+    # Arabic-Indic three is a decimal digit, and int reads it as 3
+    assert run(capsys, "normalize", "--m", "3", "+1*<1,\u0663>") == (0, "+1*<1,3>\n", "")
+
+
+def test_non_utf8_longitude_file_is_a_syntax_error(capsys, tmp_path):
+    path = tmp_path / "latin1.lnk"
+    path.write_bytes(b"m = 2\nl1: x1 \xff\n")
+    code, out, err = run(capsys, "milnor", "--longitudes", str(path))
+    _syntax_error(code, out, err)
+    assert err.endswith(": longitude file is not UTF-8 (invalid start byte at byte 13)\n")
+
+
 @pytest.mark.parametrize("unbuffered", [False, True])
 def test_closed_stdout_exits_quietly(unbuffered):
     # the reader closes stdout before anything is written: the run ends with
@@ -630,7 +661,10 @@ def _rooted(draw, leaves, label):
     return f"({draw(_rooted(left, label))},{draw(_rooted(leaves - left, label))})"
 
 
-FOREST_CHARS = "()<>,*+-^inf 0123456789"
+# '²' is a digit to str.isdigit that int rejects, '٣' a decimal digit int
+# reads as 3, and '\xa0' a space to str.isspace and str.split
+UNICODE_CHARS = "²٣\xa0"
+FOREST_CHARS = "()<>,*+-^inf 0123456789" + UNICODE_CHARS
 _small = st.integers(-1, 4)
 
 
@@ -677,7 +711,7 @@ def _longitude_text(draw):
         word = [f"{draw(st.sampled_from('xX'))}{draw(letter)}"
                 for _ in range(draw(st.integers(0, 6)))]
         lines.append(f"l{i}: {' '.join(word)}")
-    return draw(_garbled("\n".join(lines), "lmxX0123456789:=# \n"))
+    return draw(_garbled("\n".join(lines), "lmxX0123456789:=# \n" + UNICODE_CHARS))
 
 
 _option = st.one_of(st.none(), _small.map(str))
@@ -688,7 +722,7 @@ _option = st.one_of(st.none(), _small.map(str))
 @given(_longitude_text(), _option, _option)
 def test_fuzzed_longitude_files_exit_cleanly(tmp_path, text, cap, k):
     path = tmp_path / "fuzz.lnk"  # rewritten by every example
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     argv = ["milnor", "--longitudes", str(path)]
     if cap is not None:
         argv += ["--cap", cap]

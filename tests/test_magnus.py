@@ -1,3 +1,5 @@
+from math import comb
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,7 +27,6 @@ from forestcalc.magnus import (
     AllVanishing,
     LongitudeData,
     MilnorResult,
-    _decode,
     _free_reduce,
     _walk,
     milnor_from_longitudes,
@@ -153,9 +154,45 @@ WHITEHEAD = (
 )
 
 
-def _parts(word, degree, m):
+def _old_walk(word, degree: int, m: int) -> list:
+    """The walk as it was: parts P_0..P_degree keyed by monomial ints, zeros dropped.
+
+    One dict entry per monomial is updated per letter; a monomial is an int,
+    the first letter least significant in base m.
+    """
+    parts = [{0: 1}] + [{} for _ in range(degree)]
+    powers = [0] + [m ** (d - 1) for d in range(1, degree + 1)]
+    for i, inverse in word:
+        offset = [(i - 1) * p for p in powers]
+        sign = -1 if inverse else 1
+        for d in range(1, degree + 1) if inverse else range(degree, 0, -1):
+            target, step = parts[d], offset[d]
+            for w, c in parts[d - 1].items():
+                w += step
+                c = target.get(w, 0) + sign * c
+                if c:
+                    target[w] = c
+                else:
+                    del target[w]
+    return parts
+
+
+def _old_decode(part: dict, degree: int, m: int) -> dict:
+    """A part of `_old_walk` keyed by letter tuples (i_1, ..., i_degree)."""
+    out = {}
+    for key, c in part.items():
+        word = []
+        for _ in range(degree):
+            key, r = divmod(key, m)
+            word.append(r + 1)
+        out[tuple(word)] = c
+    return out
+
+
+def _parts(word, degree):
     """The walk's parts P_0..P_degree, keyed by letter tuples."""
-    return [_decode(part, d, m) for d, part in enumerate(_walk(word, degree, m))]
+    walk = _walk(word, degree)
+    return [walk.read(d) for d in range(degree + 1)]
 
 
 def test_word_parsing():
@@ -194,14 +231,14 @@ def test_inverse_cancellation():
     word = parse_word("x1 X1", 2)
     s = _old_magnus_expand(word, 2, 4)
     assert s.coeffs == {(): 1}
-    assert _parts(word, 4, 2) == [{(): 1}, {}, {}, {}, {}]
+    assert _parts(word, 4) == [{(): 1}, {}, {}, {}, {}]
 
 
 def test_truncation():
     s = _old_magnus_expand(parse_word("x1 x1 x1", 1), 1, 2)
     assert max(len(w) for w in s.coeffs) <= 2
     assert s.coefficient((1, 1)) == 3
-    assert _parts(parse_word("x1 x1 x1", 1), 2, 1)[2] == {(1, 1): 3}
+    assert _parts(parse_word("x1 x1 x1", 1), 2)[2] == {(1, 1): 3}
 
 
 def test_geometric_series_inverse():
@@ -210,7 +247,7 @@ def test_geometric_series_inverse():
     assert s.coefficient((1,)) == -1
     assert s.coefficient((1, 1)) == 1
     assert s.coefficient((1, 1, 1)) == -1
-    assert _parts([(1, True)], 3, 2) == [{(1,) * d: (-1) ** d} for d in range(4)]
+    assert _parts([(1, True)], 3) == [{(1,) * d: (-1) ** d} for d in range(4)]
 
 
 def test_hopf_matches_forest():
@@ -311,7 +348,7 @@ def _padded_links(draw):
 def test_degree_part_matches_old_expansion(mw, degree):
     m, word = mw
     old = _old_magnus_expand(word, m, degree)
-    assert _parts(word, degree, m) == [old.homogeneous(d) for d in range(degree + 1)]
+    assert _parts(word, degree) == [old.homogeneous(d) for d in range(degree + 1)]
 
 
 def _outcome(scan, data, cap, k):
@@ -344,7 +381,7 @@ def test_fingerprint_is_the_part_at_the_points(mw):
     m, word = mw
     p = (1 << 61) - 1
     fingerprints = magnus._fingerprints(word, {})
-    for d, part in enumerate(_parts(word, 9, m)[1:], start=1):
+    for d, part in enumerate(_parts(word, 9)[1:], start=1):
         at_points = 0
         for w, c in part.items():
             for j, i in enumerate(w, start=1):
@@ -437,9 +474,9 @@ def test_one_walk_per_nonempty_longitude(monkeypatch, data, order, expected):
     walks = []
     walk = magnus._walk
 
-    def spy(word, degree, m):
+    def spy(word, degree):
         walks.append(degree)
-        return walk(word, degree, m)
+        return walk(word, degree)
 
     monkeypatch.setattr(magnus, "_walk", spy)
     result = milnor_from_longitudes(data)
@@ -455,3 +492,66 @@ def test_free_reduction():
     assert _free_reduce(parse_word("x1 x1 X2 x1", 2)) == tuple(parse_word("x1 x1 X2 x1", 2))
     w = tuple(parse_word(" ".join(["x1 x2 x3 x4 X1 X2 X3 X4"] * 5), 4))
     assert _free_reduce(w + _inverse(w)) == ()
+
+
+# -- the packed walk against the dict walk it replaced -------------------------
+
+
+def _old_parts(word, degree, m):
+    return [_old_decode(part, d, m) for d, part in enumerate(_old_walk(word, degree, m))]
+
+
+def _check_walk(word, degree, m):
+    walk = _walk(word, degree)
+    assert [walk.read(d) for d in range(degree + 1)] == _old_parts(word, degree, m)
+    assert [not part for part in walk.parts] == [not part for part in _old_walk(word, degree, m)]
+    return walk
+
+
+# 1 field keys every part past degree 0, 4 packs low degrees and keys the
+# rest, 256 packs every degree of a word on few letters
+@pytest.mark.parametrize("fields", [1, 4, 256])
+@settings(max_examples=60, deadline=None)
+@given(mw=st.integers(1, 8).flatmap(lambda m: st.tuples(st.just(m), _words(m))),
+       degree=st.integers(0, 6))
+def test_packed_walk_matches_old_walk(fields, mw, degree):
+    m, word = mw
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(magnus, "_FIELDS", fields)
+        _check_walk(word, degree, m)
+
+
+@pytest.mark.parametrize("fields, low", [(1, 0), (4, 2), (256, 4)])
+def test_fields_set_what_is_packed(monkeypatch, fields, low):
+    monkeypatch.setattr(magnus, "_FIELDS", fields)
+    walk = _check_walk(_commutator_word(((1, 2), 1)), 4, 2)
+    assert walk.low == low
+    assert all(isinstance(part, int) for part in walk.parts[:low + 1])
+    assert all(isinstance(part, dict) for part in walk.parts[low + 1:])
+
+
+@pytest.mark.parametrize("fields", [1, 4, 256])
+@pytest.mark.parametrize("shape", [
+    ((((((1, 2), 3), 4), 5), 6)),
+    ((1, 2), ((3, 4), (5, (6, 7)))),
+    (((((((1, 2), 3), 4), 5), 6), 7), 8),
+    (((1, 2), (3, 4)), ((5, 6), (7, 8))),
+])
+def test_packed_walk_on_iterated_commutators(monkeypatch, fields, shape):
+    # the first nonzero part past degree 0 is the bracket's, at its degree
+    word = _commutator_word(shape)
+    degree = len(_rootings(shape, 0))  # one letter per leaf
+    monkeypatch.setattr(magnus, "_FIELDS", fields)
+    walk = _check_walk(word, degree, degree)
+    assert [bool(part) for part in walk.parts] == [True] + [False] * (degree - 1) + [True]
+
+
+@pytest.mark.parametrize(
+    "length, degree", [(40, 5), (1, 1), (1, 8), (2, 3), (5, 4), (9, 9), (40, 6), (382, 8)]
+)
+def test_field_bound_is_attained(length, degree):
+    # x1^-L = (1 + X_1)^-L: X_1^D has (-1)^D C(L + D - 1, D), the most any
+    # coefficient of a word of length L can reach, which fills its field
+    walk = _walk(((1, True),) * length, degree)
+    for d in range(degree + 1):
+        assert walk.read(d) == {(1,) * d: (-1) ** d * comb(length + d - 1, d)}

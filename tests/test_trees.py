@@ -2,12 +2,16 @@ import random
 from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from forestcalc.errors import DomainError, ParameterError, ResourceLimitError
+from forestcalc.forest import MAX_NESTING
 from forestcalc.trees import (
     FRAMED,
     MAX_TABLE_ENTRIES,
     DecoratedTree,
+    _canon,
     canonical_framed,
     canonical_rooted,
     canonicalize_tree,
@@ -17,6 +21,7 @@ from forestcalc.trees import (
     framed_tree,
     inner_product,
     multiplicity,
+    presentations,
     rooted_product,
     rooted_tree,
     shape_ids,
@@ -319,10 +324,10 @@ def _tuples(trees):
     return [(t.kind, t.data, t.torsion) for t in trees]
 
 
-@pytest.mark.parametrize(
-    "m,order",
-    [(m, n) for m in (1, 2, 3) for n in range(5)] + [(2, 5), (1, 6), (1, 7), (1, 8)],
-)
+GENERATOR_CELLS = [(m, n) for m in (1, 2, 3) for n in range(5)] + [(2, 5), (1, 6), (1, 7), (1, 8)]
+
+
+@pytest.mark.parametrize("m,order", GENERATOR_CELLS)
 def test_generators_match_raw_enumeration(m, order):
     framed, twisted = _old_generators(m, order)
     assert _tuples(framed_generators(m, order)) == framed
@@ -438,3 +443,75 @@ def test_table_budget():
     for m, n in ((3, 9), (200, 1), (1, 10**6), (10**6, 0)):
         with pytest.raises(ResourceLimitError):
             framed_table(m, n)
+
+
+# ---------------------------------------------------------------------------
+# oracle: the framed canonical form as it was, canonicalizing both halves of
+# every presentation from scratch
+
+
+def _presentation_canonical_framed(half_a, half_b):
+    best_key = None
+    signs = set()
+    for p, q in presentations(half_a, half_b):
+        cp, kp, sp, amb_p, _ = _canon(p)
+        cq, kq, sq, amb_q, _ = _canon(q)
+        if kq < kp:
+            cp, cq, kp, kq = cq, cp, kq, kp
+        key = (kp, kq)
+        pres_signs = {sp * sq, -sp * sq} if (amb_p or amb_q) else {sp * sq}
+        if best_key is None or key < best_key:
+            best_key, best_pair, signs = key, (cp, cq), set(pres_signs)
+        elif key == best_key:
+            signs |= pres_signs
+    torsion = len(signs) == 2
+    return best_pair, 1 if torsion else signs.pop(), torsion
+
+
+def _scrambled(rng, a, b):
+    """<a, b> re-presented at a random edge, with random AS swaps."""
+    for _ in range(rng.randint(0, 6)):
+        if rng.random() < 0.5:
+            a, b = b, a
+        if isinstance(a, tuple):
+            a, b = (a[0], (a[1], b)) if rng.random() < 0.5 else (a[1], (b, a[0]))
+
+    def swap(shape):
+        if isinstance(shape, int):
+            return shape
+        left, right = swap(shape[0]), swap(shape[1])
+        return (right, left) if rng.random() < 0.5 else (left, right)
+
+    return swap(a), swap(b)
+
+
+def test_canonical_framed_matches_presentations_on_the_generator_grid():
+    # every framed tree of the generator cells, from its canonical halves and
+    # from a scrambled presentation
+    rng = random.Random(7)
+    for m, n in GENERATOR_CELLS + [(4, 3), (2, 6), (1, 9)]:
+        for tree in framed_table(m, n).trees:
+            for a, b in (tree.data, _scrambled(rng, *tree.data)):
+                assert canonical_framed(a, b) == _presentation_canonical_framed(a, b)
+
+
+@st.composite
+def _random_framed(draw):
+    """A framed tree of up to MAX_NESTING trivalent vertices on 1..m."""
+    rng = draw(st.randoms(use_true_random=False))
+    m, order = draw(st.integers(1, 4)), draw(st.integers(0, MAX_NESTING))
+
+    def shape(leaves):
+        if leaves == 1:
+            return rng.randint(1, m)
+        left = rng.randint(1, leaves - 1)
+        return (shape(left), shape(leaves - left))
+
+    left = rng.randint(1, order + 1)
+    return shape(left), shape(order + 2 - left)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_random_framed())
+def test_canonical_framed_matches_presentations_on_random_shapes(pair):
+    assert canonical_framed(*pair) == _presentation_canonical_framed(*pair)
