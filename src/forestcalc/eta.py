@@ -33,9 +33,10 @@ from .freelie import (
     lyndon_words,
     shape_to_lie,
     standard_bracketing,
+    witt,
     word_multiplicity,
 )
-from .groups import twisted_lie
+from .groups import content_orbit, content_orbits, twisted_block
 from .intlinalg import left_kernel, presentation
 from .trees import (
     FRAMED,
@@ -114,57 +115,83 @@ def milnor_from_forest(forest: IntersectionForest, n: int, k=None) -> TensorElem
 
 @lru_cache(maxsize=None)
 def _free_rows(m: int, n: int):
-    """(lie, group, summands, rows, snf): the twisted T_n^inf on Lie
-    coordinates (`twisted_lie`), its `Presentation` and that one's
-    summands, eta of each free summand, summed from the images of the
-    generators it names as a sparse row over the (label, Lyndon word) keys
-    of L_1 (x) L_{n+1}, and the `Presentation` of those rows, which both
+    """(size, block, group, summands, rows, snf) per S_m-orbit of contents
+    with a nonempty block: the orbit's size, its representative's block of
+    the twisted T_n^inf (`twisted_block`), the block's `Presentation` and
+    that one's summands, eta of each free summand as a sparse row over the
+    block's (label, Lyndon word) keys, and the rows' `Presentation`, which
     eta_kernel and eta_cokernel_invariants read.
     """
-    lie = twisted_lie(m, n)
-    group = presentation(lie.relations, len(lie.images))
-    summands = group.summands()
-    rows = []
-    for row in summands[sum(d > 1 for d in group.diag):]:
-        acc = {}
-        for g, c in row:
-            for j, x in lie.images[g].items():
-                acc[j] = acc.get(j, 0) + c * x
-        rows.append(tuple(sorted((j, x) for j, x in acc.items() if x)))
-    snf = presentation(rows, m * len(lie.words))
-    return lie, group, summands, rows, snf
+    memo = {}  # basis-pair brackets, shared by the blocks
+    out = []
+    for content, size in content_orbits(m, n + 2):
+        block = twisted_block(m, n, content, memo)
+        if not block.images:
+            continue
+        group = presentation(block.relations, len(block.images))
+        summands = group.summands()
+        rows = []
+        for row in summands[sum(d > 1 for d in group.diag):]:
+            acc = {}
+            for g, c in row:
+                for j, x in block.images[g].items():
+                    acc[j] = acc.get(j, 0) + c * x
+            rows.append(tuple(sorted((j, x) for j, x in acc.items() if x)))
+        out.append((size, block, group, summands, rows, presentation(rows, len(block.framed))))
+    return tuple(out)
+
+
+def _chain(factors):
+    """The sum of the Z/d, d in `factors` (Z for d = 0), as its invariant
+    factors, one divisibility chain d > 1 and then 0s, and a generator of
+    each as a sparse row over the indices of `factors`."""
+    group = presentation([((i, d),) for i, d in enumerate(factors) if d], len(factors))
+    chain = [d for d in group.diag if d > 1]
+    return chain + [0] * (len(group.survivors) - len(group.diag)), group.summands()
 
 
 def eta_cokernel_invariants(m: int, n: int):
     """Invariant factors of coker(eta_n) plus its free rank, as (torsion, free).
 
-    The free summands' rows span im(eta).  D_n is a kernel, so saturated in
-    L_1 (x) L_{n+1}, and the torsion is that of the rows' presentation.  The
-    bracket to L_{n+2} is onto, so D_n has rank m W(m,n+1) - W(m,n+2).
+    The free summands' rows span im(eta) in each block.  D_n is a kernel,
+    so saturated in L_1 (x) L_{n+1}, and the torsion is that of the rows'
+    presentations, once per block of each orbit.  The bracket to L_{n+2} is
+    onto, so D_n has rank m W(m,n+1) - W(m,n+2).
     """
-    snf = _free_rows(m, n)[4]
-    rank = m * len(lyndon_words(m, n + 1)) - len(lyndon_words(m, n + 2))
-    return sorted(d for d in snf.diag if d > 1), rank - len(snf.pivots) - len(snf.diag)
+    rank, torsion = m * witt(m, n + 1) - witt(m, n + 2), []
+    for size, *_, snf in _free_rows(m, n):
+        rank -= size * (len(snf.pivots) + len(snf.diag))
+        torsion += [d for d in snf.diag if d > 1] * size
+    return _chain(torsion)[0], rank
 
 
 def eta_kernel(m: int, n: int):
     """Kernel of the induced map T_n^inf -> D_n, as (invariant factors, lifts).
 
-    D_n is torsion-free, so the kernel is the torsion of T_n^inf plus that
-    of eta on its free summands.  The lifts are the torsion summands, then
-    the free ones combined by the Hermite basis of the left kernel of their
-    eta rows, each generator standing for its tree (`TwistedLie.forest`); only
-    their classes are fixed, not their strings.  The rows' presentation
-    gives their rank, and the left kernel is computed only when that is
-    below the row count.
+    D_n is torsion-free, so a block's kernel is its torsion plus that of eta
+    on its free summands: the lifts are the torsion summands, then the free
+    ones combined by the Hermite basis of the left kernel of their eta rows,
+    computed only when the rows' presentation gives a rank below the row
+    count.  Each block of an orbit takes the representative's lifts
+    relabeled (`TwistedBlock.forest`), in the order of the contents, and the
+    factors of all blocks merge into one chain.  Only the lifts' classes
+    are fixed, not their strings.
     """
-    lie, group, summands, rows, snf = _free_rows(m, n)
-    torsion = [d for d in group.diag if d > 1]
-    free = summands[len(torsion):]
-    kernel = left_kernel(rows) if len(snf.pivots) + len(snf.diag) < len(rows) else []
-    lifts = summands[:len(torsion)]
-    lifts += [[(g, c * y) for i, c in x for g, y in free[i]] for x in kernel]
-    return torsion + [0] * len(kernel), [lie.forest(row) for row in lifts]
+    found = []  # (content, factors, lifts) of each block with a kernel
+    for _, block, group, summands, rows, snf in _free_rows(m, n):
+        torsion = [d for d in group.diag if d > 1]
+        free = summands[len(torsion):]
+        kernel = left_kernel(rows) if len(snf.pivots) + len(snf.diag) < len(rows) else []
+        lifts = summands[:len(torsion)]
+        lifts += [[(g, c * y) for i, c in x for g, y in free[i]] for x in kernel]
+        if lifts:
+            found += [(content, torsion + [0] * len(kernel), [block.forest(r, labels) for r in lifts])
+                      for content, labels in content_orbit(m, block.content)]
+    found.sort(key=lambda f: f[0])
+    factors, rows = _chain([d for _, ds, _ in found for d in ds])
+    lifts = [lift for *_, forests in found for lift in forests]
+    return factors, [make_forest(m, [(c * x, t) for i, c in row for x, t in lifts[i].terms])
+                     for row in rows]
 
 
 def arf_classes(m: int, j: int, k: int):

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import heapq
 from functools import lru_cache
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .errors import NotPrimitiveError, ParameterError, ResourceLimitError
@@ -93,13 +94,37 @@ def lyndon_words(m: int, n: int) -> tuple:
     return tuple(sorted(words))
 
 
+@lru_cache(maxsize=None)
+def lyndon_by_content(m: int, n: int) -> dict:
+    """The Lyndon words of length n over 1..m by content, in one pass.
+
+    A content is the sorted tuple of a word's letters; each bucket is a
+    sorted tuple, and the mapping is read-only.
+    """
+    buckets = {}
+    for w in lyndon_words(m, n):
+        buckets.setdefault(tuple(sorted(w)), []).append(w)
+    return MappingProxyType({content: tuple(words) for content, words in buckets.items()})
+
+
 def _split(word) -> int:
     """Where the standard factorization of a word of length >= 2 cuts it.
 
     The right factor is the longest proper Lyndon suffix, which is the least
-    proper suffix: a longer Lyndon suffix would be less than it.
+    proper suffix: a longer Lyndon suffix would be less than it.  That is
+    the last factor of the Lyndon factorization of word[1:], found in one
+    linear scan (Duval, J. Algorithms 4, 1983).
     """
-    return min(range(1, len(word)), key=lambda i: word[i:])
+    size, i = len(word), 1
+    while i < size:
+        j, k = i + 1, i
+        while j < size and word[k] <= word[j]:
+            k = i if word[k] < word[j] else k + 1
+            j += 1
+        # factors of length j - k start at i, up to k
+        start = i + (k - i) // (j - k) * (j - k)
+        i = start + j - k
+    return start
 
 
 @lru_cache(maxsize=None)
@@ -305,27 +330,23 @@ def _bracket(x, y, memo) -> dict:
     return {w: c for w, c in acc.items() if c}
 
 
-def leaf_readings(word, outsides, memo) -> list:
-    """P_word with each of `outsides` grafted at its root, read at every leaf.
+def leaf_readings(word, outside, memo) -> list:
+    """P_word with `outside` grafted at its root, read at every leaf.
 
     Read at a leaf, the tree is the bracket of everything else: going into
     the left branch P_a of a vertex (P_a, P_b) brackets the outside y to
     [P_b, y], into the right branch to [y, P_a] = -[P_a, y], one rewriting
-    per vertex and outside.  Outsides and readings are Lie elements as
-    {Lyndon word: coeff} dicts, which may hold zeros.  Returns (label,
-    readings) in leaf reading order, one reading per outside.  `memo` is
-    the caller's, as for `lie_bracket`.
+    per vertex.  Outside and readings are Lie elements as {Lyndon word:
+    coeff} dicts, which may hold zeros.  Returns (label, reading) in leaf
+    reading order.  `memo` is the caller's, as for `lie_bracket`.
     """
     if len(word) == 1:
-        return [(word[0], outsides)]
+        return [(word[0], outside)]
     split = _split(word)
     a, b = word[:split], word[split:]
-    left, right = [], []
-    for out in outsides:
-        left.append({})
-        _add_bracket(left[-1], 1, b, out.items(), memo)
-        right.append({})
-        _add_bracket(right[-1], -1, a, out.items(), memo)
+    left, right = {}, {}
+    _add_bracket(left, 1, b, outside.items(), memo)
+    _add_bracket(right, -1, a, outside.items(), memo)
     return leaf_readings(a, left, memo) + leaf_readings(b, right, memo)
 
 

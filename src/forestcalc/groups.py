@@ -13,7 +13,7 @@ Invariants and normal forms both read the rows' one `presentation`, built
 when first read: one coordinate per generator that no unit pivot eliminates,
 over the Smith basis of the columns the residual names, then the rest.
 
-`twisted_lie` presents the twisted T_n^inf on Lie coordinates instead, for
+`twisted_block` presents the twisted T_n^inf on Lie coordinates instead, for
 eta.  x (x) B -> <x, B> maps L_1 (x) L'_{n+1}, L' the free quasi-Lie ring,
 onto the framed T_n: every tree is <x, B> read at any of its leaves x, and
 read at a leaf, AS and IHX are antisymmetry and Jacobi.  Its kernel is
@@ -35,17 +35,26 @@ all of them is checked, not proved, here: the tests compare the
 invariants with `TreeGroup`'s, where an onto map between groups with the
 same invariants is an isomorphism, and past the table's reach the rank
 with m W(m,n+1) - W(m,n+2) and the torsion with CST's Z/2 (x) L_{(n+2)/4}.
+
+Relations, readings and Lyndon rewriting keep a tree's content, the
+sorted tuple of its leaf labels, J^inf counting J's twice, as the free Lie
+ring's multigrading does (Reutenauer, *Free Lie Algebras*, 1993).  So
+T_n^inf is the sum of one block per content of n + 2 leaves, and a label
+permutation carries each block onto another: one block per S_m-orbit
+(`content_orbits`) gives the invariants of its whole orbit
+(`content_orbit`).
 """
 
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from itertools import chain
+from itertools import chain, combinations
+from math import factorial, perm
 from typing import NamedTuple
 
 from .errors import DomainError, GeneratorNotFoundError, ParameterError
 from .forest import IntersectionForest, make_forest
-from .freelie import leaf_readings, lyndon_words, standard_bracketing
+from .freelie import leaf_readings, lyndon_by_content, standard_bracketing
 from .intlinalg import presentation
 from .trees import (
     FRAMED,
@@ -302,44 +311,78 @@ def build_group(m: int, n: int, flavor: str, k=None) -> TreeGroup:
     return TreeGroup(m, n, flavor, k)
 
 
-class TwistedLie(NamedTuple):
-    """Twisted T_n^inf on Lie coordinates, with eta of each generator.
+def content_orbits(m: int, total: int):
+    """(representative, size) of each S_m-orbit of the contents of `total`
+    leaves: per partition p of `total` into at most m parts, the content of
+    p_1 ones, p_2 twos and so on, and the orbit's size, m! / (m - len p)!
+    over the factorial of each part's multiplicity in p."""
+    if m < 1 or total < 1:
+        raise ParameterError("content orbits require m >= 1, total >= 1")
+    stack = [((), total)]
+    while stack:
+        parts, rest = stack.pop()
+        if not rest:
+            size = perm(m, len(parts))
+            for c in set(parts):
+                size //= factorial(parts.count(c))
+            yield tuple(x for x, c in enumerate(parts, 1) for _ in range(c)), size
+        elif len(parts) < m:
+            top = min(rest, parts[-1]) if parts else rest
+            stack += [(parts + (c,), rest - c) for c in range(1, top + 1)]
 
-    Generators, numbered in this order: (x, w) at (x - 1) * len(words) plus
-    the index of w, for each label x and each w in `words`; w^inf for each w
-    in `halves`; (v,v)^inf for each v in `arf`.  `relations` are sparse rows
-    ((generator, coeff), ...) over them.  `images` holds eta of each
-    generator as a {column: coeff} row over L_1 (x) L_{n+1}, whose keys
-    (label, Lyndon word) are numbered as the generators (x, w) are.
+
+def content_orbit(m: int, content: tuple) -> list:
+    """Each content of a representative's S_m-orbit, sorted, with the map
+    `labels`, x to labels[x - 1], that carries the representative onto it."""
+    counts = [content.count(x) for x in range(1, content[-1] + 1)]
+    maps = [()]
+    for c in sorted(set(counts), reverse=True):
+        maps = [s + t for s in maps
+                for t in combinations([x for x in range(1, m + 1) if x not in s], counts.count(c))]
+    return sorted((tuple(sorted(s[x - 1] for x in content)), s) for s in maps)
+
+
+def _relabel(shape, labels):
+    if isinstance(shape, int):
+        return labels[shape - 1]
+    return _relabel(shape[0], labels), _relabel(shape[1], labels)
+
+
+class TwistedBlock(NamedTuple):
+    """The block of one content of the twisted T_n^inf on Lie coordinates.
+
+    Generators, numbered in this order: (x, w) for each pair in `framed`, a
+    label x and a Lyndon word w of degree n + 1 whose letters and x make up
+    `content`, then J^inf for each shape J in `twisted`.  `relations` are
+    sparse rows ((generator, coeff), ...) over them.  `images` holds eta of
+    each generator as a {column: coeff} row whose keys (label, Lyndon word)
+    are numbered as the generators (x, w) are.
     """
 
     m: int
-    words: tuple  # the Lyndon words of degree n + 1
-    halves: tuple  # of degree n/2 + 1 at even n, else none
-    arf: tuple  # of degree (n+2)/4 at n = 2 mod 4, else none
+    content: tuple
+    framed: tuple
+    twisted: tuple  # std(w) for the w^inf, then (std(v), std(v)) for the (v,v)^inf
     relations: tuple
     images: tuple
 
-    def forest(self, row):
-        """The forest of a sparse row ((generator, coeff), ...): (x, w) is
-        <x, std(w)>, w^inf is std(w)^inf and (v,v)^inf is (std(v), std(v))^inf,
-        std the standard bracketing."""
-        framed, terms = self.m * len(self.words), []
+    def forest(self, row, labels):
+        """The forest of a sparse row ((generator, coeff), ...), each label x
+        read as labels[x - 1]: (x, w) is <x, std(w)>, std the standard
+        bracketing, and the others are the J^inf of `twisted`."""
+        framed, terms = len(self.framed), []
         for g, c in row:
             if g < framed:
-                x, i = divmod(g, len(self.words))
-                tree, sign = framed_tree(x + 1, standard_bracketing(self.words[i]))
+                x, w = self.framed[g]
+                tree, sign = framed_tree(labels[x - 1], _relabel(standard_bracketing(w), labels))
                 terms.append((c * sign, tree))
-            elif g < framed + len(self.halves):
-                terms.append((c, twisted_tree(standard_bracketing(self.halves[g - framed]))))
             else:
-                half = standard_bracketing(self.arf[g - framed - len(self.halves)])
-                terms.append((c, twisted_tree((half, half))))
+                terms.append((c, twisted_tree(_relabel(self.twisted[g - framed], labels))))
         return make_forest(self.m, terms)
 
 
-def twisted_lie(m: int, n: int) -> TwistedLie:
-    """Twisted T_n^inf on Lie coordinates, and eta on its generators.
+def twisted_block(m: int, n: int, content: tuple, memo) -> TwistedBlock:
+    """The block of a content of the twisted T_n^inf, and eta on it.
 
     The rows (see the module docstring) are, for each generator (x, w), the
     generator minus the reading of <x, std(w)> at each other leaf, then
@@ -347,15 +390,15 @@ def twisted_lie(m: int, n: int) -> TwistedLie:
     deduplicated up to sign.  eta comes with the readings: eta(x, w) is the
     sum of every reading of <x, std(w)>, and eta(w^inf) half that of
     <std(w), std(w)>, whose two halves read alike, so the sum of one half's
-    readings; eta((v,v)^inf) = 0.  One walk per (w, x), with one memo of
-    basis-pair brackets for the build, gives rows and images.
+    readings; eta((v,v)^inf) = 0.  `memo` holds basis-pair brackets, and
+    blocks built one after another may share it.
     """
-    if m < 1 or n < 0:
-        raise ParameterError("twisted_lie requires m >= 1, n >= 0")
-    words = lyndon_words(m, n + 1)
-    size = len(words)
-    column = {w: i for i, w in enumerate(words)}
-    memo = {}  # basis-pair brackets
+    framed, column = [], {}  # column: label -> {Lyndon word: generator}
+    for x in sorted(set(content)):
+        i = content.index(x)
+        for w in lyndon_by_content(m, n + 1).get(content[:i] + content[i + 1:], ()):
+            column.setdefault(x, {})[w] = len(framed)
+            framed.append((x, w))
     rows = {}  # each sparse row, its first entry positive, in the order made
 
     def read(g, scale, readings):
@@ -363,10 +406,10 @@ def twisted_lie(m: int, n: int) -> TwistedLie:
         scale * e_g - y (x) B of each."""
         image = {}
         for y, b in readings:
-            base, row = (y - 1) * size, {g: scale}
+            row = {g: scale}
             for u, c in b.items():
                 if c:
-                    j = base + column[u]
+                    j = column[y][u]
                     image[j] = image.get(j, 0) + c
                     row[j] = row.get(j, 0) - c
             if not row[g]:
@@ -376,23 +419,21 @@ def twisted_lie(m: int, n: int) -> TwistedLie:
                 rows[row if row[0][1] > 0 else tuple((j, -c) for j, c in row)] = None
         return image
 
-    images = [None] * (m * size)
-    labels = range(1, m + 1)
-    for i, w in enumerate(words):
-        readings = leaf_readings(w, [{(x,): 1} for x in labels], memo)
-        for x in labels:
-            g = (x - 1) * size + i
-            image = read(g, 1, [(y, outs[x - 1]) for y, outs in readings])
-            image[g] = image.get(g, 0) + 1  # the reading at x itself
-            images[g] = image
-    halves = lyndon_words(m, n // 2 + 1) if n % 2 == 0 else ()
-    for w in halves:
-        # <w, w> read at each leaf of one half; the other half reads alike
-        readings = leaf_readings(w, [{w: 1}], memo)
-        images.append(read(len(images), 2, [(y, out) for y, (out,) in readings]))
-    arf = lyndon_words(m, (n + 2) // 4) if n % 4 == 2 else ()
-    for _ in arf:
-        rows[((len(images), 2),)] = None
-        images.append({})
+    images = []
+    for g, (x, w) in enumerate(framed):
+        image = read(g, 1, leaf_readings(w, {(x,): 1}, memo))
+        image[g] = image.get(g, 0) + 1  # the reading at x itself
+        images.append(image)
+    half, quarter, twisted = content[::2], content[::4], []
+    if n % 2 == 0 and tuple(sorted(half * 2)) == content:
+        for w in lyndon_by_content(m, n // 2 + 1).get(half, ()):
+            # <w, w> read at each leaf of one half; the other half reads alike
+            images.append(read(len(images), 2, leaf_readings(w, {w: 1}, memo)))
+            twisted.append(standard_bracketing(w))
+    if n % 4 == 2 and tuple(sorted(quarter * 4)) == content:
+        for v in lyndon_by_content(m, (n + 2) // 4).get(quarter, ()):
+            rows[((len(images), 2),)] = None
+            images.append({})
+            twisted.append((standard_bracketing(v),) * 2)
     images = tuple({j: c for j, c in image.items() if c} for image in images)
-    return TwistedLie(m, words, halves, arf, tuple(rows), images)
+    return TwistedBlock(m, content, tuple(framed), tuple(twisted), tuple(rows), images)

@@ -130,11 +130,12 @@ def canonical_rooted(shape):
 # framed presentations
 
 def presentations(half_a, half_b):
-    """All presentations of the framed tree <half_a, half_b>.
+    """The presentations of the framed tree <half_a, half_b>, one per edge.
 
-    Each edge of the abstract unrooted tree yields one splitting; moving the
-    splitting point across a trivalent vertex re-reads the same cyclic
-    orientations, so no signs arise here.
+    Each of the 2n + 1 edges of the abstract unrooted tree yields one
+    splitting, in the orientation the walk reaches first, and edges that
+    read alike count once; moving the splitting point across a trivalent
+    vertex re-reads the same cyclic orientations, so no signs arise here.
     """
     seen = set()
     stack = [(half_a, half_b)]
@@ -143,9 +144,10 @@ def presentations(half_a, half_b):
         pres = stack.pop()
         if pres in seen:
             continue
-        seen.add(pres)
-        out.append(pres)
         a, b = pres
+        if (b, a) not in seen:
+            out.append(pres)
+        seen.add(pres)
         if isinstance(a, tuple):
             stack.append((a[0], (a[1], b)))
             stack.append((a[1], (b, a[0])))

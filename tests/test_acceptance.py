@@ -236,22 +236,22 @@ def test_criterion_9_determinism(capsys, monkeypatch):
     import forestcalc.eta
 
     plane_eta_tree = forestcalc.eta.eta_tree
-    plane_twisted_lie = forestcalc.eta.twisted_lie
+    plane_twisted_block = forestcalc.eta.twisted_block
     reached = set()  # goldens whose eta_kernel read the images in the mirror convention
 
-    def mirror_twisted_lie(m, n):
-        lie = plane_twisted_lie(m, n)
+    def mirror_twisted_block(m, n, *args):
+        block = plane_twisted_block(m, n, *args)
         reached.add(golden)
         sign = (-1) ** n
-        return lie._replace(images=tuple(
-            {j: sign * c for j, c in image.items()} for image in lie.images
+        return block._replace(images=tuple(
+            {j: sign * c for j, c in image.items()} for image in block.images
         ))
 
     monkeypatch.setattr(
         forestcalc.eta, "eta_tree",
         lambda m, n, tree, coeff=1: plane_eta_tree(m, n, tree, coeff).scale((-1) ** n),
     )
-    monkeypatch.setattr(forestcalc.eta, "twisted_lie", mirror_twisted_lie)
+    monkeypatch.setattr(forestcalc.eta, "twisted_block", mirror_twisted_block)
     forestcalc.eta._free_rows.cache_clear()
     try:
         for idx in range(len(GOLDEN_COMMANDS)):

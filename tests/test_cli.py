@@ -363,22 +363,22 @@ def test_sign_robust_across_conventions(capsys, monkeypatch):
     plane = _sign_robust_outputs(capsys)
     assert plane[-1] == f"order 1; value: {borromean}\n"
     plane_eta_tree = eta_module.eta_tree
-    plane_twisted_lie = eta_module.twisted_lie
-    reached = []  # the (m, n) of each cell whose images eta_kernel read in the mirror convention
+    plane_twisted_block = eta_module.twisted_block
+    reached = []  # the (m, n) of each block whose images eta_kernel read in the mirror convention
 
-    def mirror_twisted_lie(m, n):
-        lie = plane_twisted_lie(m, n)
+    def mirror_twisted_block(m, n, *args):
+        block = plane_twisted_block(m, n, *args)
         reached.append((m, n))
         sign = (-1) ** n
-        return lie._replace(images=tuple(
-            {j: sign * c for j, c in image.items()} for image in lie.images
+        return block._replace(images=tuple(
+            {j: sign * c for j, c in image.items()} for image in block.images
         ))
 
     monkeypatch.setattr(
         eta_module, "eta_tree",
         lambda m, n, tree, coeff=1: plane_eta_tree(m, n, tree, coeff).scale((-1) ** n),
     )
-    monkeypatch.setattr(eta_module, "twisted_lie", mirror_twisted_lie)
+    monkeypatch.setattr(eta_module, "twisted_block", mirror_twisted_block)
     eta_module._free_rows.cache_clear()
     try:
         mirror = _sign_robust_outputs(capsys)

@@ -1,10 +1,13 @@
 from functools import lru_cache
+from math import comb, factorial, gcd
+from typing import NamedTuple
 
 import pytest
 
 from forestcalc import eta as eta_module
 from forestcalc.errors import OddCoefficientError, OrderMismatchError, ParameterError
 from forestcalc.eta import (
+    _chain,
     _free_rows,
     arf_classes,
     eta,
@@ -14,18 +17,20 @@ from forestcalc.eta import (
     eta_tree,
     milnor_from_forest,
 )
-from forestcalc.forest import make_forest, parse_forest
+from forestcalc.forest import forest_add, make_forest, parse_forest
 from forestcalc.freelie import (
     TensorElement,
     bracket_kernel,
     bracket_map,
     k_project_tensor,
+    leaf_readings,
     lie_bracket,
     lyndon_words,
     reduce_shape,
     shape_to_lie,
+    standard_bracketing,
 )
-from forestcalc.groups import build_group, twisted_lie
+from forestcalc.groups import build_group, content_orbit, content_orbits, twisted_block
 from forestcalc.intlinalg import left_kernel, presentation
 from forestcalc.trees import (
     FRAMED,
@@ -142,6 +147,117 @@ def _old_eta_kernel(m, n):
 
 
 # ---------------------------------------------------------------------------
+# the whole-cell presentation on Lie coordinates that the content blocks
+# replaced, kept as oracle: one presentation of all of T_n^inf, and eta on
+# its free summands
+
+
+class TwistedLie(NamedTuple):
+    """Twisted T_n^inf on Lie coordinates, with eta of each generator.
+
+    Generators, numbered in this order: (x, w) at (x - 1) * len(words) plus
+    the index of w, for each label x and each w in `words`; w^inf for each w
+    in `halves`; (v,v)^inf for each v in `arf`.  `relations` are sparse rows
+    ((generator, coeff), ...) over them.  `images` holds eta of each
+    generator as a {column: coeff} row over L_1 (x) L_{n+1}, whose keys
+    (label, Lyndon word) are numbered as the generators (x, w) are.
+    """
+
+    m: int
+    words: tuple  # the Lyndon words of degree n + 1
+    halves: tuple  # of degree n/2 + 1 at even n, else none
+    arf: tuple  # of degree (n+2)/4 at n = 2 mod 4, else none
+    relations: tuple
+    images: tuple
+
+    def forest(self, row):
+        """The forest of a sparse row ((generator, coeff), ...): (x, w) is
+        <x, std(w)>, w^inf is std(w)^inf and (v,v)^inf is (std(v), std(v))^inf,
+        std the standard bracketing."""
+        framed, terms = self.m * len(self.words), []
+        for g, c in row:
+            if g < framed:
+                x, i = divmod(g, len(self.words))
+                tree, sign = framed_tree(x + 1, standard_bracketing(self.words[i]))
+                terms.append((c * sign, tree))
+            elif g < framed + len(self.halves):
+                terms.append((c, twisted_tree(standard_bracketing(self.halves[g - framed]))))
+            else:
+                half = standard_bracketing(self.arf[g - framed - len(self.halves)])
+                terms.append((c, twisted_tree((half, half))))
+        return make_forest(self.m, terms)
+
+
+@lru_cache(maxsize=None)
+def twisted_lie(m: int, n: int) -> TwistedLie:
+    """Twisted T_n^inf on Lie coordinates, and eta on its generators, read
+    as the blocks read them, over the whole cell."""
+    words = lyndon_words(m, n + 1)
+    size = len(words)
+    column = {w: i for i, w in enumerate(words)}
+    memo = {}  # basis-pair brackets
+    rows = {}  # each sparse row, its first entry positive, in the order made
+
+    def read(g, scale, readings):
+        image = {}
+        for y, b in readings:
+            base, row = (y - 1) * size, {g: scale}
+            for u, c in b.items():
+                if c:
+                    j = base + column[u]
+                    image[j] = image.get(j, 0) + c
+                    row[j] = row.get(j, 0) - c
+            if not row[g]:
+                del row[g]
+            if row:
+                row = tuple(sorted(row.items()))
+                rows[row if row[0][1] > 0 else tuple((j, -c) for j, c in row)] = None
+        return image
+
+    images = [None] * (m * size)
+    labels = range(1, m + 1)
+    for i, w in enumerate(words):
+        for x in labels:
+            g = (x - 1) * size + i
+            image = read(g, 1, leaf_readings(w, {(x,): 1}, memo))
+            image[g] = image.get(g, 0) + 1  # the reading at x itself
+            images[g] = image
+    halves = lyndon_words(m, n // 2 + 1) if n % 2 == 0 else ()
+    for w in halves:
+        images.append(read(len(images), 2, leaf_readings(w, {w: 1}, memo)))
+    arf = lyndon_words(m, (n + 2) // 4) if n % 4 == 2 else ()
+    for _ in arf:
+        rows[((len(images), 2),)] = None
+        images.append({})
+    images = tuple({j: c for j, c in image.items() if c} for image in images)
+    return TwistedLie(m, words, halves, arf, tuple(rows), images)
+
+
+@lru_cache(maxsize=None)
+def _whole_cell_eta(m: int, n: int):
+    """(factors, lifts, cokernel) of eta_n off one presentation of the whole cell."""
+    lie = twisted_lie(m, n)
+    group = presentation(lie.relations, len(lie.images))
+    summands = group.summands()
+    rows = []
+    for row in summands[sum(d > 1 for d in group.diag):]:
+        acc = {}
+        for g, c in row:
+            for j, x in lie.images[g].items():
+                acc[j] = acc.get(j, 0) + c * x
+        rows.append(tuple(sorted((j, x) for j, x in acc.items() if x)))
+    snf = presentation(rows, m * len(lie.words))
+    rank = m * len(lie.words) - len(lyndon_words(m, n + 2))
+    cokernel = sorted(d for d in snf.diag if d > 1), rank - len(snf.pivots) - len(snf.diag)
+    torsion = [d for d in group.diag if d > 1]
+    free = summands[len(torsion):]
+    kernel = left_kernel(rows) if len(snf.pivots) + len(snf.diag) < len(rows) else []
+    lifts = summands[:len(torsion)]
+    lifts += [[(g, c * y) for i, c in x for g, y in free[i]] for x in kernel]
+    return torsion + [0] * len(kernel), [lie.forest(row) for row in lifts], cokernel
+
+
+# ---------------------------------------------------------------------------
 # the generator-level eta path that the free-summand path replaced, kept as oracle
 
 
@@ -209,25 +325,57 @@ def _generator_eta_factors(m, n):
 ORACLE_CELLS = [(m, n) for m in range(1, 5) for n in range(5)] + [(5, 2), (2, 6), (3, 6), (1, 8)]
 
 
+def _blocks(m, n):
+    """Every block of the cell, each built from its own content."""
+    memo = {}
+    for rep, _ in content_orbits(m, n + 2):
+        for content, _ in content_orbit(m, rep):
+            yield twisted_block(m, n, content, memo)
+
+
+def _span(group, forests):
+    """The normal forms in `group` of the sums of every subset of `forests`."""
+    sums = [make_forest(group.m, [])]
+    for forest in forests:
+        sums += [forest_add(s, forest) for s in sums]
+    return {group.reduce_forest(s).coords for s in sums}
+
+
 def test_eta_kernel_and_cokernel_match_old_path():
-    # same factors and cokernel as the table path and the generator-level
-    # one, and each lift in the same class of T_n^inf as the table path's;
-    # the strings agree but where the Lie path lifts Z/2 (x) L_{(n+2)/4}
-    # by (v,v)^inf, at n = 2 mod 4 from n = 6 on
+    # same factors and cokernel as the whole cell on Lie coordinates, the
+    # table path and the generator-level one; each lift maps to 0 under eta,
+    # and the lifts, all of order 2, span the same classes of T_n^inf as
+    # the whole cell's, 2^k of them for k lifts; on this grid the lift
+    # strings are the whole cell's too
     kernels = 0
     for m, n in ORACLE_CELLS:
         factors, lifts = eta_kernel(m, n)
-        old_factors, old_lifts = _old_eta_kernel(m, n)
-        assert factors == old_factors == _generator_eta_factors(m, n)
+        cell_factors, cell_lifts, cell_cokernel = _whole_cell_eta(m, n)
+        assert factors == cell_factors == _old_eta_kernel(m, n)[0] == _generator_eta_factors(m, n)
         cokernel = eta_cokernel_invariants(m, n)
-        assert cokernel == _old_eta_cokernel(m, n) == _generator_eta_cokernel(m, n)
-        if n % 4 != 2 or n < 6:
-            assert [str(f) for f in lifts] == [str(f) for f in old_lifts]
+        assert cokernel == cell_cokernel == _old_eta_cokernel(m, n) == _generator_eta_cokernel(m, n)
+        assert all(eta(lift, n).is_zero for lift in lifts)
         group = build_group(m, n, "twisted")
-        for lift, old in zip(lifts, old_lifts, strict=True):
-            assert group.reduce_forest(lift) == group.reduce_forest(old)
-            kernels += 1
+        span = _span(group, lifts)
+        assert span == _span(group, cell_lifts) and len(span) == 2 ** len(lifts)
+        assert [str(f) for f in lifts] == [str(f) for f in cell_lifts]
+        kernels += len(lifts)
     assert kernels == 19  # Z/2 (x) L_{(n+2)/4} at n = 2 and 6, and no free part
+
+
+def test_torsion_merges_into_one_chain():
+    # the blocks' kernels are one divisibility chain, then the free part,
+    # each factor with a generator: equal factors keep their own, a Z keeps
+    # its own after the torsion, Z/4 + Z/2 reads 2 | 4, and Z/2 + Z/3 is
+    # Z/6, generated by a unit of each
+    assert _chain([2] * 5) == ([2] * 5, [((i, 1),) for i in range(5)])
+    assert _chain([0, 2]) == ([2, 0], [((1, 1),), ((0, 1),)])
+    assert _chain([]) == ([], [])
+    chain, (low, high) = _chain([4, 2])
+    assert chain == [2, 4]
+    assert dict(high)[0] % 2 == 1 and dict(low).get(0, 0) % 2 == 0 and dict(low)[1] % 2 == 1
+    chain, (row,) = _chain([2, 3])
+    assert chain == [6] and dict(row)[0] % 2 and dict(row)[1] % 3
 
 
 def _spy_left_kernel(monkeypatch):
@@ -242,43 +390,52 @@ def _spy_left_kernel(monkeypatch):
 
 
 def test_kernel_skipped_only_at_full_rank(monkeypatch):
-    # eta_kernel reads the rank of the free summands' eta rows off their
-    # presentation, pivots plus diag, and skips left_kernel when it is the
-    # row count; at every cell the tests read (the arf goldens and the
+    # eta_kernel reads the rank of each block's free summands' eta rows off
+    # their presentation, pivots plus diag, and skips left_kernel when it is
+    # the row count; at every cell the tests read (the arf goldens and the
     # acceptance cells among them), rank plus left_kernel's rank is the row
     # count, and eta_kernel finds as many free kernel classes as left_kernel
+    # does, once per block of each orbit
     calls = _spy_left_kernel(monkeypatch)
     kernels = 0
     for m, n in ORACLE_CELLS:
-        _, _, _, rows, snf = _free_rows(m, n)
-        kernel = left_kernel(rows)
-        assert len(snf.pivots) + len(snf.diag) + len(kernel) == len(rows)
-        assert eta_kernel(m, n)[0].count(0) == len(kernel)
-        kernels += len(kernel)
+        found = 0
+        for size, _, _, _, rows, snf in _free_rows(m, n):
+            kernel = left_kernel(rows)
+            assert len(snf.pivots) + len(snf.diag) + len(kernel) == len(rows)
+            found += size * len(kernel)
+        assert eta_kernel(m, n)[0].count(0) == found
+        kernels += found
     assert kernels == 0  # eta is injective on the free summands at every cell
     assert calls == []
 
 
 def test_kernel_below_full_rank(monkeypatch):
-    # rank-deficient eta rows on four free summands of (3,2): eta_kernel
-    # calls left_kernel once, and gives one 0 factor and one lift, the free
-    # summands combined by that row, per row of the left kernel
-    m, n = 3, 2
-    lie, group, summands, _, _ = _free_rows(m, n)
-    torsion = [d for d in group.diag if d > 1]
-    free = summands[len(torsion):len(torsion) + 4]
+    # rank-deficient eta rows on four free summands of the (2,2,1,1) block
+    # of (4,4), which has no torsion: eta_kernel calls left_kernel once, and
+    # gives one 0 factor and one lift per row of the left kernel and block
+    # of the orbit, the free summands combined by that row and relabeled,
+    # the blocks going in the order of their contents
+    m, n = 4, 4
+    size, block, group, summands, _, _ = next(
+        entry for entry in _free_rows(m, n) if entry[1].content == (1, 1, 2, 2, 3, 4))
+    assert size == 6 and not any(d > 1 for d in group.diag)
+    free = summands[:4]
     rows = [((0, 2), (1, 4)), ((0, 1), (1, 2)), ((1, 3),), ((0, 3), (1, 9))]
     snf = presentation(rows, 2)
     assert len(snf.pivots) + len(snf.diag) == 2
-    fake = (lie, group, summands[:len(torsion)] + free, rows, snf)
+    fake = ((size, block, group, free, rows, snf),)
     monkeypatch.setattr(eta_module, "_free_rows", lambda m_, n_: fake)
     calls = _spy_left_kernel(monkeypatch)
     factors, lifts = eta_kernel(m, n)
     kernel = left_kernel(rows)
     assert len(kernel) == 2 and calls == [rows]
-    assert factors == torsion + [0, 0]
-    expected = [lie.forest([(g, c * y) for i, c in x for g, y in free[i]]) for x in kernel]
-    assert [str(f) for f in lifts[len(torsion):]] == [str(f) for f in expected]
+    assert factors == [0] * 12
+    combos = [[(g, c * y) for i, c in x for g, y in free[i]] for x in kernel]
+    orbit = content_orbit(m, block.content)
+    assert [content for content, _ in orbit] == sorted(content for content, _ in orbit)
+    expected = [block.forest(row, labels) for _, labels in orbit for row in combos]
+    assert [str(f) for f in lifts] == [str(f) for f in expected]
 
 
 def test_bracket_kernel_rank_is_bracket_onto():
@@ -290,61 +447,73 @@ def test_bracket_kernel_rank_is_bracket_onto():
         assert rank == bracket_kernel(m, n).rank
 
 
-def _tensor(lie, n, row):
-    """A {column: coeff} row over L_1 (x) L_{n+1}, numbered as `twisted_lie` does."""
-    size = len(lie.words)
-    return TensorElement.make(
-        lie.m, n + 1, {(j // size + 1, lie.words[j % size]): c for j, c in row.items()}
-    )
+def _tensor(block, n, row):
+    """A {column: coeff} row over the block's part of L_1 (x) L_{n+1}."""
+    return TensorElement.make(block.m, n + 1, {block.framed[j]: c for j, c in row.items()})
 
 
 def test_free_summand_images_lie_in_bracket_kernel():
     # eta_kernel reads eta on the free summands in L_1 (x) L_{n+1}; each
-    # image must lie in D_n, the kernel of the bracket
+    # image must lie in D_n, the kernel of the bracket.  A representative's
+    # rows stand for those of every block of its orbit, relabeled
     images = 0
     for m, n in ORACLE_CELLS:
-        lie, _, _, rows, _ = _free_rows(m, n)
-        for row in rows:
-            assert bracket_map(_tensor(lie, n, dict(row))).is_zero
-            images += 1
+        for size, block, _, _, rows, _ in _free_rows(m, n):
+            for row in rows:
+                assert bracket_map(_tensor(block, n, dict(row))).is_zero
+            images += size * len(rows)
     assert images > 100
 
 
 def test_lie_images_match_eta_tree():
-    # twisted_lie reads each generator's image off the readings its rows
-    # make; eta of the generator's forest, which re-roots the canonical
-    # tree at each leaf, is the oracle
+    # each block reads its generators' images off the readings its rows
+    # make; eta of the generator's forest, which re-roots the canonical tree
+    # at each leaf, is the oracle, and the blocks hold all 3261 generators
+    # of the whole cells
     cells = ORACLE_CELLS + [(2, 5), (3, 5), (2, 7), (2, 8), (1, 10)]
     checked = 0
     for m, n in cells:
-        lie = twisted_lie(m, n)
-        for g, image in enumerate(lie.images):
-            assert _tensor(lie, n, image) == eta(lie.forest([(g, 1)]), n)
-            checked += 1
+        identity = tuple(range(1, m + 1))
+        for block in _blocks(m, n):
+            for g, image in enumerate(block.images):
+                assert _tensor(block, n, image) == eta(block.forest([(g, 1)], identity), n)
+                checked += 1
     assert checked == 3261
 
 
 def test_lie_relations_map_to_zero():
     # every relation row is a re-rooting difference, 2 w^inf - <w, w> or
     # 2 (v,v)^inf: eta sends it to 0, summed from the images everywhere, and
-    # as the forest it names on the smaller cells
+    # as the forest it names on the smaller cells; the blocks hold as many
+    # rows as the whole cells
     rows = 0
     small = {(m, n) for m in range(1, 4) for n in range(5)} | {(5, 2), (2, 6), (2, 5), (1, 8)}
     for m, n in ORACLE_CELLS + [(2, 5), (3, 5), (2, 7)]:
-        lie = twisted_lie(m, n)
-        for row in lie.relations:
-            acc = {}
-            for g, c in row:
-                for j, x in lie.images[g].items():
-                    acc[j] = acc.get(j, 0) + c * x
-            assert not any(acc.values())
-            if (m, n) in small:
-                assert eta(lie.forest(row), n).is_zero
-                rows += 1
+        identity = tuple(range(1, m + 1))
+        for block in _blocks(m, n):
+            for row in block.relations:
+                acc = {}
+                for g, c in row:
+                    for j, x in block.images[g].items():
+                        acc[j] = acc.get(j, 0) + c * x
+                assert not any(acc.values())
+                if (m, n) in small:
+                    assert eta(block.forest(row, identity), n).is_zero
+                    rows += 1
     assert rows == 1286
 
 
 def _lie_invariants(m, n):
+    """(free rank, torsion) of T_n^inf summed over the blocks, each
+    representative counted once per block of its orbit."""
+    free, torsion = 0, []
+    for size, block, group, *_ in _free_rows(m, n):
+        free += size * (len(block.images) - len(group.pivots) - len(group.diag))
+        torsion += [d for d in group.diag if d > 1] * size
+    return free, sorted(torsion)
+
+
+def _cell_invariants(m, n):
     lie = twisted_lie(m, n)
     snf = presentation(lie.relations, len(lie.images))
     return len(lie.images) - len(snf.pivots) - len(snf.diag), [d for d in snf.diag if d > 1]
@@ -354,7 +523,8 @@ def test_lie_invariants_match_tree_group():
     # x (x) w -> <x, std(w)> and the twists map the Lie presentation onto
     # the tree-indexed T_n^inf; equal invariants make that an isomorphism
     for m, n in ORACLE_CELLS + [(2, 5), (3, 5), (2, 7), (2, 8)]:
-        assert _lie_invariants(m, n) == build_group(m, n, "twisted").invariants()
+        invariants = build_group(m, n, "twisted").invariants()
+        assert _lie_invariants(m, n) == _cell_invariants(m, n) == invariants
 
 
 @pytest.mark.parametrize("m, n", [(2, 11), (2, 12)])
@@ -365,6 +535,50 @@ def test_lie_invariants_past_the_table(m, n):
     assert _lie_invariants(m, n) == (rank, [])
 
 
+def _mobius(d):
+    out, p = 1, 2
+    while p * p <= d:
+        if d % p == 0:
+            d //= p
+            if d % p == 0:
+                return 0
+            out = -out
+        p += 1
+    return -out if d > 1 else out
+
+
+def _fine_witt(counts):
+    """Lyndon words with these label counts a, the fine-graded Witt count
+    W(a) = (1/|a|) sum over d | gcd(a) of mu(d) (|a|/d)! / prod_i (a_i/d)!."""
+    total, common, out = sum(counts), gcd(*counts), 0
+    for d in range(1, common + 1):
+        if common % d == 0:
+            term = factorial(total // d)
+            for c in counts:
+                term //= factorial(c // d)
+            out += _mobius(d) * term
+    return out // total
+
+
+def test_every_block_meets_the_witt_and_cst_counts():
+    # each block of T_n^inf, of label counts a, has the rank of its block of
+    # D_n, the sum over x of W(a - e_x) less W(a), and the torsion
+    # (Z/2)^W(a/4) at n = 2 mod 4 where 4 | a, else none: CST's
+    # Z/2 (x) L_{(n+2)/4}, read by content
+    for m, n in [(3, 4), (2, 6), (3, 5), (3, 6), (3, 7), (2, 8), (2, 10), (4, 6)]:
+        blocks = 0
+        for block in _blocks(m, n):
+            counts = [block.content.count(x) for x in range(1, m + 1)]
+            rank = sum(_fine_witt(counts[:x] + [c - 1] + counts[x + 1:])
+                       for x, c in enumerate(counts) if c) - _fine_witt(counts)
+            torsion = []
+            if n % 4 == 2 and all(c % 4 == 0 for c in counts):
+                torsion = [2] * _fine_witt([c // 4 for c in counts])
+            group = presentation(block.relations, len(block.images))
+            assert len(block.images) - len(group.pivots) - len(group.diag) == rank
+            assert [d for d in group.diag if d > 1] == torsion
+            blocks += 1
+        assert blocks == comb(n + m + 1, m - 1)  # every content of n + 2 leaves
 def test_eta_order_zero():
     x = eta(parse_forest("+1*<1,2>", 2), 0)
     assert str(x) == "+1*x1 (x) x2 + +1*x2 (x) x1"

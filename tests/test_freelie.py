@@ -12,12 +12,14 @@ from forestcalc.freelie import (
     TensorElement,
     _bracket_rows,
     _commutator,
+    _split,
     bracket_kernel,
     bracket_map,
     bracket_map_cokernel,
     bracket_str,
     k_project_tensor,
     lie_bracket,
+    lyndon_by_content,
     lyndon_words,
     reduce_shape,
     shape_tensor,
@@ -38,6 +40,33 @@ def test_lyndon_counts_witt():
     for m in (1, 2, 3):
         for n in range(1, 7):
             assert len(lyndon_words(m, n)) == witt(m, n)
+
+
+def _min_split(word):
+    """The standard factorization's cut as the least proper suffix, by min."""
+    return min(range(1, len(word)), key=lambda i: word[i:])
+
+
+def test_split_scan_matches_least_suffix():
+    # one Duval scan finds the cut that min over every proper suffix finds
+    words = 0
+    for m in (2, 3):
+        for n in range(2, 13):
+            for word in lyndon_words(m, n):
+                assert _split(word) == _min_split(word)
+                words += 1
+    assert words == sum(witt(m, n) for m in (2, 3) for n in range(2, 13))
+
+
+def test_lyndon_by_content_partitions_the_words():
+    # each bucket holds the words of one content, sorted, and the buckets
+    # hold every word once
+    for m, n in [(1, 1), (2, 6), (3, 5), (4, 4)]:
+        buckets = lyndon_by_content(m, n)
+        assert sorted(w for ws in buckets.values() for w in ws) == list(lyndon_words(m, n))
+        for content, words in buckets.items():
+            assert words == tuple(sorted(words))
+            assert all(tuple(sorted(w)) == content for w in words)
 
 
 def test_witt_count_matches_sympy_mobius_sum():

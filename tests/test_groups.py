@@ -1,5 +1,6 @@
 import hashlib
 import random
+from math import comb
 
 import pytest
 
@@ -8,7 +9,13 @@ from test_freelie import witt
 from forestcalc import intlinalg
 from forestcalc.errors import ParameterError
 from forestcalc.forest import make_forest, parse_forest
-from forestcalc.groups import TreeGroup, build_group, enumerate_generators
+from forestcalc.groups import (
+    TreeGroup,
+    build_group,
+    content_orbit,
+    content_orbits,
+    enumerate_generators,
+)
 
 
 def dense_row(pairs, n):
@@ -408,3 +415,25 @@ def test_framed_torsion_count():
         assert torsion == [2] * (m * witt(m, (n + 1) // 2))
     for m, n in [(2, 4), (3, 4), (2, 6), (1, 8)]:
         assert build_group(m, n, "framed").invariants()[1] == []
+
+
+def test_content_orbits_cover_every_content():
+    # one representative per S_m-orbit, its label counts not increasing;
+    # the orbits' sizes add up to the C(total + m - 1, m - 1) contents, and
+    # content_orbit lists each content of an orbit once, by content, with
+    # the label map that carries the representative onto it
+    for m in range(1, 6):
+        for total in range(1, 9):
+            contents, sizes = set(), 0
+            for rep, size in content_orbits(m, total):
+                counts = [rep.count(x) for x in range(1, m + 1)]
+                assert len(rep) == total and counts == sorted(counts, reverse=True)
+                orbit = content_orbit(m, rep)
+                assert len(orbit) == size and orbit == sorted(orbit)
+                for content, labels in orbit:
+                    assert content == tuple(sorted(labels[x - 1] for x in rep))
+                    contents.add(content)
+                sizes += size
+            assert len(contents) == sizes == comb(total + m - 1, m - 1)
+    with pytest.raises(ParameterError):
+        list(content_orbits(0, 2))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from forestcalc import rewrite
 from forestcalc.errors import DomainError, ParameterError, ResourceLimitError
 from forestcalc.forest import MAX_NESTING
 from forestcalc.trees import (
@@ -220,13 +221,16 @@ def _old_canonical_rooted(shape):
 
 
 def _old_presentations(half_a, half_b):
+    """Every presentation the walk reaches, in its order, some edges both ways."""
     seen = set()
     stack = [(half_a, half_b)]
+    out = []
     while stack:
         pres = stack.pop()
         if pres in seen:
             continue
         seen.add(pres)
+        out.append(pres)
         a, b = pres
         if isinstance(a, tuple):
             stack.append((a[0], (a[1], b)))
@@ -234,7 +238,7 @@ def _old_presentations(half_a, half_b):
         if isinstance(b, tuple):
             stack.append((b[0], (b[1], a)))
             stack.append((b[1], (a, b[0])))
-    return seen
+    return out
 
 
 def _old_framed_pass(half_a, half_b):
@@ -493,6 +497,49 @@ def test_canonical_framed_matches_presentations_on_the_generator_grid():
         for tree in framed_table(m, n).trees:
             for a, b in (tree.data, _scrambled(rng, *tree.data)):
                 assert canonical_framed(a, b) == _presentation_canonical_framed(a, b)
+
+
+def _distinct_labels(order):
+    """A framed tree of the given order whose leaves are labeled 1, 2, ..."""
+    labels = iter(range(1, order + 3))
+
+    def shape(leaves):
+        if leaves == 1:
+            return next(labels)
+        return (shape(leaves // 2), shape(leaves - leaves // 2))
+
+    return shape((order + 2) // 2), shape(order + 2 - (order + 2) // 2)
+
+
+def _collapses(rewrite, pairs, m):
+    """collapse_framed_edge at each label 1..m of each framed tree, or its error."""
+    out = []
+    for pair in pairs:
+        tree = framed_tree(*pair)[0]
+        for label in range(1, m + 1):
+            try:
+                out.append(rewrite.collapse_framed_edge(1, tree, label))
+            except DomainError as exc:
+                out.append(str(exc))
+    return out
+
+
+def test_presentations_one_per_edge(monkeypatch):
+    # the walk used to give <((1,2),3),(4,5)> 9 presentations, some edges
+    # both ways; now each of the 2n + 1 edges once, in the orientation and
+    # order the old walk reached it first, so every collapse is unchanged
+    assert len(_old_presentations(((1, 2), 3), (4, 5))) == 9
+    assert len(presentations(((1, 2), 3), (4, 5))) == 7
+    for order in range(12):
+        assert len(presentations(*_distinct_labels(order))) == 2 * order + 1
+    pairs = [t.data for m, n in GENERATOR_CELLS for t in framed_table(m, n).trees]
+    for pair in pairs:
+        old = _old_presentations(*pair)
+        assert presentations(*pair) == [
+            (p, q) for i, (p, q) in enumerate(old) if (q, p) not in old[:i]]
+    collapses = _collapses(rewrite, pairs, 3)
+    monkeypatch.setattr(rewrite, "presentations", _old_presentations)
+    assert collapses == _collapses(rewrite, pairs, 3)
 
 
 @st.composite
