@@ -25,7 +25,7 @@ from types import SimpleNamespace
 from typing import NamedTuple
 
 from .errors import ForestcalcError, ParameterError, ParseError
-from .eta import arf_classes, eta, eta_k, eta_kernel, milnor_from_forest
+from .eta import arf_classes, check_arf_parameters, eta, eta_k, eta_kernel, milnor_from_forest
 from .forest import parse_forest, parse_tree_term
 from .freelie import bracket_str, lyndon_words
 from .groups import build_group
@@ -150,8 +150,10 @@ def cmd_lie(args):
 def cmd_arf(args):
     if args.k is None:
         raise ParameterError("arf requires --k")
-    classes = arf_classes(args.m, args.order, args.k)
+    # the kernel meets its budget before the classes are built
+    check_arf_parameters(args.m, args.order, args.k)
     invfac, lifts = eta_kernel(args.m, 2 * args.order)
+    classes = arf_classes(args.m, args.order, args.k)
     lines = [
         "classes: " + " ".join(str(t) for _, t in classes),
         "kernel: " + (" ".join(str(d) for d in invfac) or "trivial"),

@@ -36,7 +36,7 @@ from .freelie import (
     witt,
     word_multiplicity,
 )
-from .groups import content_orbit, content_orbits, twisted_block
+from .groups import content_orbit, content_orbits, divisibility_chain, twisted_block
 from .intlinalg import left_kernel, presentation
 from .trees import (
     FRAMED,
@@ -141,15 +141,6 @@ def _free_rows(m: int, n: int):
     return tuple(out)
 
 
-def _chain(factors):
-    """The sum of the Z/d, d in `factors` (Z for d = 0), as its invariant
-    factors, one divisibility chain d > 1 and then 0s, and a generator of
-    each as a sparse row over the indices of `factors`."""
-    group = presentation([((i, d),) for i, d in enumerate(factors) if d], len(factors))
-    chain = [d for d in group.diag if d > 1]
-    return chain + [0] * (len(group.survivors) - len(group.diag)), group.summands()
-
-
 def eta_cokernel_invariants(m: int, n: int):
     """Invariant factors of coker(eta_n) plus its free rank, as (torsion, free).
 
@@ -162,7 +153,7 @@ def eta_cokernel_invariants(m: int, n: int):
     for size, *_, snf in _free_rows(m, n):
         rank -= size * (len(snf.pivots) + len(snf.diag))
         torsion += [d for d in snf.diag if d > 1] * size
-    return _chain(torsion)[0], rank
+    return divisibility_chain(torsion)[0], rank
 
 
 def eta_kernel(m: int, n: int):
@@ -188,10 +179,20 @@ def eta_kernel(m: int, n: int):
             found += [(content, torsion + [0] * len(kernel), [block.forest(r, labels) for r in lifts])
                       for content, labels in content_orbit(m, block.content)]
     found.sort(key=lambda f: f[0])
-    factors, rows = _chain([d for _, ds, _ in found for d in ds])
+    factors, merged = divisibility_chain([d for _, ds, _ in found for d in ds])
     lifts = [lift for *_, forests in found for lift in forests]
     return factors, [make_forest(m, [(c * x, t) for i, c in row for x, t in lifts[i].terms])
-                     for row in rows]
+                     for row in merged.summands()]
+
+
+def check_arf_parameters(m: int, j: int, k: int):
+    """Refuse the parameters that `arf_classes` has no classes for."""
+    if m < 1:
+        raise ParameterError(f"arf classes require m >= 1, got {m}")
+    if j < 1:
+        raise ParameterError(f"arf classes require order >= 1, got {j}")
+    if k < 4:
+        raise ParameterError("arf classes require k >= 4")
 
 
 def arf_classes(m: int, j: int, k: int):
@@ -200,12 +201,7 @@ def arf_classes(m: int, j: int, k: int):
     In the k-repeating setting only words of multiplicity <= k//4 survive;
     k < 4 leaves nothing.
     """
-    if m < 1:
-        raise ParameterError(f"arf classes require m >= 1, got {m}")
-    if j < 1:
-        raise ParameterError(f"arf classes require order >= 1, got {j}")
-    if k < 4:
-        raise ParameterError("arf classes require k >= 4")
+    check_arf_parameters(m, j, k)
     bound = k // 4
     out = []
     for w in lyndon_words(m, j):

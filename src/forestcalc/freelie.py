@@ -471,12 +471,6 @@ class BracketKernel(NamedTuple):
     def rank(self):
         return len(self.rows)
 
-    def basis_elements(self):
-        return [
-            TensorElement.make(self.m, self.n + 1, {self.domain[j]: c for j, c in row})
-            for row in self.rows
-        ]
-
 
 def _bracket_rows(m: int, n: int, k):
     """The (restricted) bracket map L1 (x) L_{n+1} -> L_{n+2} as sparse rows.

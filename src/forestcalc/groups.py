@@ -8,10 +8,17 @@ walks the trees over the shape ids of `trees` and yields its relations as
 lists of (coeff, tree number) terms, a tree number being a position in the
 generator list before the k bound: a framed term is resolved by
 `FramedTable.term`, a twisted one by its shape id.  `TreeGroup` alone turns
-them into sparse rows, dropping the terms whose tree the k bound removed.
-Invariants and normal forms both read the rows' one `presentation`, built
-when first read: one coordinate per generator that no unit pivot eliminates,
-over the Smith basis of the columns the residual names, then the rest.
+them into sparse rows, numbering each term's tree by a column map.
+
+Every family keeps a tree's content (below), so `TreeGroup.invariants`
+builds only the rows that the trees of one representative content per
+S_m-orbit seed, numbered within their block, and one `presentation` per
+block: the free ranks add up and the torsion merges into one divisibility
+chain, each repeated by its orbit's size.  The k bound keeps the blocks
+whose label counts are at most k.  Normal forms and zero tests read the
+`presentation` of every row, built when first read: one coordinate per
+generator that no unit pivot eliminates, over the Smith basis of the
+columns the residual names, then the rest.
 
 `twisted_block` presents the twisted T_n^inf on Lie coordinates instead, for
 eta.  x (x) B -> <x, B> maps L_1 (x) L'_{n+1}, L' the free quasi-Lie ring,
@@ -38,11 +45,12 @@ with m W(m,n+1) - W(m,n+2) and the torsion with CST's Z/2 (x) L_{(n+2)/4}.
 
 Relations, readings and Lyndon rewriting keep a tree's content, the
 sorted tuple of its leaf labels, J^inf counting J's twice, as the free Lie
-ring's multigrading does (Reutenauer, *Free Lie Algebras*, 1993).  So
-T_n^inf is the sum of one block per content of n + 2 leaves, and a label
-permutation carries each block onto another: one block per S_m-orbit
+ring's multigrading does (Reutenauer, *Free Lie Algebras*, 1993).  So T_n
+and T_n^inf are the sum of one block per content of n + 2 leaves, and a
+label permutation carries each block onto another: one block per S_m-orbit
 (`content_orbits`) gives the invariants of its whole orbit
-(`content_orbit`).
+(`content_orbit`).  `TreeGroup` reads the trees' contents as the codes of
+`ShapeIds.contents`.
 """
 
 from __future__ import annotations
@@ -100,12 +108,6 @@ def _columns(trees, k) -> list:
         else:
             columns.append(None)
     return columns
-
-
-def enumerate_generators(m: int, n: int, flavor: str, k=None):
-    """Ordered canonical generators of the order-n tree group."""
-    trees = _trees(m, n, flavor)
-    return [t for t, c in zip(trees, _columns(trees, k)) if c is not None]
 
 
 def _ihx_triples(presentation):
@@ -205,7 +207,9 @@ class GroupElement(NamedTuple):
 
 
 class TreeGroup:
-    """A graded tree group with its relations and cached normal-form presentation."""
+    """A graded tree group: its generators, the presentation of its relation
+    rows that normal forms read, and its invariants, read off one relation
+    block per S_m-orbit of contents."""
 
     def __init__(self, m, n, flavor, k=None):
         self.m = m
@@ -213,49 +217,66 @@ class TreeGroup:
         self.flavor = flavor
         self.k = k
         trees = _trees(m, n, flavor)
-        columns = _columns(trees, k)
-        self.generators = [t for t, c in zip(trees, columns) if c is not None]
-        # sparse rows ((generator index, coeff), ...) by index, sorted
-        self.relations = self._build_relations(columns)
+        self._columns = _columns(trees, k)
+        self.generators = [t for t, c in zip(trees, self._columns) if c is not None]
+        self._twisted = {}  # shape id of each twisted J^inf -> its tree number
+        if flavor == FLAVOR_TWISTED and n % 2 == 0:
+            first, ids = len(self._table.trees), self._table.ids
+            self._twisted = {j: first + p for p, j in enumerate(ids.by_order[n // 2])}
+
+    @property
+    def _table(self):
+        """The framed table the trees and relations are read in, not held,
+        so that a group pickles."""
+        return framed_table(self.m, self.n)
 
     @cached_property
     def index(self):
         """Generator -> its index."""
         return {g: i for i, g in enumerate(self.generators)}
 
-    def _build_relations(self, columns):
-        """Sparse rows of every relation, deduplicated and sorted.
+    def _rows(self, framed, twisted, column):
+        """Sparse rows ((column, coeff), ...) of the relations that the
+        framed tree numbers `framed` and the twisted (shape id, tree number)
+        pairs `twisted` seed, and of every boundary twist, deduplicated and
+        sorted.
 
-        columns maps each tree number of the terms to its generator index; a
-        term whose tree the k bound removed is dropped (it is zero in the
-        multiplicity quotient).
+        column(u) maps the tree number of each term to its column, or to
+        None, which drops the term: its tree is zero in the multiplicity
+        quotient, or, as a boundary twist's one term, lies outside the block
+        the rows are for.
         """
-        m, n = self.m, self.n
-        table = framed_table(m, n)
-        framed = [i for i in range(len(table.trees)) if columns[i] is not None]
+        table, n = self._table, self.n
         families = [_framed_relations(table, framed)]
         if self.flavor == FLAVOR_TWISTED:
             if n % 2 == 1:
-                families.append(_boundary_twist_relations(table, m, n))
+                families.append(_boundary_twist_relations(table, self.m, n))
             else:
-                first = len(table.trees)
-                number = {j: first + p for p, j in enumerate(table.ids.by_order[n // 2])}
-                twisted = [(j, u) for j, u in number.items() if columns[u] is not None]
                 families += [
                     _interior_twist_relations(table, twisted),
-                    _twisted_ihx_relations(table, twisted, number),
+                    _twisted_ihx_relations(table, twisted, self._twisted),
                 ]
         rows = set()
         for terms in chain.from_iterable(families):
             row = {}
             for coeff, u in terms:
-                j = columns[u]
+                j = column(u)
                 if j is not None:
                     row[j] = row.get(j, 0) + coeff
             row = tuple(sorted((j, x) for j, x in row.items() if x))
             if row:
                 rows.add(row)
         return sorted(rows)
+
+    @cached_property
+    def relations(self):
+        """Sparse rows ((generator index, coeff), ...) of every relation,
+        deduplicated and sorted; the k bound drops the terms of the trees it
+        removes."""
+        columns = self._columns
+        framed = [i for i in range(len(self._table.trees)) if columns[i] is not None]
+        twisted = [(j, u) for j, u in self._twisted.items() if columns[u] is not None]
+        return self._rows(framed, twisted, columns.__getitem__)
 
     @cached_property
     def snf(self):
@@ -292,11 +313,46 @@ class TreeGroup:
     def is_zero(self, forest: IntersectionForest) -> bool:
         return self.reduce_forest(forest).is_zero
 
+    def _blocks(self):
+        """(content, orbit size, generator count, `Presentation`) of the block
+        of each representative content of `content_orbits` that has trees.
+
+        A block's generators are the trees of its content, framed in tree
+        order and then twisted, numbered from 0, and its rows are those the
+        trees seed.  The k bound keeps the blocks whose label counts are all
+        at most k; label 1 counts the most in a representative.
+        """
+        ids = self._table.ids
+        blocks = {}  # content code of each representative -> (content, size, framed, twisted)
+        for content, size in content_orbits(self.m, self.n + 2):
+            if self.k is None or content.count(1) <= self.k:
+                code = sum(ids.contents[ids.labels[x]] for x in content)
+                blocks[code] = (content, size, [], [])
+        for i, code in enumerate(self._table.contents):
+            if code in blocks:
+                blocks[code][2].append(i)
+        for j, u in self._twisted.items():
+            if 2 * ids.contents[j] in blocks:
+                blocks[2 * ids.contents[j]][3].append((j, u))
+        for content, size, framed, twisted in blocks.values():
+            at = {u: c for c, u in enumerate(framed + [u for _, u in twisted])}
+            if at:
+                rows = self._rows(framed, twisted, at.get)
+                yield content, size, len(at), presentation(rows, len(at))
+
+    @cached_property
+    def _invariants(self):
+        """(free rank, torsion chain): each block's, repeated by its orbit's size."""
+        free, torsion = 0, []
+        for _, size, width, snf in self._blocks():
+            free += size * (width - len(snf.pivots) - len(snf.diag))
+            torsion += [d for d in snf.diag if d > 1] * size
+        return free, divisibility_chain(torsion)[0]
+
     def invariants(self):
         """(free_rank, [torsion orders]) of the presented group."""
-        snf = self.snf
-        free = len(self.generators) - len(snf.pivots) - len(snf.diag)
-        return free, [d for d in snf.diag if d > 1]
+        free, torsion = self._invariants
+        return free, list(torsion)
 
     def invariants_str(self) -> str:
         free, torsion = self.invariants()
@@ -329,6 +385,15 @@ def content_orbits(m: int, total: int):
         elif len(parts) < m:
             top = min(rest, parts[-1]) if parts else rest
             stack += [(parts + (c,), rest - c) for c in range(1, top + 1)]
+
+
+def divisibility_chain(factors):
+    """The sum of the Z/d, d in `factors` (Z for d = 0), as its invariant
+    factors, one divisibility chain d > 1 and then 0s, and the `Presentation`
+    over the indices of `factors` whose summands generate them."""
+    group = presentation([((i, d),) for i, d in enumerate(factors) if d], len(factors))
+    chain = [d for d in group.diag if d > 1]
+    return chain + [0] * (len(group.survivors) - len(group.diag)), group
 
 
 def content_orbit(m: int, content: tuple) -> list:

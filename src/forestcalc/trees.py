@@ -31,16 +31,21 @@ their terms to generator indices through these ids and tables without
 building or hashing a nested shape.
 
 Both tables are immutable, cached per (m, order) and bounded by the order
-they were built for.  `_canon`, `canonical_framed`, `framed_tree` and
-`twisted_tree` canonicalize ad-hoc nested shapes, such as the trees the
-parser and `rewrite` bring, up to any nesting depth: each vertex key is
-built once from the keys its two branches returned.
+they were built for.  Each gives, when first read, the content code of every
+id or tree, its leaf labels' multiset packed into one int and summed
+bottom-up from the ids' branches, so that `groups` splits the trees by
+content without walking a nested shape.
+
+`_canon`, `canonical_framed`, `framed_tree` and `twisted_tree`
+canonicalize ad-hoc nested shapes, such as the trees the parser and
+`rewrite` bring, up to any nesting depth: each vertex key is built once
+from the keys its two branches returned.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain
 from types import MappingProxyType
 from typing import NamedTuple
@@ -287,15 +292,6 @@ def twisted_tree(shape):
     return DecoratedTree(TWISTED, canon)
 
 
-def canonicalize_tree(tree: DecoratedTree):
-    """Re-canonicalize; idempotent with sign +1 on already-canonical input."""
-    if tree.kind == FRAMED:
-        return framed_tree(*tree.data)
-    if tree.kind == ROOTED:
-        return rooted_tree(tree.data)
-    return twisted_tree(tree.data), 1
-
-
 # ---------------------------------------------------------------------------
 # statistics and products
 
@@ -419,6 +415,26 @@ class ShapeIds:
         self.shapes = tuple(shapes)
         self.ambiguous = tuple(ambiguous)
 
+    @cached_property
+    def contents(self):
+        """Each id's content code, built bottom-up as `orders` is.
+
+        A content is the multiset of leaf labels.  Its code sums base^(x - 1)
+        over the leaves x, base = order + 3, but every label past order + 2
+        counts in the one top digit, base^(order + 2).  The framed trees of
+        this order have at most order + 2 leaves, so the sum of two halves'
+        codes carries no digit, and trees whose labels are all <= order + 2
+        share a code exactly when they share a content.
+        """
+        top = len(self.by_order) + 1
+        codes = [0] * len(self.orders)
+        for x, i in self.labels.items():
+            codes[i] = (top + 1) ** (min(x, top + 1) - 1)
+        for i in chain.from_iterable(self.by_order[1:]):
+            a, b = self.kids[i]
+            codes[i] = codes[a] + codes[b]
+        return tuple(codes)
+
     def join(self, a, b):
         """``(id, sign)`` of the pair shape (a, b) of branches given as ``(id, sign)``."""
         (i, si), (j, sj) = a, b
@@ -513,6 +529,12 @@ class FramedTable:
             for (lo, hi), t in zip(halves, torsion)
         )
 
+    @cached_property
+    def contents(self):
+        """Each tree's content code (`ShapeIds.contents`), its halves' sum."""
+        codes = self.ids.contents
+        return tuple(codes[lo] + codes[hi] for lo, hi in self.halves)
+
     def term(self, a: int, sa: int, b: int, sb: int):
         """``(index, sign)`` with <sa * a, sb * b> = sign * trees[index]."""
         index, sign = self.entries[(a, b) if a <= b else (b, a)]
@@ -536,15 +558,6 @@ def _shape_counts(m: int, leaves: int, cap=None) -> list:
             total += counts[k // 2] * (counts[k // 2] + 1) // 2
         counts.append(total)
     return counts[1:]
-
-
-def framed_table_size(m: int, order: int) -> int:
-    """The entries of `framed_table(m, order)`, R(order + 2).
-
-    Its keys are the unordered pairs of canonical shapes with order + 2
-    leaves in all, each a presentation of one framed tree.
-    """
-    return _shape_counts(m, order + 2)[-1]
 
 
 @lru_cache(maxsize=None)

@@ -7,7 +7,6 @@ import pytest
 from forestcalc import eta as eta_module
 from forestcalc.errors import OddCoefficientError, OrderMismatchError, ParameterError
 from forestcalc.eta import (
-    _chain,
     _free_rows,
     arf_classes,
     eta,
@@ -30,7 +29,13 @@ from forestcalc.freelie import (
     shape_to_lie,
     standard_bracketing,
 )
-from forestcalc.groups import build_group, content_orbit, content_orbits, twisted_block
+from forestcalc.groups import (
+    build_group,
+    content_orbit,
+    content_orbits,
+    divisibility_chain,
+    twisted_block,
+)
 from forestcalc.intlinalg import left_kernel, presentation
 from forestcalc.trees import (
     FRAMED,
@@ -363,6 +368,11 @@ def test_eta_kernel_and_cokernel_match_old_path():
     assert kernels == 19  # Z/2 (x) L_{(n+2)/4} at n = 2 and 6, and no free part
 
 
+def _chain(factors):
+    chain, group = divisibility_chain(factors)
+    return chain, group.summands()
+
+
 def test_torsion_merges_into_one_chain():
     # the blocks' kernels are one divisibility chain, then the free part,
     # each factor with a generator: equal factors keep their own, a Z keeps
@@ -560,20 +570,26 @@ def _fine_witt(counts):
     return out // total
 
 
+def block_counts(m, n, content):
+    """(rank, torsion) of the block of a content of the twisted T_n^inf, of
+    label counts a: the rank of its block of D_n, the sum over x of
+    W(a - e_x) less W(a), and the torsion (Z/2)^W(a/4) at n = 2 mod 4 where
+    4 | a, else none: CST's Z/2 (x) L_{(n+2)/4}, read by content."""
+    counts = [content.count(x) for x in range(1, m + 1)]
+    rank = sum(_fine_witt(counts[:x] + [c - 1] + counts[x + 1:])
+               for x, c in enumerate(counts) if c) - _fine_witt(counts)
+    torsion = []
+    if n % 4 == 2 and all(c % 4 == 0 for c in counts):
+        torsion = [2] * _fine_witt([c // 4 for c in counts])
+    return rank, torsion
+
+
 def test_every_block_meets_the_witt_and_cst_counts():
-    # each block of T_n^inf, of label counts a, has the rank of its block of
-    # D_n, the sum over x of W(a - e_x) less W(a), and the torsion
-    # (Z/2)^W(a/4) at n = 2 mod 4 where 4 | a, else none: CST's
-    # Z/2 (x) L_{(n+2)/4}, read by content
+    # each block of T_n^inf on Lie coordinates meets `block_counts`
     for m, n in [(3, 4), (2, 6), (3, 5), (3, 6), (3, 7), (2, 8), (2, 10), (4, 6)]:
         blocks = 0
         for block in _blocks(m, n):
-            counts = [block.content.count(x) for x in range(1, m + 1)]
-            rank = sum(_fine_witt(counts[:x] + [c - 1] + counts[x + 1:])
-                       for x, c in enumerate(counts) if c) - _fine_witt(counts)
-            torsion = []
-            if n % 4 == 2 and all(c % 4 == 0 for c in counts):
-                torsion = [2] * _fine_witt([c // 4 for c in counts])
+            rank, torsion = block_counts(m, n, block.content)
             group = presentation(block.relations, len(block.images))
             assert len(block.images) - len(group.pivots) - len(group.diag) == rank
             assert [d for d in group.diag if d > 1] == torsion

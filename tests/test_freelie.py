@@ -153,13 +153,19 @@ def test_bracket_map():
     assert str(image) == "+1*[x1,x2]"
 
 
+def basis_elements(kern):
+    """The kernel's basis rows as tensors."""
+    return [TensorElement.make(kern.m, kern.n + 1, {kern.domain[j]: c for j, c in row})
+            for row in kern.rows]
+
+
 def test_kernel_rank_formula():
     for m in (1, 2, 3):
         for n in range(0, 4):
             kern = bracket_kernel(m, n)
             expect = m * len(lyndon_words(m, n + 1)) - len(lyndon_words(m, n + 2))
             assert kern.rank == expect
-            for elem in kern.basis_elements():
+            for elem in basis_elements(kern):
                 assert bracket_map(elem).is_zero
 
 

@@ -4,18 +4,18 @@ from math import comb
 
 import pytest
 
+from test_eta import block_counts
 from test_freelie import witt
 
 from forestcalc import intlinalg
 from forestcalc.errors import ParameterError
 from forestcalc.forest import make_forest, parse_forest
-from forestcalc.groups import (
-    TreeGroup,
-    build_group,
-    content_orbit,
-    content_orbits,
-    enumerate_generators,
-)
+from forestcalc.groups import TreeGroup, build_group, content_orbit, content_orbits
+
+
+def enumerate_generators(m, n, flavor, k=None):
+    """Ordered canonical generators of the order-n tree group."""
+    return TreeGroup(m, n, flavor, k).generators
 
 
 def dense_row(pairs, n):
@@ -306,7 +306,48 @@ def test_element_equality():
     assert e in [0, None, e]
 
 
-def test_invariants_and_normal_forms_share_one_elimination(monkeypatch):
+def _whole_matrix_invariants(group):
+    """(free, torsion) read off the presentation of every relation row."""
+    snf = group.snf
+    return len(group.generators) - len(snf.pivots) - len(snf.diag), [d for d in snf.diag if d > 1]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_block_invariants_match_the_whole_matrix(m):
+    # one block per S_m-orbit of contents, its factors repeated by the
+    # orbit's size, gives the invariants of every relation row; the k bound
+    # keeps the blocks whose label counts are all at most k
+    for n in range(6):
+        for flavor in ("framed", "twisted"):
+            for k in (None, 1, 2, 3):
+                group = TreeGroup(m, n, flavor, k)
+                assert group.invariants() == _whole_matrix_invariants(group), (n, flavor, k)
+
+
+@pytest.mark.parametrize("m, n, flavor", [(4, 3, "framed"), (5, 2, "twisted"), (2, 7, "framed"),
+                                          (3, 6, "twisted")])
+def test_large_block_invariants_match_the_whole_matrix(m, n, flavor):
+    group = TreeGroup(m, n, flavor)
+    assert group.invariants() == _whole_matrix_invariants(group)
+
+
+@pytest.mark.parametrize("m, top", [(1, 5), (2, 5), (3, 5), (5, 2), (3, 6)])
+def test_twisted_blocks_meet_the_witt_and_cst_counts(m, top):
+    # each representative block of the twisted T_n^inf meets the Witt and
+    # CST counts of its content; every representative content has trees
+    for n in range(top + 1):
+        blocks = list(TreeGroup(m, n, "twisted")._blocks())
+        assert [(c, s) for c, s, *_ in blocks] == list(content_orbits(m, n + 2))
+        for content, _, width, snf in blocks:
+            rank, torsion = block_counts(m, n, content)
+            assert width - len(snf.pivots) - len(snf.diag) == rank, (n, content)
+            assert [d for d in snf.diag if d > 1] == torsion, (n, content)
+
+
+def test_invariants_eliminate_blocks_and_normal_forms_the_whole_matrix(monkeypatch):
+    # invariants() eliminates each representative block once, then the
+    # diagonal of their torsion to merge it, and never builds the whole
+    # matrix; normal forms eliminate the whole matrix once
     runs = []
     unit_pivots = intlinalg._unit_pivots
 
@@ -315,15 +356,18 @@ def test_invariants_and_normal_forms_share_one_elimination(monkeypatch):
         return unit_pivots(rows)
 
     monkeypatch.setattr(intlinalg, "_unit_pivots", counted)
-    g = TreeGroup(2, 4, "twisted")
+    g = TreeGroup(3, 2, "twisted")
     free, torsion = g.invariants()
-    g.reduce_forest(make_forest(2, [(1, g.generators[0])]))
-    assert len(runs) == 1
-    # the presentation agrees: each survivor is a free generator or carries
-    # a factor of the residual's Smith form
-    snf = g.snf
-    assert free == len(snf.survivors) - len(snf.diag)
-    assert torsion == [d for d in snf.diag if d > 1]
+    assert (free, torsion) == (6, [2, 2, 2])
+    assert g.invariants_str() == "Z^6 + Z/2 + Z/2 + Z/2"
+    assert g.invariants() == (free, torsion)
+    *blocks, merge = runs
+    assert len(blocks) == len(list(content_orbits(3, 4))) and merge == len(torsion)
+    assert "relations" not in vars(g)
+    g.reduce_forest(make_forest(3, [(1, g.generators[0])]))
+    g.reduce_forest(make_forest(3, [(1, g.generators[-1])]))
+    assert runs[len(blocks) + 1:] == [len(g.relations)] and max(blocks) < len(g.relations)
+    assert (free, torsion) == _whole_matrix_invariants(g)
 
 
 @pytest.mark.parametrize("m, n", [(2, 7), (3, 5), (4, 4)])

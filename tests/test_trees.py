@@ -11,14 +11,14 @@ from forestcalc.forest import MAX_NESTING
 from forestcalc.trees import (
     FRAMED,
     MAX_TABLE_ENTRIES,
+    ROOTED,
     DecoratedTree,
     _canon,
+    _shape_counts,
     canonical_framed,
     canonical_rooted,
-    canonicalize_tree,
     framed_generators,
     framed_table,
-    framed_table_size,
     framed_tree,
     inner_product,
     multiplicity,
@@ -30,6 +30,22 @@ from forestcalc.trees import (
     twisted_generators,
     twisted_tree,
 )
+
+
+def canonicalize_tree(tree: DecoratedTree):
+    """Re-canonicalize; idempotent with sign +1 on already-canonical input."""
+    if tree.kind == FRAMED:
+        return framed_tree(*tree.data)
+    if tree.kind == ROOTED:
+        return rooted_tree(tree.data)
+    return twisted_tree(tree.data), 1
+
+
+def framed_table_size(m: int, order: int) -> int:
+    """The entries of `framed_table(m, order)`, R(order + 2): its keys are the
+    unordered pairs of canonical shapes with order + 2 leaves in all, each a
+    presentation of one framed tree."""
+    return _shape_counts(m, order + 2)[-1]
 
 
 def test_framed_halves_order_without_sign():
