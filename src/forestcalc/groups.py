@@ -93,16 +93,25 @@ def _trees(m: int, n: int, flavor: str) -> list:
     return trees
 
 
-def _columns(trees, k) -> list:
-    """Each tree's index among those the k bound keeps, None where it drops one."""
+def _columns(table, twisted, k) -> list:
+    """Each tree's index among those the k bound keeps, None where it drops
+    one: the trees of `table`, then the J^inf of the shape ids `twisted`.
+
+    A tree's label counts are its halves' `ShapeIds.label_counts`, summed,
+    or twice its shape's.
+    """
     if k is None:
-        return list(range(len(trees)))
+        return list(range(len(table.trees) + len(twisted)))
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
+    counts = table.ids.label_counts
+    codes = chain(
+        (counts[lo] + counts[hi] for lo, hi in table.halves), (2 * counts[j] for j in twisted)
+    )
     columns = []
     kept = 0
-    for tree in trees:
-        if multiplicity(tree) <= k:
+    for ok in table.ids.within(codes, k):
+        if ok:
             columns.append(kept)
             kept += 1
         else:
@@ -217,12 +226,12 @@ class TreeGroup:
         self.flavor = flavor
         self.k = k
         trees = _trees(m, n, flavor)
-        self._columns = _columns(trees, k)
-        self.generators = [t for t, c in zip(trees, self._columns) if c is not None]
         self._twisted = {}  # shape id of each twisted J^inf -> its tree number
         if flavor == FLAVOR_TWISTED and n % 2 == 0:
             first, ids = len(self._table.trees), self._table.ids
             self._twisted = {j: first + p for p, j in enumerate(ids.by_order[n // 2])}
+        self._columns = _columns(self._table, self._twisted, k)
+        self.generators = [t for t, c in zip(trees, self._columns) if c is not None]
 
     @property
     def _table(self):

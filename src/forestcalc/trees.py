@@ -34,12 +34,19 @@ Both tables are immutable, cached per (m, order) and bounded by the order
 they were built for.  Each gives, when first read, the content code of every
 id or tree, its leaf labels' multiset packed into one int and summed
 bottom-up from the ids' branches, so that `groups` splits the trees by
-content without walking a nested shape.
+content without walking a nested shape.  The shape ids give, the same way,
+each id's exact label counts (`ShapeIds.label_counts`), which the k bound
+reads.
 
 `_canon`, `canonical_framed`, `framed_tree` and `twisted_tree`
-canonicalize ad-hoc nested shapes, such as the trees the parser and
-`rewrite` bring, up to any nesting depth: each vertex key is built once
-from the keys its two branches returned.
+canonicalize ad-hoc nested shapes, such as the trees `rewrite`, `groups`
+and `eta` bring, up to any nesting depth: each vertex key is built once
+from the keys its two branches returned.  A `_canon` record holds a
+shape's canonical form, key, sign, ambiguity and branches' records, and
+`_join` makes a vertex's record from its branches'.  The edge walk of
+`canonical_framed_records` takes the two halves' records, so the forest
+parser, which builds each record as the vertex's ")" closes, hands them
+over without a second walk of the nested shape.
 """
 
 from __future__ import annotations
@@ -170,31 +177,38 @@ def canonical_framed(half_a, half_b):
     torsion is set when the minimal presentation is reachable with both
     signs, in which case the reported sign is +1 and the tree satisfies
     2t = 0 at group level.
-
-    The 2n+1 edges are read in one walk, as `ShapeIds.edges` walks ids:
-    each subtree of the halves is canonicalized once, bottom-up; the walk
-    carries the canonical rest of the tree down to each vertex v = (x, y),
-    where the cyclic order (x, y, rest) reads (y, rest) from x and (rest, x)
-    from y, each joined from its two branches with one key comparison.
     """
-    a, b = _canon(half_a), _canon(half_b)
+    pair, _, sign, torsion = canonical_framed_records(_canon(half_a), _canon(half_b))
+    return pair, sign, torsion
+
+
+def canonical_framed_records(a, b):
+    """`canonical_framed` of the halves given by their `_canon` records.
+
+    Returns ``(pair, key, sign, torsion)``, key the shape keys of pair's two
+    halves.  The 2n+1 edges are read in one walk, as `ShapeIds.edges` walks
+    ids: the records hold every subtree of the halves canonicalized once,
+    bottom-up; the walk carries the canonical rest of the tree down to each
+    vertex v = (x, y), where the cyclic order (x, y, rest) reads (y, rest)
+    from x and (rest, x) from y, each joined from its two branches with one
+    key comparison.  The minimal presentation is torsion when it is read
+    at an ambiguous pair of halves or with both signs.
+    """
     edges = [(a, b), (b, a)]  # (half, rest): the first edge both ways, then 2 per vertex
     for v, rest in edges:
         if v[4]:
             x, y = v[4]
             edges += (x, _join(y, rest)), (y, _join(rest, x))
-    best_key = signs = None
+    best = None
     for p, q in edges:
         if q[1] < p[1]:
             p, q = q, p
-        key, sign = (p[1], q[1]), p[2] * q[2]
-        pres_signs = {sign, -sign} if p[3] or q[3] else {sign}
-        if best_key is None or key < best_key:
-            best_key, best_pair, signs = key, (p[0], q[0]), pres_signs
-        elif key == best_key:
-            signs |= pres_signs
-    torsion = len(signs) == 2
-    return best_pair, 1 if torsion else signs.pop(), torsion
+        key = p[1], q[1]
+        if best is None or key < best:
+            best, pair, sign, torsion = key, (p[0], q[0]), p[2] * q[2], p[3] or q[3]
+        elif not torsion and key == best:
+            torsion = p[3] or q[3] or p[2] * q[2] != sign
+    return pair, best, 1 if torsion else sign, torsion
 
 
 def leaf_rootings(half_a, half_b):
@@ -434,6 +448,42 @@ class ShapeIds:
             a, b = self.kids[i]
             codes[i] = codes[a] + codes[b]
         return tuple(codes)
+
+    @cached_property
+    def label_counts(self):
+        """Each id's leaf labels counted, built bottom-up as `contents` is.
+
+        Label x counts in its own field of w bits, bits w (x - 1) to
+        w x - 1 of one int, w the least width whose top bit no count of
+        order + 2 leaves reaches, so the codes of two halves, or twice the
+        code of a twisted tree's shape, add without a carry.
+        """
+        width = self._count_width
+        codes = [0] * len(self.orders)
+        for x, i in self.labels.items():
+            codes[i] = 1 << (width * (x - 1))
+        for i in chain.from_iterable(self.by_order[1:]):
+            a, b = self.kids[i]
+            codes[i] = codes[a] + codes[b]
+        return tuple(codes)
+
+    @property
+    def _count_width(self):
+        return (len(self.by_order) + 1).bit_length() + 1
+
+    def within(self, codes, k: int):
+        """Whether each code, label counts packed as `label_counts` packs
+        them and of at most order + 2 leaves, counts every label at most k
+        times.
+
+        Adding 2^(w-1) - 1 - k to every field sets a field's top bit exactly
+        when its count exceeds k, and carries out of none; no count reaches
+        2^(w-1), so a larger k bounds as 2^(w-1) - 1 does.
+        """
+        half = 1 << (self._count_width - 1)
+        ones = sum(1 << (self._count_width * x) for x in range(len(self.labels)))
+        add, top = ones * (half - 1 - min(k, half - 1)), ones * half
+        return (not (code + add) & top for code in codes)
 
     def join(self, a, b):
         """``(id, sign)`` of the pair shape (a, b) of branches given as ``(id, sign)``."""

@@ -10,7 +10,8 @@ from test_freelie import witt
 from forestcalc import intlinalg
 from forestcalc.errors import ParameterError
 from forestcalc.forest import make_forest, parse_forest
-from forestcalc.groups import TreeGroup, build_group, content_orbit, content_orbits
+from forestcalc.groups import TreeGroup, _trees, build_group, content_orbit, content_orbits
+from forestcalc.trees import multiplicity
 
 
 def enumerate_generators(m, n, flavor, k=None):
@@ -230,6 +231,26 @@ def test_k_group_quotient():
     assert g.invariants() == (1, [])
     # multiplicity-2 trees reduce to zero in the quotient
     assert g.is_zero(parse_forest("+1*<1,1>", 2))
+
+
+def _old_columns(trees, k):
+    """The k bound as it was read tree by tree off `trees.multiplicity`."""
+    kept = [i for i, t in enumerate(trees) if multiplicity(t) <= k]
+    columns = [None] * len(trees)
+    for c, i in enumerate(kept):
+        columns[i] = c
+    return columns
+
+
+@pytest.mark.parametrize(
+    "m, n", [(m, n) for m in range(1, 5) for n in range(6)] + [(8, 3)]
+)
+def test_k_columns_match_tree_multiplicities(m, n):
+    for flavor in ("framed", "twisted"):
+        trees = _trees(m, n, flavor)
+        # k = 8 is past every count of order 5, 7 leaves
+        for k in (1, 2, 3, 8):
+            assert TreeGroup(m, n, flavor, k)._columns == _old_columns(trees, k)
 
 
 def test_mod2_reduction_coords():
