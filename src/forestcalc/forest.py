@@ -35,10 +35,14 @@ index of the first character that breaks it, past any whitespace before
 it, or the text's length when the text ends too soon: the sign or first
 digit of a bad label or integer, the "(" that opens one vertex too many,
 the "^" of a misplaced twist mark, the character where "^inf" should start.
+A coefficient or label of more digits than `int` reads
+(`sys.get_int_max_str_digits`, 4,300 by default) is a `ParseError` at its
+first character too.
 """
 
 from __future__ import annotations
 
+import sys
 from typing import NamedTuple
 
 from .errors import (
@@ -134,7 +138,10 @@ def _scan(text: str, m: int) -> IntersectionForest:
             i += 1
         if i == digits:
             raise ParseError("expected integer", position=start)
-        coeff = int(t[start:i])
+        try:
+            coeff = int(t[start:i])
+        except ValueError:  # past int's digit limit
+            raise _digit_limit(start) from None
         while t[i].isspace():
             i += 1
         if t[i] != "*":
@@ -174,7 +181,10 @@ def _scan(text: str, m: int) -> IntersectionForest:
                     label = t[i:k]
                     rec = labels.get(label)
                     if rec is None:
-                        value = int(label)
+                        try:
+                            value = int(label)
+                        except ValueError:
+                            raise _digit_limit(i) from None
                         if value < 1:
                             raise ParseError("labels must be >= 1", position=i)
                         if value > m:
@@ -245,6 +255,13 @@ def _scan(text: str, m: int) -> IntersectionForest:
         i += 1
     terms = sorted(acc.items(), key=lambda kv: kv[1][1])
     return IntersectionForest(m, tuple((c, tree) for tree, (c, _) in terms if c))
+
+
+def _digit_limit(position):
+    """The error of a coefficient or label past `int`'s digit limit."""
+    return ParseError(
+        f"integers may have at most {sys.get_int_max_str_digits()} digits", position=position
+    )
 
 
 def parse_tree_term(text: str, m: int):

@@ -6,9 +6,11 @@ Jacobi relations; twisted groups add boundary-twist relations in odd order and
 interior-twist plus twisted-Jacobi relations in even order.  Each family
 walks the trees over the shape ids of `trees` and yields its relations as
 lists of (coeff, tree number) terms, a tree number being a position in the
-generator list before the k bound: a framed term is resolved by
-`FramedTable.term`, a twisted one by its shape id.  `TreeGroup` alone turns
-them into sparse rows, numbering each term's tree by a column map.
+generator list before the k bound: a framed term is resolved by the pair
+code of its two halves in the table's `entries`, a twisted one by its
+shape id, and each pair shape a term builds by its branches' pair code in
+`ShapeIds.pair` (`_resolvers`).  `TreeGroup` alone turns them into sparse
+rows, numbering each term's tree by a column map.
 
 Every family keeps a tree's content (below), so `TreeGroup.invariants`
 builds only the rows that the trees of one representative content per
@@ -119,55 +121,82 @@ def _columns(table, twisted, k) -> list:
     return columns
 
 
-def _ihx_triples(presentation):
-    """The Jacobi partners of a framed tree split at an internal edge.
+def _resolvers(table):
+    """(join, term) for the relation families, both read through the pair
+    codes of `table.ids` and `table.entries`.
 
-    For the split ((A,B),(C,D)) the three terms are
-    I = <(A,B),(C,D)>, H = <(A,C),(B,D)>, X = <(A,D),(B,C)>,
-    entering the relation as I - H + X = 0.
+    join(i, si, j, sj) is the (id, sign) of the pair shape (si * i, sj * j),
+    and term(coeff, i, si, j, sj) the term coeff * <si * i, sj * j>.
     """
-    (a, b), (c, d) = presentation
-    return [
-        (1, ((a, b), (c, d))),
-        (-1, ((a, c), (b, d))),
-        (1, ((a, d), (b, c))),
-    ]
+    size, pair = table.ids.size, table.ids.pair
+    entries, torsion = table.entries, table.torsion
 
+    def join(i, si, j, sj):
+        if i <= j:
+            return pair[i * size + j], si * sj
+        return pair[j * size + i], -si * sj
 
-def _framed(table, coeff, a, b):
-    """The term coeff * <a, b> for halves a, b given as (id, sign)."""
-    index, sign = table.term(*a, *b)
-    return coeff * sign, index
+    def term(coeff, i, si, j, sj):
+        index, sign = entries[i * size + j if i <= j else j * size + i]
+        return (coeff if torsion[index] else coeff * sign * si * sj), index
+
+    return join, term
 
 
 def _framed_relations(table, indices):
-    # 2t = 0 for a symmetric t, and I - H + X = 0 at each internal edge,
-    # whose four quarters are (id, sign) pairs
-    join, kids = table.ids.join, table.ids.kids
+    """2t = 0 for a symmetric t, and I - H + X = 0 at each internal edge.
+
+    At the edge <x, rest> with x = (A, B) and rest = (C, D) the three terms
+    are I = <(A,B),(C,D)>, H = <(A,C),(B,D)> and X = <(A,D),(B,C)>.  The
+    edges are walked as `FramedTable` walks them, rest read with its sign.
+    """
+    join, term = _resolvers(table)
+    kids = table.ids.kids
+
+    def ihx(x, rest, sign, c, sc, d, sd):
+        # x = (a, b) canonical, and sign * rest = (sc * c, sd * d)
+        a, b = kids[x]
+        return [
+            term(1, x, 1, rest, sign),
+            term(-1, *join(a, 1, c, sc), *join(b, 1, d, sd)),
+            term(1, *join(a, 1, d, sd), *join(b, 1, c, sc)),
+        ]
+
     for i in indices:
         if table.torsion[i]:
             yield [(2, i)]
-        for x, _, branches in table.ids.edges(*table.halves[i]):
-            if kids[x] and branches:
-                split = (((kids[x][0], 1), (kids[x][1], 1)), branches)
-                yield [
-                    _framed(table, c, join(*h), join(*k)) for c, (h, k) in _ihx_triples(split)
-                ]
+        lo, hi = table.halves[i]
+        if kids[lo] and kids[hi]:
+            yield ihx(lo, hi, 1, kids[hi][0], 1, kids[hi][1], 1)
+        # pair vertices v, and how the rest of the tree reads from v: sign * r
+        stack = [(v, w, 1) for v, w in ((lo, hi), (hi, lo)) if kids[v]]
+        while stack:
+            v, r, sign = stack.pop()
+            x, y = kids[v]
+            # the cyclic order at v is (x, y, rest): from x the tree reads
+            # (y, rest), from y it reads (rest, x)
+            for half, c, sc, d, sd in ((x, y, 1, r, sign), (y, r, sign, x, 1)):
+                if kids[half]:
+                    rest, s = join(c, sc, d, sd)
+                    yield ihx(half, rest, s, c, sc, d, sd)
+                    stack.append((half, rest, s))
 
 
 def _boundary_twist_relations(table, m, n):
     # i-<(J,J) = 0 for every label i and every rooted J of order (n-1)/2; J
     # runs over canonical shapes only, since the AS sign of J cancels in (J,J)
     ids = table.ids
+    _, term = _resolvers(table)
     for i in range(1, m + 1):
         for j in ids.by_order[(n - 1) // 2]:
-            yield [_framed(table, 1, (ids.labels[i], 1), ids.join((j, 1), (j, 1)))]
+            yield [term(1, ids.labels[i], 1, ids.pair[j * ids.size + j], 1)]
 
 
 def _interior_twist_relations(table, twisted):
     # 2*J^inf = <J,J>
+    _, term = _resolvers(table)
     for j, u in twisted:
-        yield [(2, u), _framed(table, -1, (j, 1), (j, 1))]
+        yield [(2, u), term(-1, j, 1, j, 1)]
 
 
 def _twisted_ihx_relations(table, twisted, number):
@@ -181,7 +210,8 @@ def _twisted_ihx_relations(table, twisted, number):
     correction term pairs the two.  `number` maps the shape id of a twisted
     tree to its tree number.
     """
-    join, kids = table.ids.join, table.ids.kids
+    join, term = _resolvers(table)
+    kids = table.ids.kids
     for j, u in twisted:
         # a vertex of J, and the (other branch, is-left) steps from it to the root
         stack = [(j, ())] if kids[j] else []
@@ -194,15 +224,15 @@ def _twisted_ihx_relations(table, twisted, number):
                 x, y = kids[v]
                 h = _partner(join, x, w, y, up)
                 k = _partner(join, y, w, x, up)
-                yield [(1, u), (-1, number[h[0]]), (-1, number[k[0]]), _framed(table, 1, h, k)]
+                yield [(1, u), (-1, number[h[0]]), (-1, number[k[0]]), term(1, *h, *k)]
                 stack.append((v, ((w, left),) + up))
 
 
 def _partner(join, a, w, b, up):
     """(id, sign) of J with ((a, w), b) grafted at the vertex `up` leads up from."""
-    node = join(join((a, 1), (w, 1)), (b, 1))
+    node = join(*join(a, 1, w, 1), b, 1)
     for other, left in up:
-        node = join(node, (other, 1)) if left else join((other, 1), node)
+        node = join(*node, other, 1) if left else join(other, 1, *node)
     return node
 
 

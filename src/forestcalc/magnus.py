@@ -28,6 +28,7 @@ stay sparse.  The scan decodes only the parts it reads.
 
 from __future__ import annotations
 
+import sys
 from itertools import accumulate
 from math import comb
 from operator import mul
@@ -223,35 +224,42 @@ def parse_longitudes(text: str) -> LongitudeData:
 
     Only the longitudes the file names are kept, so the size of the result
     follows the file, not m; a component it does not name has the empty
-    longitude.
+    longitude.  Errors are `ParseError`s at their line, an int of more
+    digits than `int` reads among them.
     """
     m = None
     raw = {}
     memo = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if m is None:
-            parts = line.replace(" ", "").split("=")
-            if len(parts) != 2 or parts[0] != "m" or not parts[1].isdecimal():
-                raise ParseError(f"expected 'm = <int>' on line {lineno}", position=lineno)
-            m = int(parts[1])
-            if m < 1:
-                raise ParseError("m must be >= 1", position=lineno)
-            continue
-        if ":" not in line:
-            raise ParseError(f"expected 'l<i>: <word>' on line {lineno}", position=lineno)
-        head, body = line.split(":", 1)
-        head = head.strip()
-        if not head.startswith("l") or not head[1:].isdecimal():
-            raise ParseError(f"bad longitude name {head!r}", position=lineno)
-        i = int(head[1:])
-        if not 1 <= i <= m:
-            raise ParseError(f"longitude index {i} out of range 1..{m}", position=lineno)
-        if i in raw:
-            raise ParseError(f"duplicate longitude l{i}", position=lineno)
-        raw[i] = tuple(parse_word(body, m, memo))
+    try:
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            if m is None:
+                parts = line.replace(" ", "").split("=")
+                if len(parts) != 2 or parts[0] != "m" or not parts[1].isdecimal():
+                    raise ParseError(f"expected 'm = <int>' on line {lineno}", position=lineno)
+                m = int(parts[1])
+                if m < 1:
+                    raise ParseError("m must be >= 1", position=lineno)
+                continue
+            if ":" not in line:
+                raise ParseError(f"expected 'l<i>: <word>' on line {lineno}", position=lineno)
+            head, body = line.split(":", 1)
+            head = head.strip()
+            if not head.startswith("l") or not head[1:].isdecimal():
+                raise ParseError(f"bad longitude name {head!r}", position=lineno)
+            i = int(head[1:])
+            if not 1 <= i <= m:
+                raise ParseError(f"longitude index {i} out of range 1..{m}", position=lineno)
+            if i in raw:
+                raise ParseError(f"duplicate longitude l{i}", position=lineno)
+            raw[i] = tuple(parse_word(body, m, memo))
+    except ValueError:  # int() of m, an index or a letter past int's digit limit
+        raise ParseError(
+            f"integers may have at most {sys.get_int_max_str_digits()} digits on line {lineno}",
+            position=lineno,
+        ) from None
     if m is None:
         raise ParseError("empty longitude input")
     return LongitudeData(m, tuple(sorted(raw.items())))

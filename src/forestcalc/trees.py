@@ -22,13 +22,15 @@ densely in `shape_key` order, so comparing ids compares keys.  It is built
 order by order from pairs of smaller ids, with no nested keys, and a pair
 of two canonical shapes canonicalizes by one lookup in its pair table; the
 order of the two ids gives the AS sign, and an id's ambiguity is stored.
+An ordered pair of ids a <= b is keyed by one int, its pair code
+a * size + b, size the number of ids, so no lookup builds or hashes a tuple.
 
 `framed_table(m, order)` walks each framed tree of an order once along its
-2n+1 edges, one pair lookup per edge, and maps every presentation, an int
-pair of canonical halves, to the tree's generator index and sign.  The
-framed generators are read off it, and the relations of `groups` resolve
-their terms to generator indices through these ids and tables without
-building or hashing a nested shape.
+2n+1 edges, one pair lookup per edge, and maps every presentation, the
+pair code of its canonical halves, to the tree's generator index and sign.
+The framed generators are read off it, and the relations of `groups`
+resolve their terms to generator indices through these codes and tables
+without building or hashing a nested shape.
 
 Both tables are immutable, cached per (m, order) and bounded by the order
 they were built for.  Each gives, when first read, the content code of every
@@ -399,11 +401,12 @@ class ShapeIds:
     - ``orders``, and ``ambiguous``: some vertex has equal branches.
 
     ``by_order[k]`` lists the ids of order k in increasing order, and
-    ``labels`` maps a label to its id.  ``pair`` maps the branches (a, b),
-    a <= b, of each pair shape to its id, so `join` canonicalizes the pair
-    of two canonical shapes a, b with one lookup, of (a, b) with sign +1
-    when a <= b and of (b, a) with sign -1 otherwise.  The pair is
-    ambiguous when a == b or either branch is.
+    ``labels`` maps a label to its id.  ``size`` is the number of ids, and
+    the pair code of ids a <= b is a * size + b.  ``pair`` maps the pair
+    code of the branches (a, b), a <= b, of each pair shape to its id, so
+    `join` canonicalizes the pair of two canonical shapes a, b with one
+    lookup, of (a, b) with sign +1 when a <= b and of (b, a) with sign -1
+    otherwise.  The pair is ambiguous when a == b or either branch is.
     """
 
     def __init__(self, m: int, order: int):
@@ -411,8 +414,9 @@ class ShapeIds:
         self.kids = tuple(pairs) + (None,) * m
         self.orders = orders
         self.labels = MappingProxyType({lab: len(pairs) + lab - 1 for lab in range(1, m + 1)})
-        ids = range(len(orders))
-        self.pair = MappingProxyType(dict(zip(pairs, ids)))
+        self.size = size = len(orders)
+        ids = list(range(size))  # one int object per id, which `pair` and `by_order` share
+        self.pair = MappingProxyType({a * size + b: i for (a, b), i in zip(pairs, ids)})
         by_order = [[] for _ in range(order + 1)]
         for i in ids:
             by_order[orders[i]].append(i)
@@ -489,8 +493,8 @@ class ShapeIds:
         """``(id, sign)`` of the pair shape (a, b) of branches given as ``(id, sign)``."""
         (i, si), (j, sj) = a, b
         if i <= j:
-            return self.pair[i, j], si * sj
-        return self.pair[j, i], -si * sj
+            return self.pair[i * self.size + j], si * sj
+        return self.pair[j * self.size + i], -si * sj
 
     def canon(self, shape):
         """``(id, sign)`` of a nested rooted shape; KeyError if no id names it."""
@@ -536,41 +540,67 @@ class FramedTable:
 
     ``trees`` are the canonical framed trees in generator order, with their
     ``torsion`` flags and their canonical ``halves`` as id pairs.
-    ``entries`` maps the halves (lo, hi), lo <= hi, of every presentation
-    to ``(index, sign)`` with <lo, hi> = sign * trees[index]; a torsion tree
-    stores +1.  ``ids`` are the shape ids the keys are read in.
+    ``entries`` maps the pair code lo * size + hi (`ShapeIds`) of the halves
+    lo <= hi of every presentation to ``(index, sign)`` with
+    <lo, hi> = sign * trees[index]; a torsion tree stores +1, and the trees'
+    presentations of one sign share one tuple.  ``ids`` are the shape ids
+    the codes are read in.
 
     Id pairs are visited in increasing order, and a pair already read as a
     presentation of an earlier tree is skipped, so each tree is met first
-    at its minimal presentation, its canonical form, and walked once.
+    at its minimal presentation, its canonical form, and walked once.  The
+    walk carries the rest of the tree down to each pair vertex as an id and
+    a sign, reads the vertex's two edges with one pair lookup each, and
+    files each edge's code under its sign.  The tree is torsion when an
+    edge reads its own code with sign -1, or when one of its halves is
+    ambiguous.
     """
 
     def __init__(self, m: int, order: int):
         self.ids = ids = shape_ids(m, order)
+        size, kids, pair, ambiguous = ids.size, ids.kids, ids.pair, ids.ambiguous
         entries = {}
         halves = []
         torsion = []
         for lo, o in enumerate(ids.orders):
             rights = ids.by_order[order - o]
             for hi in rights[bisect_left(rights, lo):]:
-                if (lo, hi) in entries:
+                code = lo * size + hi
+                if code in entries:
                     continue
-                reads = []
-                signs = set()
-                for p, (q, sign), _ in ids.edges(lo, hi):
-                    key = (p, q) if p <= q else (q, p)
-                    reads.append((key, sign))
-                    if key == (lo, hi):
-                        signs.add(sign)
-                        if ids.ambiguous[p] or ids.ambiguous[q]:
-                            signs.add(-sign)
+                # the codes read with sign +1 and -1; <lo, hi> itself first
+                plus, minus = [code], []
+                # pair vertices v, and how the rest of the tree reads from v: sign * r
+                stack = [(v, w, 1) for v, w in ((lo, hi), (hi, lo)) if kids[v]]
+                while stack:
+                    v, r, sign = stack.pop()
+                    x, y = kids[v]
+                    # the cyclic order at v is (x, y, rest): from x the tree
+                    # reads (y, rest), from y it reads (rest, x)
+                    if y <= r:
+                        c, s = pair[y * size + r], sign
+                    else:
+                        c, s = pair[r * size + y], -sign
+                    (plus if s > 0 else minus).append(x * size + c if x <= c else c * size + x)
+                    if kids[x]:
+                        stack.append((x, c, s))
+                    if r <= x:
+                        c, s = pair[r * size + x], sign
+                    else:
+                        c, s = pair[x * size + r], -sign
+                    (plus if s > 0 else minus).append(y * size + c if y <= c else c * size + y)
+                    if kids[y]:
+                        stack.append((y, c, s))
                 index = len(halves)
                 halves.append((lo, hi))
-                torsion.append(len(signs) == 2)
-                plus = (index, 1)
-                minus = plus if torsion[index] else (index, -1)
-                for key, sign in reads:
-                    entries[key] = plus if sign > 0 else minus
+                torsion.append(ambiguous[lo] or ambiguous[hi] or code in minus)
+                entry = (index, 1)
+                for c in plus:
+                    entries[c] = entry
+                if not torsion[index]:
+                    entry = (index, -1)
+                for c in minus:
+                    entries[c] = entry
         self.entries = MappingProxyType(entries)
         self.halves = tuple(halves)
         self.torsion = tuple(torsion)
@@ -587,7 +617,8 @@ class FramedTable:
 
     def term(self, a: int, sa: int, b: int, sb: int):
         """``(index, sign)`` with <sa * a, sb * b> = sign * trees[index]."""
-        index, sign = self.entries[(a, b) if a <= b else (b, a)]
+        size = self.ids.size
+        index, sign = self.entries[a * size + b if a <= b else b * size + a]
         return index, 1 if self.torsion[index] else sign * sa * sb
 
 

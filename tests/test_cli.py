@@ -312,6 +312,25 @@ def test_unicode_digit_in_longitude_file_is_a_syntax_error(capsys, tmp_path, tex
     _syntax_error(*run(capsys, "milnor", "--longitudes", str(path)))
 
 
+# int reads at most 4,300 digits; past that, a number was a ValueError traceback
+def test_digit_limit_in_forest_is_a_syntax_error(capsys):
+    assert run(capsys, "normalize", "--m", "2", "1" * 4301 + "*<1,2>") == (
+        2, "", "error[syntax-error]: integers may have at most 4300 digits (at position 0)\n")
+
+
+@pytest.mark.parametrize("text, line", [
+    ("m = 2\nl1: x" + "1" * 4301 + "\n", 2),
+    ("# a comment\nm = " + "2" * 4301 + "\n", 2),
+    ("m = 2\n\nl1: x1\nl" + "0" * 4301 + "2: x2\n", 4),
+])
+def test_digit_limit_in_longitude_file_is_a_syntax_error(capsys, tmp_path, text, line):
+    path = tmp_path / "digits.lnk"
+    path.write_text(text, encoding="utf-8")
+    assert run(capsys, "milnor", "--longitudes", str(path)) == (
+        2, "", "error[syntax-error]: integers may have at most 4300 digits"
+        f" on line {line} (at position {line})\n")
+
+
 def test_decimal_digit_reads_as_int_reads_it(capsys):
     # Arabic-Indic three is a decimal digit, and int reads it as 3
     assert run(capsys, "normalize", "--m", "3", "+1*<1,\u0663>") == (0, "+1*<1,3>\n", "")

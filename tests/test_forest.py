@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -240,10 +242,21 @@ class _RecursiveParser:
 
 
 class _FixedRecursiveParser(_RecursiveParser):
-    """The old reader with the grammar's two fixes: "0" is the zero forest
-    only as the whole text up to whitespace, where a leading 0 was read as
-    the zero forest followed by trailing input, and a label takes no sign,
-    where "+1" was read as 1."""
+    """The old reader with the grammar's two fixes and one error fix: "0" is
+    the zero forest only as the whole text up to whitespace, where a leading
+    0 was read as the zero forest followed by trailing input; a label takes
+    no sign, where "+1" was read as 1; and a coefficient or label of more
+    digits than int reads is a syntax error at its first character, where
+    int's ValueError escaped."""
+
+    def parse_int(self):
+        self.skip_ws()
+        start = self.pos
+        try:
+            return super().parse_int()
+        except ValueError:
+            self.pos = start
+            self.error(f"integers may have at most {sys.get_int_max_str_digits()} digits")
 
     def parse_label(self):
         if self.peek() in ("+", "-"):
@@ -257,12 +270,11 @@ class _FixedRecursiveParser(_RecursiveParser):
 
 
 def _outcome(parse, text, m):
-    """The forest `parse` reads, or its error's class, message and position;
-    a coefficient or label past int's digit limit is a ValueError."""
+    """The forest `parse` reads, or its error's class, message and position."""
     try:
         return parse(text, m)
-    except (ParseError, ValueError) as exc:
-        return type(exc), str(exc), getattr(exc, "position", None)
+    except ParseError as exc:
+        return type(exc), str(exc), exc.position
 
 
 def _assert_matches_oracle(text, m):
@@ -405,5 +417,18 @@ def test_scan_matches_the_recursive_oracle(case):
 
 
 def test_digit_limit_matches_the_oracle():
-    for text in ("1" * 4400 + "*<1,1>", "+1*<1," + "1" * 4400 + ">", "2*<1,1" + "1" * 4400 + ">"):
+    # int reads at most 4,300 digits; a coefficient or label past that is a
+    # syntax error at its sign or first digit, where both readers ended in
+    # int's ValueError
+    assert sys.get_int_max_str_digits() == 4300
+    many = "1" * 4301
+    for text, at in ((many + "*<1,1>", 0), (" -" + many + "*<1,1>", 1), ("+1*<1," + many + ">", 6),
+                     ("2*<1,1" + many + ">", 5), ("1*(( 1, 0" + many + "),1)^inf", 8)):
         _assert_matches_oracle(text, 2)
+        with pytest.raises(ParseError) as exc:
+            parse_forest(text, 2)
+        assert (type(exc.value), str(exc.value)) == (
+            ParseError, f"integers may have at most 4300 digits (at position {at})")
+    # 4,300 digits are read
+    assert parse_forest("1" * 4300 + "*<1,1>", 2).terms[0][0] == int("1" * 4300)
+    _assert_matches_oracle("1" * 4300 + "*<1,1>", 2)

@@ -7,7 +7,7 @@ import pytest
 from test_eta import block_counts
 from test_freelie import witt
 
-from forestcalc import intlinalg
+from forestcalc import groups, intlinalg
 from forestcalc.errors import ParameterError
 from forestcalc.forest import make_forest, parse_forest
 from forestcalc.groups import TreeGroup, _trees, build_group, content_orbit, content_orbits
@@ -215,7 +215,6 @@ def test_twisted_ihx_rows_vanish_in_group():
 
 def test_ihx_relation_order_two():
     # the three Jacobi partners at an internal split sum to zero in the group
-    from forestcalc.groups import _ihx_triples
     from forestcalc.trees import framed_tree
 
     g = build_group(3, 2, "framed")
@@ -224,6 +223,128 @@ def test_ihx_relation_order_two():
         tree, sign = framed_tree(p, q)
         terms.append((c * sign, tree))
     assert g.is_zero(make_forest(3, terms))
+
+
+# ---------------------------------------------------------------------------
+# oracle: the relation families as they were, resolving each term through
+# `ShapeIds.join`'s (id, sign) pairs, `ShapeIds.edges` and `FramedTable.term`
+
+
+def _ihx_triples(presentation):
+    """The Jacobi partners of a framed tree split at an internal edge.
+
+    For the split ((A,B),(C,D)) the three terms are
+    I = <(A,B),(C,D)>, H = <(A,C),(B,D)>, X = <(A,D),(B,C)>,
+    entering the relation as I - H + X = 0.
+    """
+    (a, b), (c, d) = presentation
+    return [
+        (1, ((a, b), (c, d))),
+        (-1, ((a, c), (b, d))),
+        (1, ((a, d), (b, c))),
+    ]
+
+
+def _old_framed(table, coeff, a, b):
+    index, sign = table.term(*a, *b)
+    return coeff * sign, index
+
+
+def _old_framed_relations(table, indices):
+    join, kids = table.ids.join, table.ids.kids
+    for i in indices:
+        if table.torsion[i]:
+            yield [(2, i)]
+        for x, _, branches in table.ids.edges(*table.halves[i]):
+            if kids[x] and branches:
+                split = (((kids[x][0], 1), (kids[x][1], 1)), branches)
+                yield [
+                    _old_framed(table, c, join(*h), join(*k)) for c, (h, k) in _ihx_triples(split)
+                ]
+
+
+def _old_boundary_twist_relations(table, m, n):
+    ids = table.ids
+    for i in range(1, m + 1):
+        for j in ids.by_order[(n - 1) // 2]:
+            yield [_old_framed(table, 1, (ids.labels[i], 1), ids.join((j, 1), (j, 1)))]
+
+
+def _old_interior_twist_relations(table, twisted):
+    for j, u in twisted:
+        yield [(2, u), _old_framed(table, -1, (j, 1), (j, 1))]
+
+
+def _old_twisted_ihx_relations(table, twisted, number):
+    join, kids = table.ids.join, table.ids.kids
+    for j, u in twisted:
+        stack = [(j, ())] if kids[j] else []
+        while stack:
+            vertex, up = stack.pop()
+            a, b = kids[vertex]
+            for v, w, left in ((a, b, True), (b, a, False)):
+                if kids[v] is None:
+                    continue
+                x, y = kids[v]
+                h = _old_partner(join, x, w, y, up)
+                k = _old_partner(join, y, w, x, up)
+                yield [(1, u), (-1, number[h[0]]), (-1, number[k[0]]), _old_framed(table, 1, h, k)]
+                stack.append((v, ((w, left),) + up))
+
+
+def _old_partner(join, a, w, b, up):
+    node = join(join((a, 1), (w, 1)), (b, 1))
+    for other, left in up:
+        node = join(node, (other, 1)) if left else join((other, 1), node)
+    return node
+
+
+def _use_old_families(monkeypatch):
+    for name in ("_framed_relations", "_boundary_twist_relations",
+                 "_interior_twist_relations", "_twisted_ihx_relations"):
+        monkeypatch.setattr(groups, name, globals()["_old" + name])
+
+
+def _all_rows(m, n, flavor, k):
+    """The group's relations and the rows of each of its blocks, in order."""
+    blocks = []
+    rows = TreeGroup._rows
+
+    def recorded(self, *args):
+        blocks.append(rows(self, *args))
+        return blocks[-1]
+
+    group = TreeGroup(m, n, flavor, k)
+    relations = group.relations
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(TreeGroup, "_rows", recorded)
+        group.invariants()
+    return relations, blocks
+
+
+ORACLE_CELLS = [(m, n) for m in (1, 2, 3) for n in range(6)] + [(4, 3), (5, 2), (2, 6), (1, 8)]
+
+
+@pytest.mark.parametrize("m, n", ORACLE_CELLS)
+def test_relations_match_the_tuple_families(m, n, monkeypatch):
+    # the families read through the pair codes give every row of the tuple
+    # families, in the same order, for the whole group and for each block
+    cases = [(flavor, k) for flavor in ("framed", "twisted") for k in (None, 1, 2, 3)]
+    new = [_all_rows(m, n, *case) for case in cases]
+    _use_old_families(monkeypatch)
+    assert [_all_rows(m, n, *case) for case in cases] == new
+
+
+@pytest.mark.parametrize("m, n, flavor", [(3, 4, "framed"), (2, 6, "twisted")])
+def test_normal_forms_match_the_tuple_families(m, n, flavor, monkeypatch):
+    # the unit vector of every generator has the same normal form
+    def forms():
+        group = TreeGroup(m, n, flavor)
+        return [group.reduce_forest(make_forest(m, [(1, g)])).coords for g in group.generators]
+
+    new = forms()
+    _use_old_families(monkeypatch)
+    assert forms() == new
 
 
 def test_k_group_quotient():

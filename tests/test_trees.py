@@ -1,4 +1,5 @@
 import random
+from bisect import bisect_left
 from functools import lru_cache
 
 import pytest
@@ -431,11 +432,67 @@ def test_framed_table_matches_nested_table(m, order):
     shapes = table.ids.shapes
     read = {
         (shapes[lo], shapes[hi]): (table.trees[index], sign)
-        for (lo, hi), (index, sign) in table.entries.items()
+        for (lo, hi), (index, sign) in (
+            (divmod(code, table.ids.size), entry) for code, entry in table.entries.items()
+        )
     }
     assert read == _old_framed_table(m, order)
     assert [(shapes[lo], shapes[hi]) for lo, hi in table.halves] == [t.data for t in table.trees]
     assert list(table.torsion) == [t.torsion for t in table.trees]
+
+
+# oracle: the framed table as it was built over tuple keys, each tree's
+# presentations read from `ShapeIds.edges` into a list and its signs at the
+# canonical presentation into a set
+
+
+def _tuple_framed_table(m, order):
+    """(entries, halves, torsion, trees), entries keyed by the (lo, hi) id
+    pair of every presentation."""
+    ids = shape_ids(m, order)
+    entries = {}
+    halves = []
+    torsion = []
+    for lo, o in enumerate(ids.orders):
+        rights = ids.by_order[order - o]
+        for hi in rights[bisect_left(rights, lo):]:
+            if (lo, hi) in entries:
+                continue
+            reads = []
+            signs = set()
+            for p, (q, sign), _ in ids.edges(lo, hi):
+                key = (p, q) if p <= q else (q, p)
+                reads.append((key, sign))
+                if key == (lo, hi):
+                    signs.add(sign)
+                    if ids.ambiguous[p] or ids.ambiguous[q]:
+                        signs.add(-sign)
+            index = len(halves)
+            halves.append((lo, hi))
+            torsion.append(len(signs) == 2)
+            plus = (index, 1)
+            minus = plus if torsion[index] else (index, -1)
+            for key, sign in reads:
+                entries[key] = plus if sign > 0 else minus
+    trees = tuple(
+        DecoratedTree(FRAMED, (ids.shapes[lo], ids.shapes[hi]), t)
+        for (lo, hi), t in zip(halves, torsion)
+    )
+    return entries, tuple(halves), tuple(torsion), trees
+
+
+@pytest.mark.parametrize(
+    "m,order",
+    [(m, n) for m in range(1, 5) for n in range(6)] + [(1, 8), (5, 2), (2, 7), (1, 9)],
+)
+def test_framed_table_matches_tuple_table(m, order):
+    table = framed_table(m, order)
+    entries, halves, torsion, trees = _tuple_framed_table(m, order)
+    assert {divmod(code, table.ids.size): entry for code, entry in table.entries.items()} == entries
+    assert len(table.entries) == len(entries)
+    assert table.halves == halves
+    assert table.torsion == torsion
+    assert table.trees == trees
 
 
 def test_validate_rejects_bad_labels():
