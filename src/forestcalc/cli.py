@@ -57,7 +57,7 @@ def cmd_group(args):
             "group": text,
             "free_rank": free,
             "torsion": torsion,
-            "generators": [str(t) for t in g.generators],
+            "generators": g.generator_texts(),
         },
     )
     return 0

@@ -36,7 +36,7 @@ from .freelie import (
     witt,
     word_multiplicity,
 )
-from .groups import content_orbit, content_orbits, divisibility_chain, twisted_block
+from .groups import FLAVOR_TWISTED, content_orbit, divisibility_chain, lie_blocks
 from .intlinalg import left_kernel, presentation
 from .trees import (
     FRAMED,
@@ -117,18 +117,15 @@ def milnor_from_forest(forest: IntersectionForest, n: int, k=None) -> TensorElem
 def _free_rows(m: int, n: int):
     """(size, block, group, summands, rows, snf) per S_m-orbit of contents
     with a nonempty block: the orbit's size, its representative's block of
-    the twisted T_n^inf (`twisted_block`), the block's `Presentation` and
-    that one's summands, eta of each free summand as a sparse row over the
-    block's (label, Lyndon word) keys, and the rows' `Presentation`, which
-    eta_kernel and eta_cokernel_invariants read.
+    the twisted T_n^inf and the block's `Presentation` (`lie_blocks`, which
+    `group` shares), that one's summands, eta of each free summand as a
+    sparse row over the block's (label, Lyndon word) keys, and the rows'
+    `Presentation`, which eta_kernel and eta_cokernel_invariants read.
     """
-    memo = {}  # basis-pair brackets, shared by the blocks
     out = []
-    for content, size in content_orbits(m, n + 2):
-        block = twisted_block(m, n, content, memo)
+    for _, size, block, group in lie_blocks(m, n, FLAVOR_TWISTED):
         if not block.images:
             continue
-        group = presentation(block.relations, len(block.images))
         summands = group.summands()
         rows = []
         for row in summands[sum(d > 1 for d in group.diag):]:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import heapq
 from functools import lru_cache
+from math import factorial, gcd
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -34,12 +35,9 @@ from .trees import shape_leaves
 MAX_LYNDON_WORDS = 1_000_000
 
 
-def witt(m: int, n: int) -> int:
-    """W(m, n), the number of Lyndon words of length n over 1..m, by the
-    Witt formula (1/n) sum_{d | n} mu(d) m^(n/d).
-
-    mu(d) is (-1)^r on the products d of r distinct primes of n, 0 elsewhere.
-    """
+def _mobius_divisors(n: int) -> list:
+    """(d, mu(d)) for the divisors d of n where mu(d) is not 0: the
+    products of r distinct primes of n, with mu(d) = (-1)^r."""
     primes, rest, p = [], n, 2
     while p * p <= rest:
         if rest % p == 0:
@@ -49,28 +47,46 @@ def witt(m: int, n: int) -> int:
         p += 1
     if rest > 1:
         primes.append(rest)
-    total = 0
+    out = []
     for chosen in range(1 << len(primes)):
         d, sign = 1, 1
         for i, p in enumerate(primes):
             if chosen >> i & 1:
                 d, sign = d * p, -sign
-        total += sign * m ** (n // d)
-    return total // n
+        out.append((d, sign))
+    return out
 
 
-@lru_cache(maxsize=None)
-def lyndon_words(m: int, n: int) -> tuple:
-    """All Lyndon words of length n over 1..m, lexicographically sorted (Duval).
+def witt(m: int, n: int) -> int:
+    """W(m, n), the number of Lyndon words of length n over 1..m, by the
+    Witt formula (1/n) sum_{d | n} mu(d) m^(n/d)."""
+    return sum(sign * m ** (n // d) for d, sign in _mobius_divisors(n)) // n
 
-    More than MAX_LYNDON_WORDS of them are refused before any is made.  On
-    two or more letters W(m, n) >= m^n / 2n by the Witt formula, so past
-    length 64 there are over 2^57 and they are refused uncounted.
+
+def fine_witt(counts) -> int:
+    """The number of Lyndon words whose letters are counted by `counts`,
+    one count per letter, by the fine-graded Witt formula
+    (1/|a|) sum_{d | gcd a} mu(d) (|a|/d)! / prod_i (a_i/d)!."""
+    counts = [c for c in counts if c]
+    if len(counts) < 2:
+        return int(counts == [1])
+    total, out = sum(counts), 0
+    for d, sign in _mobius_divisors(gcd(*counts)):
+        term = factorial(total // d)
+        for c in counts:
+            term //= factorial(c // d)
+        out += sign * term
+    return out // total
+
+
+def lyndon_count(m: int, n: int) -> int:
+    """W(m, n), refused past MAX_LYNDON_WORDS.
+
+    On two or more letters W(m, n) >= m^n / 2n by the Witt formula, so
+    past length 64 there are over 2^57 and they are refused uncounted.
     """
-    if m < 1 or n < 1:
-        raise ParameterError("lyndon_words requires m >= 1, n >= 1")
-    if m == 1 and n > 1:
-        return ()
+    if m == 1:
+        return int(n == 1)
     count = witt(m, n) if n <= 64 else None
     if count is None or count > MAX_LYNDON_WORDS:
         number = "over 2^57" if count is None else f"{count:,}"
@@ -78,6 +94,20 @@ def lyndon_words(m: int, n: int) -> tuple:
             f"Lyndon words of length {n} on {m} letters number {number},"
             f" over the budget of {MAX_LYNDON_WORDS:,}"
         )
+    return count
+
+
+@lru_cache(maxsize=None)
+def lyndon_words(m: int, n: int) -> tuple:
+    """All Lyndon words of length n over 1..m, lexicographically sorted (Duval).
+
+    More than MAX_LYNDON_WORDS of them are refused before any is made
+    (`lyndon_count`).
+    """
+    if m < 1 or n < 1:
+        raise ParameterError("lyndon_words requires m >= 1, n >= 1")
+    if not lyndon_count(m, n):
+        return ()
     words = []
     w = [1]
     while w:

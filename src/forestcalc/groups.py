@@ -1,49 +1,57 @@
 """Finitely presented abelian groups of decorated trees.
 
-A group is presented by an ordered generator list (canonical trees) and an
-integer relation matrix.  Framed groups impose 2t = 0 on symmetric trees and
-Jacobi relations; twisted groups add boundary-twist relations in odd order and
-interior-twist plus twisted-Jacobi relations in even order.  Each family
-walks the trees over the shape ids of `trees` and yields its relations as
-lists of (coeff, tree number) terms, a tree number being a position in the
-generator list before the k bound: a framed term is resolved by the pair
-code of its two halves in the table's `entries`, a twisted one by its
-shape id, and each pair shape a term builds by its branches' pair code in
-`ShapeIds.pair` (`_resolvers`).  `TreeGroup` alone turns them into sparse
-rows, numbering each term's tree by a column map.
+Invariants come from one of two presentations, each split into blocks by
+label content (last paragraph).  The twisted T_n^inf at every order and the
+framed T_n at even order read theirs off Lie coordinates (`lie_blocks`);
+the framed T_n at odd order, and every normal form, off the table of trees.
 
-Every family keeps a tree's content (below), so `TreeGroup.invariants`
-builds only the rows that the trees of one representative content per
-S_m-orbit seed, numbered within their block, and one `presentation` per
-block: the free ranks add up and the torsion merges into one divisibility
-chain, each repeated by its orbit's size.  The k bound keeps the blocks
-whose label counts are at most k.  Normal forms and zero tests read the
-`presentation` of every row, built when first read: one coordinate per
+On the table, a group is presented by an ordered generator list (canonical
+trees) and an integer relation matrix.  Framed groups impose 2t = 0 on
+symmetric trees and Jacobi relations; twisted groups add boundary-twist
+relations in odd order and interior-twist plus twisted-Jacobi relations in
+even order.  Each family walks the trees over the shape ids of `trees` and
+yields its relations as lists of (coeff, tree number) terms, a tree number
+being a position in the generator list before the k bound: a framed term
+is resolved by the pair code of its two halves in the table's `entries`, a
+twisted one by its shape id, and each pair shape a term builds by its
+branches' pair code in `ShapeIds.pair` (`_resolvers`).  `TreeGroup` alone
+turns them into sparse rows, numbering each term's tree by a column map.
+Framed odd-order invariants build only the rows that the trees of one
+representative content per S_m-orbit seed (`TreeGroup._blocks`), which
+also stays the oracle of the Lie blocks.  Normal forms and zero tests read
+the `presentation` of every row, built when first read: one coordinate per
 generator that no unit pivot eliminates, over the Smith basis of the
-columns the residual names, then the rest.
+columns the residual names, then the rest.  The table, the trees of
+`TreeGroup.generators` and the rows are built only when one of these
+reads them.
 
-`twisted_block` presents the twisted T_n^inf on Lie coordinates instead, for
-eta.  x (x) B -> <x, B> maps L_1 (x) L'_{n+1}, L' the free quasi-Lie ring,
-onto the framed T_n: every tree is <x, B> read at any of its leaves x, and
-read at a leaf, AS and IHX are antisymmetry and Jacobi.  Its kernel is
-spanned by the re-rooting differences, a tree read at x minus the same
-tree read at another leaf; the rows keep those of the trees <x, std(w)>,
-std(w) the standard bracketing of a Lyndon word w, each reading reduced on
-the Lyndon basis.  L' is L but for the top brackets [u, u], since a nested
-one vanishes by Jacobi and antisymmetry.  So L'_{n+1} = L_{n+1} at even n,
-where n + 1 is odd, and at twisted odd n the boundary twists
-<x, (J, J)> = 0 kill the rest, Z/2 (x) L_{(n+1)/2} (Levine, AGT 6, 2006).
-At twisted even n, twisted IHX makes J -> J^inf quadratic with polar form
-<.,.> (Conant-Schneiderman-Teichner, J. Topology 2014):
-(J + K)^inf = J^inf + K^inf + <J, K>, and (-J)^inf = J^inf.  So modulo the
-framed part the w^inf of the Lyndon words w of degree n/2 + 1 generate,
-with 2 w^inf = <w, w> by the interior twist, and at n = 2 mod 4 so do the
-(v, v)^inf of the Lyndon words v of degree (n+2)/4, of order 2, which the
-Lie value [v, v] = 0 of J does not see.  That the kept differences span
-all of them is checked, not proved, here: the tests compare the
-invariants with `TreeGroup`'s, where an onto map between groups with the
-same invariants is an isomorphism, and past the table's reach the rank
-with m W(m,n+1) - W(m,n+2) and the torsion with CST's Z/2 (x) L_{(n+2)/4}.
+On Lie coordinates (`twisted_block`), x (x) B -> <x, B> maps
+L_1 (x) L'_{n+1}, L' the free quasi-Lie ring, onto the framed T_n: every
+tree is <x, B> read at any of its leaves x, and read at a leaf, AS and IHX
+are antisymmetry and Jacobi.  Its kernel is spanned by the re-rooting
+differences, a tree read at x minus the same tree read at another leaf;
+the rows keep those of the trees <x, std(w)>, std(w) the standard
+bracketing of a Lyndon word w, each reading reduced on the Lyndon basis.
+L' is L but for the top brackets [u, u], since a nested one vanishes by
+Jacobi and antisymmetry.  So L'_{n+1} = L_{n+1} at even n, where n + 1 is
+odd, and at twisted odd n the boundary twists <x, (J, J)> = 0 kill the
+rest, Z/2 (x) L_{(n+1)/2} (Levine, AGT 6, 2006); framed odd n keeps it,
+and stays on the table.  At twisted even n, twisted IHX makes J -> J^inf
+quadratic with polar form <.,.> (Conant-Schneiderman-Teichner,
+J. Topology 2014): (J + K)^inf = J^inf + K^inf + <J, K>, and
+(-J)^inf = J^inf.  So modulo the framed part the w^inf of the Lyndon words
+w of degree n/2 + 1 generate, with 2 w^inf = <w, w> by the interior twist,
+and at n = 2 mod 4 so do the (v, v)^inf of the Lyndon words v of degree
+(n+2)/4, of order 2, which the Lie value [v, v] = 0 of J does not see.
+That the kept differences span all of them is checked, not proved, here:
+the tests compare each block's invariants with those of the table's block
+of the same content, where an onto map between groups with the same
+invariants is an isomorphism, and past the table's reach the rank with
+m W(m,n+1) - W(m,n+2) and the torsion with CST's Z/2 (x) L_{(n+2)/4}.
+`group --json` lists this generating set (`TreeGroup.generator_texts`).
+Each block is built once per process (`lie_block`), for `group` and eta
+alike, and a cell whose blocks would make more than MAX_LIE_ROWS rows is
+refused before any is built.
 
 Relations, readings and Lyndon rewriting keep a tree's content, the
 sorted tuple of its leaf labels, J^inf counting J's twice, as the free Lie
@@ -51,8 +59,10 @@ ring's multigrading does (Reutenauer, *Free Lie Algebras*, 1993).  So T_n
 and T_n^inf are the sum of one block per content of n + 2 leaves, and a
 label permutation carries each block onto another: one block per S_m-orbit
 (`content_orbits`) gives the invariants of its whole orbit
-(`content_orbit`).  `TreeGroup` reads the trees' contents as the codes of
-`ShapeIds.contents`.
+(`content_orbit`), its free rank and torsion repeated by the orbit's size
+and the torsion merged into one divisibility chain.  The k bound keeps the
+blocks whose label counts are at most k.  On the table, `TreeGroup` reads
+the trees' contents as the codes of `ShapeIds.contents`.
 """
 
 from __future__ import annotations
@@ -62,9 +72,18 @@ from itertools import chain, combinations
 from math import factorial, perm
 from typing import NamedTuple
 
-from .errors import DomainError, GeneratorNotFoundError, ParameterError
+from .errors import DomainError, GeneratorNotFoundError, ParameterError, ResourceLimitError
 from .forest import IntersectionForest, make_forest
-from .freelie import leaf_readings, lyndon_by_content, standard_bracketing
+from .freelie import (
+    MAX_LYNDON_WORDS,
+    fine_witt,
+    leaf_readings,
+    lyndon_by_content,
+    lyndon_count,
+    lyndon_words,
+    standard_bracketing,
+    word_multiplicity,
+)
 from .intlinalg import presentation
 from .trees import (
     FRAMED,
@@ -74,6 +93,7 @@ from .trees import (
     framed_table,
     framed_tree,
     multiplicity,
+    shape_str,
     twisted_generators,
     twisted_tree,
 )
@@ -81,14 +101,16 @@ from .trees import (
 FLAVOR_FRAMED = "framed"
 FLAVOR_TWISTED = "twisted"
 
+# the most relation rows the Lie-coordinate blocks of one cell may make, at
+# about 5 KB each: (3,10) twisted makes about 137,000 in 37 s at a 0.7 GB peak
+MAX_LIE_ROWS = 200_000
+
 
 def _trees(m: int, n: int, flavor: str) -> list:
     """Every canonical generator before the k bound, framed then twisted.
 
     Relation terms name a tree by its position here.
     """
-    if flavor not in (FLAVOR_FRAMED, FLAVOR_TWISTED):
-        raise ParameterError(f"unknown flavor {flavor!r}")
     trees = list(framed_generators(m, n))
     if flavor == FLAVOR_TWISTED and n % 2 == 0:
         trees += twisted_generators(m, n // 2)
@@ -246,22 +268,25 @@ class GroupElement(NamedTuple):
 
 
 class TreeGroup:
-    """A graded tree group: its generators, the presentation of its relation
-    rows that normal forms read, and its invariants, read off one relation
-    block per S_m-orbit of contents."""
+    """A graded tree group: its invariants, and the generators and the
+    presentation of its relation rows that normal forms read.
+
+    Twisted at every order and framed at even order read their invariants
+    off one Lie-coordinate block per S_m-orbit of contents (`lie_blocks`);
+    framed odd order reads one block of the table's relation rows per
+    orbit (`_blocks`).  The table, and with it `generators`, is built only
+    when read: by normal forms, zero tests and framed odd order.
+    """
 
     def __init__(self, m, n, flavor, k=None):
+        if flavor not in (FLAVOR_FRAMED, FLAVOR_TWISTED):
+            raise ParameterError(f"unknown flavor {flavor!r}")
+        if k is not None and k < 1:
+            raise ParameterError(f"k must be >= 1, got {k}")
         self.m = m
         self.n = n
         self.flavor = flavor
         self.k = k
-        trees = _trees(m, n, flavor)
-        self._twisted = {}  # shape id of each twisted J^inf -> its tree number
-        if flavor == FLAVOR_TWISTED and n % 2 == 0:
-            first, ids = len(self._table.trees), self._table.ids
-            self._twisted = {j: first + p for p, j in enumerate(ids.by_order[n // 2])}
-        self._columns = _columns(self._table, self._twisted, k)
-        self.generators = [t for t, c in zip(trees, self._columns) if c is not None]
 
     @property
     def _table(self):
@@ -269,10 +294,49 @@ class TreeGroup:
         so that a group pickles."""
         return framed_table(self.m, self.n)
 
+    @property
+    def _on_lie(self):
+        """Whether the invariants come from Lie-coordinate blocks."""
+        return self.flavor == FLAVOR_TWISTED or self.n % 2 == 0
+
+    @cached_property
+    def _twisted(self):
+        """The shape id of each twisted J^inf -> its tree number."""
+        if self.flavor != FLAVOR_TWISTED or self.n % 2:
+            return {}
+        first, ids = len(self._table.trees), self._table.ids
+        return {j: first + p for p, j in enumerate(ids.by_order[self.n // 2])}
+
+    @cached_property
+    def _columns(self):
+        return _columns(self._table, self._twisted, self.k)
+
+    @cached_property
+    def generators(self):
+        """The canonical trees, framed then twisted, that the k bound keeps."""
+        trees = _trees(self.m, self.n, self.flavor)
+        return [t for t, c in zip(trees, self._columns) if c is not None]
+
     @cached_property
     def index(self):
         """Generator -> its index."""
         return {g: i for i, g in enumerate(self.generators)}
+
+    def generator_texts(self) -> list:
+        """The generating set the invariants are computed on, as text: the
+        canonical trees of `generators` off the table, and on Lie
+        coordinates those of `lie_generators`, each printed as written and
+        not canonicalized: <x,std(w)>, then std(w)^inf, then
+        (std(v),std(v))^inf."""
+        if not self._on_lie:
+            return [str(t) for t in self.generators]
+        pairs, twists = lie_generators(self.m, self.n, self.flavor, self.k)
+        words = {w for _, w in pairs}.union(*twists)
+        text = {w: shape_str(standard_bracketing(w)) for w in words}
+        out = [f"<{x},{text[w]}>" for x, w in pairs]
+        for form, twisted in zip(("{0}^inf", "({0},{0})^inf"), twists):
+            out += [form.format(text[w]) for w in twisted]
+        return out
 
     def _rows(self, framed, twisted, column):
         """Sparse rows ((column, coeff), ...) of the relations that the
@@ -379,11 +443,18 @@ class TreeGroup:
                 rows = self._rows(framed, twisted, at.get)
                 yield content, size, len(at), presentation(rows, len(at))
 
+    def _lie_blocks(self):
+        """(content, orbit size, generator count, `Presentation`) of the
+        Lie-coordinate block of each representative content the k bound
+        keeps, as `_blocks` gives them off the table."""
+        for content, size, block, snf in lie_blocks(self.m, self.n, self.flavor, self.k):
+            yield content, size, len(block.images), snf
+
     @cached_property
     def _invariants(self):
         """(free rank, torsion chain): each block's, repeated by its orbit's size."""
         free, torsion = 0, []
-        for _, size, width, snf in self._blocks():
+        for _, size, width, snf in self._lie_blocks() if self._on_lie else self._blocks():
             free += size * (width - len(snf.pivots) - len(snf.diag))
             torsion += [d for d in snf.diag if d > 1] * size
         return free, divisibility_chain(torsion)[0]
@@ -399,11 +470,16 @@ class TreeGroup:
         return " + ".join(parts)
 
 
-@lru_cache(maxsize=None)
+_groups = lru_cache(maxsize=None)(TreeGroup)
+
+
 def build_group(m: int, n: int, flavor: str, k=None) -> TreeGroup:
+    """The group of (m, n, flavor, k), built once per process: every call
+    reaches one cache with all four arguments, so a k left out and k = None
+    share an entry."""
     if m < 1 or n < 0:
         raise ParameterError("build_group requires m >= 1, n >= 0")
-    return TreeGroup(m, n, flavor, k)
+    return _groups(m, n, flavor, k)
 
 
 def content_orbits(m: int, total: int):
@@ -485,17 +561,18 @@ class TwistedBlock(NamedTuple):
         return make_forest(self.m, terms)
 
 
-def twisted_block(m: int, n: int, content: tuple, memo) -> TwistedBlock:
-    """The block of a content of the twisted T_n^inf, and eta on it.
+def twisted_block(m: int, n: int, content: tuple, memo, flavor=FLAVOR_TWISTED) -> TwistedBlock:
+    """The block of a content of the twisted T_n^inf, or of the framed T_n
+    at even n, and eta on it.
 
     The rows (see the module docstring) are, for each generator (x, w), the
-    generator minus the reading of <x, std(w)> at each other leaf, then
-    2 w^inf minus each reading of <std(w), std(w)>, then 2 (v,v)^inf,
-    deduplicated up to sign.  eta comes with the readings: eta(x, w) is the
-    sum of every reading of <x, std(w)>, and eta(w^inf) half that of
-    <std(w), std(w)>, whose two halves read alike, so the sum of one half's
-    readings; eta((v,v)^inf) = 0.  `memo` holds basis-pair brackets, and
-    blocks built one after another may share it.
+    generator minus the reading of <x, std(w)> at each other leaf, then,
+    twisted only, 2 w^inf minus each reading of <std(w), std(w)>, then
+    2 (v,v)^inf, deduplicated up to sign.  eta comes with the readings:
+    eta(x, w) is the sum of every reading of <x, std(w)>, and eta(w^inf)
+    half that of <std(w), std(w)>, whose two halves read alike, so the sum
+    of one half's readings; eta((v,v)^inf) = 0.  `memo` holds basis-pair
+    brackets, and blocks built one after another may share it.
     """
     framed, column = [], {}  # column: label -> {Lyndon word: generator}
     for x in sorted(set(content)):
@@ -529,15 +606,104 @@ def twisted_block(m: int, n: int, content: tuple, memo) -> TwistedBlock:
         image[g] = image.get(g, 0) + 1  # the reading at x itself
         images.append(image)
     half, quarter, twisted = content[::2], content[::4], []
-    if n % 2 == 0 and tuple(sorted(half * 2)) == content:
+    twists = flavor == FLAVOR_TWISTED
+    if twists and n % 2 == 0 and tuple(sorted(half * 2)) == content:
         for w in lyndon_by_content(m, n // 2 + 1).get(half, ()):
             # <w, w> read at each leaf of one half; the other half reads alike
             images.append(read(len(images), 2, leaf_readings(w, {w: 1}, memo)))
             twisted.append(standard_bracketing(w))
-    if n % 4 == 2 and tuple(sorted(quarter * 4)) == content:
+    if twists and n % 4 == 2 and tuple(sorted(quarter * 4)) == content:
         for v in lyndon_by_content(m, (n + 2) // 4).get(quarter, ()):
             rows[((len(images), 2),)] = None
             images.append({})
             twisted.append((standard_bracketing(v),) * 2)
     images = tuple({j: c for j, c in image.items() if c} for image in images)
     return TwistedBlock(m, content, tuple(framed), tuple(twisted), tuple(rows), images)
+
+
+@lru_cache(maxsize=None)
+def lie_block(m: int, n: int, flavor: str, content: tuple):
+    """(`twisted_block`, its relations' `Presentation`) of one content,
+    built once per process for `group` and eta alike."""
+    block = twisted_block(m, n, content, {}, flavor)
+    return block, presentation(block.relations, len(block.images))
+
+
+def _twist_degrees(n: int, flavor: str) -> list:
+    """(degree, times) of the Lyndon words the twisted generators are made
+    of, each counting its word's labels `times` times: twisted at even n,
+    w of degree n/2 + 1 for w^inf, twice, and at n = 2 mod 4, v of degree
+    (n + 2)/4 for (v,v)^inf, four times."""
+    if flavor != FLAVOR_TWISTED or n % 2:
+        return []
+    return [(n // 2 + 1, 2)] + ([((n + 2) // 4, 4)] if n % 4 == 2 else [])
+
+
+def _block_width(m: int, n: int, flavor: str, content: tuple) -> int:
+    """The generator count of a content's Lie-coordinate block, by the
+    fine-graded Witt count: W(a - e_x) over each label x of the content's
+    label counts a, then W(a / times) for the twisted generators
+    (`_twist_degrees`) where times divides a."""
+    counts = [content.count(x) for x in range(1, content[-1] + 1)]
+    width = sum(fine_witt(counts[:x] + [c - 1] + counts[x + 1:]) for x, c in enumerate(counts) if c)
+    for _, times in _twist_degrees(n, flavor):
+        if all(c % times == 0 for c in counts):
+            width += fine_witt([c // times for c in counts])
+    return width
+
+
+def lie_blocks(m: int, n: int, flavor: str, k=None) -> list:
+    """(content, orbit size, block, `Presentation`) of the `lie_block` of
+    each representative content of `content_orbits` whose label counts are
+    at most k; label 1 counts the most in a representative.
+
+    A cell whose blocks would make more than MAX_LIE_ROWS rows, about
+    n + 1 per generator, or one of whose degrees has more Lyndon words than
+    their budget, is refused before any is built.  The generators are
+    counted over the whole cell, and only past the budget over each
+    representative (`_block_width`).
+    """
+    # the whole cell's generators, each degree within the Lyndon budget so
+    # that the counts below are cheap; without any, as on one label past
+    # order 2, there is no block
+    width = m * lyndon_count(m, n + 1)
+    width += sum(lyndon_count(m, d) for d, _ in _twist_degrees(n, flavor))
+    if not width:
+        return []
+    kept = [(c, size) for c, size in content_orbits(m, n + 2) if k is None or c.count(1) <= k]
+    rows = (n + 1) * width  # over every block, so over the representatives too
+    if rows > MAX_LIE_ROWS:
+        rows = (n + 1) * sum(_block_width(m, n, flavor, c) for c, _ in kept)
+    if rows > MAX_LIE_ROWS:
+        raise ResourceLimitError(
+            f"the Lie-coordinate blocks of {flavor} order {n} at m = {m} make about"
+            f" {rows:,} relation rows, over the budget of {MAX_LIE_ROWS:,}"
+        )
+    return [(c, size, *lie_block(m, n, flavor, c)) for c, size in kept]
+
+
+def lie_generators(m: int, n: int, flavor: str, k=None):
+    """The generators of the cell on Lie coordinates that the k bound keeps,
+    as (pairs, twists): pairs holds the (x, w) of each label x and Lyndon
+    word w of degree n + 1, x outer, and twists the Lyndon words of each
+    kind of twisted generator, as `_twist_degrees` lists them: the w of the
+    w^inf, then the v of the (v,v)^inf.  Each list of words is in Lyndon
+    word order, and a generator is kept when its tree's labels, J^inf
+    counting J's twice, repeat at most k times.
+
+    More than MAX_LYNDON_WORDS pairs are refused before any is listed.
+    """
+    count = m * lyndon_count(m, n + 1)
+    if count > MAX_LYNDON_WORDS:
+        raise ResourceLimitError(
+            f"{flavor} order {n} at m = {m} has {count:,} generators (x, w) on Lie coordinates,"
+            f" over the budget of {MAX_LYNDON_WORDS:,}"
+        )
+
+    def words(degree, times):
+        return [w for w in lyndon_words(m, degree)
+                if k is None or word_multiplicity(w * times) <= k]
+
+    pairs = [(x, w) for x in range(1, m + 1) for w in lyndon_words(m, n + 1)
+             if k is None or word_multiplicity(w + (x,)) <= k]
+    return pairs, [words(d, times) for d, times in _twist_degrees(n, flavor)]

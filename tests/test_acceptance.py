@@ -234,9 +234,10 @@ def test_criterion_9_determinism(capsys, monkeypatch):
     # the mirror reading of eta is (-1)^n times the plane one: every golden
     # is unchanged under it, and the odd-order milnor value is negated
     import forestcalc.eta
+    import forestcalc.groups
 
     plane_eta_tree = forestcalc.eta.eta_tree
-    plane_twisted_block = forestcalc.eta.twisted_block
+    plane_twisted_block = forestcalc.groups.twisted_block
     reached = set()  # goldens whose eta_kernel read the images in the mirror convention
 
     def mirror_twisted_block(m, n, *args):
@@ -251,17 +252,21 @@ def test_criterion_9_determinism(capsys, monkeypatch):
         forestcalc.eta, "eta_tree",
         lambda m, n, tree, coeff=1: plane_eta_tree(m, n, tree, coeff).scale((-1) ** n),
     )
-    monkeypatch.setattr(forestcalc.eta, "twisted_block", mirror_twisted_block)
-    forestcalc.eta._free_rows.cache_clear()
+    monkeypatch.setattr(forestcalc.groups, "twisted_block", mirror_twisted_block)
     try:
         for idx in range(len(GOLDEN_COMMANDS)):
             golden = GOLDEN_COMMANDS[idx][0]
+            # the blocks are built once per process, for group and eta
+            # alike: each golden builds its own
+            forestcalc.groups.lie_block.cache_clear()
+            forestcalc.eta._free_rows.cache_clear()
             code, out = cli_main_capture(GOLDEN_COMMANDS[idx], capsys)
             if (code, out) != baseline[idx]:
                 ok = False
         code, out = cli_main_capture(ODD_ORDER_MILNOR, capsys)
         ok = ok and (code, out) == (0, f"order 1; value: {borromean.scale(-1)}\n")
     finally:
+        forestcalc.groups.lie_block.cache_clear()
         forestcalc.eta._free_rows.cache_clear()
     ok = ok and "arf" in reached
     _verdict(9, "CLI goldens byte-identical across runs and conventions", ok)

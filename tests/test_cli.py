@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from forestcalc import eta as eta_module
+from forestcalc import groups as groups_module
 from forestcalc.cli import _COMMANDS, _parse, build_parser, main
 from forestcalc.errors import ParseError
 from forestcalc.forest import MAX_NESTING, parse_forest
@@ -382,7 +383,7 @@ def test_sign_robust_across_conventions(capsys, monkeypatch):
     plane = _sign_robust_outputs(capsys)
     assert plane[-1] == f"order 1; value: {borromean}\n"
     plane_eta_tree = eta_module.eta_tree
-    plane_twisted_block = eta_module.twisted_block
+    plane_twisted_block = groups_module.twisted_block
     reached = []  # the (m, n) of each block whose images eta_kernel read in the mirror convention
 
     def mirror_twisted_block(m, n, *args):
@@ -397,11 +398,14 @@ def test_sign_robust_across_conventions(capsys, monkeypatch):
         eta_module, "eta_tree",
         lambda m, n, tree, coeff=1: plane_eta_tree(m, n, tree, coeff).scale((-1) ** n),
     )
-    monkeypatch.setattr(eta_module, "twisted_block", mirror_twisted_block)
+    monkeypatch.setattr(groups_module, "twisted_block", mirror_twisted_block)
+    # the blocks are built once per process, for group and eta alike
+    groups_module.lie_block.cache_clear()
     eta_module._free_rows.cache_clear()
     try:
         mirror = _sign_robust_outputs(capsys)
     finally:
+        groups_module.lie_block.cache_clear()
         eta_module._free_rows.cache_clear()
     assert plane[:-1] == mirror[:-1]
     assert mirror[-1] == f"order 1; value: {borromean.scale(-1)}\n"
@@ -462,6 +466,55 @@ def test_import_loads_no_dataclasses_or_inspect():
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True)
         assert out.stdout == printed + "[]\n"
+
+
+def test_lie_cells_build_no_table():
+    # twisted T_n^inf and framed T_n at even n take their invariants and
+    # their --json generators from Lie-coordinate blocks: neither plain
+    # `group` nor `group --json` at (3,6) twisted builds the shape ids or
+    # the framed table, while framed (2,5), odd, still reads both
+    code = ("import sys; from forestcalc import trees; from forestcalc.cli import main; "
+            "main(sys.argv[1:]); print(trees.shape_ids.cache_info().currsize, "
+            "trees.framed_table.cache_info().currsize)")
+    runs = [(("3", "6", "twisted"), [], "0 0"), (("3", "6", "twisted"), ["--json"], "0 0"),
+            (("2", "5", "framed"), [], "1 1")]
+    for cell, extra, caches in runs:
+        m, n, flavor = cell
+        argv = ["group", "--m", m, "--order", n, "--flavor", flavor, *extra]
+        out = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                             check=True)
+        *printed, last = out.stdout.splitlines()
+        assert last == caches, argv
+        if extra:
+            assert len(json.loads(printed[0])["generators"]) == 957  # 3 W(3,7) + W(3,4) + W(3,2)
+        else:
+            assert printed == ["Z^126 + Z/2 + Z/2 + Z/2" if flavor == "twisted" else
+                               "Z^0 + Z/2 + Z/2 + Z/2 + Z/2"]
+
+
+def test_lie_budget_refuses_in_the_cli(capsys):
+    # past the Lie-coordinate budget a cell is refused before any block is
+    # built, with the estimate; framed (3,9), odd, still meets the table's
+    twisted = ["group", "--m", "3", "--order", "12", "--flavor", "twisted"]
+    for argv, estimate in [(twisted, "about 1,106,313 relation rows"),
+                           (twisted + ["--json"], "about 1,106,313 relation rows"),
+                           (["group", "--m", "3", "--order", "9", "--flavor", "framed"],
+                            "7,178,598 entries")]:
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, "")
+        assert err.startswith("error[resource-limit]: ") and estimate in err
+        assert len(err.splitlines()) == 1
+    # one label has no Lyndon word past length 1: every block is empty, and
+    # the answer comes before any content of n + 2 labels is made
+    for flavor in ("framed", "twisted"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "group", "--m", "1", "--order", "10000000",
+                             "--flavor", flavor, "--json")
+        assert (code, json.loads(out), err) == (
+            0, {"free_rank": 0, "generators": [], "group": "Z^0", "torsion": []}, "")
+        assert time.perf_counter() - start < 1.0
 
 
 def test_unknown_command_lists_every_command(capsys):
@@ -619,7 +672,7 @@ def test_table_agrees_with_argparse(argv):
         (["group", "--m", "200", "--order", "1", "--flavor", "framed"], "4,020,000 entries"),
         (["obstruct", "--m", "100000", "--order", "0", "--flavor", "twisted", "+1*<1,2>"],
          "5,000,050,000 entries"),
-        (["group", "--m", "1", "--order", "100000", "--flavor", "framed"],
+        (["group", "--m", "1", "--order", "99999", "--flavor", "framed"],
          "at least 8,436,379 entries"),
         (["lie", "--m", "100000", "--order", "2"], "number 4,999,950,000"),
         (["lie", "--m", "2", "--order", "1000000"], "number over 2^57"),

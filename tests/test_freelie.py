@@ -75,6 +75,26 @@ def test_witt_count_matches_sympy_mobius_sum():
             assert freelie.witt(m, n) == witt(m, n)
 
 
+def test_fine_witt_counts_the_words_of_each_content():
+    # the fine-graded Witt count of every label-count vector of a degree is
+    # the size of its content's bucket, none for a content without words,
+    # with labels in any order and zero counts ignored
+    for m, n in [(1, 1), (1, 3), (2, 8), (3, 6), (4, 4)]:
+        buckets = lyndon_by_content(m, n)
+        for counts in _compositions(n, m):
+            content = tuple(x for x, c in enumerate(counts, 1) for _ in range(c))
+            assert freelie.fine_witt(counts) == len(buckets.get(content, ()))
+            assert freelie.fine_witt(counts[::-1] + [0]) == freelie.fine_witt(counts)
+    assert freelie.fine_witt([]) == freelie.fine_witt([0, 0]) == 0
+
+
+def _compositions(total, parts):
+    """Every list of `parts` counts, each >= 0, adding up to `total`."""
+    if parts == 1:
+        return [[total]]
+    return [[c] + rest for c in range(total + 1) for rest in _compositions(total - c, parts - 1)]
+
+
 def test_lyndon_budget():
     # counted by the Witt formula before any word is made
     assert len(lyndon_words(2, 20)) == witt(2, 20) < freelie.MAX_LYNDON_WORDS < witt(2, 25)

@@ -8,7 +8,7 @@ from test_eta import block_counts
 from test_freelie import witt
 
 from forestcalc import groups, intlinalg
-from forestcalc.errors import ParameterError
+from forestcalc.errors import ParameterError, ResourceLimitError
 from forestcalc.forest import make_forest, parse_forest
 from forestcalc.groups import TreeGroup, _trees, build_group, content_orbit, content_orbits
 from forestcalc.trees import multiplicity
@@ -489,7 +489,8 @@ def test_twisted_blocks_meet_the_witt_and_cst_counts(m, top):
 def test_invariants_eliminate_blocks_and_normal_forms_the_whole_matrix(monkeypatch):
     # invariants() eliminates each representative block once, then the
     # diagonal of their torsion to merge it, and never builds the whole
-    # matrix; normal forms eliminate the whole matrix once
+    # matrix; normal forms eliminate the whole matrix once.  The blocks are
+    # built once per process, for eta too, so their cache starts empty
     runs = []
     unit_pivots = intlinalg._unit_pivots
 
@@ -498,6 +499,7 @@ def test_invariants_eliminate_blocks_and_normal_forms_the_whole_matrix(monkeypat
         return unit_pivots(rows)
 
     monkeypatch.setattr(intlinalg, "_unit_pivots", counted)
+    groups.lie_block.cache_clear()
     g = TreeGroup(3, 2, "twisted")
     free, torsion = g.invariants()
     assert (free, torsion) == (6, [2, 2, 2])
@@ -623,3 +625,75 @@ def test_content_orbits_cover_every_content():
             assert len(contents) == sizes == comb(total + m - 1, m - 1)
     with pytest.raises(ParameterError):
         list(content_orbits(0, 2))
+
+
+def _block_invariants(blocks):
+    """content -> (orbit size, free rank, torsion) of each nonzero block,
+    from (content, size, width, `Presentation`) entries."""
+    out = {}
+    for content, size, width, snf in blocks:
+        free, torsion = width - len(snf.pivots) - len(snf.diag), [d for d in snf.diag if d > 1]
+        if free or torsion:
+            out[content] = size, free, torsion
+    return out
+
+
+# every cell on Lie coordinates whose table blocks take about a second or
+# less, by m, and (2,10) twisted, about 3.5 s on the table
+LIE_ORACLE_ORDERS = {1: range(12), 2: range(11), 3: range(8), 4: range(7)}
+
+
+@pytest.mark.parametrize("m", sorted(LIE_ORACLE_ORDERS))
+def test_lie_blocks_match_the_table_blocks(m):
+    # each representative content's Lie-coordinate block presents the same
+    # group as its block of table rows: twisted at every order and framed
+    # at even order, for every k; `_block_width`, the fine-graded Witt
+    # count the budget reads, is each Lie block's generator count
+    for n in LIE_ORACLE_ORDERS[m]:
+        flavors = ("twisted", "framed") if n % 2 == 0 and (m, n) != (2, 10) else ("twisted",)
+        for flavor in flavors:
+            for k in (None, 1, 2, 3):
+                group = TreeGroup(m, n, flavor, k)
+                lie = list(group._lie_blocks())
+                assert _block_invariants(lie) == _block_invariants(group._blocks()), (n, flavor, k)
+                for content, _, width, _ in lie:
+                    assert width == groups._block_width(m, n, flavor, content)
+
+
+def test_build_group_keeps_one_group_per_cell():
+    # a k left out and k = None are one cache entry, so one group
+    g = build_group(2, 4, "twisted")
+    assert build_group(2, 4, "twisted", None) is g
+    assert build_group(2, 4, "twisted", 2) is build_group(2, 4, "twisted", k=2) is not g
+
+
+def test_lie_generators_parse_back():
+    # on Lie coordinates `group --json` lists <x,std(w)>, std(w)^inf and
+    # (std(v),std(v))^inf as written: each parses back as a forest of one
+    # tree of the cell, and the k bound keeps the generators whose labels
+    # repeat at most k times, J^inf counting J's twice
+    for m, n, flavor, k in [(3, 6, "twisted", None), (2, 4, "framed", None), (2, 2, "twisted", 3),
+                            (3, 3, "twisted", None), (1, 0, "twisted", None), (2, 6, "twisted", 4)]:
+        texts = TreeGroup(m, n, flavor, k).generator_texts()
+        pairs, twists = groups.lie_generators(m, n, flavor, k)
+        assert len(texts) == len(pairs) + sum(map(len, twists)) == len(set(texts))
+        if k is None:
+            degrees = [n // 2 + 1] if flavor == "twisted" and n % 2 == 0 else []
+            degrees += [(n + 2) // 4] if degrees and n % 4 == 2 else []
+            assert len(texts) == m * witt(m, n + 1) + sum(witt(m, d) for d in degrees)
+        for text in texts:
+            (coeff, tree), = parse_forest("1*" + text, m).terms
+            assert abs(coeff) == 1 and tree.order * (1 + (tree.kind == "twisted")) == n
+            assert k is None or multiplicity(tree) <= k
+
+
+def test_lie_budget_refuses_before_building():
+    # the estimate, n + 1 rows per generator of the representative blocks
+    # the k bound keeps, refuses a cell before any block is built
+    groups.lie_block.cache_clear()
+    with pytest.raises(ResourceLimitError, match="about 1,106,313 relation rows"):
+        groups.lie_blocks(3, 12, "twisted")
+    with pytest.raises(ResourceLimitError):
+        build_group(2, 17, "twisted").invariants()
+    assert groups.lie_block.cache_info().currsize == 0
+    assert groups.lie_blocks(3, 12, "twisted", 4) == []  # no content of 14 labels counts <= 4
