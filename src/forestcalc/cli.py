@@ -29,7 +29,6 @@ from .eta import arf_classes, check_arf_parameters, eta, eta_k, eta_kernel, miln
 from .forest import parse_forest, parse_tree_term
 from .freelie import bracket_str, lyndon_words
 from .groups import build_group
-from .rewrite import collapse_edge, monoize_forest
 
 
 def _emit(args, lines, payload):
@@ -172,6 +171,8 @@ def cmd_arf(args):
 
 
 def cmd_collapse(args):
+    from .rewrite import collapse_edge  # only collapse and monoize load the rewriting
+
     coeff, tree = parse_tree_term(args.term, args.m)
     out = collapse_edge(coeff, tree, args.label, strict=args.strict_collapse)
     text = " + ".join(f"{c:+d}*{t}" for c, t in out) or "0"
@@ -180,6 +181,8 @@ def cmd_collapse(args):
 
 
 def cmd_monoize(args):
+    from .rewrite import monoize_forest
+
     if args.k is None:
         raise ParameterError("monoize requires --k")
     forest = parse_forest(args.forest, args.m)

@@ -75,7 +75,6 @@ from typing import NamedTuple
 from .errors import DomainError, GeneratorNotFoundError, ParameterError, ResourceLimitError
 from .forest import IntersectionForest, make_forest
 from .freelie import (
-    MAX_LYNDON_WORDS,
     fine_witt,
     leaf_readings,
     lyndon_by_content,
@@ -87,6 +86,7 @@ from .freelie import (
 from .intlinalg import presentation
 from .trees import (
     FRAMED,
+    MAX_TABLE_ENTRIES,
     TWISTED,
     DecoratedTree,
     framed_generators,
@@ -104,6 +104,12 @@ FLAVOR_TWISTED = "twisted"
 # the most relation rows the Lie-coordinate blocks of one cell may make, at
 # about 5 KB each: (3,10) twisted makes about 137,000 in 37 s at a 0.7 GB peak
 MAX_LIE_ROWS = 200_000
+
+# the most generators (x, w) `group --json` lists on Lie coordinates: the
+# standard bracketings of the Lyndon words are distinct shapes, so
+# m W(m, n+1) <= R(1) R(n+1) <= 2 R(n+2), and every cell whose framed table
+# is within its budget is within this one
+MAX_LIE_GENERATORS = 2 * MAX_TABLE_ENTRIES
 
 
 def _trees(m: int, n: int, flavor: str) -> list:
@@ -561,7 +567,7 @@ class TwistedBlock(NamedTuple):
         return make_forest(self.m, terms)
 
 
-def twisted_block(m: int, n: int, content: tuple, memo, flavor=FLAVOR_TWISTED) -> TwistedBlock:
+def twisted_block(m: int, n: int, content: tuple, flavor=FLAVOR_TWISTED) -> TwistedBlock:
     """The block of a content of the twisted T_n^inf, or of the framed T_n
     at even n, and eta on it.
 
@@ -571,9 +577,9 @@ def twisted_block(m: int, n: int, content: tuple, memo, flavor=FLAVOR_TWISTED) -
     2 (v,v)^inf, deduplicated up to sign.  eta comes with the readings:
     eta(x, w) is the sum of every reading of <x, std(w)>, and eta(w^inf)
     half that of <std(w), std(w)>, whose two halves read alike, so the sum
-    of one half's readings; eta((v,v)^inf) = 0.  `memo` holds basis-pair
-    brackets, and blocks built one after another may share it.
+    of one half's readings; eta((v,v)^inf) = 0.
     """
+    memo = {}  # basis-pair brackets, as for `lie_bracket`
     framed, column = [], {}  # column: label -> {Lyndon word: generator}
     for x in sorted(set(content)):
         i = content.index(x)
@@ -625,7 +631,7 @@ def twisted_block(m: int, n: int, content: tuple, memo, flavor=FLAVOR_TWISTED) -
 def lie_block(m: int, n: int, flavor: str, content: tuple):
     """(`twisted_block`, its relations' `Presentation`) of one content,
     built once per process for `group` and eta alike."""
-    block = twisted_block(m, n, content, {}, flavor)
+    block = twisted_block(m, n, content, flavor)
     return block, presentation(block.relations, len(block.images))
 
 
@@ -691,13 +697,13 @@ def lie_generators(m: int, n: int, flavor: str, k=None):
     word order, and a generator is kept when its tree's labels, J^inf
     counting J's twice, repeat at most k times.
 
-    More than MAX_LYNDON_WORDS pairs are refused before any is listed.
+    More than MAX_LIE_GENERATORS pairs are refused before any is listed.
     """
     count = m * lyndon_count(m, n + 1)
-    if count > MAX_LYNDON_WORDS:
+    if count > MAX_LIE_GENERATORS:
         raise ResourceLimitError(
             f"{flavor} order {n} at m = {m} has {count:,} generators (x, w) on Lie coordinates,"
-            f" over the budget of {MAX_LYNDON_WORDS:,}"
+            f" over the budget of {MAX_LIE_GENERATORS:,}"
         )
 
     def words(degree, times):

@@ -468,6 +468,17 @@ def test_import_loads_no_dataclasses_or_inspect():
         assert out.stdout == printed + "[]\n"
 
 
+def test_only_collapse_and_monoize_load_the_rewriting():
+    code = ("import sys; from forestcalc.cli import main; code = main(sys.argv[1:]); "
+            "print(code, 'forestcalc.rewrite' in sys.modules)")
+    for argv, loaded in [(["group", "--m", "2", "--order", "2", "--flavor", "twisted"], "0 False"),
+                         (["eta", "--m", "2", "--order", "1", "+1*<1,(1,2)>"], "0 False"),
+                         (["monoize", "--m", "2", "--k", "1", "+1*<1,(1,2)>"], "0 True")]:
+        out = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                             check=True)
+        assert out.stdout.splitlines()[-1] == loaded, argv
+
+
 def test_lie_cells_build_no_table():
     # twisted T_n^inf and framed T_n at even n take their invariants and
     # their --json generators from Lie-coordinate blocks: neither plain
@@ -515,6 +526,17 @@ def test_lie_budget_refuses_in_the_cli(capsys):
         assert (code, json.loads(out), err) == (
             0, {"free_rank": 0, "generators": [], "group": "Z^0", "torsion": []}, "")
         assert time.perf_counter() - start < 1.0
+
+
+def test_lie_json_answers_where_the_table_did(capsys):
+    # the framed table of (1001,0), 501,501 entries, is within its budget,
+    # so `group --json` answers there on Lie coordinates too: 1001^2 pairs
+    # (x, w) and 1001 w^inf, past the Lyndon-word budget
+    argv = ["group", "--m", "1001", "--order", "0", "--flavor", "twisted"]
+    code, out, err = run(capsys, *argv, "--json")
+    data = json.loads(out)
+    assert (code, err, data["group"], len(data["generators"])) == (0, "", "Z^501501", 1_003_002)
+    assert run(capsys, *argv) == (0, "Z^501501\n", "")
 
 
 def test_unknown_command_lists_every_command(capsys):

@@ -332,10 +332,9 @@ ORACLE_CELLS = [(m, n) for m in range(1, 5) for n in range(5)] + [(5, 2), (2, 6)
 
 def _blocks(m, n):
     """Every block of the cell, each built from its own content."""
-    memo = {}
     for rep, _ in content_orbits(m, n + 2):
         for content, _ in content_orbit(m, rep):
-            yield twisted_block(m, n, content, memo)
+            yield twisted_block(m, n, content)
 
 
 def _span(group, forests):

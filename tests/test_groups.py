@@ -697,3 +697,7 @@ def test_lie_budget_refuses_before_building():
         build_group(2, 17, "twisted").invariants()
     assert groups.lie_block.cache_info().currsize == 0
     assert groups.lie_blocks(3, 12, "twisted", 4) == []  # no content of 14 labels counts <= 4
+    # the --json listing is refused only past twice the table's budget:
+    # 3000^2 pairs (x, w) at order 0, whose framed table is refused too
+    with pytest.raises(ResourceLimitError, match="9,000,000 generators"):
+        groups.lie_generators(3000, 0, "twisted")
