@@ -49,16 +49,10 @@ def cmd_group(args):
     g = build_group(args.m, args.order, args.flavor, args.k)
     text = g.invariants_str()
     free, torsion = g.invariants()
-    _emit(
-        args,
-        [text],
-        {
-            "group": text,
-            "free_rank": free,
-            "torsion": torsion,
-            "generators": g.generator_texts(),
-        },
-    )
+    payload = {"group": text, "free_rank": free, "torsion": torsion}
+    if args.json:  # the listing has a budget of its own, so only --json builds it
+        payload["generators"] = g.generator_texts()
+    _emit(args, [text], payload)
     return 0
 
 

@@ -62,7 +62,8 @@ label permutation carries each block onto another: one block per S_m-orbit
 (`content_orbit`), its free rank and torsion repeated by the orbit's size
 and the torsion merged into one divisibility chain.  The k bound keeps the
 blocks whose label counts are at most k.  On the table, `TreeGroup` reads
-the trees' contents as the codes of `ShapeIds.contents`.
+both the k bound and the trees' contents off one exact code,
+`ShapeIds.label_counts`.
 """
 
 from __future__ import annotations
@@ -121,32 +122,6 @@ def _trees(m: int, n: int, flavor: str) -> list:
     if flavor == FLAVOR_TWISTED and n % 2 == 0:
         trees += twisted_generators(m, n // 2)
     return trees
-
-
-def _columns(table, twisted, k) -> list:
-    """Each tree's index among those the k bound keeps, None where it drops
-    one: the trees of `table`, then the J^inf of the shape ids `twisted`.
-
-    A tree's label counts are its halves' `ShapeIds.label_counts`, summed,
-    or twice its shape's.
-    """
-    if k is None:
-        return list(range(len(table.trees) + len(twisted)))
-    if k < 1:
-        raise ParameterError(f"k must be >= 1, got {k}")
-    counts = table.ids.label_counts
-    codes = chain(
-        (counts[lo] + counts[hi] for lo, hi in table.halves), (2 * counts[j] for j in twisted)
-    )
-    columns = []
-    kept = 0
-    for ok in table.ids.within(codes, k):
-        if ok:
-            columns.append(kept)
-            kept += 1
-        else:
-            columns.append(None)
-    return columns
 
 
 def _resolvers(table):
@@ -315,7 +290,22 @@ class TreeGroup:
 
     @cached_property
     def _columns(self):
-        return _columns(self._table, self._twisted, self.k)
+        """Each tree number's index among the trees the k bound keeps, None
+        where it drops one.  A tree's label counts are its halves'
+        `ShapeIds.label_counts`, summed, or twice its shape's."""
+        table = self._table
+        if self.k is None:
+            return list(range(len(table.trees) + len(self._twisted)))
+        counts = table.ids.label_counts
+        codes = chain(
+            (counts[lo] + counts[hi] for lo, hi in table.halves),
+            (2 * counts[j] for j in self._twisted),
+        )
+        columns, kept = [], 0
+        for ok in table.ids.within(codes, self.k):
+            columns.append(kept if ok else None)
+            kept += ok
+        return columns
 
     @cached_property
     def generators(self):
@@ -431,18 +421,20 @@ class TreeGroup:
         trees seed.  The k bound keeps the blocks whose label counts are all
         at most k; label 1 counts the most in a representative.
         """
-        ids = self._table.ids
+        table = self._table
+        counts, labels = table.ids.label_counts, table.ids.labels
         blocks = {}  # content code of each representative -> (content, size, framed, twisted)
         for content, size in content_orbits(self.m, self.n + 2):
             if self.k is None or content.count(1) <= self.k:
-                code = sum(ids.contents[ids.labels[x]] for x in content)
-                blocks[code] = (content, size, [], [])
-        for i, code in enumerate(self._table.contents):
-            if code in blocks:
-                blocks[code][2].append(i)
+                blocks[sum(counts[labels[x]] for x in content)] = (content, size, [], [])
+        for i, (lo, hi) in enumerate(table.halves):
+            block = blocks.get(counts[lo] + counts[hi])
+            if block:
+                block[2].append(i)
         for j, u in self._twisted.items():
-            if 2 * ids.contents[j] in blocks:
-                blocks[2 * ids.contents[j]][3].append((j, u))
+            block = blocks.get(2 * counts[j])
+            if block:
+                block[3].append((j, u))
         for content, size, framed, twisted in blocks.values():
             at = {u: c for c, u in enumerate(framed + [u for _, u in twisted])}
             if at:
@@ -645,7 +637,7 @@ def _twist_degrees(n: int, flavor: str) -> list:
     return [(n // 2 + 1, 2)] + ([((n + 2) // 4, 4)] if n % 4 == 2 else [])
 
 
-def _block_width(m: int, n: int, flavor: str, content: tuple) -> int:
+def _block_width(n: int, flavor: str, content: tuple) -> int:
     """The generator count of a content's Lie-coordinate block, by the
     fine-graded Witt count: W(a - e_x) over each label x of the content's
     label counts a, then W(a / times) for the twisted generators
@@ -679,7 +671,7 @@ def lie_blocks(m: int, n: int, flavor: str, k=None) -> list:
     kept = [(c, size) for c, size in content_orbits(m, n + 2) if k is None or c.count(1) <= k]
     rows = (n + 1) * width  # over every block, so over the representatives too
     if rows > MAX_LIE_ROWS:
-        rows = (n + 1) * sum(_block_width(m, n, flavor, c) for c, _ in kept)
+        rows = (n + 1) * sum(_block_width(n, flavor, c) for c, _ in kept)
     if rows > MAX_LIE_ROWS:
         raise ResourceLimitError(
             f"the Lie-coordinate blocks of {flavor} order {n} at m = {m} make about"

@@ -119,7 +119,7 @@ def collapse_edge(coeff: int, tree: DecoratedTree, label: int, strict=False):
     return collapse_twisted_edge(coeff, tree, label, strict=strict)
 
 
-def _target_label(forest: IntersectionForest, k: int) -> int:
+def _target_label(forest: IntersectionForest) -> int:
     """Pick the collapse target: the index of largest total multiplicity."""
     totals = {}
     for coeff, tree in forest.terms:
@@ -143,7 +143,7 @@ def monoize_forest(forest: IntersectionForest, k: int, strict=False):
         raise ParameterError(f"k must be >= 1, got {k}")
     if forest.is_zero:
         return forest, []
-    label = _target_label(forest, k)
+    label = _target_label(forest)
     for _, tree in forest.terms:
         if tree_stats(tree).r.get(label, 0) < k + 1:
             raise HypothesisViolationError(

@@ -33,12 +33,12 @@ resolve their terms to generator indices through these codes and tables
 without building or hashing a nested shape.
 
 Both tables are immutable, cached per (m, order) and bounded by the order
-they were built for.  Each gives, when first read, the content code of every
-id or tree, its leaf labels' multiset packed into one int and summed
-bottom-up from the ids' branches, so that `groups` splits the trees by
-content without walking a nested shape.  The shape ids give, the same way,
-each id's exact label counts (`ShapeIds.label_counts`), which the k bound
-reads.
+they were built for.  The shape ids give, when first read, each id's content
+code (`ShapeIds.label_counts`): its leaf labels counted, each label in its
+own bit field of one int, summed bottom-up from the ids' branches.  The code
+is exact for every label, and two halves' codes, or twice a shape's, add
+without a carry, so `groups` reads the k bound and splits the trees by
+content without walking a nested shape.
 
 `_canon`, `canonical_framed`, `framed_tree` and `twisted_tree`
 canonicalize ad-hoc nested shapes, such as the trees `rewrite`, `groups`
@@ -59,7 +59,7 @@ from itertools import chain
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .errors import DomainError, ParameterError, ResourceLimitError
+from .errors import ParameterError, ResourceLimitError
 
 # the most presentations a framed table may hold; 2,000,000 take about 0.8 GB
 MAX_TABLE_ENTRIES = 4_000_000
@@ -188,7 +188,7 @@ def canonical_framed_records(a, b):
     """`canonical_framed` of the halves given by their `_canon` records.
 
     Returns ``(pair, key, sign, torsion)``, key the shape keys of pair's two
-    halves.  The 2n+1 edges are read in one walk, as `ShapeIds.edges` walks
+    halves.  The 2n+1 edges are read in one walk, as `FramedTable` walks
     ids: the records hold every subtree of the halves canonicalized once,
     bottom-up; the walk carries the canonical rest of the tree down to each
     vertex v = (x, y), where the cyclic order (x, y, rest) reads (y, rest)
@@ -309,7 +309,7 @@ def twisted_tree(shape):
 
 
 # ---------------------------------------------------------------------------
-# statistics and products
+# statistics
 
 
 class TreeStats(NamedTuple):
@@ -338,21 +338,6 @@ def tree_stats(tree: DecoratedTree) -> TreeStats:
 
 def multiplicity(tree: DecoratedTree) -> int:
     return tree_stats(tree).r_max
-
-
-def rooted_product(i_tree: DecoratedTree, j_tree: DecoratedTree):
-    """(I,J): identify the roots and sprout a new rooted edge."""
-    if i_tree.kind != ROOTED or j_tree.kind != ROOTED:
-        raise DomainError("rooted_product requires rooted trees")
-    canon, sign, _ = canonical_rooted((i_tree.data, j_tree.data))
-    return DecoratedTree(ROOTED, canon), sign
-
-
-def inner_product(i_tree: DecoratedTree, j_tree: DecoratedTree):
-    """<I,J>: identify the roots to a non-vertex point."""
-    if i_tree.kind != ROOTED or j_tree.kind != ROOTED:
-        raise DomainError("inner_product requires rooted trees")
-    return framed_tree(i_tree.data, j_tree.data)
 
 
 # ---------------------------------------------------------------------------
@@ -404,9 +389,8 @@ class ShapeIds:
     ``labels`` maps a label to its id.  ``size`` is the number of ids, and
     the pair code of ids a <= b is a * size + b.  ``pair`` maps the pair
     code of the branches (a, b), a <= b, of each pair shape to its id, so
-    `join` canonicalizes the pair of two canonical shapes a, b with one
-    lookup, of (a, b) with sign +1 when a <= b and of (b, a) with sign -1
-    otherwise.  The pair is ambiguous when a == b or either branch is.
+    the pair of two canonical shapes a, b canonicalizes with one lookup, of
+    (a, b) with sign +1 when a <= b and of (b, a) with sign -1 otherwise.  The pair is ambiguous when a == b or either branch is.
     """
 
     def __init__(self, m: int, order: int):
@@ -434,28 +418,8 @@ class ShapeIds:
         self.ambiguous = tuple(ambiguous)
 
     @cached_property
-    def contents(self):
-        """Each id's content code, built bottom-up as `orders` is.
-
-        A content is the multiset of leaf labels.  Its code sums base^(x - 1)
-        over the leaves x, base = order + 3, but every label past order + 2
-        counts in the one top digit, base^(order + 2).  The framed trees of
-        this order have at most order + 2 leaves, so the sum of two halves'
-        codes carries no digit, and trees whose labels are all <= order + 2
-        share a code exactly when they share a content.
-        """
-        top = len(self.by_order) + 1
-        codes = [0] * len(self.orders)
-        for x, i in self.labels.items():
-            codes[i] = (top + 1) ** (min(x, top + 1) - 1)
-        for i in chain.from_iterable(self.by_order[1:]):
-            a, b = self.kids[i]
-            codes[i] = codes[a] + codes[b]
-        return tuple(codes)
-
-    @cached_property
     def label_counts(self):
-        """Each id's leaf labels counted, built bottom-up as `contents` is.
+        """Each id's leaf labels counted, built bottom-up as `orders` is.
 
         Label x counts in its own field of w bits, bits w (x - 1) to
         w x - 1 of one int, w the least width whose top bit no count of
@@ -488,45 +452,6 @@ class ShapeIds:
         ones = sum(1 << (self._count_width * x) for x in range(len(self.labels)))
         add, top = ones * (half - 1 - min(k, half - 1)), ones * half
         return (not (code + add) & top for code in codes)
-
-    def join(self, a, b):
-        """``(id, sign)`` of the pair shape (a, b) of branches given as ``(id, sign)``."""
-        (i, si), (j, sj) = a, b
-        if i <= j:
-            return self.pair[i * self.size + j], si * sj
-        return self.pair[j * self.size + i], -si * sj
-
-    def canon(self, shape):
-        """``(id, sign)`` of a nested rooted shape; KeyError if no id names it."""
-        if isinstance(shape, int):
-            return self.labels[shape], 1
-        return self.join(self.canon(shape[0]), self.canon(shape[1]))
-
-    def edges(self, a: int, b: int) -> list:
-        """The 2n+1 edges of the framed tree <a, b> of canonical ids a, b.
-
-        Each edge is ``(x, rest, branches)``: one half is the canonical shape
-        x, the other reads as rest = ``(id, sign)``, sign * the canonical
-        shape id, and branches holds the ``(id, sign)`` of the other half's
-        two branches in that reading, or None when it is a leaf.  Walking
-        from <a, b>, the branches of each other half are canonical shapes or
-        halves already read, so every edge costs one `join`.
-        """
-        kids, join = self.kids, self.join
-        out = [(a, (b, 1), kids[b] and ((kids[b][0], 1), (kids[b][1], 1)))]
-        # pair vertices (canonical shape ids) and how the rest of the tree reads from each
-        stack = [(v, (w, 1)) for v, w in ((a, b), (b, a)) if kids[v]]
-        while stack:
-            v, rest = stack.pop()
-            x, y = kids[v]
-            # the cyclic order at v is (x, y, rest): from x the tree reads
-            # (y, rest), from y it reads (rest, x)
-            for half, branches in ((x, ((y, 1), rest)), (y, (rest, (x, 1)))):
-                other = join(*branches)
-                out.append((half, other, branches))
-                if kids[half]:
-                    stack.append((half, other))
-        return out
 
 
 @lru_cache(maxsize=None)
@@ -608,18 +533,6 @@ class FramedTable:
             DecoratedTree(FRAMED, (ids.shapes[lo], ids.shapes[hi]), t)
             for (lo, hi), t in zip(halves, torsion)
         )
-
-    @cached_property
-    def contents(self):
-        """Each tree's content code (`ShapeIds.contents`), its halves' sum."""
-        codes = self.ids.contents
-        return tuple(codes[lo] + codes[hi] for lo, hi in self.halves)
-
-    def term(self, a: int, sa: int, b: int, sb: int):
-        """``(index, sign)`` with <sa * a, sb * b> = sign * trees[index]."""
-        size = self.ids.size
-        index, sign = self.entries[a * size + b if a <= b else b * size + a]
-        return index, 1 if self.torsion[index] else sign * sa * sb
 
 
 def _shape_counts(m: int, leaves: int, cap=None) -> list:

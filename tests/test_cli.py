@@ -539,6 +539,22 @@ def test_lie_json_answers_where_the_table_did(capsys):
     assert run(capsys, *argv) == (0, "Z^501501\n", "")
 
 
+def test_plain_group_lists_no_generators(capsys):
+    # only `group --json` lists the generators, so only it meets their
+    # budget: (100000,0) framed has 10^10 pairs (x, w) on Lie coordinates,
+    # and its two representative blocks answer at once
+    argv = ["group", "--m", "100000", "--order", "0", "--flavor", "framed"]
+    for extra, expected in [([], (0, "Z^5000050000\n")), (["--json"], (1, ""))]:
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv, *extra)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == expected
+        if extra:
+            assert err.startswith("error[resource-limit]: ") and "10,000,000,000 generators" in err
+        else:
+            assert err == ""
+
+
 def test_unknown_command_lists_every_command(capsys):
     assert run(capsys, "bogus") == (
         2, "",

@@ -4,6 +4,8 @@ from typing import NamedTuple
 
 import pytest
 
+from test_trees import edges
+
 from forestcalc import eta as eta_module
 from forestcalc.errors import OddCoefficientError, OrderMismatchError, ParameterError
 from forestcalc.eta import (
@@ -57,7 +59,7 @@ from forestcalc.trees import (
 def _old_eta_images(m: int, n: int, gens):
     """eta of the generators numbered in `gens`, in order, off the framed table.
 
-    A framed generator <lo, hi> is walked along `ShapeIds.edges`: each edge
+    A framed generator <lo, hi> is walked along `test_trees.edges`: each edge
     at a leaf contributes X_label (x) sign * B, where the rest of the tree
     reads as sign * the canonical shape with bracket B.  A twisted J^inf is
     half of what the edges of <J, J> give.  Each canonical shape's bracket
@@ -87,7 +89,7 @@ def _old_eta_images(m: int, n: int, gens):
 
     def image(a, b):
         acc = {}
-        for x, (rest, sign), _ in ids.edges(a, b):
+        for x, (rest, sign), _ in edges(ids, a, b):
             if kids[x] is None:
                 add(acc, shapes[x], rest, sign)
             if kids[rest] is None:  # only <a, b> itself has a leaf as its rest

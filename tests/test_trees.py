@@ -21,10 +21,8 @@ from forestcalc.trees import (
     framed_generators,
     framed_table,
     framed_tree,
-    inner_product,
     multiplicity,
     presentations,
-    rooted_product,
     rooted_tree,
     shape_ids,
     tree_stats,
@@ -47,6 +45,58 @@ def framed_table_size(m: int, order: int) -> int:
     unordered pairs of canonical shapes with order + 2 leaves in all, each a
     presentation of one framed tree."""
     return _shape_counts(m, order + 2)[-1]
+
+
+# readings of the shape ids and the framed table that only the oracles use
+
+
+def join(ids, a, b):
+    """``(id, sign)`` of the pair shape (a, b) of branches given as ``(id, sign)``."""
+    (i, si), (j, sj) = a, b
+    if i <= j:
+        return ids.pair[i * ids.size + j], si * sj
+    return ids.pair[j * ids.size + i], -si * sj
+
+
+def canon(ids, shape):
+    """``(id, sign)`` of a nested rooted shape; KeyError if no id names it."""
+    if isinstance(shape, int):
+        return ids.labels[shape], 1
+    return join(ids, canon(ids, shape[0]), canon(ids, shape[1]))
+
+
+def edges(ids, a: int, b: int) -> list:
+    """The 2n+1 edges of the framed tree <a, b> of canonical ids a, b.
+
+    Each edge is ``(x, rest, branches)``: one half is the canonical shape
+    x, the other reads as rest = ``(id, sign)``, sign * the canonical
+    shape id, and branches holds the ``(id, sign)`` of the other half's
+    two branches in that reading, or None when it is a leaf.  Walking
+    from <a, b>, the branches of each other half are canonical shapes or
+    halves already read, so every edge costs one `join`.
+    """
+    kids = ids.kids
+    out = [(a, (b, 1), kids[b] and ((kids[b][0], 1), (kids[b][1], 1)))]
+    # pair vertices (canonical shape ids) and how the rest of the tree reads from each
+    stack = [(v, (w, 1)) for v, w in ((a, b), (b, a)) if kids[v]]
+    while stack:
+        v, rest = stack.pop()
+        x, y = kids[v]
+        # the cyclic order at v is (x, y, rest): from x the tree reads
+        # (y, rest), from y it reads (rest, x)
+        for half, branches in ((x, ((y, 1), rest)), (y, (rest, (x, 1)))):
+            other = join(ids, *branches)
+            out.append((half, other, branches))
+            if kids[half]:
+                stack.append((half, other))
+    return out
+
+
+def term(table, a: int, sa: int, b: int, sb: int):
+    """``(index, sign)`` with <sa * a, sb * b> = sign * table.trees[index]."""
+    size = table.ids.size
+    index, sign = table.entries[a * size + b if a <= b else b * size + a]
+    return index, 1 if table.torsion[index] else sign * sa * sb
 
 
 def test_framed_halves_order_without_sign():
@@ -171,17 +221,6 @@ def test_stats_order_zero():
     tree, _ = framed_tree(1, 2)
     st = tree_stats(tree)
     assert (st.order, st.degree, st.r_max) == (0, 1, 1)
-
-
-def test_products():
-    t1, _ = rooted_tree(1)
-    t2, _ = rooted_tree(2)
-    prod, _ = rooted_product(t1, t2)
-    assert prod.order == 1
-    inner, _ = inner_product(prod, prod)
-    assert inner.order == 2
-    with pytest.raises(DomainError):
-        rooted_product(framed_tree(1, 2)[0], t1)
 
 
 def test_generator_counts():
@@ -365,7 +404,7 @@ def test_framed_tree_matches_old_canonical_framed(m, order):
                 pair, sign, torsion = _old_canonical_framed(a, b)
                 expected = (DecoratedTree("framed", pair, torsion), sign)
                 assert framed_tree(a, b) == expected
-                index, sign = table.term(*table.ids.canon(a), *table.ids.canon(b))
+                index, sign = term(table, *canon(table.ids, a), *canon(table.ids, b))
                 assert (table.trees[index], sign) == expected
                 torsion_seen |= torsion
     assert torsion_seen
@@ -405,9 +444,9 @@ def test_shape_ids_follow_key_order(m):
         for b, shape_b in enumerate(ids.shapes):
             if ids.orders[a] + ids.orders[b] >= 5:
                 continue
-            canon, sign, amb = _old_canonical_rooted((shape_a, shape_b))
-            i, s = ids.join((a, 1), (b, -1))
-            assert (ids.shapes[i], s) == (canon, -sign)
+            shape, sign, amb = _old_canonical_rooted((shape_a, shape_b))
+            i, s = join(ids, (a, 1), (b, -1))
+            assert (ids.shapes[i], s) == (shape, -sign)
             assert (a == b or ids.ambiguous[a] or ids.ambiguous[b]) == amb == ids.ambiguous[i]
 
 
@@ -416,13 +455,13 @@ def test_shape_ids_canon_matches_oracle():
     ids = shape_ids(3, 4)
     for _ in range(300):
         shape = _random_shape(rng, 3, rng.randint(0, 4))
-        canon, sign, _ = _old_canonical_rooted(shape)
-        i, s = ids.canon(shape)
-        assert (ids.shapes[i], s) == (canon, sign)
+        expected, sign, _ = _old_canonical_rooted(shape)
+        i, s = canon(ids, shape)
+        assert (ids.shapes[i], s) == (expected, sign)
     with pytest.raises(KeyError):
-        ids.canon((1, 4))  # label above m
+        canon(ids, (1, 4))  # label above m
     with pytest.raises(KeyError):
-        ids.canon(_random_shape(rng, 3, 5))  # order above the table's
+        canon(ids, _random_shape(rng, 3, 5))  # order above the table's
 
 
 @pytest.mark.parametrize("m,order", [(2, 5), (4, 3), (3, 4), (1, 8)])
@@ -442,7 +481,7 @@ def test_framed_table_matches_nested_table(m, order):
 
 
 # oracle: the framed table as it was built over tuple keys, each tree's
-# presentations read from `ShapeIds.edges` into a list and its signs at the
+# presentations read from `edges` into a list and its signs at the
 # canonical presentation into a set
 
 
@@ -460,7 +499,7 @@ def _tuple_framed_table(m, order):
                 continue
             reads = []
             signs = set()
-            for p, (q, sign), _ in ids.edges(lo, hi):
+            for p, (q, sign), _ in edges(ids, lo, hi):
                 key = (p, q) if p <= q else (q, p)
                 reads.append((key, sign))
                 if key == (lo, hi):
