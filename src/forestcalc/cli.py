@@ -59,12 +59,14 @@ def cmd_group(args):
 def cmd_obstruct(args):
     g = build_group(args.m, args.order, args.flavor, args.k)
     forest = parse_forest(args.forest, args.m)
-    element = g.reduce_forest(forest)
-    verdict = "ZERO" if element.is_zero else "NONZERO"
-    lines = [verdict]
-    if not element.is_zero:
-        lines.append("witness: " + " ".join(str(c) for c in element.coords))
-    _emit(args, lines, {"verdict": verdict, "witness": list(element.coords)})
+    zero = g.is_zero(forest)
+    witness = [] if zero else g.witness(forest)
+    lines = ["ZERO" if zero else "NONZERO"]
+    if witness:
+        lines.append("witness: " + "; ".join(
+            f"[{','.join(map(str, block))}] " + " ".join(map(str, coords)) for block, coords in witness))
+    _emit(args, lines, {"verdict": lines[0], "witness": [
+        {"block": list(block), "coords": list(coords)} for block, coords in witness]})
     return 0
 
 

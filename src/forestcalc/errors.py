@@ -46,10 +46,6 @@ class BracketNonzeroError(DomainError):
     tag = "bracket-nonzero"
 
 
-class GeneratorNotFoundError(DomainError):
-    tag = "generator-not-found"
-
-
 class HypothesisViolationError(DomainError):
     tag = "hypothesis-violation"
 

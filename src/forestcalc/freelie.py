@@ -12,6 +12,17 @@ u = u1 u2 is the standard factorization,
 with [P_v, P_u] = -[P_u, P_v] and [P_u, P_u] = 0.  The memo of these
 basis-pair brackets belongs to the caller and is dropped with it.
 
+A memo made by `quasi_memo` takes the brackets in the free quasi-Lie ring
+L' instead, where [x, y] = -[y, x] and Jacobi hold but [x, x] need not
+vanish: L'_{2d} = L_{2d} + Z/2 (x) L_d, the squares [P_v, P_v] of the
+Lyndon words v of degree d (Levine, AGT 6, 2006).  The rewriting above holds
+in L' too, and where it meets [P_u, P_u] it keeps the square under the key
+uu, a word that is no Lyndon word, with a coefficient read mod 2; for
+x = sum c_i P_i, [x, x] = sum c_i^2 [P_i, P_i], as the terms i != j cancel.
+A square bracketed again is 0, since [[u, u], z] = -[[u, z], u] - [[z, u], u]
+= 0 by Jacobi and antisymmetry, so the memo of every lower degree stays
+valid.
+
 The tensor algebra stays for the Magnus expansion and as an oracle: the
 expansion of P_w is w plus lexicographically larger words, so integer
 elimination along sorted Lyndon words (`tensor_to_lie`) is exact and
@@ -318,16 +329,36 @@ def tensor_to_lie(m: int, degree: int, tensor: dict) -> LieElement:
     return LieElement.make(m, degree, out)
 
 
+# the key whose presence marks a memo of brackets in the quasi-Lie ring
+_QUASI = "quasi"
+
+
+def quasi_memo() -> dict:
+    """An empty memo of basis-pair brackets in the quasi-Lie ring L', whose
+    brackets keep the squares (see the module docstring)."""
+    return {_QUASI: True}
+
+
+def is_square(word) -> bool:
+    """Whether a key is the square uu of a word u, which no Lyndon word is."""
+    half = len(word) // 2
+    return word[:half] == word[half:]
+
+
 def _basis_bracket(u, v, memo) -> tuple:
-    """[P_u, P_v] for Lyndon words u < v, as (Lyndon word, coeff) pairs.
+    """[P_u, P_v] for Lyndon words u < v, as (Lyndon word, coeff) pairs,
+    and in L' as squares uu too.
 
     Rewrites by the rule in the module docstring.  `memo` maps (u, v) to the
-    result; the caller owns it.
+    result; the caller owns it.  In L' a square u or v, a bracket of a
+    lower degree, brackets to 0.
     """
     out = memo.get((u, v))
     if out is None:
         split = len(u) > 1 and _split(u)
-        if not split or u[split:] >= v:
+        if _QUASI in memo and (is_square(u) or is_square(v)):
+            out = ()
+        elif not split or u[split:] >= v:
             out = ((u + v, 1),)
         else:
             u1, u2 = u[:split], u[split:]
@@ -347,6 +378,8 @@ def _add_bracket(acc, scale, u, x, memo):
         elif w < u:
             pairs, c = _basis_bracket(w, u, memo), -scale * c
         else:
+            if _QUASI in memo and not is_square(u):
+                acc[u + u] = acc.get(u + u, 0) + scale * c
             continue
         for z, y in pairs:
             acc[z] = acc.get(z, 0) + c * y
@@ -368,16 +401,21 @@ def leaf_readings(word, outside, memo) -> list:
     [P_b, y], into the right branch to [y, P_a] = -[P_a, y], one rewriting
     per vertex.  Outside and readings are Lie elements as {Lyndon word:
     coeff} dicts, which may hold zeros.  Returns (label, reading) in leaf
-    reading order.  `memo` is the caller's, as for `lie_bracket`.
+    reading order.  `memo` is the caller's, as for `lie_bracket`.  A square
+    word vv reads as [P_v, P_v].
     """
+    return _leaf_readings(word, outside, memo, len(word) // 2 if is_square(word) else None)
+
+
+def _leaf_readings(word, outside, memo, split=None) -> list:
     if len(word) == 1:
         return [(word[0], outside)]
-    split = _split(word)
+    split = split or _split(word)
     a, b = word[:split], word[split:]
     left, right = {}, {}
     _add_bracket(left, 1, b, outside.items(), memo)
     _add_bracket(right, -1, a, outside.items(), memo)
-    return leaf_readings(a, left, memo) + leaf_readings(b, right, memo)
+    return _leaf_readings(a, left, memo) + _leaf_readings(b, right, memo)
 
 
 def lie_bracket(a: LieElement, b: LieElement, memo=None) -> LieElement:
@@ -391,10 +429,23 @@ def lie_bracket(a: LieElement, b: LieElement, memo=None) -> LieElement:
     return LieElement.make(a.m, a.degree + b.degree, _bracket(a.coeffs, b.coeffs, memo))
 
 
-def _reduce(shape, memo) -> dict:
+def lie_coordinates(shape, memo) -> dict:
+    """The bracket of a rooted shape on the Lyndon basis, as {word: coeff},
+    and on a `quasi_memo` in L', squares included."""
     if isinstance(shape, int):
         return {(shape,): 1}
-    return _bracket(_reduce(shape[0], memo).items(), _reduce(shape[1], memo).items(), memo)
+    return _bracket(lie_coordinates(shape[0], memo).items(),
+                    lie_coordinates(shape[1], memo).items(), memo)
+
+
+def first_leaf_reading(shape, outside, memo) -> tuple:
+    """(label, reading) of `shape` with `outside` grafted at its root, read
+    at its first leaf as `leaf_readings` reads every leaf, the reading a
+    {word: coeff} dict; `memo` is the caller's, as for `lie_bracket`."""
+    while not isinstance(shape, int):
+        shape, right = shape
+        outside = _bracket(lie_coordinates(right, memo).items(), outside.items(), memo)
+    return shape, outside
 
 
 def reduce_shape(m: int, degree: int, shape) -> LieElement:
@@ -409,7 +460,7 @@ def reduce_shape(m: int, degree: int, shape) -> LieElement:
     """
     if m < 1 or degree < 1:
         raise ParameterError("reduce_shape requires m >= 1, degree >= 1")
-    coeffs = _reduce(shape, {})
+    coeffs = lie_coordinates(shape, {})
     word = next(iter(coeffs), None)
     if word is not None and (len(word) != degree or not all(0 < i <= m for i in word)):
         raise NotPrimitiveError(f"shape {shape} is not a bracket of degree {degree} on 1..{m}")

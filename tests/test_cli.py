@@ -60,8 +60,9 @@ def test_obstruct_nonzero_witness(capsys):
     ],
 )
 def test_obstruct_large_twisted_cell(capsys, forest, verdict):
-    # (2,8) twisted has 2,430 generators and 10,198 relation rows; the
-    # normal form comes from the unit-pivot presentation, on 13 survivors
+    # (2,8) twisted has 2,430 trees and 10,198 relation rows on the table;
+    # the normal form reads each tree into its content's Lie-coordinate
+    # block and reduces it with that block's presentation
     start = time.perf_counter()
     code, out, _ = run(
         capsys, "obstruct", "--m", "2", "--order", "8", "--flavor", "twisted", forest
@@ -480,37 +481,41 @@ def test_only_collapse_and_monoize_load_the_rewriting():
 
 
 def test_lie_cells_build_no_table():
-    # twisted T_n^inf and framed T_n at even n take their invariants and
-    # their --json generators from Lie-coordinate blocks: neither plain
-    # `group` nor `group --json` at (3,6) twisted builds the shape ids or
-    # the framed table, while framed (2,5), odd, still reads both
-    code = ("import sys; from forestcalc import trees; from forestcalc.cli import main; "
-            "main(sys.argv[1:]); print(trees.shape_ids.cache_info().currsize, "
-            "trees.framed_table.cache_info().currsize)")
-    runs = [(("3", "6", "twisted"), [], "0 0"), (("3", "6", "twisted"), ["--json"], "0 0"),
-            (("2", "5", "framed"), [], "1 1")]
-    for cell, extra, caches in runs:
-        m, n, flavor = cell
-        argv = ["group", "--m", m, "--order", n, "--flavor", flavor, *extra]
+    # every cell takes its invariants, its --json generators and its normal
+    # forms from Lie-coordinate blocks, one per representative content, and
+    # no module of the package keeps a table of trees; framed (2,5), odd,
+    # has the generators (x, [v,v]) of order 2
+    code = ("import sys; from forestcalc import groups, trees; from forestcalc.cli import main; "
+            "main(sys.argv[1:]); print(groups.lie_block.cache_info().currsize, "
+            "sorted(name for name in ('framed_table', 'shape_ids', 'FramedTable', 'ShapeIds')"
+            " if hasattr(trees, name) or hasattr(groups, name)))")
+    runs = [(["group", "--m", "3", "--order", "6", "--flavor", "twisted"], "10 []"),
+            (["group", "--m", "3", "--order", "6", "--flavor", "twisted", "--json"], "10 []"),
+            (["group", "--m", "2", "--order", "5", "--flavor", "framed"], "4 []"),
+            (["obstruct", "--m", "2", "--order", "5", "--flavor", "framed", "+1*<(((1,1),1),1),((2,2),2)>"],
+             "1 []")]
+    for argv, caches in runs:
         out = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
                              check=True)
         *printed, last = out.stdout.splitlines()
         assert last == caches, argv
-        if extra:
+        if "--json" in argv:
             assert len(json.loads(printed[0])["generators"]) == 957  # 3 W(3,7) + W(3,4) + W(3,2)
+        elif argv[0] == "obstruct":
+            assert printed[0] in ("ZERO", "NONZERO")
         else:
-            assert printed == ["Z^126 + Z/2 + Z/2 + Z/2" if flavor == "twisted" else
+            assert printed == ["Z^126 + Z/2 + Z/2 + Z/2" if argv[-1] == "twisted" else
                                "Z^0 + Z/2 + Z/2 + Z/2 + Z/2"]
 
 
 def test_lie_budget_refuses_in_the_cli(capsys):
     # past the Lie-coordinate budget a cell is refused before any block is
-    # built, with the estimate; framed (3,9), odd, still meets the table's
+    # built, with the estimate; framed (3,11), odd, counts its (x, [v,v])
     twisted = ["group", "--m", "3", "--order", "12", "--flavor", "twisted"]
     for argv, estimate in [(twisted, "about 1,106,313 relation rows"),
                            (twisted + ["--json"], "about 1,106,313 relation rows"),
-                           (["group", "--m", "3", "--order", "9", "--flavor", "framed"],
-                            "7,178,598 entries")]:
+                           (["group", "--m", "3", "--order", "11", "--flavor", "framed"],
+                            "about 372,540 relation rows")]:
         start = time.perf_counter()
         code, out, err = run(capsys, *argv)
         assert time.perf_counter() - start < 1.0
@@ -529,9 +534,9 @@ def test_lie_budget_refuses_in_the_cli(capsys):
 
 
 def test_lie_json_answers_where_the_table_did(capsys):
-    # the framed table of (1001,0), 501,501 entries, is within its budget,
-    # so `group --json` answers there on Lie coordinates too: 1001^2 pairs
-    # (x, w) and 1001 w^inf, past the Lyndon-word budget
+    # `group --json` lists 1001^2 pairs (x, w) and 1001 w^inf at (1001,0),
+    # within MAX_LIE_GENERATORS, though the words are past the Lyndon-word
+    # budget
     argv = ["group", "--m", "1001", "--order", "0", "--flavor", "twisted"]
     code, out, err = run(capsys, *argv, "--json")
     data = json.loads(out)
@@ -706,12 +711,13 @@ def test_table_agrees_with_argparse(argv):
 @pytest.mark.parametrize(
     "argv,estimate",
     [
-        (["group", "--m", "3", "--order", "9", "--flavor", "framed"], "7,178,598 entries"),
-        (["group", "--m", "200", "--order", "1", "--flavor", "framed"], "4,020,000 entries"),
-        (["obstruct", "--m", "100000", "--order", "0", "--flavor", "twisted", "+1*<1,2>"],
-         "5,000,050,000 entries"),
-        (["group", "--m", "1", "--order", "99999", "--flavor", "framed"],
-         "at least 8,436,379 entries"),
+        (["group", "--m", "3", "--order", "11", "--flavor", "framed"], "about 372,540 relation rows"),
+        (["obstruct", "--m", "3", "--order", "12", "--flavor", "twisted",
+          "+1*<((((((1,2),3),1),2),3),1),((((((2,3),1),2),3),1),2)>"], "about 252,252 relation rows"),
+        (["group", "--m", "300", "--order", "1", "--flavor", "framed", "--json"],
+         "13,545,000 generators"),
+        (["obstruct", "--m", "100000", "--order", "1", "--flavor", "twisted", "+1*<(1,2),3>"],
+         "number 4,999,950,000"),
         (["lie", "--m", "100000", "--order", "2"], "number 4,999,950,000"),
         (["lie", "--m", "2", "--order", "1000000"], "number over 2^57"),
         (["arf", "--m", "100000", "--order", "1", "--k", "4"], "number 333,333,333,300,000"),
@@ -724,6 +730,35 @@ def test_budget_refuses_before_building(capsys, argv, estimate):
     assert (code, out) == (1, "")
     assert err.startswith("error[resource-limit]: ") and estimate in err
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv,answer",
+    [
+        pytest.param(["group", "--m", "200", "--order", "1", "--flavor", "framed"], (1313400, 40000),
+                     id="framed-200-1"),
+        pytest.param(["group", "--m", "1", "--order", "99999", "--flavor", "framed"], (0, 0),
+                     id="framed-1-99999"),
+        pytest.param(["obstruct", "--m", "100000", "--order", "0", "--flavor", "twisted", "+1*<1,2>"],
+                     "NONZERO\nwitness: [1,2] 1\n", id="obstruct-twisted-100000-0"),
+        pytest.param(["group", "--m", "3", "--order", "9", "--flavor", "framed"], (1536, 144),
+                     id="framed-3-9"),
+    ],
+)
+def test_cells_past_the_table_budget_answer(capsys, argv, answer):
+    # the framed table refused these cells, over 4,000,000 entries; their
+    # blocks on Lie coordinates are within budget.  A group's rank is
+    # m W(m,n+1) - W(m,n+2) and its torsion m W(m,(n+1)/2) summands Z/2,
+    # and the obstruct forest has one tree, the single term of its block
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < (10.0 if argv[4] == "9" else 1.0)
+    assert (code, err) == (0, "")
+    if argv[0] == "obstruct":
+        assert out == answer
+    else:
+        free, twos = answer
+        assert out == f"Z^{free}" + " + Z/2" * twos + "\n"
 
 
 # ---------------------------------------------------------------------------

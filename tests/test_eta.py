@@ -4,6 +4,7 @@ from typing import NamedTuple
 
 import pytest
 
+from table_oracle import framed_table, table_group
 from test_trees import edges
 
 from forestcalc import eta as eta_module
@@ -42,7 +43,6 @@ from forestcalc.intlinalg import left_kernel, presentation
 from forestcalc.trees import (
     FRAMED,
     canonical_framed,
-    framed_table,
     framed_tree,
     leaf_rootings,
     multiplicity,
@@ -53,7 +53,7 @@ from forestcalc.trees import (
 # ---------------------------------------------------------------------------
 # the table path that the Lie-coordinate path replaced, kept as oracle: eta
 # read off the framed presentation table on the free summands of the
-# tree-indexed TreeGroup
+# tree-indexed table group
 
 
 def _old_eta_images(m: int, n: int, gens):
@@ -118,7 +118,7 @@ def _old_free_rows(m: int, n: int):
     presentation's summands, eta of each free summand as a sparse row over
     the (label, Lyndon word) keys of L_1 (x) L_{n+1}, and their presentation.
     """
-    group = build_group(m, n, "twisted")
+    group = table_group(m, n, "twisted")
     summands = group.snf.summands()
     free = summands[sum(d > 1 for d in group.snf.diag):]
     gens = sorted({g for row in free for g, _ in row})
@@ -303,7 +303,7 @@ def _kernel_coords(kern):
 @lru_cache(maxsize=None)
 def _generator_eta_matrix(m, n):
     """eta over every generator of T_n^inf, as sparse rows over the basis of D_n."""
-    group = build_group(m, n, "twisted")
+    group = table_group(m, n, "twisted")
     kern = bracket_kernel(m, n)
     images = _old_eta_images(m, n, range(len(group.generators)))
     coords = _kernel_coords(kern)
@@ -609,14 +609,14 @@ def test_eta_order_one_in_kernel():
 
 def test_eta_image_always_in_kernel():
     for m, n in [(2, 1), (2, 2), (2, 3), (3, 1)]:
-        g = build_group(m, n, "twisted")
+        g = table_group(m, n, "twisted")
         for gen in g.generators:
             assert bracket_map(eta_tree(m, n, gen)).is_zero
 
 
 def test_eta_twisted_half_rule():
     for m, n in [(1, 2), (2, 2)]:
-        g = build_group(m, n, "twisted")
+        g = table_group(m, n, "twisted")
         for gen in g.generators:
             if gen.kind != "twisted":
                 continue
@@ -634,7 +634,7 @@ def test_eta_order_mismatch():
 def test_relation_rows_map_to_zero():
     for m in (1, 2):
         for n in range(0, 4):
-            g = build_group(m, n, "twisted")
+            g = table_group(m, n, "twisted")
             for rel in g.relations:
                 terms = [(c, g.generators[i]) for i, c in rel]
                 assert eta(make_forest(m, terms), n).is_zero
@@ -647,7 +647,7 @@ def test_table_images_match_eta_tree():
     cells = [(m, n) for m in range(1, 5) for n in range(5)] + [(2, 6), (3, 5), (1, 8)]
     twisted = 0
     for m, n in cells:
-        generators = build_group(m, n, "twisted").generators
+        generators = table_group(m, n, "twisted").generators
         images = list(_old_eta_images(m, n, range(len(generators))))
         assert len(images) == len(generators)
         for gen, image in zip(generators, images):
@@ -773,7 +773,7 @@ def test_mirror_reading_is_sign_of_order():
     checked = 0
     for m in (1, 2, 3):
         for n in range(5):
-            for gen in build_group(m, n, "twisted").generators:
+            for gen in table_group(m, n, "twisted").generators:
                 assert _mirror_eta(m, n, gen) == eta_tree(m, n, gen).scale((-1) ** n)
                 checked += 1
     assert checked == 430

@@ -5,6 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import divisors, mobius
 
+from table_oracle import shape_ids
+
 from forestcalc import freelie
 from forestcalc.errors import NotPrimitiveError, ParameterError, ResourceLimitError
 from forestcalc.freelie import (
@@ -29,7 +31,6 @@ from forestcalc.freelie import (
     tensor_to_lie,
     word_multiplicity,
 )
-from forestcalc.trees import shape_ids, shape_leaves
 
 
 def witt(m, n):
@@ -130,6 +131,60 @@ def test_bracket_antisymmetry_and_jacobi():
         + lie_bracket(c, lie_bracket(a, b))
     )
     assert jac.is_zero
+
+
+def _quasi(x, y, memo):
+    """[x, y] in the quasi-Lie ring, {key: coeff} dicts, a square's
+    coefficient read mod 2."""
+    out = freelie._bracket(x.items(), y.items(), memo)
+    out = {w: c % 2 if freelie.is_square(w) else c for w, c in out.items()}
+    return {w: c for w, c in out.items() if c}
+
+
+def _quasi_sum(*terms):
+    acc = {}
+    for term in terms:
+        for w, c in term.items():
+            acc[w] = acc.get(w, 0) + c
+    return {w: c % 2 if freelie.is_square(w) else c for w, c in acc.items()
+            if (c % 2 if freelie.is_square(w) else c)}
+
+
+def test_quasi_brackets_keep_the_top_squares():
+    # on a quasi memo, brackets keep the squares [P_v, P_v] of the top
+    # degree, mod 2: antisymmetry and Jacobi hold, [x, x] is
+    # sum c_v^2 [P_v, P_v], a square bracketed again is 0, and the part on
+    # Lyndon words is the bracket in L
+    rng = random.Random(3)
+
+    def element(degree):
+        acc = {}
+        for _ in range(rng.randint(1, 3)):
+            shape = _random_labeled(rng, 3, degree)
+            for w, c in freelie.lie_coordinates(shape, {}).items():
+                acc[w] = acc.get(w, 0) + rng.choice((-2, -1, 1, 3)) * c
+        return {w: c for w, c in acc.items() if c}
+
+    squares = 0
+    for _ in range(60):
+        memo = freelie.quasi_memo()
+        x, y, z = (element(rng.randint(1, 3)) for _ in range(3))
+        assert _quasi_sum(_quasi(x, y, memo), _quasi(y, x, memo)) == {}
+        assert _quasi(x, x, memo) == {v + v: 1 for v, c in x.items() if c % 2}
+        jacobi = [_quasi(_quasi(a, b, memo), c, memo) for a, b, c in ((x, y, z), (y, z, x), (z, x, y))]
+        assert _quasi_sum(*jacobi) == {}
+        xy = _quasi(x, y, memo)
+        assert {w: c for w, c in xy.items() if not freelie.is_square(w)} == freelie._bracket(
+            x.items(), y.items(), {})
+        squares += sum(map(freelie.is_square, xy))
+    assert squares  # the Jacobi rewriting met squares
+
+
+def _random_labeled(rng, m, leaves):
+    if leaves == 1:
+        return rng.randint(1, m)
+    left = rng.randint(1, leaves - 1)
+    return _random_labeled(rng, m, left), _random_labeled(rng, m, leaves - left)
 
 
 def test_arithmetic_keeps_class_and_equality_is_type_strict():

@@ -1,23 +1,26 @@
 import hashlib
 import random
+import time
 from math import comb
 
 import pytest
 
+import table_oracle
+from table_oracle import TableGroup, _trees, table_group
 from test_eta import block_counts
 from test_freelie import witt
-from test_trees import edges, join, term
+from test_trees import _scrambled, edges, join, term
 
 from forestcalc import groups, intlinalg
 from forestcalc.errors import ParameterError, ResourceLimitError
 from forestcalc.forest import make_forest, parse_forest
-from forestcalc.groups import TreeGroup, _trees, build_group, content_orbit, content_orbits
-from forestcalc.trees import multiplicity
+from forestcalc.groups import TreeGroup, build_group, content_orbit, content_orbits
+from forestcalc.trees import framed_tree, multiplicity, twisted_tree
 
 
 def enumerate_generators(m, n, flavor, k=None):
-    """Ordered canonical generators of the order-n tree group."""
-    return TreeGroup(m, n, flavor, k).generators
+    """Ordered canonical generators of the order-n tree group on the table."""
+    return TableGroup(m, n, flavor, k).generators
 
 
 def dense_row(pairs, n):
@@ -208,9 +211,11 @@ def test_interior_twist_relation():
 
 
 def test_twisted_ihx_rows_vanish_in_group():
-    g = build_group(2, 4, "twisted")
-    for rel in g.relations:
-        terms = [(c, g.generators[i]) for i, c in rel]
+    # every relation row of the table, twisted IHX among them, is zero in
+    # the normal forms read on Lie coordinates
+    g, table = build_group(2, 4, "twisted"), table_group(2, 4, "twisted")
+    for rel in table.relations:
+        terms = [(c, table.generators[i]) for i, c in rel]
         assert g.is_zero(make_forest(2, terms))
 
 
@@ -303,22 +308,22 @@ def _old_partner(ids, a, w, b, up):
 def _use_old_families(monkeypatch):
     for name in ("_framed_relations", "_boundary_twist_relations",
                  "_interior_twist_relations", "_twisted_ihx_relations"):
-        monkeypatch.setattr(groups, name, globals()["_old" + name])
+        monkeypatch.setattr(table_oracle, name, globals()["_old" + name])
 
 
 def _all_rows(m, n, flavor, k):
-    """The group's relations and the rows of each of its blocks, in order."""
+    """The table group's relations and the rows of each of its blocks, in order."""
     blocks = []
-    rows = TreeGroup._rows
+    rows = TableGroup._rows
 
     def recorded(self, *args):
         blocks.append(rows(self, *args))
         return blocks[-1]
 
-    group = TreeGroup(m, n, flavor, k)
+    group = TableGroup(m, n, flavor, k)
     relations = group.relations
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(TreeGroup, "_rows", recorded)
+        patch.setattr(TableGroup, "_rows", recorded)
         group.invariants()
     return relations, blocks
 
@@ -340,7 +345,7 @@ def test_relations_match_the_tuple_families(m, n, monkeypatch):
 def test_normal_forms_match_the_tuple_families(m, n, flavor, monkeypatch):
     # the unit vector of every generator has the same normal form
     def forms():
-        group = TreeGroup(m, n, flavor)
+        group = TableGroup(m, n, flavor)
         return [group.reduce_forest(make_forest(m, [(1, g)])).coords for g in group.generators]
 
     new = forms()
@@ -372,7 +377,7 @@ def test_k_columns_match_tree_multiplicities(m, n):
         trees = _trees(m, n, flavor)
         # k = 8 is past every count of order 5, 7 leaves
         for k in (1, 2, 3, 8):
-            assert TreeGroup(m, n, flavor, k)._columns == _old_columns(trees, k)
+            assert TableGroup(m, n, flavor, k)._columns == _old_columns(trees, k)
 
 
 def test_mod2_reduction_coords():
@@ -386,7 +391,7 @@ def test_bad_parameters():
     with pytest.raises(ParameterError):
         build_group(0, 1, "framed")
     with pytest.raises(ParameterError):
-        enumerate_generators(2, 1, "fancy")
+        build_group(2, 1, "fancy")
 
 
 @pytest.mark.parametrize(
@@ -408,7 +413,7 @@ def test_bad_parameters():
 def test_relation_rows_pinned(m, n, flavor, k, count, digest):
     # every relation family is exercised at these cells; the digests are of
     # the dense rows in their sorted order
-    rows = sorted(dense_relations(build_group(m, n, flavor, k)))
+    rows = sorted(dense_relations(table_group(m, n, flavor, k)))
     assert len(rows) == count
     assert hashlib.sha256(repr(rows).encode()).hexdigest()[:16] == digest
 
@@ -429,7 +434,7 @@ def test_large_twisted_rows_pinned():
     # twisted IHX partners regrafted two vertices below the root, with two
     # labels; the dense rows are too large to pin here, so the sparse ones
     # are, in the order of the dense ones
-    g = TreeGroup(2, 8, "twisted")
+    g = TableGroup(2, 8, "twisted")
     gens = [(t.kind, t.data, t.torsion) for t in g.generators]
     assert (len(gens), len(g.relations)) == (2430, 10198)
     assert hashlib.sha256(repr(gens).encode()).hexdigest()[:16] == "9f236dce2b376dad"
@@ -458,13 +463,16 @@ def _whole_matrix_invariants(group):
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_block_invariants_match_the_whole_matrix(m):
     # one block per S_m-orbit of contents, its factors repeated by the
-    # orbit's size, gives the invariants of every relation row; the k bound
-    # keeps the blocks whose label counts are all at most k
+    # orbit's size, gives the invariants of every relation row of the table,
+    # on Lie coordinates and on the table's own blocks; the k bound keeps
+    # the blocks whose label counts are all at most k
     for n in range(6):
         for flavor in ("framed", "twisted"):
             for k in (None, 1, 2, 3):
-                group = TreeGroup(m, n, flavor, k)
-                assert group.invariants() == _whole_matrix_invariants(group), (n, flavor, k)
+                table = table_group(m, n, flavor, k)
+                whole = _whole_matrix_invariants(table)
+                assert TreeGroup(m, n, flavor, k).invariants() == table.invariants() == whole, (
+                    n, flavor, k)
 
 
 @pytest.mark.parametrize("m, n, flavor", [(4, 3, "framed"), (5, 2, "twisted"), (2, 7, "framed"),
@@ -474,16 +482,18 @@ def test_large_block_invariants_match_the_whole_matrix(m, n, flavor):
     # past m = n + 2 some trees carry labels that no representative content
     # holds, which the content code must keep out of every block, for each k
     for k in (None, 1, 2) if m > n + 2 else (None,):
-        group = TreeGroup(m, n, flavor, k)
-        assert group.invariants() == _whole_matrix_invariants(group), k
+        table = TableGroup(m, n, flavor, k)
+        whole = _whole_matrix_invariants(table)
+        assert TreeGroup(m, n, flavor, k).invariants() == table.invariants() == whole, k
 
 
 @pytest.mark.parametrize("m, top", [(1, 5), (2, 5), (3, 5), (5, 2), (3, 6)])
 def test_twisted_blocks_meet_the_witt_and_cst_counts(m, top):
-    # each representative block of the twisted T_n^inf meets the Witt and
-    # CST counts of its content; every representative content has trees
+    # each representative block of the twisted T_n^inf on the table meets
+    # the Witt and CST counts of its content; every representative content
+    # has trees
     for n in range(top + 1):
-        blocks = list(TreeGroup(m, n, "twisted")._blocks())
+        blocks = list(TableGroup(m, n, "twisted")._blocks())
         assert [(c, s) for c, s, *_ in blocks] == list(content_orbits(m, n + 2))
         for content, _, width, snf in blocks:
             rank, torsion = block_counts(m, n, content)
@@ -492,10 +502,36 @@ def test_twisted_blocks_meet_the_witt_and_cst_counts(m, top):
 
 
 def test_invariants_eliminate_blocks_and_normal_forms_the_whole_matrix(monkeypatch):
-    # invariants() eliminates each representative block once, then the
-    # diagonal of their torsion to merge it, and never builds the whole
-    # matrix; normal forms eliminate the whole matrix once.  The blocks are
-    # built once per process, for eta too, so their cache starts empty
+    # on the table, invariants() eliminates each representative block once,
+    # then the diagonal of their torsion to merge it, and never builds the
+    # whole matrix; its normal forms eliminate the whole matrix once
+    runs = []
+    unit_pivots = intlinalg._unit_pivots
+
+    def counted(rows):
+        runs.append(len(rows))
+        return unit_pivots(rows)
+
+    monkeypatch.setattr(intlinalg, "_unit_pivots", counted)
+    g = TableGroup(3, 2, "twisted")
+    free, torsion = g.invariants()
+    assert (free, torsion) == (6, [2, 2, 2])
+    *blocks, merge = runs
+    assert len(blocks) == len(list(content_orbits(3, 4))) and merge == len(torsion)
+    assert "relations" not in vars(g)
+    g.reduce_forest(make_forest(3, [(1, g.generators[0])]))
+    g.reduce_forest(make_forest(3, [(1, g.generators[-1])]))
+    assert runs[len(blocks) + 1:] == [len(g.relations)] and max(blocks) < len(g.relations)
+    assert (free, torsion) == _whole_matrix_invariants(g)
+
+
+def test_lie_group_eliminates_each_block_once(monkeypatch):
+    # on Lie coordinates, invariants() eliminates each representative block
+    # once, and their torsion, Z/2s only, is one chain without a merge;
+    # normal forms reduce with the blocks already built, and a forest of no
+    # order-n term builds none.
+    # The blocks are built once per process, for eta too, so their cache
+    # starts empty
     runs = []
     unit_pivots = intlinalg._unit_pivots
 
@@ -506,17 +542,15 @@ def test_invariants_eliminate_blocks_and_normal_forms_the_whole_matrix(monkeypat
     monkeypatch.setattr(intlinalg, "_unit_pivots", counted)
     groups.lie_block.cache_clear()
     g = TreeGroup(3, 2, "twisted")
+    assert g.is_zero(parse_forest("+1*<1,2>", 3)) and g.relations == []
     free, torsion = g.invariants()
     assert (free, torsion) == (6, [2, 2, 2])
     assert g.invariants_str() == "Z^6 + Z/2 + Z/2 + Z/2"
     assert g.invariants() == (free, torsion)
-    *blocks, merge = runs
-    assert len(blocks) == len(list(content_orbits(3, 4))) and merge == len(torsion)
-    assert "relations" not in vars(g)
-    g.reduce_forest(make_forest(3, [(1, g.generators[0])]))
-    g.reduce_forest(make_forest(3, [(1, g.generators[-1])]))
-    assert runs[len(blocks) + 1:] == [len(g.relations)] and max(blocks) < len(g.relations)
-    assert (free, torsion) == _whole_matrix_invariants(g)
+    assert len(runs) == len(list(content_orbits(3, 4))) and len(g.relations) == sum(runs)
+    for tree in table_group(3, 2, "twisted").generators:
+        g.reduce_forest(make_forest(3, [(1, tree)]))
+    assert len(runs) == len(list(content_orbits(3, 4)))
 
 
 @pytest.mark.parametrize("m, n", [(2, 7), (3, 5), (4, 4)])
@@ -569,12 +603,15 @@ def _random_vectors(rng, group, count):
 
 
 def _check_against_dense_normal_form(m, n, flavor, k, seed):
-    group = build_group(m, n, flavor, k)
+    # forests of the table's trees: their normal forms on Lie coordinates
+    # are zero, and equal, exactly where the dense Smith form of the
+    # table's whole relation matrix makes them so
+    table = table_group(m, n, flavor, k)
     rng = random.Random(seed)
-    vectors = _random_vectors(rng, group, 40)
-    forests = [make_forest(m, [(c, g) for c, g in zip(x, group.generators) if c]) for x in vectors]
-    new = [group.reduce_forest(f) for f in forests]
-    old = _dense_normal_forms(group, vectors)
+    vectors = _random_vectors(rng, table, 40)
+    forests = [make_forest(m, [(c, g) for c, g in zip(x, table.generators) if c]) for x in vectors]
+    new = [build_group(m, n, flavor, k).reduce_forest(f) for f in forests]
+    old = _dense_normal_forms(table, vectors)
     assert [e.is_zero for e in new] == [not any(c) for c in old]
     for i in range(len(new)):
         for j in range(i):
@@ -594,18 +631,22 @@ def test_large_normal_forms_match_dense_smith_form(m, n, flavor):
     _check_against_dense_normal_form(m, n, flavor, None, seed=7)
 
 
+# every cell of framed odd order up to (2,11), (3,7) and (4,5)
+FRAMED_ODD_CELLS = [(m, n) for m, top in ((1, 11), (2, 11), (3, 7), (4, 5)) for n in range(1, top + 1, 2)]
+
+
 def test_framed_torsion_count():
     # At odd n = 2k-1 the framed T_n has exactly m*W(m,k) summands Z/2 and
-    # at even n none, W the Witt number.  This is what Levine's conjecture
+    # at even n none, W the Witt number, and at odd n its rank is that of
+    # the bracket kernel, m W(m,n+1) - W(m,n+2): Levine's conjecture
     # (T_n = D'_n, proved by Conant-Schneiderman-Teichner) together with
-    # L'_2k = L_2k + Z/2 (x) L_k predicts; the reading has not yet been
-    # checked against the two papers' statements, so the count is pinned
-    # as a regression of the current groups.
-    odd = [(m, 1) for m in (1, 2, 3)] + [(m, n) for n in (3, 5) for m in (1, 2, 3, 4)]
-    odd += [(1, 7), (2, 7), (1, 9)]
-    for m, n in odd:
-        _, torsion = build_group(m, n, "framed").invariants()
-        assert torsion == [2] * (m * witt(m, (n + 1) // 2))
+    # L'_2k = L_2k + Z/2 (x) L_k, one Z/2 per generator (x, [v,v]).  The
+    # Witt numbers are sympy's Moebius sums, at every framed odd cell up to
+    # (2,11), (3,7) and (4,5).
+    for m, n in FRAMED_ODD_CELLS:
+        assert build_group(m, n, "framed").invariants() == (
+            m * witt(m, n + 1) - witt(m, n + 2), [2] * (m * witt(m, (n + 1) // 2))), (m, n)
+    assert build_group(4, 5, "framed").invariants_str() == "Z^340" + " + Z/2" * 80
     for m, n in [(2, 4), (3, 4), (2, 6), (1, 8)]:
         assert build_group(m, n, "framed").invariants()[1] == []
 
@@ -643,26 +684,124 @@ def _block_invariants(blocks):
     return out
 
 
-# every cell on Lie coordinates whose table blocks take about a second or
-# less, by m, and (2,10) twisted, about 3.5 s on the table
+# every cell whose table blocks take about a second or less, by m, and
+# (2,10) twisted, about 3.5 s on the table
 LIE_ORACLE_ORDERS = {1: range(12), 2: range(11), 3: range(8), 4: range(7)}
 
 
 @pytest.mark.parametrize("m", sorted(LIE_ORACLE_ORDERS))
 def test_lie_blocks_match_the_table_blocks(m):
     # each representative content's Lie-coordinate block presents the same
-    # group as its block of table rows: twisted at every order and framed
-    # at even order, for every k; `_block_width`, the fine-graded Witt
-    # count the budget reads, is each Lie block's generator count
+    # group as its block of table rows, for both flavors at every order,
+    # framed odd order with its generators (x, [v,v]) included, and for
+    # every k; `_block_width`, the fine-graded Witt count the budget reads,
+    # is each Lie block's generator count
     for n in LIE_ORACLE_ORDERS[m]:
-        flavors = ("twisted", "framed") if n % 2 == 0 and (m, n) != (2, 10) else ("twisted",)
-        for flavor in flavors:
+        for flavor in ("twisted",) if (m, n) == (2, 10) else ("twisted", "framed"):
             for k in (None, 1, 2, 3):
-                group = TreeGroup(m, n, flavor, k)
-                lie = list(group._lie_blocks())
-                assert _block_invariants(lie) == _block_invariants(group._blocks()), (n, flavor, k)
+                lie = list(TreeGroup(m, n, flavor, k)._lie_blocks())
+                table = TableGroup(m, n, flavor, k)._blocks()
+                assert _block_invariants(lie) == _block_invariants(table), (n, flavor, k)
                 for content, _, width, _ in lie:
                     assert width == groups._block_width(n, flavor, content)
+
+
+def test_framed_and_twisted_blocks_are_one_where_they_agree():
+    # at even n a content that is not twice a half has no twisted
+    # generator, so both flavors read one block; one that is has its own
+    single, double = (1, 1, 1, 2, 2, 3, 3, 4), (1, 1, 2, 2, 3, 3, 4, 4)
+    assert groups.lie_block(4, 6, "framed", single) is groups.lie_block(4, 6, "twisted", single)
+    assert groups.lie_block(4, 6, "framed", double) is not groups.lie_block(4, 6, "twisted", double)
+    assert groups.lie_block(2, 5, "framed", (1,) * 4 + (2,) * 3) is not groups.lie_block(
+        2, 5, "twisted", (1,) * 4 + (2,) * 3)
+
+
+# every cell whose whole table presentation takes about a second or less
+TABLE_CELLS = [(m, n) for m, top in ((1, 9), (2, 7), (3, 5), (4, 4), (5, 2)) for n in range(top + 1)]
+
+
+def _random_forests(rng, table, count):
+    """Forests of the table's trees, each written at a random edge with
+    random AS swaps: random draws, sums of relation rows (zero), draws
+    plus such sums, and doubled draws."""
+    forests = []
+    for x in _random_vectors(rng, table, count):
+        terms = []
+        for c, tree in zip(x, table.generators):
+            if c and tree.kind == "framed":
+                a, b = _scrambled(rng, *tree.data)
+                tree, sign = framed_tree(a, b)
+                c *= sign
+            if c:
+                terms.append((c, tree))
+        forests.append(make_forest(table.m, terms))
+    return forests
+
+
+@pytest.mark.parametrize("m, n", TABLE_CELLS)
+def test_obstruct_verdicts_match_the_table(m, n):
+    # on random forests, both flavors and every k, a forest is zero on Lie
+    # coordinates exactly where the table's normal form says zero
+    rng = random.Random(100 * m + n)
+    for flavor in ("framed", "twisted"):
+        for k in (None, 1, 2, 3):
+            table = table_group(m, n, flavor, k)
+            if not table.generators:
+                continue
+            group = build_group(m, n, flavor, k)
+            for forest in _random_forests(rng, table, 24):
+                assert group.is_zero(forest) == table.is_zero(forest), (flavor, k, str(forest))
+
+
+def _relabeled(forest, labels):
+    """The forest with each label x read as labels[x - 1]."""
+    def shape(s):
+        return labels[s - 1] if isinstance(s, int) else (shape(s[0]), shape(s[1]))
+
+    terms = []
+    for c, tree in forest.terms:
+        if tree.kind == "framed":
+            tree, sign = framed_tree(*map(shape, tree.data))
+            terms.append((c * sign, tree))
+        else:
+            terms.append((c, twisted_tree(shape(tree.data))))
+    return make_forest(forest.m, terms)
+
+
+@pytest.mark.parametrize("m, n", [(3, 2), (3, 3), (4, 2), (2, 6), (4, 4)])
+def test_witness_is_invariant_under_relabeling(m, n):
+    # the witness lists each nonzero part's least coordinates over the
+    # relabelings onto its representative, so a label permutation of the
+    # forest leaves it as it is, while the normal form follows the labels
+    rng = random.Random(10 * m + n)
+    for flavor in ("framed", "twisted"):
+        group, table = build_group(m, n, flavor), table_group(m, n, flavor)
+        for forest in _random_forests(rng, table, 16):
+            witness = group.witness(forest)
+            assert (witness == []) == group.is_zero(forest)
+            for _ in range(3):
+                labels = rng.sample(range(1, m + 1), m)
+                assert group.witness(_relabeled(forest, labels)) == witness, str(forest)
+
+
+@pytest.mark.parametrize("m, n, forest", [
+    (5, 6, "+1*<(((1,2),3),4),(((5,1),2),3)> + -2*(((1,2),4),5)^inf"),
+    (2, 11, "+1*<((((((1,2),1),1),1),1),(1,2)),(((1,2),2),(1,2))>"),
+])
+def test_obstruct_builds_only_the_blocks_it_touches(m, n, forest):
+    # a normal form builds the block of each representative its forest
+    # touches, and no other; a forest with no term of the cell's order
+    # builds none
+    groups.lie_block.cache_clear()
+    start = time.perf_counter()
+    group = TreeGroup(m, n, "twisted")
+    assert group.is_zero(parse_forest("+1*<(1,2),(1,2)>", m))
+    assert groups.lie_block.cache_info().currsize == 0
+    element = group.reduce_forest(parse_forest(forest, m))
+    assert time.perf_counter() - start < 1.0
+    assert not element.is_zero
+    touched = {groups._representative(content)[0] for content, _ in element.coords}
+    assert groups.lie_block.cache_info().currsize == len(touched) == forest.count("*")
 
 
 def test_build_group_keeps_one_group_per_cell():
@@ -673,19 +812,21 @@ def test_build_group_keeps_one_group_per_cell():
 
 
 def test_lie_generators_parse_back():
-    # on Lie coordinates `group --json` lists <x,std(w)>, std(w)^inf and
-    # (std(v),std(v))^inf as written: each parses back as a forest of one
+    # `group --json` lists <x,std(w)>, at framed odd order
+    # <x,(std(v),std(v))>, std(w)^inf and (std(v),std(v))^inf as written: each parses back as a forest of one
     # tree of the cell, and the k bound keeps the generators whose labels
     # repeat at most k times, J^inf counting J's twice
     for m, n, flavor, k in [(3, 6, "twisted", None), (2, 4, "framed", None), (2, 2, "twisted", 3),
-                            (3, 3, "twisted", None), (1, 0, "twisted", None), (2, 6, "twisted", 4)]:
+                            (3, 3, "twisted", None), (1, 0, "twisted", None), (2, 6, "twisted", 4),
+                            (3, 3, "framed", None), (3, 5, "framed", 2), (1, 1, "framed", None)]:
         texts = TreeGroup(m, n, flavor, k).generator_texts()
-        pairs, twists = groups.lie_generators(m, n, flavor, k)
-        assert len(texts) == len(pairs) + sum(map(len, twists)) == len(set(texts))
+        pairs, twisted = groups.lie_generators(m, n, flavor, k)
+        assert len(texts) == len(pairs) + len(twisted) == len(set(texts))
         if k is None:
             degrees = [n // 2 + 1] if flavor == "twisted" and n % 2 == 0 else []
             degrees += [(n + 2) // 4] if degrees and n % 4 == 2 else []
-            assert len(texts) == m * witt(m, n + 1) + sum(witt(m, d) for d in degrees)
+            squares = m * witt(m, (n + 1) // 2) if flavor == "framed" and n % 2 else 0
+            assert len(texts) == m * witt(m, n + 1) + squares + sum(witt(m, d) for d in degrees)
         for text in texts:
             (coeff, tree), = parse_forest("1*" + text, m).terms
             assert abs(coeff) == 1 and tree.order * (1 + (tree.kind == "twisted")) == n
@@ -702,7 +843,13 @@ def test_lie_budget_refuses_before_building():
         build_group(2, 17, "twisted").invariants()
     assert groups.lie_block.cache_info().currsize == 0
     assert groups.lie_blocks(3, 12, "twisted", 4) == []  # no content of 14 labels counts <= 4
-    # the --json listing is refused only past twice the table's budget:
-    # 3000^2 pairs (x, w) at order 0, whose framed table is refused too
+    # framed odd order counts its generators (x, [v,v]) too
+    with pytest.raises(ResourceLimitError, match="about 372,540 relation rows"):
+        groups.lie_blocks(3, 11, "framed")
+    assert groups.lie_block.cache_info().currsize == 0
+    # the --json listing is refused past MAX_LIE_GENERATORS: 3000^2 pairs
+    # (x, w) at order 0, and 300 W(300,2) + 300^2 at framed order 1
     with pytest.raises(ResourceLimitError, match="9,000,000 generators"):
         groups.lie_generators(3000, 0, "twisted")
+    with pytest.raises(ResourceLimitError, match="13,545,000 generators"):
+        groups.lie_generators(300, 1, "framed")

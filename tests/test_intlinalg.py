@@ -7,6 +7,7 @@ from sympy import ZZ, Matrix
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.matrices.normalforms import smith_normal_form as sympy_domain_snf
 
+from table_oracle import table_group
 from test_groups import (
     _old_smith_normal_form,
     dense_relations,
@@ -120,7 +121,7 @@ TREE_GROUP_CELLS = (
 
 
 def _relation_matrix(m, n, flavor):
-    return [list(r) for r in sorted(dense_relations(build_group(m, n, flavor)))]
+    return [list(r) for r in sorted(dense_relations(table_group(m, n, flavor)))]
 
 
 def _sparse_relation_like(rng, rows, cols):
@@ -137,14 +138,14 @@ def _sparse_relation_like(rng, rows, cols):
 
 def test_tree_group_invariants_against_sympy():
     for m, n, flavor in TREE_GROUP_CELLS:
-        group = build_group(m, n, flavor)
+        group = table_group(m, n, flavor)
         rows = _relation_matrix(m, n, flavor)
         shape = (len(rows), len(group.generators))
         snf = sympy_domain_snf(DomainMatrix([[ZZ(x) for x in r] for r in rows], shape, ZZ))
         snf = snf.to_Matrix()
         diag = [abs(int(snf[i, i])) for i in range(min(shape)) if snf[i, i]]
         free = len(group.generators) - len(diag)
-        assert group.invariants() == (free, sorted(d for d in diag if d > 1))
+        assert build_group(m, n, flavor).invariants() == (free, sorted(d for d in diag if d > 1))
 
 
 def _sympy_invariants(matrix):
@@ -314,7 +315,7 @@ def _residual(rows):
 def _residuals():
     """(rows, columns) of the unit-pivot residuals of the cells with the
     largest residual blocks, and of the seed-23 relation-like draws."""
-    rows = [build_group(3, 6, "twisted").relations, build_group(4, 5, "framed").relations]
+    rows = [table_group(3, 6, "twisted").relations, table_group(4, 5, "framed").relations]
     rng = random.Random(23)
     rows += [_sparse(_sparse_relation_like(rng, rng.randint(1, 30), rng.randint(1, 30)))
              for _ in range(60)]
@@ -508,13 +509,13 @@ def test_presentation_matches_old_smith_over_all_survivors(m, n, flavor):
     # agreement on the survivors' unit vectors carries to every generator's;
     # every survivor is taken, and every (width // 200)-th generator, so a
     # cell of fewer than 400 generators is taken whole
-    group = build_group(m, n, flavor)
+    group = table_group(m, n, flavor)
     width = len(group.generators)
     new, old = group.snf, _old_presentation(group.relations, width)
     assert new.pivots == old.pivots
     assert new.diag == old.diag
     factors = _old_invariant_factors(group.relations)
-    assert group.invariants() == (width - len(factors), [d for d in factors if d > 1])
+    assert build_group(m, n, flavor).invariants() == (width - len(factors), [d for d in factors if d > 1])
     cut = len(new.diag)
     new_free, old_free = [], []
     for g in sorted(set(old.survivors).union(range(0, width, max(1, width // 200)))):

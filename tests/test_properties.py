@@ -4,15 +4,16 @@ import pickle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from test_groups import sparse_row
+from table_oracle import framed_generators, twisted_generators
 
+from forestcalc import groups
 from forestcalc.eta import eta
 from forestcalc.forest import forest_add, make_forest, parse_forest
 from forestcalc.freelie import LieElement, bracket_kernel, shape_to_lie, tensor_of
 from forestcalc.groups import GroupElement, build_group
 from forestcalc.magnus import milnor_from_longitudes, parse_longitudes
 from forestcalc.rewrite import monoize_forest
-from forestcalc.trees import framed_generators, tree_stats, twisted_generators
+from forestcalc.trees import tree_stats
 
 
 def _forests(m, order):
@@ -38,23 +39,21 @@ def test_eta_additive(f, g):
 @settings(max_examples=60, deadline=None)
 @given(_forests(2, 1), _forests(2, 1))
 def test_group_reduction_additive(f, g):
-    grp = build_group(2, 1, "twisted")
-    lhs = grp.reduce_forest(forest_add(f, g))
-    vec = [
-        a + b
-        for a, b in zip(
-            _raw_coords(grp, f),
-            _raw_coords(grp, g),
-        )
-    ]
-    assert lhs == GroupElement(grp, grp.snf.reduce(sparse_row(vec)))
-
-
-def _raw_coords(grp, forest):
-    coords = [0] * len(grp.generators)
-    for c, t in forest.terms:
-        coords[grp.index[t]] += c
-    return coords
+    # f + g reduces to the sum of f's and g's coordinates, block by block,
+    # modulo each block's torsion
+    grp = build_group(2, 1, "framed")
+    parts = {}
+    for element in (grp.reduce_forest(f), grp.reduce_forest(g)):
+        for content, coords in element.coords:
+            old = parts.get(content, (0,) * len(coords))
+            parts[content] = tuple(a + b for a, b in zip(old, coords))
+    expected = []
+    for content, coords in sorted(parts.items()):
+        diag = grp._block(groups._representative(content)[0])[0].diag
+        coords = tuple([c % d for c, d in zip(coords, diag)] + list(coords[len(diag):]))
+        if any(coords):
+            expected.append((content, coords))
+    assert grp.reduce_forest(forest_add(f, g)) == GroupElement(grp, tuple(expected))
 
 
 def test_value_types_survive_copy_and_pickle():

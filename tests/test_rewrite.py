@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from table_oracle import framed_generators, twisted_generators
+
 from forestcalc.errors import DomainError, HypothesisViolationError
 from forestcalc.forest import make_forest, parse_forest
 from forestcalc.rewrite import (
@@ -10,13 +12,7 @@ from forestcalc.rewrite import (
     collapse_twisted_edge,
     monoize_forest,
 )
-from forestcalc.trees import (
-    framed_generators,
-    framed_tree,
-    tree_stats,
-    twisted_generators,
-    twisted_tree,
-)
+from forestcalc.trees import framed_tree, tree_stats, twisted_tree
 
 
 def test_framed_collapse_outermost():

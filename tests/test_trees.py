@@ -6,27 +6,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from table_oracle import (
+    MAX_TABLE_ENTRIES,
+    _shape_counts,
+    framed_generators,
+    framed_table,
+    shape_ids,
+    twisted_generators,
+)
+
 from forestcalc import rewrite
 from forestcalc.errors import DomainError, ParameterError, ResourceLimitError
 from forestcalc.forest import MAX_NESTING
 from forestcalc.trees import (
     FRAMED,
-    MAX_TABLE_ENTRIES,
     ROOTED,
     DecoratedTree,
     _canon,
-    _shape_counts,
     canonical_framed,
     canonical_rooted,
-    framed_generators,
-    framed_table,
     framed_tree,
     multiplicity,
     presentations,
     rooted_tree,
-    shape_ids,
     tree_stats,
-    twisted_generators,
     twisted_tree,
 )
 
