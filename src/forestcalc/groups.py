@@ -25,10 +25,11 @@ oracle the tests keep, where an onto map between groups with the same
 invariants is an isomorphism, and past the table's reach the rank with
 m W(m,n+1) - W(m,n+2) and the torsion with m W(m,(n+1)/2) summands Z/2 at
 framed odd n and CST's Z/2 (x) L_{(n+2)/4} at twisted n = 2 mod 4.
-`group --json` lists this generating set (`TreeGroup.generator_texts`).
-Each block is built once per process (`lie_block`), for `group`, normal
-forms and eta alike, and a cell whose blocks would make more than
-MAX_LIE_ROWS rows is refused before any is built.
+These four families are stated once (`_families`) for every block, count
+and listing; `group --json` lists them (`TreeGroup.generator_texts`).  Each
+block is built once per process (`lie_block`), for `group`, normal forms
+and eta alike, and a cell whose blocks would make more than MAX_LIE_ROWS
+rows is refused before any is built.
 
 A normal form reads each tree into the block of its content
 (`TreeGroup.reduce_forest`): a framed tree <A, B> at the first leaf y of A,
@@ -149,7 +150,6 @@ class TreeGroup:
         self.flavor = flavor
         self.k = k
         self._built = {}  # representative -> (block, `Presentation`) read so far
-        self._index = {}  # representative -> {generator key: generator number}
         self._readings = {}  # canonical tree -> (content, representative, {generator: coeff})
         # a framed reading at odd n, or a J at n = 2 mod 4, has squares in L'
         squares = n % 2 if flavor == FLAVOR_FRAMED else n % 4 == 2
@@ -185,23 +185,16 @@ class TreeGroup:
         return [f"<{x},{text[w]}>" for x, w in pairs] + [f"{text[w]}^inf" for w in twisted]
 
     def _block(self, content):
-        """(`Presentation`, index) of the block of a representative content,
-        built when first read, where index numbers the generators by their
-        keys: (x, w) for <x, std(w)> and w for the J^inf of
-        `TwistedBlock.twisted`.  A block of more than MAX_LIE_ROWS rows is
-        refused before it is built."""
-        index = self._index.get(content)
-        if index is None:
-            rows = (self.n + 1) * _block_width(self.n, self.flavor, content)
-            if rows > MAX_LIE_ROWS:
-                raise ResourceLimitError(
-                    f"the Lie-coordinate block of content {content} at {self.flavor} order"
-                    f" {self.n} makes about {rows:,} relation rows, over the budget of"
-                    f" {MAX_LIE_ROWS:,}"
-                )
-            block, _ = self._built[content] = lie_block(self.m, self.n, self.flavor, content)
-            index = self._index[content] = {key: g for g, key in enumerate(block.framed + block.twisted)}
-        return self._built[content][1], index
+        """(`Presentation`, `TwistedBlock.index`) of the block of a
+        representative content, built when first read; a block of more than
+        MAX_LIE_ROWS rows is refused before it is built."""
+        if content not in self._built:
+            _refuse_rows((self.n + 1) * _block_width(self.n, self.flavor, content),
+                         f"the Lie-coordinate block of content {content} at {self.flavor} order {self.n}"
+                         " makes")
+            self._built[content] = lie_block(self.m, self.n, self.flavor, content)
+        block, snf = self._built[content]
+        return snf, block.index
 
     def _read(self, tree: DecoratedTree, representative, labels) -> dict:
         """{generator: coeff} of a selected tree, relabeled x -> labels[x - 1],
@@ -388,14 +381,16 @@ def _word_shape(word):
 class TwistedBlock(NamedTuple):
     """The block of one content of a tree group on Lie coordinates.
 
-    Generators, numbered in this order: (x, w) for each pair in `framed`, a
-    label x and a basis key w of L'_{n+1}, a Lyndon word or, at framed odd
-    n, a square vv (`freelie.quasi_memo`), whose letters and x make up
-    `content`, then J^inf for each key in `twisted`: a Lyndon word w of
-    degree n/2 + 1 for w^inf, then a square vv for (v,v)^inf.  `relations`
-    are sparse rows ((generator, coeff), ...) over them.  `images` holds eta
-    of each generator as a {column: coeff} row whose keys (label, Lyndon
-    word) are numbered as the generators (x, w) are.
+    Generators, numbered in this order, one run per family of `_families`:
+    (x, w) for each pair in `framed`, a label x and a basis key w of
+    L'_{n+1}, a Lyndon word or, at framed odd n, a square vv
+    (`freelie.quasi_memo`), whose letters and x make up `content`, then
+    J^inf for each key in `twisted`: a Lyndon word w of degree n/2 + 1 for
+    w^inf, then a square vv for (v,v)^inf.  `index` numbers the generators
+    by these keys, (x, w) and w.  `relations` are sparse rows
+    ((generator, coeff), ...) over them.  `images` holds eta of each
+    generator as a {column: coeff} row whose keys (label, Lyndon word) are
+    numbered as the generators (x, w) are.
     """
 
     m: int
@@ -404,6 +399,7 @@ class TwistedBlock(NamedTuple):
     twisted: tuple
     relations: tuple
     images: tuple
+    index: dict
 
     def forest(self, row, labels):
         """The forest of a sparse row ((generator, coeff), ...), each label x
@@ -424,24 +420,28 @@ def twisted_block(m: int, n: int, content: tuple, flavor=FLAVOR_TWISTED) -> Twis
     """The block of a content of the twisted T_n^inf or the framed T_n, and
     eta on it.
 
-    The rows (see the module docstring) are, for each generator (x, w), the
-    generator minus the reading of <x, std(w)> at each other leaf, and for
-    a square w also 2 (x, w), then, twisted only, 2 w^inf minus each
-    reading of <std(w), std(w)>, then 2 (v,v)^inf, deduplicated up to sign.
-    eta comes with the readings: eta(x, w) is the sum of every reading of
-    <x, std(w)>, and eta(w^inf) half that of <std(w), std(w)>, whose two
-    halves read alike, so the sum of one half's readings; eta((v,v)^inf) = 0.
+    The generators are those of `_families` whose words are made of the
+    content's own labels.  The rows (see the module docstring) are, for
+    each generator (x, w), the generator minus the reading of <x, std(w)>
+    at each other leaf, and for a square w also 2 (x, w), then, twisted
+    only, 2 w^inf minus each reading of <std(w), std(w)>, then 2 (v,v)^inf,
+    deduplicated up to sign.  eta comes with the readings: eta(x, w) is the
+    sum of every reading of <x, std(w)>, and eta(w^inf) half that of
+    <std(w), std(w)>, whose two halves read alike, so the sum of one half's
+    readings; eta((v,v)^inf) = 0.
     """
-    squares = flavor == FLAVOR_FRAMED and n % 2
-    memo = quasi_memo() if squares else {}  # basis-pair brackets, as for `lie_bracket`
+    # basis-pair brackets, as for `lie_bracket`
+    memo = quasi_memo() if flavor == FLAVOR_FRAMED and n % 2 else {}
     rests = [(x, content[:i] + content[i + 1:]) for x in sorted(set(content)) for i in [content.index(x)]]
-    framed = [(x, w) for x, rest in rests for w in lyndon_by_content(m, n + 1).get(rest, ())]
-    if squares:
-        framed += [(x, v + v) for x, rest in rests if tuple(sorted(rest[::2] * 2)) == rest
-                   for v in lyndon_by_content(m, (n + 1) // 2).get(rest[::2], ())]
-    column = {}  # label -> {basis key: generator}
-    for g, (x, w) in enumerate(framed):
-        column.setdefault(x, {})[w] = g
+    framed, twisted = [], []
+    for degree, times, labeled in _families(n, flavor):
+        words = lyndon_by_content(content[-1], degree)
+        if labeled:
+            framed += [(x, w * times) for x, rest in rests if tuple(sorted(rest[::times] * times)) == rest
+                       for w in words.get(rest[::times], ())]
+        elif tuple(sorted(content[::times] * times)) == content:
+            twisted += [w * (times // 2) for w in words.get(content[::times], ())]
+    index = {key: g for g, key in enumerate(framed + twisted)}
     rows = {}  # each sparse row, its first entry positive, in the order made
 
     def read(g, scale, readings):
@@ -452,7 +452,7 @@ def twisted_block(m: int, n: int, content: tuple, flavor=FLAVOR_TWISTED) -> Twis
             row = {g: scale}
             for u, c in b.items():
                 if c:
-                    j = column[y][u]
+                    j = index[y, u]
                     image[j] = image.get(j, 0) + c
                     row[j] = row.get(j, 0) - c
             if not row[g]:
@@ -469,20 +469,15 @@ def twisted_block(m: int, n: int, content: tuple, flavor=FLAVOR_TWISTED) -> Twis
         images.append(image)
         if is_square(w):
             rows[((g, 2),)] = None
-    half, quarter, twisted = content[::2], content[::4], []
-    twists = flavor == FLAVOR_TWISTED
-    if twists and n % 2 == 0 and tuple(sorted(half * 2)) == content:
-        for w in lyndon_by_content(m, n // 2 + 1).get(half, ()):
-            # <w, w> read at each leaf of one half; the other half reads alike
-            images.append(read(len(images), 2, leaf_readings(w, {w: 1}, memo)))
-            twisted.append(w)
-    if twists and n % 4 == 2 and tuple(sorted(quarter * 4)) == content:
-        for v in lyndon_by_content(m, (n + 2) // 4).get(quarter, ()):
-            rows[((len(images), 2),)] = None
+    for g, w in enumerate(twisted, len(framed)):
+        if is_square(w):
+            rows[((g, 2),)] = None
             images.append({})
-            twisted.append(v + v)
+        else:
+            # <w, w> read at each leaf of one half; the other half reads alike
+            images.append(read(g, 2, leaf_readings(w, {w: 1}, memo)))
     images = tuple({j: c for j, c in image.items() if c} for image in images)
-    return TwistedBlock(m, content, tuple(framed), tuple(twisted), tuple(rows), images)
+    return TwistedBlock(m, content, tuple(framed), tuple(twisted), tuple(rows), images, index)
 
 
 @lru_cache(maxsize=None)
@@ -497,35 +492,43 @@ def lie_block(m: int, n: int, flavor: str, content: tuple):
     return block, presentation(block.relations, len(block.images))
 
 
-def _twist_degrees(n: int, flavor: str) -> list:
-    """(degree, times) of the Lyndon words the twisted generators are made
-    of, each counting its word's labels `times` times: twisted at even n,
-    w of degree n/2 + 1 for w^inf, twice, and at n = 2 mod 4, v of degree
-    (n + 2)/4 for (v,v)^inf, four times."""
-    if flavor != FLAVOR_TWISTED or n % 2:
-        return []
-    return [(n // 2 + 1, 2)] + ([((n + 2) // 4, 4)] if n % 4 == 2 else [])
+def _families(n: int, flavor: str) -> list:
+    """(degree, times, labeled) of each generator family of a cell, in
+    generator order, keyed by the Lyndon words v of the degree, which the
+    family's trees read `times` times: a labeled key is (x, v * times),
+    (x, w) and at framed odd n (x, vv); an unlabeled one is v * (times / 2),
+    w for w^inf at twisted even n and vv for (v,v)^inf at n = 2 mod 4."""
+    out = [(n + 1, 1, True)]
+    if flavor == FLAVOR_FRAMED and n % 2:
+        out.append(((n + 1) // 2, 2, True))
+    if flavor == FLAVOR_TWISTED and n % 2 == 0:
+        out.append((n // 2 + 1, 2, False))
+        if n % 4 == 2:
+            out.append(((n + 2) // 4, 4, False))
+    return out
 
 
 def _block_width(n: int, flavor: str, content: tuple) -> int:
     """The generator count of a content's Lie-coordinate block, by the
-    fine-graded Witt count: W(a - e_x) over each label x of the content's
-    label counts a, and at framed odd n W((a - e_x) / 2) where 2 divides
-    a - e_x, then W(a / times) for the twisted generators
-    (`_twist_degrees`) where times divides a."""
+    fine-graded Witt count: per family of `_families`, W(a / times) for the
+    content's label counts a, less e_x for each label x of the content
+    where labeled, wherever times divides them."""
     counts = [content.count(x) for x in range(1, content[-1] + 1)]
-    squares = flavor == FLAVOR_FRAMED and n % 2
+    rests = [counts[:x] + [c - 1] + counts[x + 1:] for x, c in enumerate(counts) if c]
     width = 0
-    for x, c in enumerate(counts):
-        if c:
-            rest = counts[:x] + [c - 1] + counts[x + 1:]
-            width += fine_witt(rest)
-            if squares and all(r % 2 == 0 for r in rest):
-                width += fine_witt([r // 2 for r in rest])
-    for _, times in _twist_degrees(n, flavor):
-        if all(c % times == 0 for c in counts):
-            width += fine_witt([c // times for c in counts])
+    for _, times, labeled in _families(n, flavor):
+        for rest in rests if labeled else [counts]:
+            if all(r % times == 0 for r in rest):
+                width += fine_witt([r // times for r in rest])
     return width
+
+
+def _refuse_rows(rows: int, blocks: str):
+    """Refuse the blocks that `blocks` names, before any is built, when
+    they would make more than MAX_LIE_ROWS relation rows."""
+    if rows > MAX_LIE_ROWS:
+        raise ResourceLimitError(
+            f"{blocks} about {rows:,} relation rows, over the budget of {MAX_LIE_ROWS:,}")
 
 
 def lie_blocks(m: int, n: int, flavor: str, k=None) -> list:
@@ -542,51 +545,43 @@ def lie_blocks(m: int, n: int, flavor: str, k=None) -> list:
     # the whole cell's generators, each degree within the Lyndon budget so
     # that the counts below are cheap; without any, as on one label past
     # order 2, there is no block
-    width = m * lyndon_count(m, n + 1)
-    if flavor == FLAVOR_FRAMED and n % 2:
-        width += m * lyndon_count(m, (n + 1) // 2)
-    width += sum(lyndon_count(m, d) for d, _ in _twist_degrees(n, flavor))
+    width = sum((m if labeled else 1) * lyndon_count(m, degree)
+                for degree, _, labeled in _families(n, flavor))
     if not width:
         return []
     kept = [(c, size) for c, size in content_orbits(m, n + 2) if k is None or c.count(1) <= k]
     rows = (n + 1) * width  # over every block, so over the representatives too
     if rows > MAX_LIE_ROWS:
         rows = (n + 1) * sum(_block_width(n, flavor, c) for c, _ in kept)
-    if rows > MAX_LIE_ROWS:
-        raise ResourceLimitError(
-            f"the Lie-coordinate blocks of {flavor} order {n} at m = {m} make about"
-            f" {rows:,} relation rows, over the budget of {MAX_LIE_ROWS:,}"
-        )
+    _refuse_rows(rows, f"the Lie-coordinate blocks of {flavor} order {n} at m = {m} make")
     return [(c, size, *lie_block(m, n, flavor, c)) for c, size in kept]
 
 
 def lie_generators(m: int, n: int, flavor: str, k=None):
     """The generators of the cell on Lie coordinates that the k bound keeps,
-    as (pairs, twisted): pairs holds the (x, w) of each label x and Lyndon
-    word w of degree n + 1, x outer, then at framed odd n the (x, vv) of
-    each Lyndon word v of degree (n + 1)/2, and twisted the keys of the
-    twisted generators, as `_twist_degrees` lists them: the w of the w^inf,
+    as (pairs, twisted), one run per family of `_families`: pairs holds the
+    (x, w) of each label x and Lyndon word w of degree n + 1, x outer, then
+    at framed odd n the (x, vv) of each Lyndon word v of degree (n + 1)/2,
+    and twisted the keys of the twisted generators: the w of the w^inf,
     then the vv of the (v,v)^inf.  Each run of words is in Lyndon word
     order, and a generator is kept when its tree's labels, J^inf counting
     J's twice, repeat at most k times.
 
     More than MAX_LIE_GENERATORS pairs are refused before any is listed.
     """
-    squares = (n + 1) // 2 if flavor == FLAVOR_FRAMED and n % 2 else None
-    count = m * lyndon_count(m, n + 1) + (m * lyndon_count(m, squares) if squares else 0)
+    families = _families(n, flavor)
+    count = sum(m * lyndon_count(m, degree) for degree, _, labeled in families if labeled)
     if count > MAX_LIE_GENERATORS:
         raise ResourceLimitError(
             f"{flavor} order {n} at m = {m} has {count:,} generators (x, w) on Lie coordinates,"
             f" over the budget of {MAX_LIE_GENERATORS:,}"
         )
-
-    def kept(degree, times):
-        return [w for w in lyndon_words(m, degree) if k is None or word_multiplicity(w * times) <= k]
-
-    pairs = [(x, w) for x in range(1, m + 1) for w in lyndon_words(m, n + 1)
-             if k is None or word_multiplicity(w + (x,)) <= k]
-    if squares:
-        pairs += [(x, v + v) for x in range(1, m + 1) for v in lyndon_words(m, squares)
-                  if k is None or word_multiplicity(v + v + (x,)) <= k]
-    twisted = [w * (times // 2) for degree, times in _twist_degrees(n, flavor) for w in kept(degree, times)]
+    pairs, twisted = [], []
+    for degree, times, labeled in families:
+        words = lyndon_words(m, degree)
+        if labeled:
+            pairs += [(x, w * times) for x in range(1, m + 1) for w in words
+                      if k is None or word_multiplicity(w * times + (x,)) <= k]
+        else:
+            twisted += [w * (times // 2) for w in words if k is None or word_multiplicity(w * times) <= k]
     return pairs, twisted

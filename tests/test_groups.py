@@ -833,6 +833,28 @@ def test_lie_generators_parse_back():
             assert k is None or multiplicity(tree) <= k
 
 
+def test_lie_generators_and_blocks_agree():
+    # the listing and the blocks read one family rule: each representative
+    # block's generators are, in order, the listed ones of its content, a
+    # pair (x, w) counting x and w's letters, a twisted key w its letters
+    # twice, and the blocks, repeated by their orbits' sizes, list them all
+    blocks = 0
+    for m in range(1, 4):
+        for n in range(8):
+            for flavor in ("framed", "twisted"):
+                for k in (None, 1, 2, 3):
+                    pairs, twisted = groups.lie_generators(m, n, flavor, k)
+                    total = 0
+                    for content, size, block, _ in groups.lie_blocks(m, n, flavor, k):
+                        assert list(block.framed) == [(x, w) for x, w in pairs
+                                                      if tuple(sorted(w + (x,))) == content]
+                        assert list(block.twisted) == [w for w in twisted if tuple(sorted(w * 2)) == content]
+                        total += size * len(block.images)
+                        blocks += 1
+                    assert total == len(pairs) + len(twisted), (m, n, flavor, k)
+    assert blocks == 249
+
+
 def test_lie_budget_refuses_before_building():
     # the estimate, n + 1 rows per generator of the representative blocks
     # the k bound keeps, refuses a cell before any block is built
