@@ -7,7 +7,6 @@ from .errors import (
     LabelOutOfRangeError,
     MalformedTwistedError,
     NotPrimitiveError,
-    OddCoefficientError,
     ParameterError,
     ParseError,
 )
@@ -28,7 +27,6 @@ __all__ = [
     "LabelOutOfRangeError",
     "MalformedTwistedError",
     "NotPrimitiveError",
-    "OddCoefficientError",
     "ParameterError",
     "ParseError",
     "forest_add",

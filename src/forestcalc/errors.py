@@ -34,10 +34,6 @@ class OrderMismatchError(DomainError):
     tag = "order-mismatch"
 
 
-class OddCoefficientError(DomainError):
-    tag = "odd-coefficient"
-
-
 class NotPrimitiveError(DomainError):
     tag = "not-primitive"
 

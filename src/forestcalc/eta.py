@@ -2,15 +2,19 @@
 
 eta sends a framed tree of order n to the sum over its univalent vertices v
 of X_{label(v)} (x) B_v, where B_v is the Lie bracket read off the tree
-re-rooted at v.  A twisted tree J^inf maps to half of eta(<J,J>); those
-coefficients are always even, so the result stays integral.
+re-rooted at v.  A twisted tree J^inf maps to half of eta(<J,J>), whose two
+halves read alike, so to the readings of one half: the result is integral.
 
-Brackets are read off the plane as written: the left branch of each
-trivalent vertex comes first.  That is the only orientation choice, and it
-is a sign.  Reading the mirror image instead (every pair reversed) applies
-one antisymmetry per trivalent vertex of the re-rooted tree, so the mirror
-reading of eta_n is (-1)^n times this one, on framed and twisted trees
-alike.  Ranks, invariant factors and zero tests do not see that sign.
+Every B_v is read in one walk (`freelie.tree_readings`): each subtree's
+Lyndon coordinates are reduced once, and the bracket y of the rest of the
+tree is carried down to every leaf, into the left branch a of a vertex
+(a, b) as [b, y] and into the right branch as [y, a].  So brackets are read
+off the plane as written, the left branch of each trivalent vertex first.
+That is the only orientation choice, and it is a sign.  Reading the mirror
+image instead (every pair reversed) applies one antisymmetry per trivalent
+vertex of the re-rooted tree, so the mirror reading of eta_n is (-1)^n
+times this one, on framed and twisted trees alike.  Ranks, invariant
+factors and zero tests do not see that sign.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from functools import lru_cache
 from .errors import (
     BracketNonzeroError,
     DomainError,
-    OddCoefficientError,
+    NotPrimitiveError,
     OrderMismatchError,
     ParameterError,
 )
@@ -30,9 +34,10 @@ from .freelie import (
     bracket_map,
     k_project_lie,
     k_project_tensor,
+    lie_coordinates,
     lyndon_words,
-    shape_to_lie,
     standard_bracketing,
+    tree_readings,
     witt,
     word_multiplicity,
 )
@@ -42,45 +47,41 @@ from .trees import (
     FRAMED,
     TWISTED,
     DecoratedTree,
-    leaf_rootings,
     multiplicity,
     twisted_tree,
 )
 
 
-def _eta_framed_raw(m: int, pair) -> dict:
-    """Raw tensor coefficients of eta on a framed pair, no basis reduction."""
-    acc = {}
-    for label, shape in leaf_rootings(*pair):
-        lie = shape_to_lie(m, shape)
-        for w, c in lie.coeffs:
-            key = (label, w)
-            acc[key] = acc.get(key, 0) + c
-    return acc
-
-
 def eta_tree(m: int, n: int, tree: DecoratedTree, coeff: int = 1) -> TensorElement:
-    """eta of a single canonical tree of generating order n."""
+    """eta of a single canonical tree of generating order n, read in one
+    walk (`tree_readings`) over both halves of a framed <A, B>, and over
+    one half of <J, J> for J^inf, as its two halves read alike.
+
+    A reading with a nonzero bracket of a label outside 1..m has no place
+    in L_1 (x) L_{n+1} of m labels and is refused.
+    """
     if tree.kind == FRAMED:
         if tree.order != n:
             raise OrderMismatchError(f"framed tree {tree} has order {tree.order} != {n}")
-        acc = {k: coeff * c for k, c in _eta_framed_raw(m, tree.data).items()}
-        return TensorElement.make(m, n + 1, acc)
-    if tree.kind == TWISTED:
+        halves = tree.data, tree.data[::-1]
+    elif tree.kind == TWISTED:
         if 2 * tree.order != n:
             raise OrderMismatchError(
                 f"twisted tree {tree} has order {tree.order} != {n}/2"
             )
-        acc = {}
-        for key, c in _eta_framed_raw(m, (tree.data, tree.data)).items():
-            half, rem = divmod(coeff * c, 2)
-            if rem:
-                raise OddCoefficientError(
-                    f"odd coefficient halving eta(<J,J>) for {tree}"
-                )
-            acc[key] = half
-        return TensorElement.make(m, n + 1, acc)
-    raise DomainError("eta is defined on framed and twisted trees")
+        halves = (tree.data, tree.data),
+    else:
+        raise DomainError("eta is defined on framed and twisted trees")
+    past = not all(0 < x <= m for x in tree.leaves())
+    acc, memo, known = {}, {}, {}
+    for half, rest in halves:
+        for label, reading in tree_readings(half, lie_coordinates(rest, memo, known), memo, known):
+            for word, c in reading.items():
+                if c:
+                    if past and not all(0 < x <= m for x in word):
+                        raise NotPrimitiveError(f"eta of {tree} reads a bracket of labels outside 1..{m}")
+                    acc[label, word] = acc.get((label, word), 0) + coeff * c
+    return TensorElement.make(m, n + 1, acc)
 
 
 def eta(forest: IntersectionForest, n: int) -> TensorElement:

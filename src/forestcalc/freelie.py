@@ -23,6 +23,13 @@ A square bracketed again is 0, since [[u, u], z] = -[[u, z], u] - [[z, u], u]
 = 0 by Jacobi and antisymmetry, so the memo of every lower degree stays
 valid.
 
+A tree is read at each of its leaves as the bracket of everything else,
+for the relations and normal forms of the tree groups and for eta, in one
+walk: the bracket of all that lies outside a subtree is carried down into
+it, one rewriting per vertex, and each subtree's coordinates are reduced
+once.  `leaf_readings` walks the standard bracketing of a Lyndon word,
+whose subtrees are basis elements, and `tree_readings` any rooted shape.
+
 The tensor algebra stays for the Magnus expansion and as an oracle: the
 expansion of P_w is w plus lexicographically larger words, so integer
 elimination along sorted Lyndon words (`tensor_to_lie`) is exact and
@@ -34,12 +41,10 @@ from __future__ import annotations
 import heapq
 from functools import lru_cache
 from math import factorial, gcd
-from types import MappingProxyType
 from typing import NamedTuple
 
 from .errors import NotPrimitiveError, ParameterError, ResourceLimitError
 from .intlinalg import left_kernel, presentation
-from .trees import shape_leaves
 
 
 # the most Lyndon words one degree may have; 700,000 of length 24 take 0.5 GB
@@ -135,17 +140,35 @@ def lyndon_words(m: int, n: int) -> tuple:
     return tuple(sorted(words))
 
 
-@lru_cache(maxsize=None)
-def lyndon_by_content(m: int, n: int) -> dict:
-    """The Lyndon words of length n over 1..m by content, in one pass.
+def lyndon_words_of(content) -> tuple:
+    """The Lyndon words whose letters are those of `content`, a sorted
+    tuple, lexicographically sorted.
 
-    A content is the sorted tuple of a word's letters; each bucket is a
-    sorted tuple, and the mapping is read-only.
+    Prenecklaces are extended letter by letter in increasing order, each by
+    a letter still left (Fredricksen-Kessler-Maiorana, as in Ruskey,
+    Savage and Wang, J. Algorithms 13, 1992): a[t] >= a[t - p], the period p
+    kept on a copy of a[t - p] and set to t past it, and a word of n
+    letters is a Lyndon word when p = n.  A Lyndon word starts with its
+    least letter, and every prefix of one is a prenecklace.
     """
-    buckets = {}
-    for w in lyndon_words(m, n):
-        buckets.setdefault(tuple(sorted(w)), []).append(w)
-    return MappingProxyType({content: tuple(words) for content, words in buckets.items()})
+    n, left = len(content), {x: content.count(x) for x in content}
+    word, out = [0, content[0]] + [0] * (n - 1), []
+    left[content[0]] -= 1
+
+    def extend(t, p):
+        if t > n:
+            if p == n:
+                out.append(tuple(word[1:]))
+            return
+        for x in left:
+            if x >= word[t - p] and left[x]:
+                left[x] -= 1
+                word[t] = x
+                extend(t + 1, p if x == word[t - p] else t)
+                left[x] += 1
+
+    extend(2, 1)
+    return tuple(out)
 
 
 def _split(word) -> int:
@@ -260,14 +283,6 @@ class LieElement(SparseVector):
     """
 
     __slots__ = ()
-
-    def tensor(self) -> dict:
-        """Expansion in the tensor algebra (word -> coefficient)."""
-        acc = {}
-        for word, c in self.coeffs:
-            for w, x in shape_tensor(standard_bracketing(word)):
-                acc[w] = acc.get(w, 0) + c * x
-        return {w: c for w, c in acc.items() if c}
 
     def __str__(self):
         if not self.coeffs:
@@ -429,48 +444,48 @@ def lie_bracket(a: LieElement, b: LieElement, memo=None) -> LieElement:
     return LieElement.make(a.m, a.degree + b.degree, _bracket(a.coeffs, b.coeffs, memo))
 
 
-def lie_coordinates(shape, memo) -> dict:
+def lie_coordinates(shape, memo, known=None) -> dict:
     """The bracket of a rooted shape on the Lyndon basis, as {word: coeff},
-    and on a `quasi_memo` in L', squares included."""
-    if isinstance(shape, int):
-        return {(shape,): 1}
-    return _bracket(lie_coordinates(shape[0], memo).items(),
-                    lie_coordinates(shape[1], memo).items(), memo)
+    and on a `quasi_memo` in L', squares included.
 
-
-def first_leaf_reading(shape, outside, memo) -> tuple:
-    """(label, reading) of `shape` with `outside` grafted at its root, read
-    at its first leaf as `leaf_readings` reads every leaf, the reading a
-    {word: coeff} dict; `memo` is the caller's, as for `lie_bracket`."""
-    while not isinstance(shape, int):
-        shape, right = shape
-        outside = _bracket(lie_coordinates(right, memo).items(), outside.items(), memo)
-    return shape, outside
-
-
-def reduce_shape(m: int, degree: int, shape) -> LieElement:
-    """Basis reduction of the bracket of a rooted shape with `degree` leaves.
-
-    Each vertex brackets the Lie coordinates of its branches on the basis,
-    with one memo of basis-pair brackets for the call.  A bracket keeps
-    every letter's multiplicity, so all words of a nonzero result hold the
-    shape's leaves: if they are not `degree` labels in 1..m, the bracket is
-    no element of that piece and NotPrimitiveError is raised.  A zero
-    bracket is zero in any degree.
+    Each subtree is reduced once, bottom-up, as the bracket of its
+    branches' coordinates, and kept in `known`, {shape: coordinates}, which
+    a caller reading many subtrees of one tree may share between calls;
+    None takes a fresh one.  The dicts returned are shared: read only.
     """
-    if m < 1 or degree < 1:
-        raise ParameterError("reduce_shape requires m >= 1, degree >= 1")
-    coeffs = lie_coordinates(shape, {})
-    word = next(iter(coeffs), None)
-    if word is not None and (len(word) != degree or not all(0 < i <= m for i in word)):
-        raise NotPrimitiveError(f"shape {shape} is not a bracket of degree {degree} on 1..{m}")
-    return LieElement.make(m, degree, coeffs)
+    known = {} if known is None else known
+    out = known.get(shape)
+    if out is None:
+        if isinstance(shape, int):
+            out = {(shape,): 1}
+        else:
+            out = _bracket(lie_coordinates(shape[0], memo, known).items(),
+                           lie_coordinates(shape[1], memo, known).items(), memo)
+        known[shape] = out
+    return out
 
 
-@lru_cache(maxsize=None)
-def shape_to_lie(m: int, shape) -> LieElement:
-    """Basis reduction of the bracket determined by a rooted shape, cached."""
-    return reduce_shape(m, len(shape_leaves(shape)), shape)
+def tree_readings(shape, outside, memo, known=None):
+    """A rooted shape with `outside` grafted at its root, read at every
+    leaf as `leaf_readings` reads a word, lazily: yields (label, reading)
+    in leaf order.
+
+    A branch's coordinates are reduced when the walk first needs them, once
+    per tree (`lie_coordinates`, whose `known` this takes), so the first
+    reading costs the right branches along the left spine only.  The
+    readings are {Lyndon word: coeff} dicts, which may hold zeros.
+    """
+    if isinstance(shape, int):
+        yield shape, outside
+        return
+    known = {} if known is None else known
+    (a, b), left, right = shape, {}, {}
+    for u, c in lie_coordinates(b, memo, known).items():
+        _add_bracket(left, c, u, outside.items(), memo)
+    yield from tree_readings(a, left, memo, known)
+    for u, c in lie_coordinates(a, memo, known).items():
+        _add_bracket(right, -c, u, outside.items(), memo)
+    yield from tree_readings(b, right, memo, known)
 
 
 def word_multiplicity(word) -> int:

@@ -63,15 +63,15 @@ from .errors import DomainError, ParameterError, ResourceLimitError
 from .forest import IntersectionForest, make_forest
 from .freelie import (
     fine_witt,
-    first_leaf_reading,
     is_square,
     leaf_readings,
     lie_coordinates,
-    lyndon_by_content,
     lyndon_count,
     lyndon_words,
+    lyndon_words_of,
     quasi_memo,
     standard_bracketing,
+    tree_readings,
     word_multiplicity,
 )
 from .intlinalg import presentation
@@ -209,14 +209,14 @@ class TreeGroup:
 
         if tree.kind == FRAMED:
             a, b = (_relabel(half, labels) for half in tree.data)
-            add(1, *first_leaf_reading(a, lie_coordinates(b, memo), memo))
+            add(1, *next(tree_readings(a, lie_coordinates(b, memo), memo)))
             return out
         terms = sorted(lie_coordinates(_relabel(tree.data, labels), memo).items())
         for word, c in terms:
             out[index[word]] = c * c
         lie = [(word, c) for word, c in terms if not is_square(word)]
         for i, (word, c) in enumerate(lie[:-1]):
-            add(c, *first_leaf_reading(standard_bracketing(word), dict(lie[i + 1:]), memo))
+            add(c, *next(tree_readings(standard_bracketing(word), dict(lie[i + 1:]), memo)))
         return out
 
     def _reading(self, tree: DecoratedTree):
@@ -434,13 +434,12 @@ def twisted_block(m: int, n: int, content: tuple, flavor=FLAVOR_TWISTED) -> Twis
     memo = quasi_memo() if flavor == FLAVOR_FRAMED and n % 2 else {}
     rests = [(x, content[:i] + content[i + 1:]) for x in sorted(set(content)) for i in [content.index(x)]]
     framed, twisted = [], []
-    for degree, times, labeled in _families(n, flavor):
-        words = lyndon_by_content(content[-1], degree)
+    for _, times, labeled in _families(n, flavor):
         if labeled:
             framed += [(x, w * times) for x, rest in rests if tuple(sorted(rest[::times] * times)) == rest
-                       for w in words.get(rest[::times], ())]
+                       for w in lyndon_words_of(rest[::times])]
         elif tuple(sorted(content[::times] * times)) == content:
-            twisted += [w * (times // 2) for w in words.get(content[::times], ())]
+            twisted += [w * (times // 2) for w in lyndon_words_of(content[::times])]
     index = {key: g for g, key in enumerate(framed + twisted)}
     rows = {}  # each sparse row, its first entry positive, in the order made
 

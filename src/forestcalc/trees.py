@@ -185,28 +185,6 @@ def canonical_framed_records(a, b):
     return pair, best, 1 if torsion else sign, torsion
 
 
-def leaf_rootings(half_a, half_b):
-    """Root the framed tree <half_a, half_b> at each univalent vertex.
-
-    Returns a list of ``(label, rooted_shape)`` in leaf reading order,
-    where rooted_shape is the rest of the tree read from that leaf with the
-    stored orientations.
-    """
-    out = []
-
-    def walk(shape, outside):
-        if isinstance(shape, int):
-            out.append((shape, outside))
-        else:
-            left, right = shape
-            walk(left, (right, outside))
-            walk(right, (outside, left))
-
-    walk(half_a, half_b)
-    walk(half_b, half_a)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # decorated trees
 

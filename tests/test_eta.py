@@ -1,14 +1,17 @@
+import random
 from functools import lru_cache
 from math import comb, factorial, gcd
 from typing import NamedTuple
 
 import pytest
 
+import lie_oracle
+from lie_oracle import leaf_rootings, reduce_shape, shape_to_lie
 from table_oracle import framed_table, table_group
 from test_trees import edges
 
 from forestcalc import eta as eta_module
-from forestcalc.errors import OddCoefficientError, OrderMismatchError, ParameterError
+from forestcalc.errors import NotPrimitiveError, OrderMismatchError, ParameterError
 from forestcalc.eta import (
     _free_rows,
     arf_classes,
@@ -28,8 +31,6 @@ from forestcalc.freelie import (
     leaf_readings,
     lie_bracket,
     lyndon_words,
-    reduce_shape,
-    shape_to_lie,
     standard_bracketing,
 )
 from forestcalc.groups import (
@@ -44,7 +45,6 @@ from forestcalc.trees import (
     FRAMED,
     canonical_framed,
     framed_tree,
-    leaf_rootings,
     multiplicity,
     twisted_tree,
 )
@@ -105,10 +105,7 @@ def _old_eta_images(m: int, n: int, gens):
         acc = {}
         for key, c in image(j, j).items():
             acc[key], rem = divmod(c, 2)
-            if rem:
-                raise OddCoefficientError(
-                    f"odd coefficient halving eta(<J,J>) for {shapes[j]}^inf"
-                )
+            assert not rem, f"odd coefficient halving eta(<J,J>) for {shapes[j]}^inf"
         yield TensorElement.make(m, n + 1, acc)
 
 
@@ -629,6 +626,73 @@ def test_eta_twisted_half_rule():
 def test_eta_order_mismatch():
     with pytest.raises(OrderMismatchError):
         eta(parse_forest("+1*<1,2>", 2), 1)
+
+
+def test_eta_refuses_labels_past_m():
+    # a nonzero bracket of a label past m has no place in L_1 (x) L_{n+1}:
+    # eta, eta_k and milnor_from_forest refuse it, framed or twisted
+    framed, _ = framed_tree(1, 3)
+    cases = [(make_forest(2, [(2, framed)]), 0),
+             (make_forest(2, [(1, framed_tree((1, 2), 3)[0])]), 1),
+             (make_forest(2, [(1, twisted_tree((1, 3)))]), 2)]
+    for forest, n in cases:
+        for run in (lambda: eta(forest, n), lambda: eta_k(forest, n, 2),
+                    lambda: milnor_from_forest(forest, n)):
+            with pytest.raises(NotPrimitiveError) as caught:
+                run()
+            assert caught.value.tag == "not-primitive"
+
+
+def _random_shape(rng, m, leaves):
+    if leaves == 1:
+        return rng.randint(1, m)
+    left = rng.randint(1, leaves - 1)
+    return _random_shape(rng, m, left), _random_shape(rng, m, leaves - left)
+
+
+def _random_forest(rng, m, n, labels):
+    """A forest of one to three order-n terms on labels 1..`labels`,
+    twisted ones at even n too."""
+    terms = []
+    for _ in range(rng.randint(1, 3)):
+        if n % 2 == 0 and rng.random() < 0.4:
+            terms.append((rng.choice((-3, -1, 1, 2)), twisted_tree(_random_shape(rng, labels, n // 2 + 1))))
+        else:
+            left = rng.randint(1, n + 1)
+            tree, sign = framed_tree(_random_shape(rng, labels, left),
+                                     _random_shape(rng, labels, n + 2 - left))
+            terms.append((sign * rng.choice((-3, -1, 1, 2)), tree))
+    return make_forest(m, terms)
+
+
+def _verdict(fn, *args):
+    try:
+        return fn(*args)
+    except NotPrimitiveError:
+        return "not primitive"
+
+
+def test_eta_matches_the_leaf_rooting_oracle():
+    # the one walk against re-rooting at each leaf and reducing each rest
+    # from scratch (`lie_oracle`), on seeded forests with m <= 5, n <= 8,
+    # and with a label past m the same verdict
+    rng = random.Random(29)
+    seen = {"nonzero": 0, "zero": 0, "twisted": 0, "refused": 0}
+    for _ in range(600):
+        m, n = rng.randint(1, 5), rng.randint(0, 8)
+        forest = _random_forest(rng, m, n, m)
+        value = eta(forest, n)
+        assert value == lie_oracle.eta(forest, n)
+        for k in (1, 2, 3):
+            assert eta_k(forest, n, k) == lie_oracle.eta_k(forest, n, k)
+        seen["nonzero" if value.coeffs else "zero"] += 1
+        seen["twisted"] += any(t.kind == "twisted" for _, t in forest.terms)
+        past = _random_forest(rng, m, n, m + 1)
+        old = _verdict(lie_oracle.eta, past, n)
+        assert _verdict(eta, past, n) == old
+        seen["refused"] += old == "not primitive"
+    assert seen["nonzero"] > 250 and seen["zero"] > 50 and seen["twisted"] > 100
+    assert seen["refused"] > 200
 
 
 def test_relation_rows_map_to_zero():

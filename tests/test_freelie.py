@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import divisors, mobius
 
+from lie_oracle import lie_tensor
 from table_oracle import shape_ids
 
 from forestcalc import freelie
@@ -21,11 +22,10 @@ from forestcalc.freelie import (
     bracket_str,
     k_project_tensor,
     lie_bracket,
-    lyndon_by_content,
+    lie_coordinates,
     lyndon_words,
-    reduce_shape,
+    lyndon_words_of,
     shape_tensor,
-    shape_to_lie,
     standard_bracketing,
     tensor_of,
     tensor_to_lie,
@@ -59,15 +59,26 @@ def test_split_scan_matches_least_suffix():
     assert words == sum(witt(m, n) for m in (2, 3) for n in range(2, 13))
 
 
-def test_lyndon_by_content_partitions_the_words():
-    # each bucket holds the words of one content, sorted, and the buckets
-    # hold every word once
-    for m, n in [(1, 1), (2, 6), (3, 5), (4, 4)]:
-        buckets = lyndon_by_content(m, n)
-        assert sorted(w for ws in buckets.values() for w in ws) == list(lyndon_words(m, n))
-        for content, words in buckets.items():
-            assert words == tuple(sorted(words))
-            assert all(tuple(sorted(w)) == content for w in words)
+def _buckets(m, n):
+    """The Lyndon words of length n over 1..m by content, each bucket in
+    the order of `lyndon_words`."""
+    buckets = {}
+    for w in lyndon_words(m, n):
+        buckets.setdefault(tuple(sorted(w)), []).append(w)
+    return {content: tuple(words) for content, words in buckets.items()}
+
+
+def test_lyndon_words_of_match_the_buckets():
+    # the words of one content are its bucket of every word of the degree,
+    # in the same order, and a content without Lyndon words has none
+    for m, n in [(1, 1), (1, 4), (2, 6), (3, 5), (4, 4), (5, 5), (3, 8), (2, 12)]:
+        buckets = _buckets(m, n)
+        for counts in _compositions(n, m):
+            content = tuple(x for x, c in enumerate(counts, 1) for _ in range(c))
+            assert lyndon_words_of(content) == buckets.get(content, ())
+    # labels that need not start at 1 or follow one another
+    assert lyndon_words_of((2, 5, 5)) == ((2, 5, 5),)
+    assert lyndon_words_of((7,)) == ((7,),) and lyndon_words_of((7, 7)) == ()
 
 
 def test_witt_count_matches_sympy_mobius_sum():
@@ -81,7 +92,7 @@ def test_fine_witt_counts_the_words_of_each_content():
     # the size of its content's bucket, none for a content without words,
     # with labels in any order and zero counts ignored
     for m, n in [(1, 1), (1, 3), (2, 8), (3, 6), (4, 4)]:
-        buckets = lyndon_by_content(m, n)
+        buckets = _buckets(m, n)
         for counts in _compositions(n, m):
             content = tuple(x for x, c in enumerate(counts, 1) for _ in range(c))
             assert freelie.fine_witt(counts) == len(buckets.get(content, ()))
@@ -120,8 +131,8 @@ def test_standard_bracketing():
 
 
 def test_bracket_antisymmetry_and_jacobi():
-    x1 = shape_to_lie(2, 1)
-    x2 = shape_to_lie(2, 2)
+    x1 = LieElement.make(2, 1, {(1,): 1})
+    x2 = LieElement.make(2, 1, {(2,): 1})
     assert lie_bracket(x1, x1).is_zero
     assert (lie_bracket(x1, x2) + lie_bracket(x2, x1)).is_zero
     a, b, c = x1, x2, lie_bracket(x1, x2)
@@ -207,7 +218,7 @@ def test_tensor_to_lie_roundtrip():
         n = rng.randint(1, 4)
         coeffs = {w: rng.randint(-3, 3) for w in lyndon_words(2, n)}
         x = LieElement.make(2, n, coeffs)
-        assert tensor_to_lie(2, n, x.tensor()) == x
+        assert tensor_to_lie(2, n, lie_tensor(x)) == x
 
 
 def test_tensor_to_lie_rejects_non_primitive():
@@ -215,11 +226,11 @@ def test_tensor_to_lie_rejects_non_primitive():
         tensor_to_lie(2, 2, {(1, 2): 1})  # x1x2 alone is not a commutator
 
 
-def test_shape_to_lie_matches_nested_brackets():
-    x1 = shape_to_lie(2, 1)
-    x2 = shape_to_lie(2, 2)
+def test_lie_coordinates_match_nested_brackets():
+    x1 = LieElement.make(2, 1, lie_coordinates(1, {}))
+    x2 = LieElement.make(2, 1, lie_coordinates(2, {}))
     nested = lie_bracket(lie_bracket(x1, x2), x2)
-    assert shape_to_lie(2, ((1, 2), 2)) == nested
+    assert LieElement.make(2, 3, lie_coordinates(((1, 2), 2), {})) == nested
 
 
 def test_bracket_map():
@@ -297,7 +308,7 @@ def test_tensor_to_lie_matches_old_scan():
         m, degree = rng.randint(1, 4), rng.randint(1, 6)
         words = lyndon_words(m, degree)
         coeffs = {w: rng.randint(-3, 3) for w in rng.sample(words, min(len(words), 4))}
-        tensor = LieElement.make(m, degree, coeffs).tensor()
+        tensor = lie_tensor(LieElement.make(m, degree, coeffs))
         # a word of the wrong length, a letter above m, and non-Lyndon words:
         # 1^degree is below every other word of the degree, m^degree above
         length = degree + 1 if degree == 1 else degree + rng.choice((-1, 1))
@@ -329,14 +340,16 @@ def _mirror(shape):
     return shape if isinstance(shape, int) else (_mirror(shape[1]), _mirror(shape[0]))
 
 
-def test_reduce_shape_matches_tensor_round_trip():
+def test_lie_coordinates_match_tensor_round_trip():
+    # each shape alone, and every shape through one `known` map of subtrees
     ids = shape_ids(3, 6)
     assert len(ids.shapes) > 10000
+    memo, known = {}, {}
     for shape, order in zip(ids.shapes, ids.orders):
         for s in (shape, _mirror(shape)):
             old = _old_reduce_shape(3, order + 1, s)
-            assert reduce_shape(3, order + 1, s) == old
-            assert shape_to_lie(3, s) == old
+            assert LieElement.make(3, order + 1, lie_coordinates(s, {})) == old
+            assert LieElement.make(3, order + 1, lie_coordinates(s, memo, known)) == old
 
 
 def test_bracket_rows_and_map_match_tensor_round_trip():
@@ -363,33 +376,8 @@ def test_lie_bracket_matches_tensor_round_trip():
         m, a, b = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
         x, y = (LieElement.make(m, d, {w: rng.randint(-3, 3) for w in lyndon_words(m, d)})
                 for d in (a, b))
-        old = tensor_to_lie(m, a + b, _commutator(x.tensor().items(), y.tensor().items()))
+        old = tensor_to_lie(m, a + b, _commutator(lie_tensor(x).items(), lie_tensor(y).items()))
         assert lie_bracket(x, y) == old
-
-
-def test_reduce_shape_keeps_its_errors():
-    # the old verdict on each shape: a nonzero bracket whose leaves are not
-    # `degree` labels in 1..m has no preimage; a zero one is zero anywhere
-    cases = [
-        (2, 3, ((1, 2), 3)), (2, 2, (0, 1)), (2, 2, (-1, 2)), (2, 1, 3),
-        (2, 2, ((1, 2), 1)), (2, 4, ((1, 2), 1)), (2, 2, 1),
-        (2, 2, (3, 3)), (2, 5, (1, 1)), (2, 3, ((1, 2), 2)),
-    ]
-    def verdict(fn, m, degree, shape):
-        try:
-            return fn(m, degree, shape)
-        except NotPrimitiveError:
-            return "not primitive"
-
-    verdicts = []
-    for m, degree, shape in cases:
-        old = verdict(_old_reduce_shape, m, degree, shape)
-        assert verdict(reduce_shape, m, degree, shape) == old
-        verdicts.append(old == "not primitive")
-    assert verdicts == [True] * 7 + [False] * 3
-    for m, degree in ((0, 2), (2, 0), (-1, 1)):
-        with pytest.raises(ParameterError):
-            reduce_shape(m, degree, (1, 2))
 
 
 # An oracle that shares no code with the rewriting: its own standard

@@ -9,7 +9,7 @@ from table_oracle import framed_generators, twisted_generators
 from forestcalc import groups
 from forestcalc.eta import eta
 from forestcalc.forest import forest_add, make_forest, parse_forest
-from forestcalc.freelie import LieElement, bracket_kernel, shape_to_lie, tensor_of
+from forestcalc.freelie import LieElement, bracket_kernel, lie_coordinates, tensor_of
 from forestcalc.groups import GroupElement, build_group
 from forestcalc.magnus import milnor_from_longitudes, parse_longitudes
 from forestcalc.rewrite import monoize_forest
@@ -61,7 +61,7 @@ def test_value_types_survive_copy_and_pickle():
     # equal and of the same class
     forest = parse_forest("+1*<(1,2),1> + +3*((1,2),2)^inf", 2)
     tree = forest.terms[0][1]
-    lie = shape_to_lie(2, (1, 2))
+    lie = LieElement.make(2, 2, lie_coordinates((1, 2), {}))
     longitudes = parse_longitudes("m = 3\nl1: x2 x3 X2 X3\nl2: x3 x1 X3 X1\nl3: x1 x2 X1 X2\n")
     _, steps = monoize_forest(parse_forest("+1*<(1,2),2>", 2), 1)
     group = build_group(2, 1, "framed")
