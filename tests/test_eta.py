@@ -8,6 +8,7 @@ import pytest
 import lie_oracle
 from lie_oracle import leaf_rootings, reduce_shape, shape_to_lie
 from table_oracle import framed_table, table_group
+from test_freelie import _random_labeled
 from test_trees import edges
 
 from forestcalc import eta as eta_module
@@ -643,24 +644,17 @@ def test_eta_refuses_labels_past_m():
             assert caught.value.tag == "not-primitive"
 
 
-def _random_shape(rng, m, leaves):
-    if leaves == 1:
-        return rng.randint(1, m)
-    left = rng.randint(1, leaves - 1)
-    return _random_shape(rng, m, left), _random_shape(rng, m, leaves - left)
-
-
 def _random_forest(rng, m, n, labels):
     """A forest of one to three order-n terms on labels 1..`labels`,
     twisted ones at even n too."""
     terms = []
     for _ in range(rng.randint(1, 3)):
         if n % 2 == 0 and rng.random() < 0.4:
-            terms.append((rng.choice((-3, -1, 1, 2)), twisted_tree(_random_shape(rng, labels, n // 2 + 1))))
+            terms.append((rng.choice((-3, -1, 1, 2)), twisted_tree(_random_labeled(rng, labels, n // 2 + 1))))
         else:
             left = rng.randint(1, n + 1)
-            tree, sign = framed_tree(_random_shape(rng, labels, left),
-                                     _random_shape(rng, labels, n + 2 - left))
+            tree, sign = framed_tree(_random_labeled(rng, labels, left),
+                                     _random_labeled(rng, labels, n + 2 - left))
             terms.append((sign * rng.choice((-3, -1, 1, 2)), tree))
     return make_forest(m, terms)
 
