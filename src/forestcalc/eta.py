@@ -20,6 +20,7 @@ factors and zero tests do not see that sign.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import factorial
 
 from .errors import (
     BracketNonzeroError,
@@ -27,13 +28,14 @@ from .errors import (
     NotPrimitiveError,
     OrderMismatchError,
     ParameterError,
+    ResourceLimitError,
 )
 from .forest import IntersectionForest, make_forest
 from .freelie import (
+    MAX_LYNDON_WORDS,
     TensorElement,
     bracket_map,
-    k_project_lie,
-    k_project_tensor,
+    fine_witt,
     lie_coordinates,
     lyndon_words,
     standard_bracketing,
@@ -58,7 +60,11 @@ def eta_tree(m: int, n: int, tree: DecoratedTree, coeff: int = 1) -> TensorEleme
     one half of <J, J> for J^inf, as its two halves read alike.
 
     A reading with a nonzero bracket of a label outside 1..m has no place
-    in L_1 (x) L_{n+1} of m labels and is refused.
+    in L_1 (x) L_{n+1} of m labels and is refused.  An AS-torsion tree
+    of labels in 1..m is minus itself, so its eta is 0 in the torsion-free
+    L_1 (x) L_{n+1}, unwalked.  A tree whose keys (x, w), w a Lyndon word of
+    its content less x, J^inf counting J's labels twice, number more than
+    MAX_LYNDON_WORDS by the fine-graded Witt count is refused unwalked.
     """
     if tree.kind == FRAMED:
         if tree.order != n:
@@ -72,7 +78,18 @@ def eta_tree(m: int, n: int, tree: DecoratedTree, coeff: int = 1) -> TensorEleme
         halves = (tree.data, tree.data),
     else:
         raise DomainError("eta is defined on framed and twisted trees")
-    past = not all(0 < x <= m for x in tree.leaves())
+    labels = tree.leaves() * (2 if tree.kind == TWISTED else 1)
+    past = not all(0 < x <= m for x in labels)
+    if tree.torsion and not past:
+        return TensorElement.zero(m, n + 1)
+    # the L - 1 labels left by a label x have at most (L - 2)! Lyndon words,
+    # so the keys are counted only where L (L - 2)! is past the budget
+    if len(labels) * factorial(len(labels) - 2) > MAX_LYNDON_WORDS:
+        counts = {x: labels.count(x) for x in set(labels)}
+        keys = sum(fine_witt([c - (y == x) for y, c in counts.items()]) for x in counts)
+        if keys > MAX_LYNDON_WORDS:
+            raise ResourceLimitError(
+                f"eta of {tree} has up to {keys:,} terms (x, w), over the budget of {MAX_LYNDON_WORDS:,}")
     acc, memo, known = {}, {}, {}
     for half, rest in halves:
         for label, reading in tree_readings(half, lie_coordinates(rest, memo, known), memo, known):
@@ -93,23 +110,18 @@ def eta(forest: IntersectionForest, n: int) -> TensorElement:
 
 
 def eta_k(forest: IntersectionForest, n: int, k: int) -> TensorElement:
-    """k-repeating eta: drop trees of multiplicity > k, project the image."""
+    """k-repeating eta: eta of the trees of multiplicity at most k.  Each
+    term (x, w) of eta of a tree has the tree's content, so none repeats a
+    label more than k times."""
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
-    filtered = make_forest(
-        forest.m,
-        [(c, t) for c, t in forest.terms if multiplicity(t) <= k],
-    )
-    return k_project_tensor(eta(filtered, n), k)
+    return eta(make_forest(forest.m, [(c, t) for c, t in forest.terms if multiplicity(t) <= k]), n)
 
 
 def milnor_from_forest(forest: IntersectionForest, n: int, k=None) -> TensorElement:
     """The order-n invariant of a forest, checked to lie in the bracket kernel."""
     image = eta(forest, n) if k is None else eta_k(forest, n, k)
-    check = bracket_map(image)
-    if k is not None:
-        check = k_project_lie(check, k)
-    if not check.is_zero:
+    if not bracket_map(image).is_zero:
         raise BracketNonzeroError("eta image escapes the bracket kernel")
     return image
 

@@ -34,6 +34,13 @@ The tensor algebra stays for the Magnus expansion and as an oracle: the
 expansion of P_w is w plus lexicographically larger words, so integer
 elimination along sorted Lyndon words (`tensor_to_lie`) is exact and
 detects non-primitive tensors.
+
+One prenecklace recursion (`_lyndon_words`) enumerates the Lyndon words of
+a degree and those of one content.  Brackets, their rewriting, the tensor
+expansion and its inverse all keep each word's content, the free Lie
+ring's multigrading (Reutenauer, *Free Lie Algebras*, 1993).  So a k bound,
+which drops every word whose letters repeat more than k times, is applied
+once to the inputs, and nothing computed from them needs projecting again.
 """
 
 from __future__ import annotations
@@ -113,9 +120,43 @@ def lyndon_count(m: int, n: int) -> int:
     return count
 
 
+def _lyndon_words(letters, left, n, first) -> tuple:
+    """The Lyndon words of n letters that start with one of letters[:first]
+    and take letters[j] at most left[j] times, lexicographically sorted;
+    `letters` is sorted, and `left`, a list, is restored on return.
+
+    Prenecklaces are extended letter by letter in increasing order
+    (Fredricksen-Kessler-Maiorana, as in Ruskey, Savage and Wang,
+    J. Algorithms 13, 1992): a[t] >= a[t - p], the period p kept on a copy
+    of a[t - p] and set to t past it, and a word of n letters is a Lyndon
+    word when p = n.  Every prefix of a Lyndon word is a prenecklace.  Each
+    letter loop starts at a[t - p], whose index `at` keeps.
+    """
+    word, at, out, size = [0] * (n + 1), [0] * (n + 1), [], len(letters)
+
+    def extend(t, p):
+        q, stop = at[t - p], size if t > 1 else first
+        if t == n:  # the last letter: a copy of a[t - p] keeps p, any larger one makes p = n
+            for j in range(q if p == n else q + 1, stop):
+                if left[j]:
+                    word[t] = letters[j]
+                    out.append(tuple(word[1:]))
+            return
+        for j in range(q, stop):
+            if left[j]:
+                left[j] -= 1
+                word[t], at[t] = letters[j], j
+                extend(t + 1, p if j == q else t)
+                left[j] += 1
+
+    extend(1, 1)
+    return tuple(out)
+
+
 @lru_cache(maxsize=None)
 def lyndon_words(m: int, n: int) -> tuple:
-    """All Lyndon words of length n over 1..m, lexicographically sorted (Duval).
+    """All Lyndon words of length n over 1..m, lexicographically sorted:
+    `_lyndon_words` with every letter's budget n.
 
     More than MAX_LYNDON_WORDS of them are refused before any is made
     (`lyndon_count`).
@@ -124,51 +165,16 @@ def lyndon_words(m: int, n: int) -> tuple:
         raise ParameterError("lyndon_words requires m >= 1, n >= 1")
     if not lyndon_count(m, n):
         return ()
-    words = []
-    w = [1]
-    while w:
-        if len(w) == n:
-            words.append(tuple(w))
-        # extend periodically to length n, then increment
-        base = list(w)
-        while len(w) < n:
-            w.append(base[(len(w)) % len(base)])
-        while w and w[-1] == m:
-            w.pop()
-        if w:
-            w[-1] += 1
-    return tuple(sorted(words))
+    return _lyndon_words(range(1, m + 1), [n] * m, n, m)
 
 
 def lyndon_words_of(content) -> tuple:
     """The Lyndon words whose letters are those of `content`, a sorted
-    tuple, lexicographically sorted.
-
-    Prenecklaces are extended letter by letter in increasing order, each by
-    a letter still left (Fredricksen-Kessler-Maiorana, as in Ruskey,
-    Savage and Wang, J. Algorithms 13, 1992): a[t] >= a[t - p], the period p
-    kept on a copy of a[t - p] and set to t past it, and a word of n
-    letters is a Lyndon word when p = n.  A Lyndon word starts with its
-    least letter, and every prefix of one is a prenecklace.
+    tuple, lexicographically sorted: `_lyndon_words` with each letter's
+    budget its count.  A Lyndon word starts with its least letter.
     """
-    n, left = len(content), {x: content.count(x) for x in content}
-    word, out = [0, content[0]] + [0] * (n - 1), []
-    left[content[0]] -= 1
-
-    def extend(t, p):
-        if t > n:
-            if p == n:
-                out.append(tuple(word[1:]))
-            return
-        for x in left:
-            if x >= word[t - p] and left[x]:
-                left[x] -= 1
-                word[t] = x
-                extend(t + 1, p if x == word[t - p] else t)
-                left[x] += 1
-
-    extend(2, 1)
-    return tuple(out)
+    letters = sorted(set(content))
+    return _lyndon_words(letters, [content.count(x) for x in letters], len(content), 1)
 
 
 def _split(word) -> int:
@@ -200,10 +206,6 @@ def standard_bracketing(word: tuple):
         raise ParameterError(f"{word} is not a Lyndon word")
     split = _split(word)
     return (standard_bracketing(word[:split]), standard_bracketing(word[split:]))
-
-
-def _is_lyndon(word) -> bool:
-    return all(word < word[i:] for i in range(1, len(word)))
 
 
 def _commutator(left, right) -> dict:
@@ -333,7 +335,9 @@ def tensor_to_lie(m: int, degree: int, tensor: dict) -> LieElement:
         c = residue[word]
         if not c:
             continue
-        if len(word) != degree or not all(0 < i <= m for i in word) or not _is_lyndon(word):
+        # a Lyndon word is less than its least proper suffix, its last Lyndon factor
+        if (len(word) != degree or not all(0 < i <= m for i in word)
+                or len(word) > 1 and word >= word[_split(word):]):
             raise NotPrimitiveError("tensor is not primitive (no Lie preimage)")
         out[word] = c
         for w, x in shape_tensor(standard_bracketing(word)):
@@ -489,14 +493,8 @@ def tree_readings(shape, outside, memo, known=None):
 
 
 def word_multiplicity(word) -> int:
+    """The most times any letter occurs in a word, what a k bound limits."""
     return max(word.count(i) for i in set(word)) if word else 0
-
-
-def k_project_lie(x: LieElement, k: int) -> LieElement:
-    """Drop basis terms whose bracket repeats some generator more than k times."""
-    return LieElement.make(
-        x.m, x.degree, {w: c for w, c in x.coeffs if word_multiplicity(w) <= k}
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -531,18 +529,6 @@ def bracket_map(x: TensorElement) -> LieElement:
     for (i, word), c in x.coeffs:
         _add_bracket(acc, c, (i,), ((word, 1),), memo)
     return LieElement.make(x.m, x.degree + 1, acc)
-
-
-def tensor_multiplicity(key) -> int:
-    i, word = key
-    return word_multiplicity(word + (i,))
-
-
-def k_project_tensor(x: TensorElement, k: int) -> TensorElement:
-    """Drop terms of multiplicity > k; the root label counts too."""
-    return TensorElement.make(
-        x.m, x.degree, {key: c for key, c in x.coeffs if tensor_multiplicity(key) <= k}
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -582,7 +568,7 @@ def _bracket_rows(m: int, n: int, k):
         (i, w)
         for i in range(1, m + 1)
         for w in lyndon_words(m, n + 1)
-        if k is None or tensor_multiplicity((i, w)) <= k
+        if k is None or word_multiplicity(w + (i,)) <= k
     ]
     target_words = [
         w for w in lyndon_words(m, n + 2)

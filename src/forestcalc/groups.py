@@ -55,7 +55,7 @@ keeps the blocks whose label counts are at most k.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations
 from math import factorial, perm
 from typing import NamedTuple
 
@@ -104,30 +104,31 @@ class GroupElement(NamedTuple):
 
 def _representative(content: tuple):
     """(representative, labels) of a content: its S_m-orbit's representative
-    in `content_orbits`, and the relabeling x -> labels[x - 1] that carries
-    the content onto it, labels ordered by count, then by label."""
-    counts = {x: content.count(x) for x in set(content)}
-    labels = [0] * content[-1]
-    for i, x in enumerate(sorted(counts, key=lambda x: (-counts[x], x)), 1):
-        labels[x - 1] = i
+    in `content_orbits`, and the first of `_relabelings`, x -> labels[x - 1],
+    which carries the content onto it, labels ordered by count, then by
+    label."""
+    labels = next(_relabelings(content))
     return tuple(sorted(labels[x - 1] for x in content)), labels
 
 
 def _relabelings(content: tuple):
     """Every relabeling x -> labels[x - 1] that carries a content onto its
-    representative: the labels of each count permuted among themselves."""
+    representative, lazily: the labels of each count, most frequent first,
+    permuted among themselves, first the relabeling that keeps each count's
+    labels in order."""
     counts = {x: content.count(x) for x in set(content)}
-    classes, first = [], 1
-    for c in sorted(set(counts.values()), reverse=True):
-        tied = sorted(x for x in counts if counts[x] == c)
-        classes.append([list(zip(tied, p)) for p in permutations(range(first, first + len(tied)))])
-        first += len(tied)
-    for choice in product(*classes):
-        labels = [0] * content[-1]
-        for pairs in choice:
-            for x, y in pairs:
+    tied = [sorted(x for x in counts if counts[x] == c) for c in sorted(set(counts.values()), reverse=True)]
+
+    def choose(i, first, labels):
+        if i == len(tied):
+            yield list(labels)
+            return
+        for p in permutations(range(first, first + len(tied[i]))):
+            for x, y in zip(tied[i], p):
                 labels[x - 1] = y
-        yield labels
+            yield from choose(i + 1, first + len(tied[i]), labels)
+
+    return choose(0, 1, [0] * content[-1])
 
 
 class TreeGroup:
@@ -245,12 +246,8 @@ class TreeGroup:
         one content at a time; a forest with no such part builds no block."""
         coords = []
         for content, terms in sorted(self._parts(forest).items()):
-            vector = {}
-            for coeff, tree in terms:
-                _, representative, reading = self._reading(tree)
-                for g, c in reading.items():
-                    vector[g] = vector.get(g, 0) + coeff * c
-            reduced = self._block(representative)[0].reduce(vector.items())
+            representative = self._reading(terms[0][1])[1]
+            reduced = self._reduce(representative, terms, lambda tree: self._reading(tree)[2])
             if any(reduced):
                 coords.append((content, reduced))
         return GroupElement(self, tuple(coords))
@@ -263,17 +260,21 @@ class TreeGroup:
         out = []
         for content, terms in self._parts(forest).items():
             representative = _representative(content)[0]
-            snf, best = self._block(representative)[0], None
-            for labels in _relabelings(content):
-                vector = {}
-                for coeff, tree in terms:
-                    for g, c in self._read(tree, representative, labels).items():
-                        vector[g] = vector.get(g, 0) + coeff * c
-                reduced = snf.reduce(vector.items())
-                best = reduced if best is None else min(best, reduced)
+            best = min(self._reduce(representative, terms,
+                                    lambda tree: self._read(tree, representative, labels))
+                       for labels in _relabelings(content))
             if any(best):
                 out.append((representative, best))
         return sorted(out)
+
+    def _reduce(self, representative, terms, read) -> tuple:
+        """The normal form of sum c * read(tree) over the (c, tree) of `terms`,
+        each read(tree) {generator: coeff} in the representative's block."""
+        vector = {}
+        for coeff, tree in terms:
+            for g, c in read(tree).items():
+                vector[g] = vector.get(g, 0) + coeff * c
+        return self._block(representative)[0].reduce(vector.items())
 
     def _selects(self, tree: DecoratedTree) -> bool:
         if tree.kind == FRAMED:

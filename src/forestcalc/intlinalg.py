@@ -163,7 +163,8 @@ def _residual_smith(rest, cols):
 
     `cols` holds every column that the rows name, in increasing order.
     diag lists the positive invariant factors d1 | d2 | ... and v is
-    unimodular, with ``u * rows * v == diag`` for some unimodular u.
+    unimodular, with ``u * rows * v == diag`` for some unimodular u; v is
+    sparse rows, {column: coeff} dicts, one per position in `cols`.
 
     Row and column Hermite forms alternate until the block is diagonal
     (Kannan and Bachem, SIAM J. Comput. 8, 1979).  The column form is the
@@ -172,8 +173,9 @@ def _residual_smith(rest, cols):
     operation to v too.  The columns it leaves zero span the kernel and go
     last in v.  From then on the block is square, and each form reduces
     every entry against its column's or row's pivot, so no entry exceeds the
-    determinant.  Then, for each pair d_i, d_j with d_i not dividing d_j, a
-    2 x 2 gcd transform of v's columns i and j makes them gcd and lcm.
+    determinant.  Then, unless the diagonal is a chain already, for each
+    pair d_i, d_j with d_i not dividing d_j, a 2 x 2 gcd transform of v's
+    columns i and j makes them gcd and lcm.
     """
     at = {j: k for k, j in enumerate(cols)}
     rows = [{at[j]: x for j, x in row.items()} for row in rest]
@@ -196,21 +198,24 @@ def _residual_smith(rest, cols):
                 rows[i][k] = col.pop(i)
         if all(len(row) == 1 for row in rows):
             break
-    v = [[0] * len(cols) for _ in cols]
-    for k, col in enumerate(columns + kernel):
-        for i, x in col.items():
-            v[i - top][k] = x
     diag = [row[i] for i, row in enumerate(rows)]
-    for i in range(r):
+    chain = not any(b % a for a, b in zip(diag, diag[1:]))
+    for i in range(0 if chain else r):
         for j in range(i + 1, r):
             a, b = diag[i], diag[j]
             if b % a:
                 g = gcd(a, b)
                 s = pow(a // g, -1, b // g)  # s*a + t*b == g
                 t = (g - s * a) // b
-                for row in v:
-                    row[i], row[j] = s * row[i] + t * row[j], (a * row[j] - b * row[i]) // g
+                x, y = columns[i], columns[j]  # v's columns i and j
+                keys = x.keys() | y.keys()
+                columns[i] = {p: c for p in keys if (c := s * x.get(p, 0) + t * y.get(p, 0))}
+                columns[j] = {p: c for p in keys if (c := (a * y.get(p, 0) - b * x.get(p, 0)) // g)}
                 diag[i], diag[j] = g, a // g * b
+    v = [{} for _ in cols]
+    for k, col in enumerate(columns + kernel):
+        for i, x in col.items():
+            v[i - top][k] = x
     return diag, v
 
 
@@ -262,9 +267,8 @@ class Presentation:
             if k >= named:
                 w[k] = x
             elif x:
-                for i, y in enumerate(self.v[k]):
-                    if y:
-                        w[i] += x * y
+                for i, y in self.v[k].items():
+                    w[i] += x * y
         return tuple([c % d for c, d in zip(w, self.diag)] + w[len(self.diag):])
 
     def summands(self):
@@ -277,7 +281,7 @@ class Presentation:
         """
         picked = [j for j, d in enumerate(self.diag) if d > 1]
         picked += range(len(self.diag), len(self.v))
-        rows, width = _carrying([{j: x for j, x in enumerate(row) if x} for row in self.v])
+        rows, width = _carrying(self.v)
         placed, _ = _hermite(rows, width)
         return ([tuple((self.survivors[k - width], x) for k, x in sorted(rows[placed[j]].items())
                        if k >= width) for j in picked]

@@ -44,8 +44,6 @@ from .errors import (
 from .freelie import (
     TensorElement,
     bracket_map,
-    k_project_lie,
-    k_project_tensor,
     tensor_of,
     tensor_to_lie,
     word_multiplicity,
@@ -316,13 +314,14 @@ def milnor_from_longitudes(data: LongitudeData, cap: int = 8, k=None) -> MilnorR
                 if part:
                     parts.append((i, part))
             if parts:
-                return _invariant(m, degree, parts, k)
+                return _invariant(m, degree, parts)
         scanned = top
     raise AllVanishing(cap)
 
 
-def _invariant(m: int, degree: int, parts, k) -> MilnorResult:
-    """mu = sum_i X_i (x) l_i from the nonzero parts (i, P_degree of l_i)."""
+def _invariant(m: int, degree: int, parts) -> MilnorResult:
+    """mu = sum_i X_i (x) l_i from the nonzero parts (i, P_degree of l_i), k-filtered
+    where k is set; the Lie reduction and the bracket keep every content, so none is projected."""
     value = TensorElement.zero(m, degree)
     table = []
     for i, part in parts:
@@ -335,13 +334,8 @@ def _invariant(m: int, degree: int, parts, k) -> MilnorResult:
         value = value + tensor_of(i, lie)
         for w in sorted(part):
             table.append((w, i, part[w]))
-    check = bracket_map(value)
-    if k is not None:
-        check = k_project_lie(check, k)
-    if not check.is_zero:
+    if not bracket_map(value).is_zero:
         raise BracketNonzeroError(
             "longitude invariant escapes the bracket kernel"
         )
-    if k is not None:
-        value = k_project_tensor(value, k)
     return MilnorResult(degree - 1, value, tuple(table))

@@ -1,11 +1,20 @@
-"""eta by re-rooting, the path that the one-walk eta (`freelie.leaf_readings`)
-replaced, kept as the tests' oracle of `forestcalc.eta`.
+"""Paths that `forestcalc` replaced, kept as the tests' oracles.
 
-A framed tree <A, B> is re-rooted at each of its leaves (`leaf_rootings`),
-the rest of the tree rebuilt as a rooted shape, and each shape is reduced
-from scratch on the Lyndon basis (`reduce_shape`).  A twisted J^inf is half
-of <J, J>, both halves read.  `lie_tensor` expands a Lie element in the
-tensor algebra.
+eta by re-rooting, the path that the one-walk eta (`freelie.leaf_readings`)
+replaced: a framed tree <A, B> is re-rooted at each of its leaves
+(`leaf_rootings`), the rest of the tree rebuilt as a rooted shape, and each
+shape is reduced from scratch on the Lyndon basis (`reduce_shape`).  A
+twisted J^inf is half of <J, J>, both halves read.  `lie_tensor` expands a
+Lie element in the tensor algebra.
+
+The k projections (`k_project_lie`, `k_project_tensor`), which drop every
+term whose word, with the root label for a tensor, repeats a letter more
+than k times; the multigrading makes them the identity on what eta and the
+Magnus expansion compute from k-filtered inputs.
+
+Duval's successor rule, then a sort, for the Lyndon words of a degree
+(`duval_lyndon_words`), and the suffix-by-suffix Lyndon test (`is_lyndon`),
+which `freelie`'s prenecklace recursion and `_split` replaced.
 """
 
 from functools import lru_cache
@@ -15,10 +24,10 @@ from forestcalc.forest import make_forest
 from forestcalc.freelie import (
     LieElement,
     TensorElement,
-    k_project_tensor,
     lie_coordinates,
     shape_tensor,
     standard_bracketing,
+    word_multiplicity,
 )
 from forestcalc.trees import FRAMED, TWISTED, multiplicity, shape_leaves
 
@@ -114,3 +123,39 @@ def lie_tensor(x: LieElement) -> dict:
         for w, y in shape_tensor(standard_bracketing(word)):
             acc[w] = acc.get(w, 0) + c * y
     return {w: c for w, c in acc.items() if c}
+
+
+def k_project_lie(x: LieElement, k: int) -> LieElement:
+    """Drop basis terms whose bracket repeats some generator more than k times."""
+    return LieElement.make(
+        x.m, x.degree, {w: c for w, c in x.coeffs if word_multiplicity(w) <= k}
+    )
+
+
+def k_project_tensor(x: TensorElement, k: int) -> TensorElement:
+    """Drop terms of multiplicity > k; the root label counts too."""
+    return TensorElement.make(
+        x.m, x.degree, {(i, w): c for (i, w), c in x.coeffs if word_multiplicity(w + (i,)) <= k}
+    )
+
+
+def duval_lyndon_words(m: int, n: int) -> tuple:
+    """All Lyndon words of length n over 1..m, lexicographically sorted (Duval)."""
+    words = []
+    w = [1]
+    while w:
+        if len(w) == n:
+            words.append(tuple(w))
+        # extend periodically to length n, then increment
+        base = list(w)
+        while len(w) < n:
+            w.append(base[(len(w)) % len(base)])
+        while w and w[-1] == m:
+            w.pop()
+        if w:
+            w[-1] += 1
+    return tuple(sorted(words))
+
+
+def is_lyndon(word) -> bool:
+    return all(word < word[i:] for i in range(1, len(word)))

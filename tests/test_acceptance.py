@@ -6,6 +6,7 @@ import sys
 
 from sympy import divisors, mobius
 
+from lie_oracle import k_project_tensor
 from table_oracle import framed_generators, table_group, twisted_generators
 
 from forestcalc.cli import main as cli_main
@@ -20,7 +21,6 @@ from forestcalc.forest import make_forest, parse_forest
 from forestcalc.freelie import (
     bracket_kernel,
     bracket_map_cokernel,
-    k_project_tensor,
     lyndon_words,
 )
 from forestcalc.groups import build_group

@@ -721,6 +721,10 @@ def test_table_agrees_with_argparse(argv):
         (["lie", "--m", "100000", "--order", "2"], "number 4,999,950,000"),
         (["lie", "--m", "2", "--order", "1000000"], "number over 2^57"),
         (["arf", "--m", "100000", "--order", "1", "--k", "4"], "number 333,333,333,300,000"),
+        # one order-20 tree on 3 labels, over the Lyndon-word budget in its terms (x, w)
+        (["eta", "--m", "3", "--order", "20",
+          "+1*<(2,1),((((2,(((3,1),1),3)),1),(2,3)),(1,((((3,1),1),((1,2),(((2,1),1),1))),(3,2))))>"],
+         "up to 15,519,504 terms"),
     ],
 )
 def test_budget_refuses_before_building(capsys, argv, estimate):

@@ -6,13 +6,13 @@ from typing import NamedTuple
 import pytest
 
 import lie_oracle
-from lie_oracle import leaf_rootings, reduce_shape, shape_to_lie
+from lie_oracle import k_project_tensor, leaf_rootings, reduce_shape, shape_to_lie
 from table_oracle import framed_table, table_group
 from test_freelie import _random_labeled
 from test_trees import edges
 
 from forestcalc import eta as eta_module
-from forestcalc.errors import NotPrimitiveError, OrderMismatchError, ParameterError
+from forestcalc.errors import NotPrimitiveError, OrderMismatchError, ParameterError, ResourceLimitError
 from forestcalc.eta import (
     _free_rows,
     arf_classes,
@@ -28,7 +28,6 @@ from forestcalc.freelie import (
     TensorElement,
     bracket_kernel,
     bracket_map,
-    k_project_tensor,
     leaf_readings,
     lie_bracket,
     lyndon_words,
@@ -642,6 +641,48 @@ def test_eta_refuses_labels_past_m():
             with pytest.raises(NotPrimitiveError) as caught:
                 run()
             assert caught.value.tag == "not-primitive"
+
+
+# order-20 trees on 3 labels, from `random_framed(rng, random_labels(rng, 3, 22))`
+# of perfbench's queries at rng = random.Random(5) and Random(7): the first
+# is AS-torsion, from its (3,3) branch, the second is not and has 15,519,504
+# possible terms (x, w)
+TORSION_20 = "+1*<(3,(((2,3),((2,3),(3,3))),3)),((1,(2,1)),((((3,1),(1,(1,(2,(2,(1,2)))))),(3,1)),3))>"
+WIDE_20 = "+1*<(2,1),((((2,(((3,1),1),3)),1),(2,3)),(1,((((3,1),1),((1,2),(((2,1),1),1))),(3,2))))>"
+
+
+def test_eta_tree_answers_torsion_and_refuses_wide_trees_unwalked(monkeypatch):
+    def walk(*args):
+        raise AssertionError("eta walked the tree")
+
+    monkeypatch.setattr(eta_module, "tree_readings", walk)
+    (_, torsion), = parse_forest(TORSION_20, 3).terms
+    assert torsion.torsion and eta_tree(3, 20, torsion, 5) == TensorElement.zero(3, 21)
+    (_, wide), = parse_forest(WIDE_20, 3).terms
+    with pytest.raises(ResourceLimitError, match="15,519,504 terms"):
+        eta_tree(3, 20, wide)
+    monkeypatch.undo()
+    # the CI's order-12 forest, 9,240 possible terms, is answered
+    forest = parse_forest("+1*<(2,(2,4)),((((((1,2),(4,1)),(2,(4,2))),4),(2,1)),2)>", 4)
+    assert eta(forest, 12) == lie_oracle.eta(forest, 12) != TensorElement.zero(4, 13)
+
+
+def test_torsion_trees_have_eta_zero():
+    # an AS-torsion tree is minus itself, and L_1 (x) L_{n+1} is torsion-free:
+    # the re-rooting oracle reads 0 on every one of a seeded sample, which
+    # eta_tree answers unwalked; a label past m is still refused
+    rng = random.Random(83)
+    torsion = 0
+    for _ in range(3000):
+        m, n = rng.randint(1, 3), rng.randint(0, 7)
+        left = rng.randint(1, n + 1)
+        tree, _ = framed_tree(_random_labeled(rng, m, left), _random_labeled(rng, m, n + 2 - left))
+        if tree.torsion:
+            assert lie_oracle.eta_tree(m, n, tree).is_zero and eta_tree(m, n, tree).is_zero
+            torsion += 1
+    assert torsion > 300
+    with pytest.raises(NotPrimitiveError):
+        eta_tree(2, 2, framed_tree((3, 3), (1, 2))[0])
 
 
 def _random_forest(rng, m, n, labels):

@@ -1,11 +1,12 @@
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import divisors, mobius
 
-from lie_oracle import lie_tensor
+from lie_oracle import duval_lyndon_words, is_lyndon, k_project_tensor, lie_tensor
 from table_oracle import shape_ids
 
 from forestcalc import freelie
@@ -20,7 +21,6 @@ from forestcalc.freelie import (
     bracket_map,
     bracket_map_cokernel,
     bracket_str,
-    k_project_tensor,
     lie_bracket,
     lie_coordinates,
     lyndon_words,
@@ -57,6 +57,27 @@ def test_split_scan_matches_least_suffix():
                 assert _split(word) == _min_split(word)
                 words += 1
     assert words == sum(witt(m, n) for m in (2, 3) for n in range(2, 13))
+
+
+def test_split_cuts_every_word_at_its_least_proper_suffix():
+    # on any word, not only on Lyndon words, the cut is at the least proper
+    # suffix, so a word is a Lyndon word when it is less than that suffix,
+    # which is how tensor_to_lie tests a least word
+    lyndon = 0
+    for n in range(2, 9):
+        for word in product((1, 2, 3), repeat=n):
+            assert word[_split(word):] == word[_min_split(word):]
+            assert (word < word[_split(word):]) == is_lyndon(word)
+            lyndon += is_lyndon(word)
+    assert lyndon == sum(witt(3, n) for n in range(2, 9))
+
+
+def test_lyndon_words_match_duval():
+    # the prenecklace recursion gives the words that Duval's successor rule
+    # and a sort give, in the same order
+    cells = [(m, n) for m in range(1, 5) for n in range(1, 11)]
+    for m, n in cells + [(2, 20), (3, 12), (5, 8), (100, 3), (1000, 2)]:
+        assert lyndon_words(m, n) == duval_lyndon_words(m, n), (m, n)
 
 
 def _buckets(m, n):

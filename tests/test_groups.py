@@ -1,7 +1,7 @@
 import hashlib
 import random
 import time
-from math import comb
+from math import comb, factorial, prod
 
 import pytest
 
@@ -782,6 +782,35 @@ def test_witness_is_invariant_under_relabeling(m, n):
             for _ in range(3):
                 labels = rng.sample(range(1, m + 1), m)
                 assert group.witness(_relabeled(forest, labels)) == witness, str(forest)
+
+
+def _sorted_relabeling(content):
+    """The relabeling onto a content's representative that orders its labels
+    by count, then by label, by a sort: the rule `_representative` kept
+    before it read the first of `_relabelings`."""
+    counts = {x: content.count(x) for x in set(content)}
+    labels = [0] * content[-1]
+    for i, x in enumerate(sorted(counts, key=lambda x: (-counts[x], x)), 1):
+        labels[x - 1] = i
+    return labels
+
+
+def test_representative_is_the_first_relabeling():
+    # every relabeling carries the content onto its representative, once
+    # each, the labels of each count permuted, and the first is the sorted one
+    rng = random.Random(5000)
+    for _ in range(5000):
+        m = rng.randint(1, 6)
+        content = tuple(sorted(rng.randint(1, m) for _ in range(rng.randint(1, 8))))
+        representative, labels = groups._representative(content)
+        assert labels == _sorted_relabeling(content)
+        assert representative in dict(content_orbits(m, len(content)))
+        if len(set(content)) <= 4:
+            every = list(groups._relabelings(content))
+            assert every[0] == labels and len({tuple(x) for x in every}) == len(every)
+            assert all(tuple(sorted(x[i - 1] for i in content)) == representative for x in every)
+            counts = [content.count(x) for x in set(content)]
+            assert len(every) == prod(factorial(counts.count(c)) for c in set(counts))
 
 
 @pytest.mark.parametrize("m, n, forest", [

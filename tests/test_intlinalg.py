@@ -350,6 +350,7 @@ def test_residual_smith_contract():
     assert sum(len(cols) > 20 for _, cols in residuals) > 40
     for rest, cols in residuals:
         diag, v = _residual_smith(rest, cols)
+        v = [[row.get(k, 0) for k in range(len(cols))] for row in v]
         dense = [[row.get(j, 0) for j in cols] for row in rest]
         assert diag == _old_residual_factors(dense)
         assert all(d > 0 for d in diag)
@@ -358,6 +359,16 @@ def test_residual_smith_contract():
         for row in mat_mul(dense, v):
             assert not any(row[len(diag):])
             assert all(x % d == 0 for x, d in zip(row, diag))
+
+
+def test_residual_smith_keeps_v_sparse():
+    # a diagonal that is a chain already takes no gcd transform, so v stays
+    # the identity as sparse rows, one entry each, at any size; one that is
+    # not takes a 2 x 2 transform of v's columns
+    diag, v = _residual_smith([{j: 2} for j in range(2000)], list(range(2000)))
+    assert diag == [2] * 2000 and v == [{j: 1} for j in range(2000)]
+    diag, v = _residual_smith([{0: 4}, {1: 6}], [0, 1])
+    assert diag == [2, 12] and v == [{0: 2, 1: -3}, {0: -1, 1: 2}]
 
 
 def test_presentation_bounds_coefficient_growth():

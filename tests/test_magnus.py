@@ -1,8 +1,14 @@
+import random
 from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+import lie_oracle
+from lie_oracle import k_project_lie, k_project_tensor
+from test_eta import _random_forest
+from test_freelie import _random_labeled
 
 from forestcalc import magnus
 from forestcalc.errors import (
@@ -12,13 +18,11 @@ from forestcalc.errors import (
     ParameterError,
     ParseError,
 )
-from forestcalc.eta import milnor_from_forest
+from forestcalc.eta import eta_k, milnor_from_forest
 from forestcalc.forest import parse_forest
 from forestcalc.freelie import (
     TensorElement,
     bracket_map,
-    k_project_lie,
-    k_project_tensor,
     tensor_of,
     tensor_to_lie,
     word_multiplicity,
@@ -484,6 +488,35 @@ def test_one_walk_per_nonempty_longitude(monkeypatch, data, order, expected):
     assert walks == [order + 1] * sum(1 for _, w in data.longitudes if _free_reduce(w))
     if expected is not None:
         assert result.value == expected
+
+
+def test_k_bound_needs_no_projection():
+    # eta and the Magnus expansion keep each term's content, so once their
+    # inputs are k-filtered no k projection changes what they give: eta_k and
+    # milnor_from_forest equal the re-rooting oracle's eta projected, whose
+    # projected bracket vanishes too, and milnor_from_longitudes equals the
+    # old scan, which projected its value and its bracket, on seeded forests
+    # and on the longitudes of clasper surgery along seeded framed trees
+    rng = random.Random(35)
+    seen = {"forests": 0, "longitudes": 0}
+    for _ in range(300):
+        m, n, k = rng.randint(1, 4), rng.randint(0, 6), rng.randint(1, 4)
+        forest = _random_forest(rng, m, n, m)
+        projected = lie_oracle.eta_k(forest, n, k)
+        assert eta_k(forest, n, k) == projected == milnor_from_forest(forest, n, k)
+        assert k_project_lie(bracket_map(projected), k).is_zero
+        seen["forests"] += bool(projected.coeffs)
+    for _ in range(100):
+        m, n, k = rng.randint(2, 4), rng.randint(0, 3), rng.randint(1, 4)
+        trees = []
+        for _ in range(rng.randint(1, 2)):
+            left = rng.randint(1, n + 1)
+            trees.append((_random_labeled(rng, m, left), _random_labeled(rng, m, n + 2 - left)))
+        data = _forest_longitudes(m, trees)
+        outcome = _outcome(milnor_from_longitudes, data, n + 2, k)
+        assert outcome == _outcome(_old_milnor_from_longitudes, data, n + 2, k)
+        seen["longitudes"] += isinstance(outcome[0], int)
+    assert seen["forests"] > 80 and seen["longitudes"] > 40, seen
 
 
 def test_free_reduction():
