@@ -159,8 +159,9 @@ def eta_cokernel_invariants(m: int, n: int):
     presentations, once per block of each orbit.  The bracket to L_{n+2} is
     onto, so D_n has rank m W(m,n+1) - W(m,n+2).
     """
+    blocks = _free_rows(m, n)  # first, to refuse m < 1 or n < 0 before witt reads them
     rank, torsion = m * witt(m, n + 1) - witt(m, n + 2), []
-    for size, *_, snf in _free_rows(m, n):
+    for size, *_, snf in blocks:
         rank -= size * (len(snf.pivots) + len(snf.diag))
         torsion += [d for d in snf.diag if d > 1] * size
     return divisibility_chain(torsion)[0], rank
@@ -174,9 +175,9 @@ def eta_kernel(m: int, n: int):
     ones combined by the Hermite basis of the left kernel of their eta rows,
     computed only when the rows' presentation gives a rank below the row
     count.  Each block of an orbit takes the representative's lifts
-    relabeled (`TwistedBlock.forest`), in the order of the contents, and the
-    factors of all blocks merge into one chain.  Only the lifts' classes
-    are fixed, not their strings.
+    relabeled (`TwistedBlock.terms`), in the order of the contents, and the
+    factors of all blocks merge into one chain, each merged lift made one
+    forest.  Only the lifts' classes are fixed, not their strings.
     """
     found = []  # (content, factors, lifts) of each block with a kernel
     for _, block, group, summands, rows, snf in _free_rows(m, n):
@@ -186,12 +187,12 @@ def eta_kernel(m: int, n: int):
         lifts = summands[:len(torsion)]
         lifts += [[(g, c * y) for i, c in x for g, y in free[i]] for x in kernel]
         if lifts:
-            found += [(content, torsion + [0] * len(kernel), [block.forest(r, labels) for r in lifts])
+            found += [(content, torsion + [0] * len(kernel), [block.terms(r, labels) for r in lifts])
                       for content, labels in content_orbit(m, block.content)]
     found.sort(key=lambda f: f[0])
     factors, merged = divisibility_chain([d for _, ds, _ in found for d in ds])
-    lifts = [lift for *_, forests in found for lift in forests]
-    return factors, [make_forest(m, [(c * x, t) for i, c in row for x, t in lifts[i].terms])
+    lifts = [lift for *_, terms in found for lift in terms]
+    return factors, [make_forest(m, [(c * x, t) for i, c in row for x, t in lifts[i]])
                      for row in merged.summands()]
 
 

@@ -27,8 +27,9 @@ A tree is read at each of its leaves as the bracket of everything else,
 for the relations and normal forms of the tree groups and for eta, in one
 walk: the bracket of all that lies outside a subtree is carried down into
 it, one rewriting per vertex, and each subtree's coordinates are reduced
-once.  `leaf_readings` walks the standard bracketing of a Lyndon word,
-whose subtrees are basis elements, and `tree_readings` any rooted shape.
+once (`tree_readings`).  The same walk reads the generators of the tree
+groups' blocks, the standard bracketing of a Lyndon word or of a square,
+and every tree that eta or a normal form reads.
 
 The tensor algebra stays for the Magnus expansion and as an oracle: the
 expansion of P_w is w plus lexicographically larger words, so integer
@@ -412,31 +413,6 @@ def _bracket(x, y, memo) -> dict:
     return {w: c for w, c in acc.items() if c}
 
 
-def leaf_readings(word, outside, memo) -> list:
-    """P_word with `outside` grafted at its root, read at every leaf.
-
-    Read at a leaf, the tree is the bracket of everything else: going into
-    the left branch P_a of a vertex (P_a, P_b) brackets the outside y to
-    [P_b, y], into the right branch to [y, P_a] = -[P_a, y], one rewriting
-    per vertex.  Outside and readings are Lie elements as {Lyndon word:
-    coeff} dicts, which may hold zeros.  Returns (label, reading) in leaf
-    reading order.  `memo` is the caller's, as for `lie_bracket`.  A square
-    word vv reads as [P_v, P_v].
-    """
-    return _leaf_readings(word, outside, memo, len(word) // 2 if is_square(word) else None)
-
-
-def _leaf_readings(word, outside, memo, split=None) -> list:
-    if len(word) == 1:
-        return [(word[0], outside)]
-    split = split or _split(word)
-    a, b = word[:split], word[split:]
-    left, right = {}, {}
-    _add_bracket(left, 1, b, outside.items(), memo)
-    _add_bracket(right, -1, a, outside.items(), memo)
-    return _leaf_readings(a, left, memo) + _leaf_readings(b, right, memo)
-
-
 def lie_bracket(a: LieElement, b: LieElement, memo=None) -> LieElement:
     """[a, b] on the Lyndon basis.
 
@@ -471,13 +447,18 @@ def lie_coordinates(shape, memo, known=None) -> dict:
 
 def tree_readings(shape, outside, memo, known=None):
     """A rooted shape with `outside` grafted at its root, read at every
-    leaf as `leaf_readings` reads a word, lazily: yields (label, reading)
-    in leaf order.
+    leaf, lazily: yields (label, reading) in leaf order.
 
-    A branch's coordinates are reduced when the walk first needs them, once
-    per tree (`lie_coordinates`, whose `known` this takes), so the first
-    reading costs the right branches along the left spine only.  The
-    readings are {Lyndon word: coeff} dicts, which may hold zeros.
+    Read at a leaf, the tree is the bracket of everything else: going into
+    the left branch a of a vertex (a, b) brackets the outside y to [b, y],
+    into the right branch to [y, a] = -[a, y], one rewriting per vertex.
+    Outside and readings are {key: coeff} dicts, which may hold zeros, the
+    keys Lyndon words and, on a `quasi_memo`, squares vv.  `memo` is the
+    caller's, as for `lie_bracket`.  A branch's coordinates are reduced
+    when the walk first needs them, once per tree (`lie_coordinates`, whose
+    `known` this takes, and which a caller reading many trees may share),
+    so the first reading costs the right branches along the left spine
+    only.
     """
     if isinstance(shape, int):
         yield shape, outside

@@ -26,10 +26,11 @@ invariants is an isomorphism, and past the table's reach the rank with
 m W(m,n+1) - W(m,n+2) and the torsion with m W(m,(n+1)/2) summands Z/2 at
 framed odd n and CST's Z/2 (x) L_{(n+2)/4} at twisted n = 2 mod 4.
 These four families are stated once (`_families`) for every block, count
-and listing; `group --json` lists them (`TreeGroup.generator_texts`).  Each
-block is built once per process (`lie_block`), for `group`, normal forms
-and eta alike, and a cell whose blocks would make more than MAX_LIE_ROWS
-rows is refused before any is built.
+and listing; `group --json` lists them (`TreeGroup.generator_texts`).  A
+block depends only on its order, flavor and content, m deciding only which
+contents occur, so each is built once per process (`lie_block`), for every
+m, and for `group`, normal forms and eta alike; a cell whose blocks would
+make more than MAX_LIE_ROWS rows is refused before any is built.
 
 A normal form reads each tree into the block of its content
 (`TreeGroup.reduce_forest`): a framed tree <A, B> at the first leaf y of A,
@@ -60,11 +61,10 @@ from math import factorial, perm
 from typing import NamedTuple
 
 from .errors import DomainError, ParameterError, ResourceLimitError
-from .forest import IntersectionForest, make_forest
+from .forest import IntersectionForest
 from .freelie import (
     fine_witt,
     is_square,
-    leaf_readings,
     lie_coordinates,
     lyndon_count,
     lyndon_words,
@@ -193,7 +193,7 @@ class TreeGroup:
             _refuse_rows((self.n + 1) * _block_width(self.n, self.flavor, content),
                          f"the Lie-coordinate block of content {content} at {self.flavor} order {self.n}"
                          " makes")
-            self._built[content] = lie_block(self.m, self.n, self.flavor, content)
+            self._built[content] = lie_block(self.n, self.flavor, content)
         block, snf = self._built[content]
         return snf, block.index
 
@@ -380,7 +380,8 @@ def _word_shape(word):
 
 
 class TwistedBlock(NamedTuple):
-    """The block of one content of a tree group on Lie coordinates.
+    """The block of one content of a tree group on Lie coordinates, one for
+    every m, which decides only whether the content occurs.
 
     Generators, numbered in this order, one run per family of `_families`:
     (x, w) for each pair in `framed`, a label x and a basis key w of
@@ -394,7 +395,6 @@ class TwistedBlock(NamedTuple):
     numbered as the generators (x, w) are.
     """
 
-    m: int
     content: tuple
     framed: tuple
     twisted: tuple
@@ -402,10 +402,10 @@ class TwistedBlock(NamedTuple):
     images: tuple
     index: dict
 
-    def forest(self, row, labels):
-        """The forest of a sparse row ((generator, coeff), ...), each label x
-        read as labels[x - 1]: (x, w) is <x, std(w)>, std the standard
-        bracketing, and the others are the J^inf of `twisted`."""
+    def terms(self, row, labels) -> list:
+        """The (coeff, tree) terms of a sparse row ((generator, coeff), ...),
+        each label x read as labels[x - 1]: (x, w) is <x, std(w)>, std the
+        standard bracketing, and the others are the J^inf of `twisted`."""
         framed, terms = len(self.framed), []
         for g, c in row:
             if g < framed:
@@ -414,10 +414,10 @@ class TwistedBlock(NamedTuple):
                 terms.append((c * sign, tree))
             else:
                 terms.append((c, twisted_tree(_relabel(_word_shape(self.twisted[g - framed]), labels))))
-        return make_forest(self.m, terms)
+        return terms
 
 
-def twisted_block(m: int, n: int, content: tuple, flavor=FLAVOR_TWISTED) -> TwistedBlock:
+def twisted_block(n: int, content: tuple, flavor=FLAVOR_TWISTED) -> TwistedBlock:
     """The block of a content of the twisted T_n^inf or the framed T_n, and
     eta on it.
 
@@ -429,10 +429,11 @@ def twisted_block(m: int, n: int, content: tuple, flavor=FLAVOR_TWISTED) -> Twis
     deduplicated up to sign.  eta comes with the readings: eta(x, w) is the
     sum of every reading of <x, std(w)>, and eta(w^inf) half that of
     <std(w), std(w)>, whose two halves read alike, so the sum of one half's
-    readings; eta((v,v)^inf) = 0.
+    readings; eta((v,v)^inf) = 0.  Each tree is read in one walk
+    (`tree_readings`), its subtrees' coordinates kept for the whole block.
     """
-    # basis-pair brackets, as for `lie_bracket`
-    memo = quasi_memo() if flavor == FLAVOR_FRAMED and n % 2 else {}
+    # basis-pair brackets, as for `lie_bracket`, and the coordinates of each subtree read
+    memo, known = quasi_memo() if flavor == FLAVOR_FRAMED and n % 2 else {}, {}
     rests = [(x, content[:i] + content[i + 1:]) for x in sorted(set(content)) for i in [content.index(x)]]
     framed, twisted = [], []
     for _, times, labeled in _families(n, flavor):
@@ -464,7 +465,7 @@ def twisted_block(m: int, n: int, content: tuple, flavor=FLAVOR_TWISTED) -> Twis
 
     images = []
     for g, (x, w) in enumerate(framed):
-        image = read(g, 1, leaf_readings(w, {(x,): 1}, memo))
+        image = read(g, 1, tree_readings(_word_shape(w), {(x,): 1}, memo, known))
         image[g] = image.get(g, 0) + 1  # the reading at x itself
         images.append(image)
         if is_square(w):
@@ -475,20 +476,20 @@ def twisted_block(m: int, n: int, content: tuple, flavor=FLAVOR_TWISTED) -> Twis
             images.append({})
         else:
             # <w, w> read at each leaf of one half; the other half reads alike
-            images.append(read(g, 2, leaf_readings(w, {w: 1}, memo)))
+            images.append(read(g, 2, tree_readings(_word_shape(w), {w: 1}, memo, known)))
     images = tuple({j: c for j, c in image.items() if c} for image in images)
-    return TwistedBlock(m, content, tuple(framed), tuple(twisted), tuple(rows), images, index)
+    return TwistedBlock(content, tuple(framed), tuple(twisted), tuple(rows), images, index)
 
 
 @lru_cache(maxsize=None)
-def lie_block(m: int, n: int, flavor: str, content: tuple):
+def lie_block(n: int, flavor: str, content: tuple):
     """(`twisted_block`, its relations' `Presentation`) of one content,
-    built once per process for `group`, normal forms and eta alike.  At
-    even n a content that is not twice a half has no twisted generator, so
-    its framed block is its twisted one."""
+    built once per process for every m, and for `group`, normal forms and
+    eta alike.  At even n a content that is not twice a half has no
+    twisted generator, so its framed block is its twisted one."""
     if flavor == FLAVOR_FRAMED and n % 2 == 0 and tuple(sorted(content[::2] * 2)) != content:
-        return lie_block(m, n, FLAVOR_TWISTED, content)
-    block = twisted_block(m, n, content, flavor)
+        return lie_block(n, FLAVOR_TWISTED, content)
+    block = twisted_block(n, content, flavor)
     return block, presentation(block.relations, len(block.images))
 
 
@@ -542,6 +543,8 @@ def lie_blocks(m: int, n: int, flavor: str, k=None) -> list:
     counted over the whole cell, and only past the budget over each
     representative (`_block_width`).
     """
+    if m < 1 or n < 0:
+        raise ParameterError("Lie-coordinate blocks require m >= 1, n >= 0")
     # the whole cell's generators, each degree within the Lyndon budget so
     # that the counts below are cheap; without any, as on one label past
     # order 2, there is no block
@@ -554,7 +557,7 @@ def lie_blocks(m: int, n: int, flavor: str, k=None) -> list:
     if rows > MAX_LIE_ROWS:
         rows = (n + 1) * sum(_block_width(n, flavor, c) for c, _ in kept)
     _refuse_rows(rows, f"the Lie-coordinate blocks of {flavor} order {n} at m = {m} make")
-    return [(c, size, *lie_block(m, n, flavor, c)) for c, size in kept]
+    return [(c, size, *lie_block(n, flavor, c)) for c, size in kept]
 
 
 def lie_generators(m: int, n: int, flavor: str, k=None):

@@ -1,6 +1,6 @@
 """Paths that `forestcalc` replaced, kept as the tests' oracles.
 
-eta by re-rooting, the path that the one-walk eta (`freelie.leaf_readings`)
+eta by re-rooting, the path that the one-walk eta (`freelie.tree_readings`)
 replaced: a framed tree <A, B> is re-rooted at each of its leaves
 (`leaf_rootings`), the rest of the tree rebuilt as a rooted shape, and each
 shape is reduced from scratch on the Lyndon basis (`reduce_shape`).  A
@@ -15,6 +15,11 @@ Magnus expansion compute from k-filtered inputs.
 Duval's successor rule, then a sort, for the Lyndon words of a degree
 (`duval_lyndon_words`), and the suffix-by-suffix Lyndon test (`is_lyndon`),
 which `freelie`'s prenecklace recursion and `_split` replaced.
+
+The word walk that read the generators of the tree groups' blocks
+(`leaf_readings`), cutting each Lyndon word at its standard factorization
+and a square at its middle, which `freelie.tree_readings` on the word's
+shape replaced.
 """
 
 from functools import lru_cache
@@ -24,6 +29,9 @@ from forestcalc.forest import make_forest
 from forestcalc.freelie import (
     LieElement,
     TensorElement,
+    _add_bracket,
+    _split,
+    is_square,
     lie_coordinates,
     shape_tensor,
     standard_bracketing,
@@ -159,3 +167,28 @@ def duval_lyndon_words(m: int, n: int) -> tuple:
 
 def is_lyndon(word) -> bool:
     return all(word < word[i:] for i in range(1, len(word)))
+
+
+def leaf_readings(word, outside, memo) -> list:
+    """P_word with `outside` grafted at its root, read at every leaf.
+
+    Read at a leaf, the tree is the bracket of everything else: going into
+    the left branch P_a of a vertex (P_a, P_b) brackets the outside y to
+    [P_b, y], into the right branch to [y, P_a] = -[P_a, y], one rewriting
+    per vertex.  Outside and readings are Lie elements as {Lyndon word:
+    coeff} dicts, which may hold zeros.  Returns (label, reading) in leaf
+    reading order.  `memo` is the caller's, as for `lie_bracket`.  A square
+    word vv reads as [P_v, P_v].
+    """
+    return _leaf_readings(word, outside, memo, len(word) // 2 if is_square(word) else None)
+
+
+def _leaf_readings(word, outside, memo, split=None) -> list:
+    if len(word) == 1:
+        return [(word[0], outside)]
+    split = split or _split(word)
+    a, b = word[:split], word[split:]
+    left, right = {}, {}
+    _add_bracket(left, 1, b, outside.items(), memo)
+    _add_bracket(right, -1, a, outside.items(), memo)
+    return _leaf_readings(a, left, memo) + _leaf_readings(b, right, memo)

@@ -236,8 +236,8 @@ def test_criterion_9_determinism(capsys, monkeypatch):
     plane_twisted_block = forestcalc.groups.twisted_block
     reached = set()  # goldens whose eta_kernel read the images in the mirror convention
 
-    def mirror_twisted_block(m, n, *args):
-        block = plane_twisted_block(m, n, *args)
+    def mirror_twisted_block(n, *args):
+        block = plane_twisted_block(n, *args)
         reached.add(golden)
         sign = (-1) ** n
         return block._replace(images=tuple(

@@ -6,7 +6,7 @@ from typing import NamedTuple
 import pytest
 
 import lie_oracle
-from lie_oracle import k_project_tensor, leaf_rootings, reduce_shape, shape_to_lie
+from lie_oracle import k_project_tensor, leaf_readings, leaf_rootings, reduce_shape, shape_to_lie
 from table_oracle import framed_table, table_group
 from test_freelie import _random_labeled
 from test_trees import edges
@@ -28,7 +28,6 @@ from forestcalc.freelie import (
     TensorElement,
     bracket_kernel,
     bracket_map,
-    leaf_readings,
     lie_bracket,
     lyndon_words,
     standard_bracketing,
@@ -195,7 +194,8 @@ class TwistedLie(NamedTuple):
 @lru_cache(maxsize=None)
 def twisted_lie(m: int, n: int) -> TwistedLie:
     """Twisted T_n^inf on Lie coordinates, and eta on its generators, read
-    as the blocks read them, over the whole cell."""
+    by the oracle's word walk (`lie_oracle.leaf_readings`), over the whole
+    cell."""
     words = lyndon_words(m, n + 1)
     size = len(words)
     column = {w: i for i, w in enumerate(words)}
@@ -333,7 +333,7 @@ def _blocks(m, n):
     """Every block of the cell, each built from its own content."""
     for rep, _ in content_orbits(m, n + 2):
         for content, _ in content_orbit(m, rep):
-            yield twisted_block(m, n, content)
+            yield twisted_block(n, content)
 
 
 def _span(group, forests):
@@ -442,7 +442,7 @@ def test_kernel_below_full_rank(monkeypatch):
     combos = [[(g, c * y) for i, c in x for g, y in free[i]] for x in kernel]
     orbit = content_orbit(m, block.content)
     assert [content for content, _ in orbit] == sorted(content for content, _ in orbit)
-    expected = [block.forest(row, labels) for _, labels in orbit for row in combos]
+    expected = [make_forest(m, block.terms(row, labels)) for _, labels in orbit for row in combos]
     assert [str(f) for f in lifts] == [str(f) for f in expected]
 
 
@@ -455,9 +455,9 @@ def test_bracket_kernel_rank_is_bracket_onto():
         assert rank == bracket_kernel(m, n).rank
 
 
-def _tensor(block, n, row):
-    """A {column: coeff} row over the block's part of L_1 (x) L_{n+1}."""
-    return TensorElement.make(block.m, n + 1, {block.framed[j]: c for j, c in row.items()})
+def _tensor(m, block, n, row):
+    """A {column: coeff} row over the block's part of L_1 (x) L_{n+1}, m labels."""
+    return TensorElement.make(m, n + 1, {block.framed[j]: c for j, c in row.items()})
 
 
 def test_free_summand_images_lie_in_bracket_kernel():
@@ -468,7 +468,7 @@ def test_free_summand_images_lie_in_bracket_kernel():
     for m, n in ORACLE_CELLS:
         for size, block, _, _, rows, _ in _free_rows(m, n):
             for row in rows:
-                assert bracket_map(_tensor(block, n, dict(row))).is_zero
+                assert bracket_map(_tensor(m, block, n, dict(row))).is_zero
             images += size * len(rows)
     assert images > 100
 
@@ -484,7 +484,7 @@ def test_lie_images_match_eta_tree():
         identity = tuple(range(1, m + 1))
         for block in _blocks(m, n):
             for g, image in enumerate(block.images):
-                assert _tensor(block, n, image) == eta(block.forest([(g, 1)], identity), n)
+                assert _tensor(m, block, n, image) == eta(make_forest(m, block.terms([(g, 1)], identity)), n)
                 checked += 1
     assert checked == 3261
 
@@ -506,7 +506,7 @@ def test_lie_relations_map_to_zero():
                         acc[j] = acc.get(j, 0) + c * x
                 assert not any(acc.values())
                 if (m, n) in small:
-                    assert eta(block.forest(row, identity), n).is_zero
+                    assert eta(make_forest(m, block.terms(row, identity)), n).is_zero
                     rows += 1
     assert rows == 1286
 
@@ -814,6 +814,15 @@ def test_arf_classes():
     assert [w for w, _ in classes] == [(1, 2)]
     with pytest.raises(ParameterError):
         arf_classes(2, 1, 3)
+
+
+def test_eta_refuses_impossible_cells():
+    # the blocks refuse a cell of no labels or of negative order, as
+    # build_group does, before witt or the Lyndon count reads it
+    for call in (lambda: eta_kernel(2, -1), lambda: eta_cokernel_invariants(2, -1),
+                 lambda: eta_kernel(0, 2)):
+        with pytest.raises(ParameterError, match="m >= 1, n >= 0"):
+            call()
 
 
 def test_eta_kernel_order_six():
