@@ -116,34 +116,6 @@ def canonical_rooted(shape):
 # ---------------------------------------------------------------------------
 # framed presentations
 
-def presentations(half_a, half_b):
-    """The presentations of the framed tree <half_a, half_b>, one per edge.
-
-    Each of the 2n + 1 edges of the abstract unrooted tree yields one
-    splitting, in the orientation the walk reaches first, and edges that
-    read alike count once; moving the splitting point across a trivalent
-    vertex re-reads the same cyclic orientations, so no signs arise here.
-    """
-    seen = set()
-    stack = [(half_a, half_b)]
-    out = []
-    while stack:
-        pres = stack.pop()
-        if pres in seen:
-            continue
-        a, b = pres
-        if (b, a) not in seen:
-            out.append(pres)
-        seen.add(pres)
-        if isinstance(a, tuple):
-            stack.append((a[0], (a[1], b)))
-            stack.append((a[1], (b, a[0])))
-        if isinstance(b, tuple):
-            stack.append((b[0], (b[1], a)))
-            stack.append((b[1], (a, b[0])))
-    return out
-
-
 def canonical_framed(half_a, half_b):
     """Canonicalize a framed tree.
 
@@ -274,7 +246,8 @@ def tree_stats(tree: DecoratedTree) -> TreeStats:
     """Order, degree and per-index multiplicities.
 
     Twisted trees count each label twice (the multiplicity of J^inf is that
-    of <J,J>).
+    of <J,J>).  The order is read off the leaf count L: L - 2 on a framed
+    tree, L - 1 on a rooted or twisted one.
     """
     labels = tree.leaves()
     factor = 2 if tree.kind == TWISTED else 1
@@ -283,7 +256,8 @@ def tree_stats(tree: DecoratedTree) -> TreeStats:
         r[lab] = r.get(lab, 0) + factor
     r_max = max(r.values()) if r else 0
     mono = len(r) == 1
-    return TreeStats(tree.order, tree.degree, r, r_max, mono)
+    order = len(labels) - (2 if tree.kind == FRAMED else 1)
+    return TreeStats(order, order + 1, r, r_max, mono)
 
 
 def multiplicity(tree: DecoratedTree) -> int:

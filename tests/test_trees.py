@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rewrite_oracle
+from rewrite_oracle import presentations
 from table_oracle import (
     MAX_TABLE_ENTRIES,
     _shape_counts,
@@ -27,7 +29,6 @@ from forestcalc.trees import (
     canonical_rooted,
     framed_tree,
     multiplicity,
-    presentations,
     rooted_tree,
     tree_stats,
     twisted_tree,
@@ -641,8 +642,9 @@ def _collapses(rewrite, pairs, m):
 
 def test_presentations_one_per_edge(monkeypatch):
     # the walk used to give <((1,2),3),(4,5)> 9 presentations, some edges
-    # both ways; now each of the 2n + 1 edges once, in the orientation and
-    # order the old walk reached it first, so every collapse is unchanged
+    # both ways; the oracle's gives each of the 2n + 1 edges once, in the
+    # orientation and order the old walk reached it first, so every collapse
+    # is unchanged, and so is that of `rewrite`'s edge walk
     assert len(_old_presentations(((1, 2), 3), (4, 5))) == 9
     assert len(presentations(((1, 2), 3), (4, 5))) == 7
     for order in range(12):
@@ -652,9 +654,10 @@ def test_presentations_one_per_edge(monkeypatch):
         old = _old_presentations(*pair)
         assert presentations(*pair) == [
             (p, q) for i, (p, q) in enumerate(old) if (q, p) not in old[:i]]
-    collapses = _collapses(rewrite, pairs, 3)
-    monkeypatch.setattr(rewrite, "presentations", _old_presentations)
+    collapses = _collapses(rewrite_oracle, pairs, 3)
     assert collapses == _collapses(rewrite, pairs, 3)
+    monkeypatch.setattr(rewrite_oracle, "presentations", _old_presentations)
+    assert collapses == _collapses(rewrite_oracle, pairs, 3)
 
 
 @st.composite
